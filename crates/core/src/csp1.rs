@@ -19,7 +19,7 @@
 //! CSP1 "runs out of memory on large instances" (Section VII-E) as a clean
 //! [`StopReason::EncodingTooLarge`] verdict instead of an abort.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use csp_engine::{Budget, Constraint, LimitReason, Model, Outcome, SolverConfig, VarId};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
@@ -95,6 +95,19 @@ impl Csp1Layout {
 /// Build the CSP1 model for an identical platform. Returns the model and
 /// its layout, or the problem's `TaskError` if the task set is invalid.
 pub fn encode(ts: &TaskSet, m: usize) -> Result<(Model, Csp1Layout), TaskError> {
+    encode_polled(ts, m, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
+}
+
+/// The `expect` message of an encoder's never-cancelled entry point.
+pub(crate) const NEVER_RAISED: &str = "a fresh token is never raised";
+
+/// [`encode`], polling `cancel` at each stage boundary: `Ok(None)` once it
+/// is raised.
+fn encode_polled(
+    ts: &TaskSet,
+    m: usize,
+    cancel: &CancelToken,
+) -> Result<Option<(Model, Csp1Layout)>, TaskError> {
     let ji = JobInstants::new(ts)?;
     let h = ji.hyperperiod();
     let n = ts.len();
@@ -118,6 +131,9 @@ pub fn encode(ts: &TaskSet, m: usize) -> Result<(Model, Csp1Layout), TaskError> 
     }
 
     // (3): at most one task per processor-instant.
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for j in 0..m {
         for t in 0..h {
             let vars: Vec<VarId> = (0..n).map(|i| layout.var(i, j, t)).collect();
@@ -125,6 +141,9 @@ pub fn encode(ts: &TaskSet, m: usize) -> Result<(Model, Csp1Layout), TaskError> 
         }
     }
     // (4): at most one processor per task-instant (only where available).
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for i in 0..n {
         for t in 0..h {
             if ji.job_at(i, t).is_some() {
@@ -134,6 +153,9 @@ pub fn encode(ts: &TaskSet, m: usize) -> Result<(Model, Csp1Layout), TaskError> 
         }
     }
     // (5): exactly Ci units per availability interval.
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for i in 0..n {
         for k in 0..ji.jobs_of(i) {
             let mut vars = Vec::new();
@@ -148,7 +170,7 @@ pub fn encode(ts: &TaskSet, m: usize) -> Result<(Model, Csp1Layout), TaskError> 
             });
         }
     }
-    Ok((model, layout))
+    Ok(Some((model, layout)))
 }
 
 /// Decode an engine solution into a [`Schedule`].
@@ -174,7 +196,8 @@ pub fn solve_csp1(ts: &TaskSet, m: usize, cfg: &Csp1Config) -> Result<SolveResul
     solve_csp1_cancellable(ts, m, cfg, &CancelToken::new())
 }
 
-/// [`solve_csp1`] with cooperative cancellation: `cancel` is polled at the
+/// [`solve_csp1`] with cooperative cancellation: `cancel` is polled at each
+/// encoding stage, per propagator while the engine is built, and at the
 /// engine's budget checkpoints.
 pub fn solve_csp1_cancellable(
     ts: &TaskSet,
@@ -182,17 +205,20 @@ pub fn solve_csp1_cancellable(
     cfg: &Csp1Config,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
+    let start = Instant::now();
     // Size guard first, so huge instances fail fast and cleanly.
     let ji = JobInstants::new(ts)?;
     let cells = ts.len() as u64 * m as u64 * ji.hyperperiod();
     if cells > cfg.max_cells {
-        return Ok(SolveResult {
-            verdict: Verdict::Unknown(StopReason::EncodingTooLarge),
-            stats: SolveStats::default(),
-            search: None,
-        });
+        return Ok(SolveResult::stopped(
+            StopReason::EncodingTooLarge,
+            start.elapsed(),
+        ));
     }
-    let (model, layout) = encode(ts, m)?;
+    let Some((mut model, layout)) = encode_polled(ts, m, cancel)? else {
+        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+    };
+    model.set_interrupt(cancel.as_flag());
     let mut solver_cfg = SolverConfig::generic_randomized(cfg.seed);
     solver_cfg = solver_cfg.with_budget(Budget {
         time: cfg.time,
@@ -200,7 +226,6 @@ pub fn solve_csp1_cancellable(
         max_failures: None,
     });
     let mut solver = model.into_solver(solver_cfg);
-    solver.set_interrupt(cancel.as_flag());
     let outcome = solver.solve();
     let engine_stats = solver.stats();
     let stats = SolveStats {

@@ -29,14 +29,14 @@
 //! the `n·m·H` layout block, so [`crate::csp1::Csp1Layout`] decodes a SAT
 //! model exactly like a CSP solution.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rt_sat::{
     at_most_one, exactly_k, AmoEncoding, Cnf, Lit, SatConfig, SatLimit, SatOutcome, SatSolver,
 };
 use rt_task::{JobId, JobInstants, TaskError, TaskSet};
 
-use crate::csp1::{Csp1Layout, DEFAULT_MAX_CELLS};
+use crate::csp1::{Csp1Layout, DEFAULT_MAX_CELLS, NEVER_RAISED};
 use crate::engine::CancelToken;
 use crate::schedule::Schedule;
 use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
@@ -84,6 +84,17 @@ pub fn encode_cnf(
     m: usize,
     amo: AmoEncoding,
 ) -> Result<(Cnf, Csp1Layout), TaskError> {
+    encode_cnf_polled(ts, m, amo, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
+}
+
+/// [`encode_cnf`], polling `cancel` once per iteration of each constraint
+/// family's outer loop: `Ok(None)` once it is raised.
+fn encode_cnf_polled(
+    ts: &TaskSet,
+    m: usize,
+    amo: AmoEncoding,
+    cancel: &CancelToken,
+) -> Result<Option<(Cnf, Csp1Layout)>, TaskError> {
     let ji = JobInstants::new(ts)?;
     let h = ji.hyperperiod();
     let n = ts.len();
@@ -96,6 +107,9 @@ pub fn encode_cnf(
 
     // (2): out-of-interval variables are false.
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             if ji.job_at(i, t).is_none() {
                 for j in 0..m {
@@ -106,6 +120,9 @@ pub fn encode_cnf(
     }
     // (3): at most one *available* task per processor-instant.
     for j in 0..m {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             let group: Vec<Lit> = (0..n)
                 .filter(|&i| ji.job_at(i, t).is_some())
@@ -118,6 +135,9 @@ pub fn encode_cnf(
     }
     // (4): at most one processor per task-instant.
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             if ji.job_at(i, t).is_some() && m > 1 {
                 let group: Vec<Lit> = (0..m).map(|j| lit(i, j, t)).collect();
@@ -128,6 +148,9 @@ pub fn encode_cnf(
     // (5): exactly Ci instants of work per availability interval, counted
     // through the aggregate y_i(t) ⇔ ⋁_j x_{i,j}(t).
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         let ci = u32::try_from(ts.task(i).wcet).expect("WCET fits u32");
         for k in 0..ji.jobs_of(i) {
             let mut ys = Vec::new();
@@ -145,7 +168,7 @@ pub fn encode_cnf(
             exactly_k(&mut cnf, &ys, ci);
         }
     }
-    Ok((cnf, layout))
+    Ok(Some((cnf, layout)))
 }
 
 /// Decode a SAT model into a [`Schedule`] via the shared layout.
@@ -175,26 +198,30 @@ pub fn solve_csp1_sat(
     solve_csp1_sat_cancellable(ts, m, cfg, &CancelToken::new())
 }
 
-/// [`solve_csp1_sat`] with cooperative cancellation: `cancel` is polled in
-/// the CDCL propagation loop.
+/// [`solve_csp1_sat`] with cooperative cancellation: `cancel` is polled
+/// while the CNF is encoded and loaded into the CDCL solver (see
+/// [`SatSolver::with_interrupt`]) and in the CDCL propagation loop. The
+/// time budget and the reported `elapsed_us` run from this call's entry,
+/// so they cover encoding and solver construction as well as the search.
 pub fn solve_csp1_sat_cancellable(
     ts: &TaskSet,
     m: usize,
     cfg: &Csp1SatConfig,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
+    let start = Instant::now();
     let ji = JobInstants::new(ts)?;
     let cells = ts.len() as u64 * m as u64 * ji.hyperperiod();
     if cells > cfg.max_cells {
-        return Ok(SolveResult {
-            verdict: Verdict::Unknown(StopReason::EncodingTooLarge),
-            stats: SolveStats::default(),
-            search: None,
-        });
+        return Ok(SolveResult::stopped(
+            StopReason::EncodingTooLarge,
+            start.elapsed(),
+        ));
     }
-    let (cnf, layout) = encode_cnf(ts, m, cfg.amo)?;
+    let Some((cnf, layout)) = encode_cnf_polled(ts, m, cfg.amo, cancel)? else {
+        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+    };
     let sat_cfg = SatConfig {
-        time_limit: cfg.time,
         max_conflicts: cfg.max_conflicts,
         // Almost all grid cells are false in any schedule (utilization < 1
         // per processor implies idle slots; each task occupies one cell per
@@ -202,25 +229,43 @@ pub fn solve_csp1_sat_cancellable(
         default_phase: false,
         ..SatConfig::default()
     };
-    let mut solver = SatSolver::new(&cnf, sat_cfg);
-    solver.set_interrupt(cancel.as_flag());
+    Ok(run_cdcl(&cnf, &layout, sat_cfg, cfg.time, start, cancel))
+}
+
+/// Load `cnf` into a CDCL solver under `cancel` and search it, with the
+/// wall-clock budget `time` counted from `start` (the solve's entry), so
+/// encoding and construction draw on the same allowance as the search.
+pub(crate) fn run_cdcl(
+    cnf: &Cnf,
+    layout: &Csp1Layout,
+    sat_cfg: SatConfig,
+    time: Option<Duration>,
+    start: Instant,
+    cancel: &CancelToken,
+) -> SolveResult {
+    let mut solver = SatSolver::with_interrupt(cnf, sat_cfg, Some(cancel.as_flag()));
+    let left = time.map(|t| t.saturating_sub(start.elapsed()));
+    if left.is_some_and(|d| d.is_zero()) {
+        return SolveResult::stopped(StopReason::TimeLimit, start.elapsed());
+    }
+    solver.set_time_limit(left);
     let outcome = solver.solve();
     let st = solver.stats();
     let stats = SolveStats {
         decisions: st.decisions,
         failures: st.conflicts,
-        elapsed_us: st.elapsed_us,
+        elapsed_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
     };
     let verdict = match outcome {
-        SatOutcome::Sat(model) => Verdict::Feasible(decode_model(&layout, &model)),
+        SatOutcome::Sat(model) => Verdict::Feasible(decode_model(layout, &model)),
         SatOutcome::Unsat => Verdict::Infeasible,
         SatOutcome::Unknown(limit) => Verdict::Unknown(sat_stop_reason(limit)),
     };
-    Ok(SolveResult {
+    SolveResult {
         verdict,
         stats,
         search: Some(crate::solve::search_from_sat(&st)),
-    })
+    }
 }
 
 #[cfg(test)]

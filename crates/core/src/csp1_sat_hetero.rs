@@ -13,16 +13,16 @@
 //!   the specialized [`crate::csp1_sat`] path remains preferable there
 //!   because its per-instant aggregation keeps groups `m`× smaller.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rt_platform::Platform;
-use rt_sat::{at_most_one, pb_exactly, AmoEncoding, Cnf, Lit, SatConfig, SatOutcome, SatSolver};
+use rt_sat::{at_most_one, pb_exactly, AmoEncoding, Cnf, Lit, SatConfig};
 use rt_task::{JobId, JobInstants, TaskError, TaskSet};
 
-use crate::csp1::{Csp1Layout, DEFAULT_MAX_CELLS};
-use crate::csp1_sat::{decode_model, sat_stop_reason};
+use crate::csp1::{Csp1Layout, DEFAULT_MAX_CELLS, NEVER_RAISED};
+use crate::csp1_sat::run_cdcl;
 use crate::engine::CancelToken;
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason};
 
 /// Configuration for the heterogeneous SAT route.
 #[derive(Debug, Clone, Copy)]
@@ -54,6 +54,17 @@ pub fn encode_cnf_hetero(
     platform: &Platform,
     amo: AmoEncoding,
 ) -> Result<(Cnf, Csp1Layout), TaskError> {
+    encode_cnf_hetero_polled(ts, platform, amo, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
+}
+
+/// [`encode_cnf_hetero`], polling `cancel` once per iteration of each
+/// constraint family's outer loop: `Ok(None)` once it is raised.
+fn encode_cnf_hetero_polled(
+    ts: &TaskSet,
+    platform: &Platform,
+    amo: AmoEncoding,
+    cancel: &CancelToken,
+) -> Result<Option<(Cnf, Csp1Layout)>, TaskError> {
     assert_eq!(platform.num_tasks(), ts.len(), "rate matrix row count");
     let ji = JobInstants::new(ts)?;
     let h = ji.hyperperiod();
@@ -68,6 +79,9 @@ pub fn encode_cnf_hetero(
 
     // (2) + domain restriction: out-of-interval or forbidden cells false.
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             let available = ji.job_at(i, t).is_some();
             for j in 0..m {
@@ -79,6 +93,9 @@ pub fn encode_cnf_hetero(
     }
     // (3): at most one runnable task per processor-instant.
     for j in 0..m {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             let group: Vec<Lit> = (0..n)
                 .filter(|&i| ji.job_at(i, t).is_some() && platform.can_run(i, j))
@@ -91,6 +108,9 @@ pub fn encode_cnf_hetero(
     }
     // (4): at most one processor per task-instant.
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             if ji.job_at(i, t).is_some() {
                 let group: Vec<Lit> = (0..m)
@@ -105,6 +125,9 @@ pub fn encode_cnf_hetero(
     }
     // (11): Σ si,j·x = Ci per job, as a PB equality over eligible cells.
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         let ci = ts.task(i).wcet;
         for k in 0..ji.jobs_of(i) {
             let mut cells = Vec::new();
@@ -120,7 +143,7 @@ pub fn encode_cnf_hetero(
             pb_exactly(&mut cnf, &cells, &weights, ci);
         }
     }
-    Ok((cnf, layout))
+    Ok(Some((cnf, layout)))
 }
 
 /// Encode and solve the heterogeneous instance on the CDCL solver.
@@ -132,53 +155,40 @@ pub fn solve_hetero_sat(
     solve_hetero_sat_cancellable(ts, platform, cfg, &CancelToken::new())
 }
 
-/// [`solve_hetero_sat`] with cooperative cancellation.
+/// [`solve_hetero_sat`] with cooperative cancellation, polled during
+/// encoding, solver construction and search; the time budget and the
+/// reported `elapsed_us` run from this call's entry (as in
+/// [`crate::csp1_sat::solve_csp1_sat_cancellable`]).
 pub fn solve_hetero_sat_cancellable(
     ts: &TaskSet,
     platform: &Platform,
     cfg: &HeteroSatConfig,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
+    let start = Instant::now();
     let ji = JobInstants::new(ts)?;
     let cells = ts.len() as u64 * platform.num_processors() as u64 * ji.hyperperiod();
     if cells > cfg.max_cells {
-        return Ok(SolveResult {
-            verdict: Verdict::Unknown(StopReason::EncodingTooLarge),
-            stats: SolveStats::default(),
-            search: None,
-        });
+        return Ok(SolveResult::stopped(
+            StopReason::EncodingTooLarge,
+            start.elapsed(),
+        ));
     }
-    let (cnf, layout) = encode_cnf_hetero(ts, platform, cfg.amo)?;
+    let Some((cnf, layout)) = encode_cnf_hetero_polled(ts, platform, cfg.amo, cancel)? else {
+        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+    };
     let sat_cfg = SatConfig {
-        time_limit: cfg.time,
         max_conflicts: cfg.max_conflicts,
         default_phase: false,
         ..SatConfig::default()
     };
-    let mut solver = SatSolver::new(&cnf, sat_cfg);
-    solver.set_interrupt(cancel.as_flag());
-    let outcome = solver.solve();
-    let st = solver.stats();
-    let stats = SolveStats {
-        decisions: st.decisions,
-        failures: st.conflicts,
-        elapsed_us: st.elapsed_us,
-    };
-    let verdict = match outcome {
-        SatOutcome::Sat(model) => Verdict::Feasible(decode_model(&layout, &model)),
-        SatOutcome::Unsat => Verdict::Infeasible,
-        SatOutcome::Unknown(limit) => Verdict::Unknown(sat_stop_reason(limit)),
-    };
-    Ok(SolveResult {
-        verdict,
-        stats,
-        search: Some(crate::solve::search_from_sat(&st)),
-    })
+    Ok(run_cdcl(&cnf, &layout, sat_cfg, cfg.time, start, cancel))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve::Verdict;
     use crate::verify::check_heterogeneous;
 
     #[test]

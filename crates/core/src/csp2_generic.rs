@@ -24,15 +24,15 @@
 //!   idles first; this is the constraint-level variant — the specialized
 //!   solver's rule 1/2 combination is strictly stronger).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use csp_engine::{Budget, Constraint, Model, Outcome, SolverConfig, VarId, VarOrder};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
-use crate::csp1::stop_reason;
+use crate::csp1::{stop_reason, NEVER_RAISED};
 use crate::engine::CancelToken;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, SolveStats, Verdict};
+use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
 
 /// Configuration for the generic CSP2 solve.
 #[derive(Debug, Clone, Copy)]
@@ -91,6 +91,17 @@ pub fn encode(
     m: usize,
     symmetry_breaking: bool,
 ) -> Result<(Model, Csp2Layout), TaskError> {
+    encode_polled(ts, m, symmetry_breaking, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
+}
+
+/// [`encode`], polling `cancel` at each stage boundary: `Ok(None)` once it
+/// is raised.
+fn encode_polled(
+    ts: &TaskSet,
+    m: usize,
+    symmetry_breaking: bool,
+    cancel: &CancelToken,
+) -> Result<Option<(Model, Csp2Layout)>, TaskError> {
     let ji = JobInstants::new(ts)?;
     let h = ji.hyperperiod();
     let n = ts.len() as i32;
@@ -106,6 +117,9 @@ pub fn encode(
         }
     }
     // (7): availability holes.
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for t in 0..h {
         for i in 0..ts.len() {
             if ji.job_at(i, t).is_none() {
@@ -118,11 +132,17 @@ pub fn encode(
     // (8): processors never share a task (idle exempt) — posted as one
     // global all-different-except-idle per instant rather than m(m-1)/2
     // pairwise inequalities.
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for t in 0..h {
         let vars: Vec<VarId> = (0..m).map(|j| layout.var(j, t)).collect();
         model.post(Constraint::AllDifferentExcept { vars, except: -1 });
     }
     // (9): exactly Ci occurrences of value i across the job's instants.
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for i in 0..ts.len() {
         for k in 0..ji.jobs_of(i) {
             let mut vars = Vec::new();
@@ -139,6 +159,9 @@ pub fn encode(
         }
     }
     // (10): canonical ordering within each instant.
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     if symmetry_breaking {
         for t in 0..h {
             for j in 0..m.saturating_sub(1) {
@@ -149,7 +172,7 @@ pub fn encode(
             }
         }
     }
-    Ok((model, layout))
+    Ok(Some((model, layout)))
 }
 
 /// Decode an engine solution into a [`Schedule`].
@@ -176,14 +199,20 @@ pub fn solve_csp2_generic(
     solve_csp2_generic_cancellable(ts, m, cfg, &CancelToken::new())
 }
 
-/// [`solve_csp2_generic`] with cooperative cancellation.
+/// [`solve_csp2_generic`] with cooperative cancellation: `cancel` is polled
+/// at each encoding stage, per propagator while the engine is built, and
+/// at the engine's budget checkpoints.
 pub fn solve_csp2_generic_cancellable(
     ts: &TaskSet,
     m: usize,
     cfg: &Csp2GenericConfig,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
-    let (model, layout) = encode(ts, m, cfg.symmetry_breaking)?;
+    let start = Instant::now();
+    let Some((mut model, layout)) = encode_polled(ts, m, cfg.symmetry_breaking, cancel)? else {
+        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+    };
+    model.set_interrupt(cancel.as_flag());
     let mut solver_cfg = if cfg.learning {
         SolverConfig::chronological_learning()
     } else if cfg.chronological {
@@ -200,7 +229,6 @@ pub fn solve_csp2_generic_cancellable(
         max_failures: None,
     });
     let mut solver = model.into_solver(solver_cfg);
-    solver.set_interrupt(cancel.as_flag());
     let outcome = solver.solve();
     let st = solver.stats();
     let stats = SolveStats {

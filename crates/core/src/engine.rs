@@ -53,10 +53,21 @@ use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
 
 /// Cooperative cancellation token.
 ///
-/// Cloning shares the flag. Solvers poll it at their budget checkpoints
-/// (every ~1024 search iterations, every CDCL propagation round) and stop
-/// with [`Verdict::Unknown`]([`StopReason::Cancelled`]) once raised; the
-/// portfolio racer raises it when the first definitive verdict lands.
+/// Cloning shares the flag. Solvers poll it in every stage of a solve and
+/// stop with [`Verdict::Unknown`]([`StopReason::Cancelled`]) once raised;
+/// the portfolio racer raises it when the first definitive verdict lands.
+/// The polls:
+///
+/// * encoding — the model encoders at each constraint family's boundary,
+///   the CNF encoders once per iteration of each family's outer loop;
+/// * construction — once per propagator while the CSP engine is built,
+///   every 1024 clauses while the CDCL solver loads its formula;
+/// * search — before root propagation, then at every CSP-engine budget
+///   check, every CDCL propagation round, every 1024 iterations of the
+///   specialized CSP2 searches and every 512 moves of local search.
+///
+/// A solver whose construction was interrupted never searches: its
+/// partial model could be satisfiable where the whole one is not.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -79,8 +90,8 @@ impl CancelToken {
     }
 
     /// The underlying shared flag, for handing to the substrate solvers
-    /// (`csp_engine::Solver::set_interrupt`, `rt_sat::SatSolver::
-    /// set_interrupt`), which cannot depend on this crate.
+    /// (`csp_engine::Model::set_interrupt`, `rt_sat::SatSolver::
+    /// with_interrupt`), which cannot depend on this crate.
     #[must_use]
     pub fn as_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.0)
@@ -242,6 +253,13 @@ pub trait FeasibilitySolver: Send + Sync {
     fn name(&self) -> String;
 
     /// Decide feasibility on `m` identical processors.
+    ///
+    /// `cancel` is polled while the backend encodes its model and builds
+    /// its solver as well as during the search (see [`CancelToken`] for
+    /// where and how often). Once it is raised the solve returns
+    /// [`Verdict::Unknown`]([`StopReason::Cancelled`]) within one poll
+    /// interval of whatever stage it is in; a solve stopped before its
+    /// search reports no search telemetry (`search: None`).
     fn solve(
         &self,
         ts: &TaskSet,
@@ -1109,9 +1127,12 @@ mod tests {
 
     #[test]
     fn pre_raised_token_stops_search_backends() {
-        // A dense instance that needs real search; a cancelled token must
-        // come back Unknown(Cancelled) without burning the budget.
-        let ts = TaskSet::from_ocdt(&[
+        // A dense instance that needs real search, and one of Table I's
+        // size (n = 10, m = 5, H = 420) whose encodings are the largest a
+        // race builds. A pre-raised token must stop every portfolio
+        // backend before its first decision or conflict: the encoders and
+        // solver constructors poll it too, not only the search loops.
+        let dense = TaskSet::from_ocdt(&[
             (0, 2, 3, 4),
             (0, 3, 4, 4),
             (1, 2, 3, 4),
@@ -1119,23 +1140,51 @@ mod tests {
             (0, 2, 4, 4),
             (0, 1, 3, 3),
         ]);
+        let table1 = TaskSet::from_ocdt(&[
+            (0, 1, 2, 3),
+            (1, 2, 3, 4),
+            (0, 2, 4, 5),
+            (2, 3, 5, 7),
+            (0, 1, 3, 3),
+            (1, 1, 2, 4),
+            (0, 3, 5, 5),
+            (0, 2, 6, 7),
+            (1, 2, 3, 6),
+            (0, 1, 2, 2),
+        ]);
+        assert_eq!(
+            rt_task::JobInstants::new(&table1).unwrap().hyperperiod(),
+            420
+        );
         let cancel = CancelToken::new();
         cancel.cancel();
-        for spec in [
-            SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet),
-            SolverSpec::Csp1,
-            SolverSpec::Csp1Sat,
-            SolverSpec::Csp2Generic,
-            SolverSpec::Local,
-        ] {
-            let res = spec
-                .build()
-                .solve(&ts, 2, &Budget::unlimited(), &cancel)
-                .unwrap();
-            // Fast instances may still finish inside the first check
-            // window; what is forbidden is a *wrong* verdict.
-            if let Verdict::Unknown(reason) = res.verdict {
-                assert_eq!(reason, StopReason::Cancelled, "{spec}");
+        for (ts, m) in [(&dense, 2), (&table1, 5)] {
+            for spec in SolverSpec::DEFAULT_PORTFOLIO {
+                let res = spec
+                    .build()
+                    .solve(ts, m, &Budget::unlimited(), &cancel)
+                    .unwrap();
+                assert_eq!(
+                    res.verdict,
+                    Verdict::Unknown(StopReason::Cancelled),
+                    "{spec} on n = {}",
+                    ts.len()
+                );
+                assert_eq!(res.stats.decisions, 0, "{spec}: decisions");
+                assert_eq!(res.stats.failures, 0, "{spec}: failures");
+                if let Some(search) = &res.search {
+                    assert_eq!(search.conflicts, 0, "{spec}: conflicts");
+                }
+                // The backends that encode a model stop while encoding, so
+                // no solver is ever built and no search is reported.
+                let encodes = matches!(
+                    spec,
+                    SolverSpec::Csp1
+                        | SolverSpec::Csp1Sat
+                        | SolverSpec::Csp2Generic
+                        | SolverSpec::Csp2Learn
+                );
+                assert_eq!(res.search.is_none(), encodes, "{spec}: search telemetry");
             }
         }
     }

@@ -31,7 +31,7 @@ use csp_engine::{Budget, Constraint, Model, Outcome, SolverConfig};
 use rt_platform::{identical_groups, quality_order, Platform};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
-use crate::csp1::{stop_reason, Csp1Layout};
+use crate::csp1::{stop_reason, Csp1Layout, NEVER_RAISED};
 use crate::engine::CancelToken;
 use crate::heuristics::TaskOrder;
 use crate::schedule::Schedule;
@@ -44,6 +44,16 @@ use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
 /// Build the heterogeneous CSP1 model: booleans as in Section IV, domains
 /// restricted by `si,j = 0`, and the rate-weighted completion equality (11).
 pub fn encode_csp1(ts: &TaskSet, platform: &Platform) -> Result<(Model, Csp1Layout), TaskError> {
+    encode_csp1_polled(ts, platform, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
+}
+
+/// [`encode_csp1`], polling `cancel` at each stage boundary: `Ok(None)`
+/// once it is raised.
+fn encode_csp1_polled(
+    ts: &TaskSet,
+    platform: &Platform,
+    cancel: &CancelToken,
+) -> Result<Option<(Model, Csp1Layout)>, TaskError> {
     assert_eq!(platform.num_tasks(), ts.len(), "rate matrix row count");
     let ji = JobInstants::new(ts)?;
     let h = ji.hyperperiod();
@@ -63,11 +73,17 @@ pub fn encode_csp1(ts: &TaskSet, platform: &Platform) -> Result<(Model, Csp1Layo
             }
         }
     }
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for j in 0..m {
         for t in 0..h {
             let vars = (0..n).map(|i| layout.var(i, j, t)).collect();
             model.post(Constraint::AtMostOneTrue { vars });
         }
+    }
+    if cancel.is_cancelled() {
+        return Ok(None);
     }
     for i in 0..n {
         for t in 0..h {
@@ -78,6 +94,9 @@ pub fn encode_csp1(ts: &TaskSet, platform: &Platform) -> Result<(Model, Csp1Layo
         }
     }
     // (11): Σ_t Σ_j si,j · x_{i,j}(t) = Ci per job.
+    if cancel.is_cancelled() {
+        return Ok(None);
+    }
     for i in 0..n {
         for k in 0..ji.jobs_of(i) {
             let mut vars = Vec::new();
@@ -93,7 +112,7 @@ pub fn encode_csp1(ts: &TaskSet, platform: &Platform) -> Result<(Model, Csp1Layo
             model.post(Constraint::linear_eq(vars, coeffs, ts.task(i).wcet as i64));
         }
     }
-    Ok((model, layout))
+    Ok(Some((model, layout)))
 }
 
 /// Encode + solve heterogeneous CSP1 with the generic randomized engine.
@@ -106,7 +125,9 @@ pub fn solve_csp1_hetero(
     solve_csp1_hetero_cancellable(ts, platform, time, seed, &CancelToken::new())
 }
 
-/// [`solve_csp1_hetero`] with cooperative cancellation.
+/// [`solve_csp1_hetero`] with cooperative cancellation, polled at each
+/// encoding stage, per propagator while the engine is built, and at the
+/// engine's budget checkpoints.
 pub fn solve_csp1_hetero_cancellable(
     ts: &TaskSet,
     platform: &Platform,
@@ -114,13 +135,16 @@ pub fn solve_csp1_hetero_cancellable(
     seed: u64,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
-    let (model, layout) = encode_csp1(ts, platform)?;
+    let start = Instant::now();
+    let Some((mut model, layout)) = encode_csp1_polled(ts, platform, cancel)? else {
+        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+    };
+    model.set_interrupt(cancel.as_flag());
     let mut cfg = SolverConfig::generic_randomized(seed);
     if let Some(t) = time {
         cfg = cfg.with_budget(Budget::time_limit(t));
     }
     let mut solver = model.into_solver(cfg);
-    solver.set_interrupt(cancel.as_flag());
     let outcome = solver.solve();
     let st = solver.stats();
     let stats = SolveStats {

@@ -100,6 +100,21 @@ pub struct SolveResult {
     pub search: Option<mgrts_obs::SearchStats>,
 }
 
+impl SolveResult {
+    /// A solve that stopped before its search: no verdict, no search
+    /// counters, only the wall clock `elapsed` since the solve began.
+    pub(crate) fn stopped(reason: StopReason, elapsed: Duration) -> SolveResult {
+        SolveResult {
+            verdict: Verdict::Unknown(reason),
+            stats: SolveStats {
+                elapsed_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+                ..SolveStats::default()
+            },
+            search: None,
+        }
+    }
+}
+
 /// Convert one CSP-engine solve's counters into portable
 /// [`mgrts_obs::SearchStats`] telemetry (one solve, so `solves == 1`).
 #[must_use]

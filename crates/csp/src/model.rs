@@ -1,6 +1,9 @@
 //! Model builder: declare variables and post constraints, then hand off to a
 //! [`crate::Solver`].
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
 use crate::constraints::Constraint;
 use crate::solver::{Solver, SolverConfig};
 use crate::store::{Store, Val, VarId};
@@ -11,6 +14,7 @@ pub struct Model {
     domains: Vec<(Val, Val)>,
     removals: Vec<(VarId, Val)>,
     constraints: Vec<Constraint>,
+    interrupt: Option<Arc<AtomicBool>>,
 }
 
 impl Model {
@@ -30,7 +34,20 @@ impl Model {
             domains: Vec::with_capacity(vars),
             removals: Vec::new(),
             constraints: Vec::with_capacity(constraints),
+            interrupt: None,
         }
+    }
+
+    /// Install a cooperative interrupt flag, polled from
+    /// [`Model::into_solver`] on: once per propagator while the solver is
+    /// built, then at the search's budget checks. When another thread
+    /// raises it the search stops with
+    /// [`crate::LimitReason::Interrupted`]; a solver whose construction was
+    /// interrupted reports that from every solve, even if the flag is
+    /// lowered later, because it lacks propagators. Used by portfolio
+    /// racing.
+    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
+        self.interrupt = Some(flag);
     }
 
     /// Declare a variable with inclusive domain `[lb, ub]`.
@@ -103,11 +120,18 @@ impl Model {
         (store, initially_inconsistent)
     }
 
-    /// Freeze the model into a solver.
+    /// Freeze the model into a solver (see [`Model::set_interrupt`] for
+    /// how an interrupt flag reaches it).
     #[must_use]
     pub fn into_solver(self, config: SolverConfig) -> Solver {
         let (store, initially_inconsistent) = self.build_store();
-        Solver::from_parts(store, self.constraints, config, initially_inconsistent)
+        Solver::from_parts(
+            store,
+            self.constraints,
+            config,
+            initially_inconsistent,
+            self.interrupt,
+        )
     }
 }
 

@@ -5,7 +5,7 @@
 //! The vocabulary is the classic LCG one: every domain mutation is described
 //! by *bound/assignment predicates* over one variable ([`Pred`]), the store
 //! keeps a semantic log of which predicate became true when and why
-//! ([`LogEntry`] / [`Reason`]), and conflict analysis resolves over that log
+//! (`LogEntry` / `Reason`), and conflict analysis resolves over that log
 //! to produce a [`Nogood`] — a conjunction of predicates that can never all
 //! hold. Nogoods are enforced by negation-propagation with two watched
 //! predicates per nogood, SAT-style.

@@ -304,6 +304,12 @@ pub struct SolveStats {
 /// instead of on every one.
 const BUDGET_CHECK_MASK: u64 = 1023;
 
+/// Has an optional interrupt flag been raised? (A relaxed load; `None`
+/// never is.)
+fn raised(flag: Option<&AtomicBool>) -> bool {
+    flag.is_some_and(|f| f.load(Ordering::Relaxed))
+}
+
 /// A frozen CSP ready to solve.
 #[derive(Debug)]
 pub struct Solver {
@@ -352,6 +358,9 @@ pub struct Solver {
     stats: SolveStats,
     initially_inconsistent: bool,
     interrupt: Option<Arc<AtomicBool>>,
+    /// False when the interrupt stopped construction before every
+    /// propagator was built; such a solver never searches.
+    loaded: bool,
     budget_ticks: u64,
     /// Value of [`Store::gac_rebuild_count`] when the current solve
     /// started; the stats report the difference.
@@ -405,16 +414,29 @@ enum Analysis {
 impl Solver {
     pub(crate) fn from_parts(
         mut store: Store,
-        constraints: Vec<Constraint>,
+        mut constraints: Vec<Constraint>,
         config: SolverConfig,
         initially_inconsistent: bool,
+        interrupt: Option<Arc<AtomicBool>>,
     ) -> Self {
         // Model-building removals precede propagator construction; their
         // events are subsumed by the initial full propagation of every
         // propagator (all start stale).
         store.clear_dirty();
-        let props: Vec<Box<dyn Propagator>> =
-            constraints.iter().map(|c| build(c, &mut store)).collect();
+        let mut props: Vec<Box<dyn Propagator>> = Vec::with_capacity(constraints.len());
+        for c in &constraints {
+            if raised(interrupt.as_deref()) {
+                break;
+            }
+            props.push(build(c, &mut store));
+        }
+        // An interrupted build keeps no constraints: the rest of the
+        // construction is then trivial, and `loaded` bars the search.
+        let loaded = props.len() == constraints.len();
+        if !loaded {
+            props.clear();
+            constraints.clear();
+        }
         let stale: Vec<StateId> = props.iter().map(|_| store.new_state_cell(1)).collect();
         let entailed: Vec<Option<StateId>> = props.iter().map(|p| p.entailed_flag()).collect();
         let input_cursor = store.new_state_cell(0);
@@ -499,7 +521,8 @@ impl Solver {
             config,
             stats: SolveStats::default(),
             initially_inconsistent,
-            interrupt: None,
+            interrupt,
+            loaded,
             budget_ticks: 0,
             gac_base: 0,
             abort_pending: false,
@@ -511,13 +534,6 @@ impl Solver {
             ng_dirty: Vec::new(),
             saved_phase: vec![None; n_vars],
         }
-    }
-
-    /// Install a cooperative interrupt flag: when another thread sets it,
-    /// the search stops at its next budget check with
-    /// [`LimitReason::Interrupted`]. Used by portfolio racing.
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
     }
 
     /// Replace the resource budget for subsequent [`Solver::solve`] /
@@ -558,7 +574,13 @@ impl Solver {
     /// Introspection hook for differential testing (the incremental engine
     /// and the [`crate::reference`] engine must agree on root fixpoints) and
     /// for diagnostics; [`Solver::solve`] may still be called afterwards.
+    ///
+    /// # Panics
+    ///
+    /// When the solver's construction was interrupted (see
+    /// [`crate::Model::set_interrupt`]): it has no fixpoint to report.
     pub fn root_fixpoint(&mut self) -> Option<Vec<Vec<Val>>> {
+        assert!(self.loaded, "root_fixpoint on an interrupted construction");
         if self.initially_inconsistent {
             return None;
         }
@@ -609,6 +631,9 @@ impl Solver {
         self.budget_ticks = 0;
         self.abort_pending = false;
         self.gac_base = self.store.gac_rebuild_count();
+        if self.stopped_at_entry() {
+            return Outcome::Unknown(LimitReason::Interrupted);
+        }
         if self.initially_inconsistent {
             return Outcome::Unsat;
         }
@@ -721,6 +746,9 @@ impl Solver {
         // learned nogoods are model-implied, so their pruning cannot drop
         // solutions, but the implication log must stop growing.
         self.store.set_learning(false);
+        if self.stopped_at_entry() {
+            return (0, false);
+        }
         if self.initially_inconsistent {
             return (0, true);
         }
@@ -791,6 +819,14 @@ impl Solver {
         self.enumerate(limit, |_| {})
     }
 
+    /// The check before a solve's root propagation: a raised flag stops
+    /// it there, and a solver whose construction was interrupted never
+    /// gets further (its propagators are missing, so any verdict would be
+    /// unsound).
+    fn stopped_at_entry(&self) -> bool {
+        !self.loaded || raised(self.interrupt.as_deref())
+    }
+
     /// Amortized budget check: the interrupt flag (an atomic load) is
     /// polled on every call, but `Instant::now()` only every
     /// ~[`BUDGET_CHECK_MASK`]+1 calls.
@@ -804,10 +840,8 @@ impl Solver {
                 return Some(r);
             }
         }
-        if let Some(flag) = &self.interrupt {
-            if flag.load(Ordering::Relaxed) {
-                return Some(LimitReason::Interrupted);
-            }
+        if raised(self.interrupt.as_deref()) {
+            return Some(LimitReason::Interrupted);
         }
         if let Some(t) = self.config.budget.time {
             let tick = self.budget_ticks;
@@ -822,10 +856,8 @@ impl Solver {
     /// Unamortized budget check, for the coarse-grained call sites that are
     /// already rate-limited by their caller.
     fn check_budget_now(&self, start: Instant) -> Option<LimitReason> {
-        if let Some(flag) = &self.interrupt {
-            if flag.load(Ordering::Relaxed) {
-                return Some(LimitReason::Interrupted);
-            }
+        if raised(self.interrupt.as_deref()) {
+            return Some(LimitReason::Interrupted);
         }
         if let Some(t) = self.config.budget.time {
             if start.elapsed() >= t {
@@ -1129,6 +1161,9 @@ impl Solver {
         self.budget_ticks = 0;
         self.abort_pending = false;
         self.gac_base = self.store.gac_rebuild_count();
+        if self.stopped_at_entry() {
+            return Outcome::Unknown(LimitReason::Interrupted);
+        }
         if self.initially_inconsistent {
             return Outcome::Unsat;
         }
@@ -2014,6 +2049,31 @@ mod tests {
             }
         }
         m
+    }
+
+    #[test]
+    fn interrupted_construction_never_searches() {
+        let flag = Arc::new(AtomicBool::new(true));
+        let mut m = pigeonhole_pairwise(5);
+        m.set_interrupt(flag.clone());
+        let mut s = m.into_solver(SolverConfig::default());
+        assert!(matches!(
+            s.solve(),
+            Outcome::Unknown(LimitReason::Interrupted)
+        ));
+        // No propagator was built, so the solver must not search even once
+        // the flag is lowered: without its constraints the model is SAT.
+        flag.store(false, Ordering::Relaxed);
+        assert!(matches!(
+            s.solve(),
+            Outcome::Unknown(LimitReason::Interrupted)
+        ));
+        assert_eq!(s.count_solutions(10), (0, false));
+        assert_eq!(s.stats().decisions, 0);
+        // The same model under a flag that is never raised is still UNSAT.
+        let mut m = pigeonhole_pairwise(5);
+        m.set_interrupt(flag);
+        assert!(m.into_solver(SolverConfig::default()).solve().is_unsat());
     }
 
     #[test]

@@ -143,15 +143,43 @@ pub struct SatSolver {
     ok: bool,
     stats: SatStats,
     interrupt: Option<Arc<AtomicBool>>,
+    /// False when the interrupt stopped [`SatSolver::with_interrupt`]
+    /// before every clause was loaded. A partial formula may be
+    /// satisfiable where the whole one is not, so such a solver never
+    /// searches.
+    loaded: bool,
     /// Counter gating wall-clock polls (`Instant::now()` once per ~1024
     /// budget checks, SAT-solver style — same scheme as the CSP engine).
     budget_ticks: u64,
 }
 
+/// Clauses loaded between two interrupt polls while a solver is built.
+const LOAD_POLL_INTERVAL: usize = 1024;
+
 impl SatSolver {
     /// Build a solver from a formula.
     #[must_use]
     pub fn new(cnf: &Cnf, cfg: SatConfig) -> SatSolver {
+        SatSolver::with_interrupt(cnf, cfg, None)
+    }
+
+    /// Build a solver from a formula under a cooperative interrupt flag
+    /// (`None` never interrupts: this is [`SatSolver::new`]).
+    ///
+    /// The flag is polled every 1024 clauses while the formula loads, again
+    /// before the root propagation of each solve, and every propagation
+    /// round of the search. When another thread raises it the search
+    /// returns [`SatOutcome::Unknown`]([`SatLimit::Interrupted`]); a solver
+    /// whose load was interrupted returns that from every solve, even if
+    /// the flag is lowered later. Portfolio racing uses it to preempt the
+    /// SAT route, whose formula alone can take longer to load than the
+    /// winning backend takes to decide.
+    #[must_use]
+    pub fn with_interrupt(
+        cnf: &Cnf,
+        cfg: SatConfig,
+        interrupt: Option<Arc<AtomicBool>>,
+    ) -> SatSolver {
         let n = cnf.num_vars() as usize;
         let mut s = SatSolver {
             cfg,
@@ -171,11 +199,16 @@ impl SatSolver {
             seen: vec![false; n],
             ok: true,
             stats: SatStats::default(),
-            interrupt: None,
+            interrupt,
+            loaded: true,
             budget_ticks: 0,
         };
         s.order.rebuild(0..cnf.num_vars(), &s.activity);
-        for c in cnf.clauses() {
+        for (k, c) in cnf.clauses().iter().enumerate() {
+            if k % LOAD_POLL_INTERVAL == 0 && s.interrupted() {
+                s.loaded = false;
+                break;
+            }
             s.add_clause(c.lits.clone());
             if !s.ok {
                 break;
@@ -196,13 +229,11 @@ impl SatSolver {
         self.stats
     }
 
-    /// Install a cooperative interrupt flag: when another thread sets it,
-    /// the search returns [`SatOutcome::Unknown`]([`SatLimit::Interrupted`])
-    /// at its next propagation-loop poll. Used by portfolio racing to
-    /// preempt the SAT route, which time/conflict budgets alone cannot do
-    /// promptly.
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
+    /// Replace the wall-clock budget of subsequent solves — for callers
+    /// whose allowance also paid for encoding and construction, so the
+    /// search gets only what is left of it.
+    pub fn set_time_limit(&mut self, limit: Option<Duration>) {
+        self.cfg.time_limit = limit;
     }
 
     /// Poll the interrupt flag (cheap relaxed load; `None` ⇒ never).
@@ -613,6 +644,9 @@ impl SatSolver {
     }
 
     fn search(&mut self, start: Instant, assumptions: &[Lit]) -> SatOutcome {
+        if !self.loaded || self.interrupted() {
+            return SatOutcome::Unknown(SatLimit::Interrupted);
+        }
         if !self.ok {
             return SatOutcome::Unsat;
         }
@@ -785,8 +819,20 @@ mod tests {
     #[test]
     fn conflict_budget_reported() {
         // PHP(5,4) is hard enough to exceed one conflict.
-        let holes = 4i64;
-        let pigeons = 5i64;
+        let cnf = pigeonhole(5, 4);
+        let cfg = SatConfig {
+            max_conflicts: Some(1),
+            ..SatConfig::default()
+        };
+        let out = SatSolver::new(&cnf, cfg).solve();
+        assert_eq!(out, SatOutcome::Unknown(SatLimit::Conflicts));
+        // And without the budget it is proven unsat.
+        assert_eq!(SatSolver::solve_cnf(&cnf), SatOutcome::Unsat);
+    }
+
+    /// PHP(pigeons → holes) as CNF: every pigeon in some hole, no hole
+    /// shared. Unsatisfiable when `pigeons > holes`.
+    fn pigeonhole(pigeons: i64, holes: i64) -> Cnf {
         let var = |h: i64, p: i64| h * pigeons + p + 1;
         let mut cnf = Cnf::new();
         for p in 0..pigeons {
@@ -799,14 +845,72 @@ mod tests {
                 }
             }
         }
-        let cfg = SatConfig {
-            max_conflicts: Some(1),
-            ..SatConfig::default()
-        };
-        let out = SatSolver::new(&cnf, cfg).solve();
-        assert_eq!(out, SatOutcome::Unknown(SatLimit::Conflicts));
-        // And without the budget it is proven unsat.
-        assert_eq!(SatSolver::solve_cnf(&cnf), SatOutcome::Unsat);
+        cnf
+    }
+
+    #[test]
+    fn interrupted_construction_never_reaches_a_verdict() {
+        let php = pigeonhole(6, 5);
+        // Raised before construction: nothing is loaded, and the empty
+        // formula is satisfiable, so a search would answer `Sat`.
+        let flag = Arc::new(AtomicBool::new(true));
+        let mut s = SatSolver::with_interrupt(&php, SatConfig::default(), Some(flag.clone()));
+        assert!(!s.loaded);
+        assert_eq!(s.solve(), SatOutcome::Unknown(SatLimit::Interrupted));
+        // Lowering the flag afterwards does not make the partial formula
+        // searchable.
+        flag.store(false, Ordering::Relaxed);
+        assert_eq!(s.solve(), SatOutcome::Unknown(SatLimit::Interrupted));
+        assert_eq!(
+            s.solve_with_assumptions(&[l(1)]),
+            SatOutcome::Unknown(SatLimit::Interrupted)
+        );
+        assert_eq!((s.stats().decisions, s.stats().conflicts), (0, 0));
+
+        // Raised during construction: a satisfiable padding of several
+        // poll intervals precedes the pigeonhole clauses, so a load cut
+        // at any poll is satisfiable where the whole formula is not.
+        let mut padded = Cnf::new();
+        let base = 1 + 6 * 5;
+        for k in 0..4 * LOAD_POLL_INTERVAL as i64 {
+            padded.add_clause(vec![l(base + k), l(base + k + 1)]);
+        }
+        for c in php.clauses() {
+            padded.add_clause(c.lits.clone());
+        }
+        for _ in 0..10 {
+            let flag = Arc::new(AtomicBool::new(false));
+            let raiser = {
+                let flag = flag.clone();
+                std::thread::spawn(move || flag.store(true, Ordering::Relaxed))
+            };
+            let mut s =
+                SatSolver::with_interrupt(&padded, SatConfig::default(), Some(flag.clone()));
+            raiser.join().unwrap();
+            assert_eq!(s.solve(), SatOutcome::Unknown(SatLimit::Interrupted));
+            flag.store(false, Ordering::Relaxed);
+            // Whole formula loaded before the raise: the verdict stands.
+            // Cut short: still never a verdict.
+            let expected = if s.loaded {
+                SatOutcome::Unsat
+            } else {
+                SatOutcome::Unknown(SatLimit::Interrupted)
+            };
+            assert_eq!(s.solve(), expected);
+        }
+    }
+
+    #[test]
+    fn never_raised_interrupt_leaves_the_verdict_alone() {
+        let php = pigeonhole(6, 5);
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut s = SatSolver::with_interrupt(&php, SatConfig::default(), Some(flag));
+        assert!(s.loaded);
+        assert_eq!(s.solve(), SatOutcome::Unsat);
+        assert_eq!(
+            SatSolver::new(&php, SatConfig::default()).solve(),
+            SatOutcome::Unsat
+        );
     }
 
     #[test]
