@@ -1,6 +1,7 @@
 //! Criterion benches for the SAT route: CNF encoding cost, CDCL solve
-//! time vs the specialized CSP2 search, and the at-most-one encoding
-//! ablation (pairwise vs ladder).
+//! time vs the specialized CSP2 search, the at-most-one encoding
+//! ablation (pairwise vs ladder), and encoding vs solver construction on
+//! the paper's Table I cell, where the hyperperiod makes set-up dominate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -79,6 +80,26 @@ fn bench_sat_vs_csp2(c: &mut Criterion) {
     group.finish();
 }
 
+/// `encode_cnf` and `SatSolver::new` timed apart on Table I instances
+/// (n = 10, m = 5, Tmax = 7): about 23k variables and 92k clauses each,
+/// so clause storage, not search, sets the cost.
+fn bench_build_table1(c: &mut Criterion) {
+    let gen = ProblemGenerator::new(GeneratorConfig::table1(), 2009);
+    let mut group = c.benchmark_group("sat_build_table1");
+    group.sample_size(10);
+    for i in 0..3 {
+        let p = gen.nth(i);
+        group.bench_with_input(BenchmarkId::new("encode_cnf", i), &p, |b, p| {
+            b.iter(|| black_box(encode_cnf(&p.taskset, p.m, AmoEncoding::Pairwise).unwrap()));
+        });
+        let (cnf, _layout) = encode_cnf(&p.taskset, p.m, AmoEncoding::Pairwise).unwrap();
+        group.bench_function(BenchmarkId::new("solver_new", i), |b| {
+            b.iter(|| black_box(SatSolver::new(&cnf, SatConfig::default())));
+        });
+    }
+    group.finish();
+}
+
 fn bench_raw_cdcl(c: &mut Criterion) {
     // Solver-only cost on a pre-built formula (excludes encoding).
     let corpus = feasible_corpus(8, 2);
@@ -96,5 +117,11 @@ fn bench_raw_cdcl(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_sat_vs_csp2, bench_raw_cdcl);
+criterion_group!(
+    benches,
+    bench_encode,
+    bench_sat_vs_csp2,
+    bench_build_table1,
+    bench_raw_cdcl
+);
 criterion_main!(benches);

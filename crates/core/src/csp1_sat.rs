@@ -84,18 +84,20 @@ pub fn encode_cnf(
     m: usize,
     amo: AmoEncoding,
 ) -> Result<(Cnf, Csp1Layout), TaskError> {
-    encode_cnf_polled(ts, m, amo, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
+    let ji = JobInstants::new(ts)?;
+    Ok(encode_cnf_polled(ts, &ji, m, amo, &CancelToken::new()).expect(NEVER_RAISED))
 }
 
-/// [`encode_cnf`], polling `cancel` once per iteration of each constraint
-/// family's outer loop: `Ok(None)` once it is raised.
+/// [`encode_cnf`] over the job instants `ji` of `ts`, polling `cancel`
+/// once per iteration of each constraint family's outer loop: `None` once
+/// it is raised.
 fn encode_cnf_polled(
     ts: &TaskSet,
+    ji: &JobInstants,
     m: usize,
     amo: AmoEncoding,
     cancel: &CancelToken,
-) -> Result<Option<(Cnf, Csp1Layout)>, TaskError> {
-    let ji = JobInstants::new(ts)?;
+) -> Option<(Cnf, Csp1Layout)> {
     let h = ji.hyperperiod();
     let n = ts.len();
     let layout = Csp1Layout { n, m, h };
@@ -104,11 +106,13 @@ fn encode_cnf_polled(
     let lit = |i: usize, j: usize, t: u64| -> Lit {
         Lit::pos(u32::try_from(layout.var(i, j, t)).expect("var fits u32"))
     };
+    // One buffer for every constraint group, refilled in place.
+    let mut group: Vec<Lit> = Vec::with_capacity(n.max(m) + 1);
 
     // (2): out-of-interval variables are false.
     for i in 0..n {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         for t in 0..h {
             if ji.job_at(i, t).is_none() {
@@ -121,13 +125,15 @@ fn encode_cnf_polled(
     // (3): at most one *available* task per processor-instant.
     for j in 0..m {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         for t in 0..h {
-            let group: Vec<Lit> = (0..n)
-                .filter(|&i| ji.job_at(i, t).is_some())
-                .map(|i| lit(i, j, t))
-                .collect();
+            group.clear();
+            group.extend(
+                (0..n)
+                    .filter(|&i| ji.job_at(i, t).is_some())
+                    .map(|i| lit(i, j, t)),
+            );
             if group.len() > 1 {
                 at_most_one(&mut cnf, &group, amo);
             }
@@ -136,39 +142,42 @@ fn encode_cnf_polled(
     // (4): at most one processor per task-instant.
     for i in 0..n {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         for t in 0..h {
             if ji.job_at(i, t).is_some() && m > 1 {
-                let group: Vec<Lit> = (0..m).map(|j| lit(i, j, t)).collect();
+                group.clear();
+                group.extend((0..m).map(|j| lit(i, j, t)));
                 at_most_one(&mut cnf, &group, amo);
             }
         }
     }
     // (5): exactly Ci instants of work per availability interval, counted
-    // through the aggregate y_i(t) ⇔ ⋁_j x_{i,j}(t).
+    // through the aggregate y_i(t) ⇔ ⋁_j x_{i,j}(t). `group` holds the
+    // forward clause ¬y ∨ ⋁_j x_{i,j}(t).
+    let mut ys: Vec<Lit> = Vec::new();
     for i in 0..n {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         let ci = u32::try_from(ts.task(i).wcet).expect("WCET fits u32");
         for k in 0..ji.jobs_of(i) {
-            let mut ys = Vec::new();
+            ys.clear();
             for t in ji.instants_mod(JobId { task: i, k }) {
                 let y = Lit::pos(cnf.new_var());
-                let xs: Vec<Lit> = (0..m).map(|j| lit(i, j, t)).collect();
-                for &x in &xs {
+                group.clear();
+                group.push(!y);
+                group.extend((0..m).map(|j| lit(i, j, t)));
+                for &x in &group[1..] {
                     cnf.add_binary(!x, y);
                 }
-                let mut forward = vec![!y];
-                forward.extend_from_slice(&xs);
-                cnf.add_clause(forward);
+                cnf.add_clause(&group);
                 ys.push(y);
             }
             exactly_k(&mut cnf, &ys, ci);
         }
     }
-    Ok(Some((cnf, layout)))
+    Some((cnf, layout))
 }
 
 /// Decode a SAT model into a [`Schedule`] via the shared layout.
@@ -218,7 +227,7 @@ pub fn solve_csp1_sat_cancellable(
             start.elapsed(),
         ));
     }
-    let Some((cnf, layout)) = encode_cnf_polled(ts, m, cfg.amo, cancel)? else {
+    let Some((cnf, layout)) = encode_cnf_polled(ts, &ji, m, cfg.amo, cancel) else {
         return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
     };
     let sat_cfg = SatConfig {

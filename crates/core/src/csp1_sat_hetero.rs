@@ -54,19 +54,21 @@ pub fn encode_cnf_hetero(
     platform: &Platform,
     amo: AmoEncoding,
 ) -> Result<(Cnf, Csp1Layout), TaskError> {
-    encode_cnf_hetero_polled(ts, platform, amo, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
+    let ji = JobInstants::new(ts)?;
+    Ok(encode_cnf_hetero_polled(ts, &ji, platform, amo, &CancelToken::new()).expect(NEVER_RAISED))
 }
 
-/// [`encode_cnf_hetero`], polling `cancel` once per iteration of each
-/// constraint family's outer loop: `Ok(None)` once it is raised.
+/// [`encode_cnf_hetero`] over the job instants `ji` of `ts`, polling
+/// `cancel` once per iteration of each constraint family's outer loop:
+/// `None` once it is raised.
 fn encode_cnf_hetero_polled(
     ts: &TaskSet,
+    ji: &JobInstants,
     platform: &Platform,
     amo: AmoEncoding,
     cancel: &CancelToken,
-) -> Result<Option<(Cnf, Csp1Layout)>, TaskError> {
+) -> Option<(Cnf, Csp1Layout)> {
     assert_eq!(platform.num_tasks(), ts.len(), "rate matrix row count");
-    let ji = JobInstants::new(ts)?;
     let h = ji.hyperperiod();
     let n = ts.len();
     let m = platform.num_processors();
@@ -76,11 +78,13 @@ fn encode_cnf_hetero_polled(
     let lit = |i: usize, j: usize, t: u64| -> Lit {
         Lit::pos(u32::try_from(layout.var(i, j, t)).expect("var fits u32"))
     };
+    // One buffer for every at-most-one group, refilled in place.
+    let mut group: Vec<Lit> = Vec::with_capacity(n.max(m));
 
     // (2) + domain restriction: out-of-interval or forbidden cells false.
     for i in 0..n {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         for t in 0..h {
             let available = ji.job_at(i, t).is_some();
@@ -94,13 +98,15 @@ fn encode_cnf_hetero_polled(
     // (3): at most one runnable task per processor-instant.
     for j in 0..m {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         for t in 0..h {
-            let group: Vec<Lit> = (0..n)
-                .filter(|&i| ji.job_at(i, t).is_some() && platform.can_run(i, j))
-                .map(|i| lit(i, j, t))
-                .collect();
+            group.clear();
+            group.extend(
+                (0..n)
+                    .filter(|&i| ji.job_at(i, t).is_some() && platform.can_run(i, j))
+                    .map(|i| lit(i, j, t)),
+            );
             if group.len() > 1 {
                 at_most_one(&mut cnf, &group, amo);
             }
@@ -109,14 +115,16 @@ fn encode_cnf_hetero_polled(
     // (4): at most one processor per task-instant.
     for i in 0..n {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         for t in 0..h {
             if ji.job_at(i, t).is_some() {
-                let group: Vec<Lit> = (0..m)
-                    .filter(|&j| platform.can_run(i, j))
-                    .map(|j| lit(i, j, t))
-                    .collect();
+                group.clear();
+                group.extend(
+                    (0..m)
+                        .filter(|&j| platform.can_run(i, j))
+                        .map(|j| lit(i, j, t)),
+                );
                 if group.len() > 1 {
                     at_most_one(&mut cnf, &group, amo);
                 }
@@ -124,14 +132,16 @@ fn encode_cnf_hetero_polled(
         }
     }
     // (11): Σ si,j·x = Ci per job, as a PB equality over eligible cells.
+    let mut cells: Vec<Lit> = Vec::new();
+    let mut weights: Vec<u64> = Vec::new();
     for i in 0..n {
         if cancel.is_cancelled() {
-            return Ok(None);
+            return None;
         }
         let ci = ts.task(i).wcet;
         for k in 0..ji.jobs_of(i) {
-            let mut cells = Vec::new();
-            let mut weights = Vec::new();
+            cells.clear();
+            weights.clear();
             for t in ji.instants_mod(JobId { task: i, k }) {
                 for j in 0..m {
                     if platform.can_run(i, j) {
@@ -143,7 +153,7 @@ fn encode_cnf_hetero_polled(
             pb_exactly(&mut cnf, &cells, &weights, ci);
         }
     }
-    Ok(Some((cnf, layout)))
+    Some((cnf, layout))
 }
 
 /// Encode and solve the heterogeneous instance on the CDCL solver.
@@ -174,7 +184,7 @@ pub fn solve_hetero_sat_cancellable(
             start.elapsed(),
         ));
     }
-    let Some((cnf, layout)) = encode_cnf_hetero_polled(ts, platform, cfg.amo, cancel)? else {
+    let Some((cnf, layout)) = encode_cnf_hetero_polled(ts, &ji, platform, cfg.amo, cancel) else {
         return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
     };
     let sat_cfg = SatConfig {

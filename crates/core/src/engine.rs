@@ -61,10 +61,10 @@ use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
 /// * encoding — the model encoders at each constraint family's boundary,
 ///   the CNF encoders once per iteration of each family's outer loop;
 /// * construction — once per propagator while the CSP engine is built,
-///   every 1024 clauses while the CDCL solver loads its formula;
+///   every 1024 clauses while the CDCL solver sizes and loads its formula;
 /// * search — before root propagation, then at every CSP-engine budget
 ///   check, every CDCL propagation round, every 1024 iterations of the
-///   specialized CSP2 searches and every 512 moves of local search.
+///   specialized CSP2 searches and every move of local search.
 ///
 /// A solver whose construction was interrupted never searches: its
 /// partial model could be satisfiable where the whole one is not.

@@ -246,8 +246,8 @@ pub fn solve_local_search(
     solve_local_search_cancellable(ts, m, cfg, &CancelToken::new())
 }
 
-/// [`solve_local_search`] with cooperative cancellation (polled every 512
-/// moves, alongside the wall-clock budget).
+/// [`solve_local_search`] with cooperative cancellation, polled on every
+/// move (the wall-clock budget is checked every 512 moves).
 pub fn solve_local_search_cancellable(
     ts: &TaskSet,
     m: usize,
@@ -270,25 +270,25 @@ pub fn solve_local_search_cancellable(
     };
 
     for it in 0..cfg.max_iters {
-        if it % 512 == 0 {
-            if cancel.is_cancelled() {
-                stats.decisions = it;
-                stats.elapsed_us = start.elapsed().as_micros() as u64;
-                return Ok(SolveResult {
-                    verdict: Verdict::Unknown(StopReason::Cancelled),
-                    stats,
-                    search: Some(crate::solve::search_from_basic(&stats)),
-                });
-            }
-            if cfg.time.is_some_and(|limit| start.elapsed() >= limit) {
-                stats.decisions = it;
-                stats.elapsed_us = start.elapsed().as_micros() as u64;
-                return Ok(SolveResult {
-                    verdict: Verdict::Unknown(StopReason::TimeLimit),
-                    stats,
-                    search: Some(crate::solve::search_from_basic(&stats)),
-                });
-            }
+        // The token is one relaxed load, so it is polled on every move;
+        // the clock read is amortized over 512 moves.
+        if cancel.is_cancelled() {
+            stats.decisions = it;
+            stats.elapsed_us = start.elapsed().as_micros() as u64;
+            return Ok(SolveResult {
+                verdict: Verdict::Unknown(StopReason::Cancelled),
+                stats,
+                search: Some(crate::solve::search_from_basic(&stats)),
+            });
+        }
+        if it % 512 == 0 && cfg.time.is_some_and(|limit| start.elapsed() >= limit) {
+            stats.decisions = it;
+            stats.elapsed_us = start.elapsed().as_micros() as u64;
+            return Ok(SolveResult {
+                verdict: Verdict::Unknown(StopReason::TimeLimit),
+                stats,
+                search: Some(crate::solve::search_from_basic(&stats)),
+            });
         }
         let total = state.total_conflicts();
         if total == 0 {

@@ -1,16 +1,27 @@
 //! CNF formula container with DIMACS import/export and reference
 //! evaluation / brute-force solving (the oracle the solver is tested
 //! against).
+//!
+//! Clauses are stored flat: one literal vector holding every clause back
+//! to back, plus the end offset of each clause. Adding a clause appends
+//! to that vector and normalizes the new tail in place, so building a
+//! formula makes no heap allocation per clause.
 
 use std::fmt::Write as _;
 
-use crate::types::{Clause, Lit, Var};
+use crate::types::{Lit, Var};
 
 /// A formula in conjunctive normal form.
+///
+/// Every stored clause is sorted, duplicate-free and not a tautology
+/// ([`Cnf::add_clause`] normalizes on entry); the solver relies on it.
 #[derive(Debug, Clone, Default)]
 pub struct Cnf {
     num_vars: u32,
-    clauses: Vec<Clause>,
+    /// The literals of every clause, back to back.
+    lits: Vec<Lit>,
+    /// `ends[k]` is one past the last literal of clause `k` in `lits`.
+    ends: Vec<usize>,
 }
 
 /// Errors from DIMACS parsing.
@@ -76,36 +87,57 @@ impl Cnf {
     /// Number of clauses.
     #[must_use]
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
-    /// The clauses.
-    #[must_use]
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// The clauses in insertion order, each as its sorted literals.
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        let mut begin = 0;
+        self.ends.iter().map(move |&end| {
+            let clause = &self.lits[begin..end];
+            begin = end;
+            clause
+        })
     }
 
-    /// Add a clause. Tautologies are silently dropped; variables referenced
-    /// beyond the current count grow the variable space.
-    pub fn add_clause(&mut self, lits: Vec<Lit>) {
-        let c = Clause::new(lits);
-        if c.is_tautology() {
+    /// Add the clause `⋁ lits`, stored sorted and without duplicates. A
+    /// tautology is silently dropped; the empty clause is kept (it makes
+    /// the formula unsatisfiable); variables referenced beyond the current
+    /// count grow the variable space.
+    pub fn add_clause(&mut self, lits: &[Lit]) {
+        let start = self.lits.len();
+        self.lits.extend_from_slice(lits);
+        let tail = &mut self.lits[start..];
+        tail.sort_unstable();
+        let mut kept = 0;
+        for k in 0..tail.len() {
+            if kept == 0 || tail[k] != tail[kept - 1] {
+                tail[kept] = tail[k];
+                kept += 1;
+            }
+        }
+        self.lits.truncate(start + kept);
+        let clause = &self.lits[start..];
+        // Sorted by code: complementary literals of a variable are
+        // adjacent, and the last literal has the largest variable.
+        if clause.windows(2).any(|w| w[0] == !w[1]) {
+            self.lits.truncate(start);
             return;
         }
-        if let Some(max) = c.lits.iter().map(|l| l.var()).max() {
-            self.num_vars = self.num_vars.max(max + 1);
+        if let Some(last) = clause.last() {
+            self.num_vars = self.num_vars.max(last.var() + 1);
         }
-        self.clauses.push(c);
+        self.ends.push(self.lits.len());
     }
 
     /// Add a unit clause.
     pub fn add_unit(&mut self, lit: Lit) {
-        self.add_clause(vec![lit]);
+        self.add_clause(&[lit]);
     }
 
     /// Add the binary clause `a ∨ b`.
     pub fn add_binary(&mut self, a: Lit, b: Lit) {
-        self.add_clause(vec![a, b]);
+        self.add_clause(&[a, b]);
     }
 
     /// Evaluate under a total assignment (`assignment[v]` is the value of
@@ -116,11 +148,8 @@ impl Cnf {
     #[must_use]
     pub fn eval(&self, assignment: &[bool]) -> bool {
         assert!(assignment.len() >= self.num_vars as usize);
-        self.clauses.iter().all(|c| {
-            c.lits
-                .iter()
-                .any(|l| assignment[l.var() as usize] != l.is_neg())
-        })
+        self.clauses()
+            .all(|c| c.iter().any(|l| assignment[l.var() as usize] != l.is_neg()))
     }
 
     /// Exhaustive satisfiability check — the test oracle. Returns a model
@@ -167,9 +196,9 @@ impl Cnf {
     #[must_use]
     pub fn to_dimacs(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "p cnf {} {}", self.num_vars, self.clauses.len());
-        for c in &self.clauses {
-            for l in &c.lits {
+        let _ = writeln!(out, "p cnf {} {}", self.num_vars, self.num_clauses());
+        for c in self.clauses() {
+            for l in c {
                 let _ = write!(out, "{} ", l.to_dimacs());
             }
             let _ = writeln!(out, "0");
@@ -207,7 +236,8 @@ impl Cnf {
                     .parse()
                     .map_err(|_| DimacsError::BadLiteral(tok.to_string()))?;
                 if d == 0 {
-                    cnf.add_clause(std::mem::take(&mut current));
+                    cnf.add_clause(&current);
+                    current.clear();
                 } else {
                     if let Some((nv, _)) = declared {
                         let v = d.unsigned_abs();
@@ -234,6 +264,8 @@ impl Cnf {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn l(d: i64) -> Lit {
@@ -241,11 +273,66 @@ mod tests {
     }
 
     #[test]
+    fn clause_dedup_and_tautology() {
+        let mut f = Cnf::new();
+        f.add_clause(&[Lit::pos(1), Lit::pos(0), Lit::pos(1)]);
+        f.add_clause(&[Lit::pos(0), Lit::neg(0)]);
+        f.add_clause(&[]);
+        let clauses: Vec<&[Lit]> = f.clauses().collect();
+        assert_eq!(clauses, [&[Lit::pos(0), Lit::pos(1)][..], &[][..]]);
+        assert_eq!(f.num_vars(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat store matches a naive per-clause normalization (sort,
+        /// dedup, drop tautologies, keep the empty clause), including the
+        /// variable count, and survives a DIMACS round trip unchanged.
+        #[test]
+        fn add_clause_matches_naive_normalization(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0u32..6, any::<bool>()), 0..=7),
+                0..=12,
+            )
+        ) {
+            let mut f = Cnf::new();
+            let mut expected: Vec<Vec<Lit>> = Vec::new();
+            let mut expected_vars = 0;
+            for c in &raw {
+                let lits: Vec<Lit> = c.iter().map(|&(v, neg)| Lit::new(v, neg)).collect();
+                f.add_clause(&lits);
+                let mut naive = lits.clone();
+                naive.sort();
+                naive.dedup();
+                if naive.iter().any(|&x| naive.contains(&!x)) {
+                    continue;
+                }
+                for x in &naive {
+                    expected_vars = expected_vars.max(x.var() + 1);
+                }
+                expected.push(naive);
+            }
+            let stored: Vec<Vec<Lit>> = f.clauses().map(<[Lit]>::to_vec).collect();
+            prop_assert_eq!(&stored, &expected);
+            prop_assert_eq!(f.num_clauses(), expected.len());
+            prop_assert_eq!(f.num_vars(), expected_vars);
+
+            let text = f.to_dimacs();
+            let g = Cnf::from_dimacs(&text).unwrap();
+            let reparsed: Vec<Vec<Lit>> = g.clauses().map(<[Lit]>::to_vec).collect();
+            prop_assert_eq!(&reparsed, &expected);
+            prop_assert_eq!(g.num_vars(), f.num_vars());
+            prop_assert_eq!(g.to_dimacs(), text);
+        }
+    }
+
+    #[test]
     fn eval_and_brute_force() {
         let mut f = Cnf::new();
-        f.add_clause(vec![l(1), l(2)]);
-        f.add_clause(vec![l(-1), l(2)]);
-        f.add_clause(vec![l(1), l(-2)]);
+        f.add_clause(&[l(1), l(2)]);
+        f.add_clause(&[l(-1), l(2)]);
+        f.add_clause(&[l(1), l(-2)]);
         let m = f.brute_force().expect("sat");
         assert!(f.eval(&m));
         assert!(m[0] && m[1]);
@@ -254,23 +341,23 @@ mod tests {
     #[test]
     fn unsat_brute_force() {
         let mut f = Cnf::new();
-        f.add_clause(vec![l(1)]);
-        f.add_clause(vec![l(-1)]);
+        f.add_clause(&[l(1)]);
+        f.add_clause(&[l(-1)]);
         assert!(f.brute_force().is_none());
     }
 
     #[test]
     fn tautologies_dropped() {
         let mut f = Cnf::new();
-        f.add_clause(vec![l(1), l(-1)]);
+        f.add_clause(&[l(1), l(-1)]);
         assert_eq!(f.num_clauses(), 0);
     }
 
     #[test]
     fn dimacs_roundtrip() {
         let mut f = Cnf::new();
-        f.add_clause(vec![l(1), l(-3)]);
-        f.add_clause(vec![l(2)]);
+        f.add_clause(&[l(1), l(-3)]);
+        f.add_clause(&[l(2)]);
         let text = f.to_dimacs();
         let g = Cnf::from_dimacs(&text).unwrap();
         assert_eq!(g.num_vars(), 3);
@@ -313,7 +400,7 @@ mod tests {
     fn projected_counting() {
         // x1 free, x2 forced true → 2 projected models over {x1}.
         let mut f = Cnf::new();
-        f.add_clause(vec![l(2)]);
+        f.add_clause(&[l(2)]);
         let _ = f.new_var(); // ensure both vars exist
         assert_eq!(f.count_models_projected(&[0]), 2);
         assert_eq!(f.count_models_projected(&[0, 1]), 2);

@@ -72,7 +72,7 @@ fn at_most_one_ladder(cnf: &mut Cnf, lits: &[Lit]) {
 
 /// Post "exactly one of `lits` is true".
 pub fn exactly_one(cnf: &mut Cnf, lits: &[Lit], enc: AmoEncoding) {
-    cnf.add_clause(lits.to_vec());
+    cnf.add_clause(lits);
     at_most_one(cnf, lits, enc);
 }
 
@@ -119,7 +119,7 @@ pub fn at_most_k(cnf: &mut Cnf, lits: &[Lit], k: u32) {
         for j in 0..k {
             cnf.add_binary(!s(i - 1, j), s(i, j));
             if j > 0 {
-                cnf.add_clause(vec![!lits[i], !s(i - 1, j - 1), s(i, j)]);
+                cnf.add_clause(&[!lits[i], !s(i - 1, j - 1), s(i, j)]);
             }
         }
         // Overflow: x_i ∧ s(i-1,k-1) → ⊥.
@@ -137,11 +137,11 @@ pub fn at_least_k(cnf: &mut Cnf, lits: &[Lit], k: u32) {
     }
     if k as usize > n {
         // Unsatisfiable: demand more true literals than exist.
-        cnf.add_clause(vec![]);
+        cnf.add_clause(&[]);
         return;
     }
     if k == 1 {
-        cnf.add_clause(lits.to_vec());
+        cnf.add_clause(lits);
         return;
     }
     let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
@@ -174,7 +174,7 @@ pub fn pb_exactly(cnf: &mut Cnf, lits: &[Lit], weights: &[u64], target: u64) {
     let n = lits.len();
     let total: u64 = weights.iter().sum();
     if target > total {
-        cnf.add_clause(vec![]); // unreachable
+        cnf.add_clause(&[]); // unreachable
         return;
     }
     if target == 0 {
@@ -200,11 +200,11 @@ pub fn pb_exactly(cnf: &mut Cnf, lits: &[Lit], weights: &[u64], target: u64) {
         let node = |cnf: &mut Cnf, map: &mut std::collections::BTreeMap<u64, Lit>, s: u64| {
             *map.entry(s).or_insert_with(|| Lit::pos(cnf.new_var()))
         };
-        for (&s, &state) in &prev.clone() {
+        for (&s, &state) in &prev {
             // Not taking literal l keeps the sum.
             if reachable(l + 1, s) {
                 let nxt = node(cnf, &mut next, s);
-                cnf.add_clause(vec![!state, lits[l], nxt]);
+                cnf.add_clause(&[!state, lits[l], nxt]);
             } else {
                 // Skipping is fatal: the literal must be taken.
                 cnf.add_binary(!state, lits[l]);
@@ -213,7 +213,7 @@ pub fn pb_exactly(cnf: &mut Cnf, lits: &[Lit], weights: &[u64], target: u64) {
             let s2 = s + weights[l];
             if reachable(l + 1, s2) {
                 let nxt = node(cnf, &mut next, s2);
-                cnf.add_clause(vec![!state, !lits[l], nxt]);
+                cnf.add_clause(&[!state, !lits[l], nxt]);
             } else {
                 cnf.add_binary(!state, !lits[l]);
             }

@@ -6,9 +6,12 @@
 //! solvers could be used". This crate is that substrate — a self-contained
 //! conflict-driven clause-learning solver in the MiniSat lineage:
 //!
-//! * [`types`] — variables, literals (MiniSat packing), clauses;
+//! * [`types`] — variables, literals (MiniSat packing), ternary values;
 //! * [`cnf`] — CNF container, DIMACS import/export, and the brute-force
-//!   oracle the solver is validated against;
+//!   oracle the solver is validated against. Clauses are stored flat, all
+//!   literals in one vector plus each clause's end offset, and
+//!   [`Cnf::add_clause`] takes a slice, so encoding allocates nothing per
+//!   clause;
 //! * [`encodings`] — cardinality encodings (pairwise / ladder at-most-one,
 //!   Sinz sequential counter for at-most-k / exactly-k) used by the CSP1 →
 //!   CNF translation in `mgrts-core`;
@@ -16,6 +19,8 @@
 //!   clause minimization, VSIDS + phase saving, Luby restarts,
 //!   activity-driven clause deletion, and conflict/time budgets reported as
 //!   a three-way outcome matching the scheduling experiments' overruns.
+//!   Its clause database is a MiniSat-style literal arena with a small
+//!   header per clause, compacted when learned clauses are deleted.
 //!
 //! ## Example
 //!
@@ -25,8 +30,8 @@
 //! let mut f = Cnf::new();
 //! let x = f.new_var();
 //! let y = f.new_var();
-//! f.add_clause(vec![Lit::pos(x), Lit::pos(y)]);
-//! f.add_clause(vec![Lit::neg(x), Lit::pos(y)]);
+//! f.add_clause(&[Lit::pos(x), Lit::pos(y)]);
+//! f.add_clause(&[Lit::neg(x), Lit::pos(y)]);
 //! match SatSolver::solve_cnf(&f) {
 //!     SatOutcome::Sat(model) => assert!(model[y as usize]),
 //!     other => panic!("expected SAT, got {other:?}"),
@@ -44,4 +49,4 @@ pub use encodings::{
     at_least_k, at_most_k, at_most_one, exactly_k, exactly_one, pb_exactly, AmoEncoding,
 };
 pub use solver::{SatConfig, SatLimit, SatOutcome, SatSolver, SatStats};
-pub use types::{Clause, LBool, Lit, Var};
+pub use types::{LBool, Lit, Var};

@@ -5,6 +5,22 @@
 //! phase saving, Luby restarts, and activity-based learned-clause deletion.
 //! Budgets (conflicts / wall clock) yield a three-way [`SatOutcome`] so the
 //! scheduling experiments can report overruns exactly like the CSP solvers.
+//!
+//! ## Clause storage
+//!
+//! Clauses live MiniSat-style in one literal arena: every clause's
+//! literals sit back to back in a single `Vec<Lit>`, and the clause itself
+//! is a small `Copy` header (`start`, `len`, activity, learnt and deleted
+//! flags) indexed by its `ClauseRef`. Loading a formula appends each
+//! clause's undecided literals to the arena tail and keeps them unless the
+//! clause is satisfied or unit at the root; learned clauses are appended
+//! the same way. Before loading, one counting pass over the formula sizes
+//! every watch list and the arena, so neither regrows while clauses load.
+//!
+//! Database reduction marks learned clauses deleted and then compacts the
+//! arena: live clauses slide down in header order, and only their headers'
+//! `start` changes. Headers never move, so clause references in watch
+//! lists and in `reason[]` stay valid without remapping.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,12 +43,20 @@ struct Watcher {
     blocker: Lit,
 }
 
-#[derive(Debug)]
-struct DbClause {
-    lits: Vec<Lit>,
+/// Where a clause's literals sit in the arena, plus its bookkeeping.
+#[derive(Debug, Clone, Copy)]
+struct ClauseHeader {
+    start: u32,
+    len: u32,
     activity: f32,
     learnt: bool,
     deleted: bool,
+}
+
+impl ClauseHeader {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// Result of a solve call.
@@ -126,7 +150,10 @@ impl Default for SatConfig {
 #[derive(Debug)]
 pub struct SatSolver {
     cfg: SatConfig,
-    clauses: Vec<DbClause>,
+    /// One header per clause ever attached, indexed by [`ClauseRef`].
+    clauses: Vec<ClauseHeader>,
+    /// The literals of every live clause, back to back.
+    arena: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     level: Vec<u32>,
@@ -166,10 +193,11 @@ impl SatSolver {
     /// Build a solver from a formula under a cooperative interrupt flag
     /// (`None` never interrupts: this is [`SatSolver::new`]).
     ///
-    /// The flag is polled every 1024 clauses while the formula loads, again
-    /// before the root propagation of each solve, and every propagation
-    /// round of the search. When another thread raises it the search
-    /// returns [`SatOutcome::Unknown`]([`SatLimit::Interrupted`]); a solver
+    /// The flag is polled every 1024 clauses while the formula is sized and
+    /// again while it loads, before the root propagation of each solve,
+    /// and every propagation round of the search. When another thread
+    /// raises it the search returns
+    /// [`SatOutcome::Unknown`]([`SatLimit::Interrupted`]); a solver
     /// whose load was interrupted returns that from every solve, even if
     /// the flag is lowered later. Portfolio racing uses it to preempt the
     /// SAT route, whose formula alone can take longer to load than the
@@ -183,7 +211,13 @@ impl SatSolver {
         let n = cnf.num_vars() as usize;
         let mut s = SatSolver {
             cfg,
-            clauses: Vec::with_capacity(cnf.num_clauses()),
+            // Headers are never removed (references must hold), so each
+            // learned clause adds one: leave room for as many learned
+            // clauses as problem clauses. Capacity the search never fills
+            // is address space only, while a table regrown mid-search
+            // copies every header.
+            clauses: Vec::with_capacity(2 * cnf.num_clauses()),
+            arena: Vec::new(),
             watches: vec![Vec::new(); 2 * n],
             assigns: vec![LBool::Undef; n],
             level: vec![0; n],
@@ -204,17 +238,46 @@ impl SatSolver {
             budget_ticks: 0,
         };
         s.order.rebuild(0..cnf.num_vars(), &s.activity);
-        for (k, c) in cnf.clauses().iter().enumerate() {
+        s.loaded = s.reserve_for(cnf);
+        if !s.loaded {
+            return s;
+        }
+        for (k, c) in cnf.clauses().enumerate() {
             if k % LOAD_POLL_INTERVAL == 0 && s.interrupted() {
                 s.loaded = false;
                 break;
             }
-            s.add_clause(c.lits.clone());
+            s.add_clause(c);
             if !s.ok {
                 break;
             }
         }
         s
+    }
+
+    /// Size each watch list for the clauses whose first two literals watch
+    /// it, and the arena for every literal of `cnf`, so loading rarely
+    /// regrows either: root-level filtering only drops literals (though it
+    /// can shift a clause's watches to later ones). Returns false when the
+    /// interrupt cut the pass.
+    fn reserve_for(&mut self, cnf: &Cnf) -> bool {
+        let mut watchers = vec![0usize; self.watches.len()];
+        let mut lits = 0;
+        for (k, c) in cnf.clauses().enumerate() {
+            if k % LOAD_POLL_INTERVAL == 0 && self.interrupted() {
+                return false;
+            }
+            if let [a, b, ..] = *c {
+                watchers[(!a).code()] += 1;
+                watchers[(!b).code()] += 1;
+            }
+            lits += c.len();
+        }
+        for (ws, count) in self.watches.iter_mut().zip(watchers) {
+            ws.reserve_exact(count);
+        }
+        self.arena.reserve_exact(lits);
+        true
     }
 
     /// Convenience: build with the default configuration and solve.
@@ -265,55 +328,61 @@ impl SatSolver {
 
     /// Add a problem clause at the root level. Returns false when the
     /// formula became trivially unsatisfiable.
-    fn add_clause(&mut self, mut lits: Vec<Lit>) -> bool {
+    ///
+    /// `lits` comes from a [`Cnf`], so it is already sorted, duplicate-free
+    /// and not a tautology. Its undecided literals are copied to the arena
+    /// tail, which becomes the clause unless a root-true literal satisfies
+    /// it or at most one literal survives.
+    fn add_clause(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
+        debug_assert!(lits.windows(2).all(|w| w[0] < w[1]));
         if !self.ok {
             return false;
         }
-        lits.sort_unstable();
-        lits.dedup();
-        if lits.windows(2).any(|w| w[0] == !w[1]) {
-            return true; // tautology
-        }
-        // Drop root-false literals; a root-true literal satisfies the clause.
-        let mut kept = Vec::with_capacity(lits.len());
-        for &l in &lits {
+        let start = self.arena.len();
+        for &l in lits {
             match self.value(l) {
-                LBool::True => return true,
+                LBool::True => {
+                    self.arena.truncate(start);
+                    return true;
+                }
                 LBool::False => {}
-                LBool::Undef => kept.push(l),
+                LBool::Undef => self.arena.push(l),
             }
         }
-        match kept.len() {
+        match self.arena.len() - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(kept[0], NO_REASON);
+                let unit = self.arena[start];
+                self.arena.truncate(start);
+                self.enqueue(unit, NO_REASON);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                self.attach(kept, false);
+                self.attach(start, false);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
-        debug_assert!(lits.len() >= 2);
+    /// Make the arena tail `arena[start..]` (at least two literals) a
+    /// clause and watch its first two literals.
+    fn attach(&mut self, start: usize, learnt: bool) -> ClauseRef {
+        // The end fits u32, so `start + len` in a header never overflows.
+        let end = u32::try_from(self.arena.len()).expect("arena fits u32");
+        let start = u32::try_from(start).expect("start within the arena");
+        debug_assert!(end - start >= 2);
         let cref = ClauseRef::try_from(self.clauses.len()).expect("clause count fits u32");
-        self.watches[(!lits[0]).code()].push(Watcher {
-            cref,
-            blocker: lits[1],
-        });
-        self.watches[(!lits[1]).code()].push(Watcher {
-            cref,
-            blocker: lits[0],
-        });
-        self.clauses.push(DbClause {
-            lits,
+        let (a, b) = (self.arena[start as usize], self.arena[start as usize + 1]);
+        self.watches[(!a).code()].push(Watcher { cref, blocker: b });
+        self.watches[(!b).code()].push(Watcher { cref, blocker: a });
+        self.clauses.push(ClauseHeader {
+            start,
+            len: end - start,
             activity: 0.0,
             learnt,
             deleted: false,
@@ -322,6 +391,11 @@ impl SatSolver {
             self.stats.learnt_clauses += 1;
         }
         cref
+    }
+
+    /// The literals of clause `cref`.
+    fn lits(&self, cref: ClauseRef) -> &[Lit] {
+        &self.arena[self.clauses[cref as usize].range()]
     }
 
     fn enqueue(&mut self, l: Lit, reason: ClauseRef) {
@@ -354,17 +428,18 @@ impl SatSolver {
                     j += 1;
                     continue;
                 }
-                let c = &mut self.clauses[w.cref as usize];
-                if c.deleted {
+                let header = self.clauses[w.cref as usize];
+                if header.deleted {
                     continue; // lazily drop watchers of deleted clauses
                 }
+                let c = &mut self.arena[header.range()];
                 // Normalize: the false literal (¬p) at position 1.
-                if c.lits[0] == !p {
-                    c.lits.swap(0, 1);
+                if c[0] == !p {
+                    c.swap(0, 1);
                 }
-                debug_assert_eq!(c.lits[1], !p);
-                let first = c.lits[0];
-                // Direct field access: `c` keeps `self.clauses` borrowed.
+                debug_assert_eq!(c[1], !p);
+                let first = c[0];
+                // Direct field access: `c` keeps `self.arena` borrowed.
                 let first_val = self.assigns[first.var() as usize].under(first);
                 if first != w.blocker && first_val == LBool::True {
                     ws[j] = Watcher {
@@ -376,10 +451,10 @@ impl SatSolver {
                 }
                 // Find a new literal to watch.
                 let mut moved = false;
-                for k in 2..c.lits.len() {
-                    if self.assigns[c.lits[k].var() as usize].under(c.lits[k]) != LBool::False {
-                        c.lits.swap(1, k);
-                        let new_watch = c.lits[1];
+                for k in 2..c.len() {
+                    if self.assigns[c[k].var() as usize].under(c[k]) != LBool::False {
+                        c.swap(1, k);
+                        let new_watch = c[1];
                         self.watches[(!new_watch).code()].push(Watcher {
                             cref: w.cref,
                             blocker: first,
@@ -449,9 +524,10 @@ impl SatSolver {
 
         loop {
             self.bump_clause(confl);
-            let lits: Vec<Lit> = self.clauses[confl as usize].lits.clone();
+            let range = self.clauses[confl as usize].range();
             let skip_first = usize::from(p.is_some());
-            for &q in &lits[skip_first..] {
+            for k in range.start + skip_first..range.end {
+                let q = self.arena[k];
                 let v = q.var() as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -521,7 +597,7 @@ impl SatSolver {
         if reason == NO_REASON {
             return false;
         }
-        self.clauses[reason as usize].lits.iter().all(|&q| {
+        self.lits(reason).iter().all(|&q| {
             q.var() == l.var() || self.seen[q.var() as usize] || self.level[q.var() as usize] == 0
         })
     }
@@ -553,7 +629,8 @@ impl SatSolver {
     }
 
     /// Delete the least active half of the learned clauses (reason clauses
-    /// and binaries are kept), then rebuild the watch lists.
+    /// and binaries are kept), compact the arena, then rebuild the watch
+    /// lists.
     fn reduce_db(&mut self) {
         let locked: std::collections::HashSet<ClauseRef> = self
             .trail
@@ -564,7 +641,7 @@ impl SatSolver {
         let mut acts: Vec<f32> = self
             .clauses
             .iter()
-            .filter(|c| c.learnt && !c.deleted && c.lits.len() > 2)
+            .filter(|c| c.learnt && !c.deleted && c.len > 2)
             .map(|c| c.activity)
             .collect();
         if acts.len() < 2 {
@@ -576,7 +653,7 @@ impl SatSolver {
             let cref = ClauseRef::try_from(i).expect("index fits");
             if c.learnt
                 && !c.deleted
-                && c.lits.len() > 2
+                && c.len > 2
                 && c.activity < threshold
                 && !locked.contains(&cref)
             {
@@ -585,6 +662,16 @@ impl SatSolver {
                 self.stats.deleted_clauses += 1;
             }
         }
+        // Slide the surviving clauses down over the deleted ones' literals;
+        // headers stay put, so clause references remain valid.
+        let mut end = 0u32;
+        for c in self.clauses.iter_mut().filter(|c| !c.deleted) {
+            self.arena.copy_within(c.range(), end as usize);
+            c.start = end;
+            end += c.len;
+        }
+        self.arena.truncate(end as usize);
+        debug_assert!(self.arena_is_compact());
         // Rebuild watches from surviving clauses.
         for w in &mut self.watches {
             w.clear();
@@ -594,15 +681,26 @@ impl SatSolver {
                 continue;
             }
             let cref = ClauseRef::try_from(i).expect("index fits");
-            self.watches[(!c.lits[0]).code()].push(Watcher {
-                cref,
-                blocker: c.lits[1],
-            });
-            self.watches[(!c.lits[1]).code()].push(Watcher {
-                cref,
-                blocker: c.lits[0],
-            });
+            let (a, b) = (
+                self.arena[c.start as usize],
+                self.arena[c.start as usize + 1],
+            );
+            self.watches[(!a).code()].push(Watcher { cref, blocker: b });
+            self.watches[(!b).code()].push(Watcher { cref, blocker: a });
         }
+    }
+
+    /// True when the arena holds exactly the live clauses' literals, back to
+    /// back in header order — the state [`SatSolver::reduce_db`] leaves.
+    fn arena_is_compact(&self) -> bool {
+        let mut end = 0;
+        for c in self.clauses.iter().filter(|c| !c.deleted) {
+            if c.start != end {
+                return false;
+            }
+            end += c.len;
+        }
+        end as usize == self.arena.len()
     }
 
     /// The reluctant-doubling (Luby) sequence: 1, 1, 2, 1, 1, 2, 4, …
@@ -680,7 +778,9 @@ impl SatSolver {
                     if learnt.len() == 1 {
                         self.enqueue(learnt[0], NO_REASON);
                     } else {
-                        let cref = self.attach(learnt.clone(), true);
+                        let start = self.arena.len();
+                        self.arena.extend_from_slice(&learnt);
+                        let cref = self.attach(start, true);
                         self.bump_clause(cref);
                         self.enqueue(learnt[0], cref);
                     }
@@ -758,7 +858,7 @@ mod tests {
     fn solve(clauses: &[&[i64]]) -> SatOutcome {
         let mut cnf = Cnf::new();
         for c in clauses {
-            cnf.add_clause(c.iter().map(|&d| l(d)).collect());
+            cnf.add_clause(&c.iter().map(|&d| l(d)).collect::<Vec<_>>());
         }
         SatSolver::solve_cnf(&cnf)
     }
@@ -836,12 +936,12 @@ mod tests {
         let var = |h: i64, p: i64| h * pigeons + p + 1;
         let mut cnf = Cnf::new();
         for p in 0..pigeons {
-            cnf.add_clause((0..holes).map(|h| l(var(h, p))).collect());
+            cnf.add_clause(&(0..holes).map(|h| l(var(h, p))).collect::<Vec<_>>());
         }
         for h in 0..holes {
             for p1 in 0..pigeons {
                 for p2 in p1 + 1..pigeons {
-                    cnf.add_clause(vec![l(-var(h, p1)), l(-var(h, p2))]);
+                    cnf.add_clause(&[l(-var(h, p1)), l(-var(h, p2))]);
                 }
             }
         }
@@ -873,10 +973,10 @@ mod tests {
         let mut padded = Cnf::new();
         let base = 1 + 6 * 5;
         for k in 0..4 * LOAD_POLL_INTERVAL as i64 {
-            padded.add_clause(vec![l(base + k), l(base + k + 1)]);
+            padded.add_clause(&[l(base + k), l(base + k + 1)]);
         }
         for c in php.clauses() {
-            padded.add_clause(c.lits.clone());
+            padded.add_clause(c);
         }
         for _ in 0..10 {
             let flag = Arc::new(AtomicBool::new(false));
@@ -913,6 +1013,81 @@ mod tests {
         );
     }
 
+    /// Solve `cnf` in slices of `step` conflicts, reducing the clause
+    /// database between slices on top of the reductions the search makes
+    /// itself. After each explicit reduction the arena must hold exactly
+    /// the live clauses, each with the literals it had before, and every
+    /// watcher must point at a live clause. Returns the final verdict and
+    /// the number of reductions that deleted clauses.
+    fn solve_reducing_every(cnf: &Cnf, step: u64) -> (SatOutcome, u32) {
+        let mut s = SatSolver::new(cnf, SatConfig::default());
+        let mut reductions = 0;
+        loop {
+            s.cfg.max_conflicts = Some(s.stats().conflicts + step);
+            match s.solve() {
+                SatOutcome::Unknown(SatLimit::Conflicts) => {}
+                verdict => return (verdict, reductions),
+            }
+            let crefs = 0..ClauseRef::try_from(s.clauses.len()).unwrap();
+            let before: Vec<Option<Vec<Lit>>> = crefs
+                .clone()
+                .map(|c| (!s.clauses[c as usize].deleted).then(|| s.lits(c).to_vec()))
+                .collect();
+            let deleted = s.stats().deleted_clauses;
+            s.reduce_db();
+            if s.stats().deleted_clauses > deleted {
+                reductions += 1;
+            }
+            assert!(s.arena_is_compact());
+            let mut live_lits = 0;
+            for cref in crefs {
+                let c = s.clauses[cref as usize];
+                if !c.deleted {
+                    assert_eq!(Some(s.lits(cref)), before[cref as usize].as_deref());
+                    live_lits += c.len as usize;
+                }
+            }
+            assert_eq!(s.arena.len(), live_lits);
+            let live = s.clauses.iter().filter(|c| !c.deleted).count();
+            let watchers: Vec<&Watcher> = s.watches.iter().flatten().collect();
+            assert_eq!(watchers.len(), 2 * live);
+            assert!(watchers.iter().all(|w| !s.clauses[w.cref as usize].deleted));
+        }
+    }
+
+    #[test]
+    fn reduce_db_compacts_the_arena_to_the_live_clauses() {
+        let (verdict, reductions) = solve_reducing_every(&pigeonhole(8, 7), 150);
+        assert_eq!(verdict, SatOutcome::Unsat);
+        assert!(
+            reductions >= 3,
+            "only {reductions} reductions deleted clauses"
+        );
+
+        // Seeded random 3-SAT near the threshold, against brute force.
+        let mut seed = 0x5eed_u64;
+        let mut next = move |bound: u32| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            u32::try_from(seed >> 33).unwrap() % bound
+        };
+        for _ in 0..4 {
+            let mut cnf = Cnf::new();
+            let _ = cnf.new_vars(20);
+            for _ in 0..86 {
+                let c = [0; 3].map(|_| Lit::new(next(20), next(2) == 1));
+                cnf.add_clause(&c);
+            }
+            let (verdict, _) = solve_reducing_every(&cnf, 5);
+            match (verdict, cnf.brute_force()) {
+                (SatOutcome::Sat(m), Some(_)) => assert!(cnf.eval(&m)),
+                (SatOutcome::Unsat, None) => {}
+                (verdict, oracle) => panic!("{verdict:?} against brute force {oracle:?}"),
+            }
+        }
+    }
+
     #[test]
     fn luby_sequence_prefix() {
         let prefix: Vec<u64> = (0..15).map(SatSolver::luby).collect();
@@ -933,7 +1108,7 @@ mod tests {
         ];
         let mut cnf = Cnf::new();
         for c in &clauses {
-            cnf.add_clause(c.iter().map(|&d| l(d)).collect());
+            cnf.add_clause(&c.iter().map(|&d| l(d)).collect::<Vec<_>>());
         }
         match SatSolver::solve_cnf(&cnf) {
             SatOutcome::Sat(m) => assert!(cnf.eval(&m)),
@@ -946,7 +1121,7 @@ mod tests {
         // x1 ∨ x2; assuming ¬x1 forces x2, assuming ¬x1 ∧ ¬x2 is UNSAT,
         // and the formula itself stays satisfiable afterwards.
         let mut cnf = Cnf::new();
-        cnf.add_clause(vec![l(1), l(2)]);
+        cnf.add_clause(&[l(1), l(2)]);
         let mut s = SatSolver::new(&cnf, SatConfig::default());
         match s.solve_with_assumptions(&[l(-1)]) {
             SatOutcome::Sat(m) => {
@@ -972,8 +1147,8 @@ mod tests {
     fn assumptions_vs_unit_conflict() {
         // Formula forces x1; assuming ¬x1 must be UNSAT, assuming x1 SAT.
         let mut cnf = Cnf::new();
-        cnf.add_clause(vec![l(1)]);
-        cnf.add_clause(vec![l(2), l(3)]);
+        cnf.add_clause(&[l(1)]);
+        cnf.add_clause(&[l(2), l(3)]);
         let mut s = SatSolver::new(&cnf, SatConfig::default());
         assert_eq!(s.solve_with_assumptions(&[l(-1)]), SatOutcome::Unsat);
         assert!(matches!(
@@ -991,15 +1166,15 @@ mod tests {
         let e = |h: i64| 10 + h;
         let mut cnf = Cnf::new();
         for p in 0..3 {
-            cnf.add_clause((0..3).map(|h| l(var(h, p))).collect());
+            cnf.add_clause(&(0..3).map(|h| l(var(h, p))).collect::<Vec<_>>());
         }
         for h in 0..3 {
             for p1 in 0..3 {
                 for p2 in p1 + 1..3 {
-                    cnf.add_clause(vec![l(-var(h, p1)), l(-var(h, p2))]);
+                    cnf.add_clause(&[l(-var(h, p1)), l(-var(h, p2))]);
                 }
                 // Using hole h requires its switch.
-                cnf.add_clause(vec![l(-var(h, p1)), l(e(h))]);
+                cnf.add_clause(&[l(-var(h, p1)), l(e(h))]);
             }
         }
         let mut s = SatSolver::new(&cnf, SatConfig::default());
@@ -1016,7 +1191,7 @@ mod tests {
     fn stats_populated() {
         let mut cnf = Cnf::new();
         for d in 1..=6i64 {
-            cnf.add_clause(vec![l(d), l(-(d % 6 + 1))]);
+            cnf.add_clause(&[l(d), l(-(d % 6 + 1))]);
         }
         let mut s = SatSolver::new(&cnf, SatConfig::default());
         let _ = s.solve();

@@ -1,4 +1,4 @@
-//! Core SAT types: variables, literals and clauses.
+//! Core SAT types: variables, literals and ternary truth values.
 //!
 //! A variable is a dense index `0..num_vars`; a literal packs the variable
 //! and its polarity into one `u32` (`lit = var·2 + sign`), the layout used
@@ -148,62 +148,6 @@ impl From<bool> for LBool {
     }
 }
 
-/// A disjunction of literals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Clause {
-    /// The literals. Invariant after construction through [`Clause::new`]:
-    /// sorted and duplicate-free.
-    pub lits: Vec<Lit>,
-    /// Bump-count activity used by learned-clause deletion.
-    pub activity: f32,
-    /// True for clauses learned during conflict analysis (deletable).
-    pub learnt: bool,
-}
-
-impl Clause {
-    /// A problem clause; sorts and deduplicates the literals.
-    #[must_use]
-    pub fn new(mut lits: Vec<Lit>) -> Clause {
-        lits.sort_unstable();
-        lits.dedup();
-        Clause {
-            lits,
-            activity: 0.0,
-            learnt: false,
-        }
-    }
-
-    /// A learned clause; the literal order produced by conflict analysis is
-    /// preserved (the asserting literal must stay at index 0).
-    #[must_use]
-    pub fn learnt(lits: Vec<Lit>) -> Clause {
-        Clause {
-            lits,
-            activity: 0.0,
-            learnt: true,
-        }
-    }
-
-    /// True when the clause contains both `l` and `¬l` for some literal.
-    #[must_use]
-    pub fn is_tautology(&self) -> bool {
-        // `lits` sorted: complementary literals of one variable are adjacent.
-        self.lits.windows(2).any(|w| w[0] == !w[1])
-    }
-
-    /// Number of literals.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// True when empty (the unsatisfiable clause).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,15 +187,5 @@ mod tests {
         assert_eq!(LBool::False.under(Lit::pos(0)), LBool::False);
         assert_eq!(LBool::False.under(Lit::neg(0)), LBool::True);
         assert_eq!(LBool::Undef.under(Lit::pos(0)), LBool::Undef);
-    }
-
-    #[test]
-    fn clause_dedup_and_tautology() {
-        let c = Clause::new(vec![Lit::pos(1), Lit::pos(0), Lit::pos(1)]);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_tautology());
-        let t = Clause::new(vec![Lit::pos(0), Lit::neg(0)]);
-        assert!(t.is_tautology());
-        assert!(Clause::new(vec![]).is_empty());
     }
 }

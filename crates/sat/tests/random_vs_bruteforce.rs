@@ -12,7 +12,11 @@ fn arb_cnf(max_vars: u32, max_clauses: usize) -> impl Strategy<Value = Cnf> {
         let mut cnf = Cnf::new();
         let _ = cnf.new_vars(max_vars);
         for c in clauses {
-            cnf.add_clause(c.into_iter().map(|(v, neg)| Lit::new(v, neg)).collect());
+            cnf.add_clause(
+                &c.into_iter()
+                    .map(|(v, neg)| Lit::new(v, neg))
+                    .collect::<Vec<_>>(),
+            );
         }
         cnf
     })
@@ -77,7 +81,7 @@ fn pigeonhole(holes: u32, pigeons: u32) -> Cnf {
     let var = |h: u32, p: u32| h * pigeons + p;
     let _ = cnf.new_vars(holes * pigeons);
     for p in 0..pigeons {
-        cnf.add_clause((0..holes).map(|h| Lit::pos(var(h, p))).collect());
+        cnf.add_clause(&(0..holes).map(|h| Lit::pos(var(h, p))).collect::<Vec<_>>());
     }
     for h in 0..holes {
         for p1 in 0..pigeons {
@@ -143,7 +147,7 @@ fn random_3sat_phase_transition() {
                     lits.push(l);
                 }
             }
-            cnf.add_clause(lits);
+            cnf.add_clause(&lits);
         }
         match SatSolver::solve_cnf(&cnf) {
             SatOutcome::Sat(m) => {
