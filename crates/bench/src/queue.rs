@@ -1180,8 +1180,15 @@ mod tests {
         dir
     }
 
+    /// Serialize against the tests that install a process-global fault
+    /// plan: the empty plan keeps every fault site a no-op while held.
+    fn no_faults() -> mgrts_fault::PlanGuard {
+        mgrts_fault::install_guarded(mgrts_fault::FaultPlan::empty())
+    }
+
     #[test]
     fn claim_is_exclusive_until_released() {
+        let _faults = no_faults();
         let dir = tmp("claim");
         let a = LeaseBoard::open(&dir, "a", Duration::from_secs(60)).unwrap();
         let b = LeaseBoard::open(&dir, "b", Duration::from_secs(60)).unwrap();
@@ -1198,6 +1205,7 @@ mod tests {
 
     #[test]
     fn expired_leases_are_reclaimable_and_renew_extends() {
+        let _faults = no_faults();
         let dir = tmp("expiry");
         let fast = LeaseBoard::open(&dir, "fast", Duration::from_millis(40)).unwrap();
         let other = LeaseBoard::open(&dir, "other", Duration::from_millis(40)).unwrap();
@@ -1221,6 +1229,7 @@ mod tests {
 
     #[test]
     fn reclaim_sweep_frees_only_expired() {
+        let _faults = no_faults();
         let dir = tmp("sweep");
         let a = LeaseBoard::open(&dir, "a", Duration::from_millis(30)).unwrap();
         let b = LeaseBoard::open(&dir, "b", Duration::from_secs(60)).unwrap();
@@ -1237,6 +1246,7 @@ mod tests {
 
     #[test]
     fn concurrent_claims_admit_exactly_one_winner() {
+        let _faults = no_faults();
         let dir = tmp("race");
         let winners = Mutex::new(0u32);
         crossbeam::scope(|scope| {

@@ -832,6 +832,12 @@ mod tests {
         dir
     }
 
+    /// Serialize against the tests that install a process-global fault
+    /// plan: the empty plan keeps every fault site a no-op while held.
+    fn no_faults() -> mgrts_fault::PlanGuard {
+        mgrts_fault::install_guarded(mgrts_fault::FaultPlan::empty())
+    }
+
     #[test]
     fn pre_telemetry_jsonl_still_deserializes() {
         // A record line exactly as PR <= 7 builds wrote it: no `search`
@@ -864,6 +870,7 @@ mod tests {
 
     #[test]
     fn commit_then_load_round_trips() {
+        let _faults = no_faults();
         let dir = tmp("roundtrip");
         let mut sink = RecordSink::open(&dir).unwrap();
         sink.commit_shard(&shard("aa"), &[rec("aa", 0, 0, 5), rec("aa", 0, 1, 6)])
@@ -877,6 +884,7 @@ mod tests {
 
     #[test]
     fn uncheckpointed_and_truncated_lines_are_dropped() {
+        let _faults = no_faults();
         let dir = tmp("partial");
         let mut sink = RecordSink::open(&dir).unwrap();
         sink.commit_shard(&shard("aa"), &[rec("aa", 0, 0, 5)])
@@ -899,6 +907,7 @@ mod tests {
 
     #[test]
     fn replayed_shard_dedupes_by_unit_key() {
+        let _faults = no_faults();
         let dir = tmp("dedupe");
         let mut sink = RecordSink::open(&dir).unwrap();
         // Stale copy: records written but imagine the process died before
@@ -916,6 +925,7 @@ mod tests {
 
     #[test]
     fn worker_segments_aggregate_and_dedupe_across_writers() {
+        let _faults = no_faults();
         let dir = tmp("segments");
         let store = LocalStore::open(&dir).unwrap();
         let mut w1 = store.open_writer("w1").unwrap();
@@ -941,6 +951,7 @@ mod tests {
 
     #[test]
     fn writer_ids_are_validated() {
+        let _faults = no_faults();
         let dir = tmp("writer-ids");
         let store = LocalStore::open(&dir).unwrap();
         assert!(store.open_writer("ok-id_9").is_ok());
@@ -953,6 +964,7 @@ mod tests {
 
     #[test]
     fn clear_removes_segments_but_keeps_manifest() {
+        let _faults = no_faults();
         let dir = tmp("clear");
         let store = LocalStore::open(&dir).unwrap();
         store.write_manifest("[campaign]\n").unwrap();
@@ -968,6 +980,7 @@ mod tests {
 
     #[test]
     fn put_artifact_is_atomic_rename() {
+        let _faults = no_faults();
         let dir = tmp("artifact");
         let store = LocalStore::open(&dir).unwrap();
         store.put_artifact("BENCH_x.json", "{}").unwrap();
@@ -1017,6 +1030,7 @@ mod tests {
 
     #[test]
     fn corrupt_mid_segment_lines_are_quarantined_once() {
+        let _faults = no_faults();
         let dir = tmp("quarantine");
         let mut sink = RecordSink::open(&dir).unwrap();
         sink.commit_shard(&shard("aa"), &[rec("aa", 0, 0, 5)])
@@ -1064,6 +1078,7 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_line_unbelieves_shard_and_is_quarantined() {
+        let _faults = no_faults();
         let dir = tmp("quarantine-cp");
         let mut sink = RecordSink::open(&dir).unwrap();
         sink.commit_shard(&shard("aa"), &[rec("aa", 0, 0, 5)])

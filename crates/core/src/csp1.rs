@@ -219,13 +219,14 @@ pub fn solve_csp1_cancellable(
         return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
     };
     model.set_interrupt(cancel.as_flag());
-    let mut solver_cfg = SolverConfig::generic_randomized(cfg.seed);
-    solver_cfg = solver_cfg.with_budget(Budget {
-        time: cfg.time,
+    let mut solver = model.into_solver(SolverConfig::generic_randomized(cfg.seed));
+    // The time budget counts from solve entry: encoding and construction
+    // draw on the same allowance as the search.
+    solver.set_budget(Budget {
+        time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
         max_decisions: cfg.max_decisions,
         max_failures: None,
     });
-    let mut solver = model.into_solver(solver_cfg);
     let outcome = solver.solve();
     let engine_stats = solver.stats();
     let stats = SolveStats {

@@ -213,7 +213,7 @@ pub fn solve_csp2_generic_cancellable(
         return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
     };
     model.set_interrupt(cancel.as_flag());
-    let mut solver_cfg = if cfg.learning {
+    let solver_cfg = if cfg.learning {
         SolverConfig::chronological_learning()
     } else if cfg.chronological {
         SolverConfig {
@@ -223,12 +223,14 @@ pub fn solve_csp2_generic_cancellable(
     } else {
         SolverConfig::generic_randomized(cfg.seed)
     };
-    solver_cfg = solver_cfg.with_budget(Budget {
-        time: cfg.time,
+    let mut solver = model.into_solver(solver_cfg);
+    // The time budget counts from solve entry: encoding and construction
+    // draw on the same allowance as the search.
+    solver.set_budget(Budget {
+        time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
         max_decisions: cfg.max_decisions,
         max_failures: None,
     });
-    let mut solver = model.into_solver(solver_cfg);
     let outcome = solver.solve();
     let st = solver.stats();
     let stats = SolveStats {
@@ -332,6 +334,44 @@ mod tests {
         let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
         let res = solve_csp2_generic(&ts, 2, &cfg).unwrap();
         assert!(res.verdict.is_infeasible());
+    }
+
+    #[test]
+    fn learning_is_deterministic_on_table1_instances() {
+        use rt_gen::{GeneratorConfig, ProblemGenerator};
+        // Learning is reproducible: repeated solves on freshly built
+        // solvers learn the same nogoods and take the same steps.
+        let cfg = Csp2GenericConfig {
+            learning: true,
+            max_decisions: Some(500),
+            ..Default::default()
+        };
+        let gen = ProblemGenerator::new(GeneratorConfig::table1(), 0x2009);
+        let mut conflicts = 0;
+        for p in gen.batch(3) {
+            let counts = |_| {
+                let res = solve_csp2_generic(&p.taskset, p.m, &cfg).unwrap();
+                let s = res.search.expect("engine telemetry");
+                (
+                    s.conflicts,
+                    s.learnt_clauses,
+                    s.backjump_sum,
+                    s.restarts,
+                    s.propagations,
+                )
+            };
+            let runs: Vec<_> = (0..3).map(counts).collect();
+            assert!(
+                runs.iter().all(|r| *r == runs[0]),
+                "instance {}: counts differ across repeats: {runs:?}",
+                p.seed
+            );
+            conflicts += runs[0].0;
+        }
+        assert!(
+            conflicts > 0,
+            "the instances must exercise conflict analysis"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Wall-clock budget checks are amortized: `Instant::now()` is consulted
 //! every ~1024 search steps rather than on every node and failure.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::constraints::Constraint;
-use crate::nogood::{luby, Nogood, Pred, PredOp, Reason};
+use crate::nogood::{luby, ConflictInfo, LogEntry, Nogood, Pred, PredOp, Reason};
 use crate::propagators::{build, PropKind, Propagator};
 use crate::store::{EventMask, StateId, Store, Val, VarId};
 
@@ -390,6 +390,91 @@ pub struct Solver {
     /// Last value each variable was branched on (phase saving; untrailed
     /// by design).
     saved_phase: Vec<Option<Val>>,
+    /// Conflict-analysis buffers, reused across conflicts.
+    scratch: AnalysisScratch,
+    /// `reduce_db` marks: nogood ids locked as implication reasons.
+    ng_locked: Vec<bool>,
+}
+
+/// Conflict-analysis scratch, indexed by implication-log position and
+/// reused across conflicts. The resolution item set is a generation stamp
+/// per position (`live[pos] == gen`), so emptying it between conflicts is
+/// one increment, and live items carry their merged predicate in
+/// `item[pos]`.
+#[derive(Debug, Default)]
+struct AnalysisScratch {
+    gen: u32,
+    /// `== gen`: the entry at this position is a live item.
+    live: Vec<u32>,
+    /// `== gen`: the entry at this position was already mapped as a
+    /// scope-snapshot conjunct during the current analysis.
+    mapped: Vec<u32>,
+    /// Merged predicate of each live item.
+    item: Vec<Pred>,
+    /// Positions made live, in first-touched order.
+    touched: Vec<u32>,
+    /// Live items, and how many of them sit at the current level.
+    n_live: usize,
+    n_cur: usize,
+    /// Explanation output: predicates to look up from their variable's
+    /// chain head, and snapshot conjuncts given by their own log position.
+    expl: Vec<Pred>,
+    anchors: Vec<u32>,
+    /// Levels of a learned nogood's conjuncts (for its LBD).
+    levels: Vec<u32>,
+}
+
+impl AnalysisScratch {
+    /// Empty the item set and make room for `log_len` positions.
+    fn reset(&mut self, log_len: usize) {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.live.fill(0);
+            self.mapped.fill(0);
+            self.gen = 1;
+        }
+        if self.live.len() < log_len {
+            self.live.resize(log_len, 0);
+            self.mapped.resize(log_len, 0);
+            self.item.resize(log_len, Pred::eq(0, 0));
+        }
+        self.touched.clear();
+        self.n_live = 0;
+        self.n_cur = 0;
+    }
+
+    fn is_live(&self, pos: u32) -> bool {
+        self.live[pos as usize] == self.gen
+    }
+
+    /// Add `q`, implied by log entry `e` at `pos`, to the item set. When
+    /// several predicates map to one entry, the slot keeps a predicate
+    /// implying all of them — the entry's own predicate always does, as
+    /// the last resort.
+    fn merge(&mut self, pos: u32, q: Pred, e: &LogEntry, cur_level: u32) {
+        let p = pos as usize;
+        if self.is_live(pos) {
+            let cur = self.item[p];
+            if !cur.implies(q) {
+                self.item[p] = if q.implies(cur) { q } else { e.pred };
+            }
+        } else {
+            self.live[p] = self.gen;
+            self.item[p] = q;
+            self.touched.push(pos);
+            self.n_live += 1;
+            if e.level == cur_level {
+                self.n_cur += 1;
+            }
+        }
+    }
+
+    /// Drop the current-level item at `pos` from the set.
+    fn remove_current(&mut self, pos: u32) {
+        self.live[pos as usize] = 0;
+        self.n_live -= 1;
+        self.n_cur -= 1;
+    }
 }
 
 /// Result of 1-UIP conflict analysis.
@@ -533,6 +618,8 @@ impl Solver {
             ng_watches: vec![Vec::new(); n_vars],
             ng_dirty: Vec::new(),
             saved_phase: vec![None; n_vars],
+            scratch: AnalysisScratch::default(),
+            ng_locked: Vec::new(),
         }
     }
 
@@ -1420,21 +1507,20 @@ impl Solver {
     /// first, oldest first on ties. Glue nogoods (LBD ≤ 2) and nogoods
     /// currently locked as implication reasons are kept.
     fn reduce_db(&mut self) {
-        let locked: HashSet<u32> = self
-            .store
-            .log()
-            .iter()
-            .filter_map(|e| match e.reason {
-                Reason::Nogood { id } => Some(id),
-                _ => None,
-            })
-            .collect();
+        let locked = &mut self.ng_locked;
+        locked.clear();
+        locked.resize(self.nogoods.len(), false);
+        for e in self.store.log() {
+            if let Reason::Nogood { id } = e.reason {
+                locked[id as usize] = true;
+            }
+        }
         let mut cands: Vec<(u32, u32)> = self
             .nogoods
             .iter()
             .enumerate()
             .filter_map(|(id, slot)| slot.as_ref().map(|ng| (id as u32, ng.lbd)))
-            .filter(|&(id, lbd)| lbd > 2 && !locked.contains(&id))
+            .filter(|&(id, lbd)| lbd > 2 && !locked[id as usize])
             .map(|(id, lbd)| (lbd, id))
             .collect();
         cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -1447,120 +1533,148 @@ impl Solver {
     }
 
     /// 1-UIP conflict analysis over the store's implication log.
+    ///
+    /// The conflict's explanation is mapped onto log entries (the items),
+    /// then the latest current-level item is resolved away — replaced by
+    /// its own explanation — until one current-level item remains: the
+    /// first unique implication point. Items live in the position-indexed
+    /// [`AnalysisScratch`], so a conflict allocates nothing beyond the
+    /// learned nogood. Log positions are ordered by level and each step
+    /// adds only entries strictly before the one it resolved, so the next
+    /// item to resolve is found by a cursor that only moves down from the
+    /// log end (MiniSat's trail walk): one analysis costs time linear in
+    /// the log suffix it resolves over. The nogood's conjuncts come out in
+    /// first-touched order, so the learned nogoods — and the whole search
+    /// — are deterministic.
     fn analyze(&mut self) -> Analysis {
         let Some(conf) = self.store.take_conflict() else {
             // A propagator-internal conflict (no failed store mutation):
             // nothing to resolve from.
             return Analysis::Fallback;
         };
+        // Moved out for the analysis, so the explanation helpers can
+        // borrow the solver while filling it.
+        let mut sc = std::mem::take(&mut self.scratch);
+        let analysis = self.resolve(conf, &mut sc);
+        self.scratch = sc;
+        analysis
+    }
+
+    /// The body of [`Solver::analyze`], over the taken-out scratch.
+    fn resolve(&self, conf: ConflictInfo, sc: &mut AnalysisScratch) -> Analysis {
         let cur_level = self.store.depth() as u32;
         if cur_level == 0 {
             return Analysis::RootUnsat;
         }
+        let log = self.store.log();
         let log_len = self.store.log_len();
-        let mut expl: Vec<Pred> = Vec::new();
-        if !self.explain_requested(conf.requested, conf.reason, cur_level, &mut expl) {
+        sc.reset(log.len());
+        sc.expl.clear();
+        sc.anchors.clear();
+        let (expl, anchors) = (&mut sc.expl, &mut sc.anchors);
+        if !self.explain_requested(conf.requested, conf.reason, cur_level, expl, anchors) {
             return Analysis::Fallback;
         }
-        expl.push(conf.holding);
-        // Map the conflicting predicates onto implication-log entries.
-        // Predicates with no implying entry held at the root already and
-        // resolve away. When several predicates map to one entry, the
-        // slot must keep a predicate implying all of them — the entry's
-        // own predicate always does, as the last resort.
-        fn merge(items: &mut HashMap<u32, Pred>, pos: u32, q: Pred, entry_pred: Pred) {
-            items
-                .entry(pos)
-                .and_modify(|cur| {
-                    if !cur.implies(q) {
-                        *cur = if q.implies(*cur) { q } else { entry_pred };
-                    }
-                })
-                .or_insert(q);
-        }
-        let mut items: HashMap<u32, Pred> = HashMap::new();
-        for &q in &expl {
-            if let Some(pos) = self.lookup(q, log_len) {
-                let entry_pred = self.store.log()[pos as usize].pred;
-                merge(&mut items, pos, q, entry_pred);
-            }
-        }
-        // Resolve the latest current-level entry away until one remains
-        // (the first unique implication point). Every step replaces the
-        // maximum current-level position by strictly earlier ones, so
-        // this terminates; the guard bounds any pathological case.
+        sc.expl.push(conf.holding);
+        self.map_explanation(sc, log_len, cur_level);
+        // Every live current-level item lies above every lower-level one,
+        // so the cursor's next live position is the latest current-level
+        // item. The guard bounds any pathological case.
+        let mut cursor = log_len;
         let mut guard = 16 * u64::from(log_len) + 64;
         loop {
             if guard == 0 {
                 return Analysis::Fallback;
             }
             guard -= 1;
-            let mut cur_count = 0usize;
-            let mut max_pos: Option<u32> = None;
-            for &pos in items.keys() {
-                if self.store.log()[pos as usize].level == cur_level {
-                    cur_count += 1;
-                    if max_pos.is_none_or(|m| pos > m) {
-                        max_pos = Some(pos);
-                    }
-                }
-            }
-            if cur_count == 0 {
+            if sc.n_cur == 0 {
                 // Without a current-level item there is no asserting
                 // nogood; an empty set means the conflict follows from
                 // root facts alone.
-                return if items.is_empty() {
+                return if sc.n_live == 0 {
                     Analysis::RootUnsat
                 } else {
                     Analysis::Fallback
                 };
             }
-            if cur_count == 1 {
+            cursor -= 1;
+            while !sc.is_live(cursor) {
+                cursor -= 1;
+            }
+            debug_assert_eq!(log[cursor as usize].level, cur_level);
+            if sc.n_cur == 1 {
                 break;
             }
-            let emax = max_pos.expect("cur_count > 0");
-            items.remove(&emax);
-            expl.clear();
-            if !self.explain_entry(emax, &mut expl) {
+            sc.remove_current(cursor);
+            sc.expl.clear();
+            sc.anchors.clear();
+            if !self.explain_entry(cursor, &mut sc.expl, &mut sc.anchors) {
                 return Analysis::Fallback;
             }
-            for &q in &expl {
-                if let Some(pos) = self.lookup(q, emax) {
-                    let entry_pred = self.store.log()[pos as usize].pred;
-                    merge(&mut items, pos, q, entry_pred);
-                }
+            self.map_explanation(sc, cursor, cur_level);
+        }
+        let uip = sc.item[cursor as usize];
+        sc.remove_current(cursor);
+        let mut rest = Vec::with_capacity(sc.n_live);
+        sc.levels.clear();
+        sc.levels.push(cur_level);
+        for &pos in &sc.touched {
+            // Clearing the stamp emits each live item exactly once.
+            if sc.is_live(pos) {
+                sc.live[pos as usize] = 0;
+                let level = log[pos as usize].level;
+                rest.push((sc.item[pos as usize], level));
+                sc.levels.push(level);
             }
         }
-        let (uip_pos, uip) = items
-            .iter()
-            .find(|&(&pos, _)| self.store.log()[pos as usize].level == cur_level)
-            .map(|(&pos, &p)| (pos, p))
-            .expect("one current-level item remains");
-        items.remove(&uip_pos);
-        let rest: Vec<(Pred, u32)> = items
-            .iter()
-            .map(|(&pos, &p)| (p, self.store.log()[pos as usize].level))
-            .collect();
         let assert_level = rest.iter().map(|&(_, l)| l).max().unwrap_or(0) as usize;
-        let mut levels: Vec<u32> = rest.iter().map(|&(_, l)| l).collect();
-        levels.push(cur_level);
-        levels.sort_unstable();
-        levels.dedup();
+        sc.levels.sort_unstable();
+        sc.levels.dedup();
         Analysis::Learned {
             uip,
             rest,
             assert_level,
-            lbd: levels.len() as u32,
+            lbd: sc.levels.len() as u32,
+        }
+    }
+
+    /// Map the explanation in `sc` onto log entries strictly before
+    /// `limit` and merge them into the item set. Predicates with no
+    /// implying entry held at the root already and resolve away.
+    /// Snapshot conjuncts come first, as the explanation lists them: each
+    /// is looked up from its own entry, which implies it and lies below
+    /// `limit`, so the walk finds the same earliest entry as a walk from
+    /// the chain head. A conjunct already mapped in this analysis is
+    /// skipped — merging the same predicate into the same slot again
+    /// changes nothing.
+    fn map_explanation(&self, sc: &mut AnalysisScratch, limit: u32, cur_level: u32) {
+        let log = self.store.log();
+        for i in 0..sc.anchors.len() {
+            let at = sc.anchors[i];
+            if sc.mapped[at as usize] == sc.gen {
+                continue;
+            }
+            sc.mapped[at as usize] = sc.gen;
+            let q = log[at as usize].pred;
+            if let Some(pos) = self.lookup(q, at, limit) {
+                sc.merge(pos, q, &log[pos as usize], cur_level);
+            }
+        }
+        for i in 0..sc.expl.len() {
+            let q = sc.expl[i];
+            if let Some(pos) = self.lookup(q, self.store.var_log_head(q.var), limit) {
+                sc.merge(pos, q, &log[pos as usize], cur_level);
+            }
         }
     }
 
     /// Earliest implication-log entry strictly before `limit` whose
-    /// predicate implies `p`, via `p.var`'s per-variable chain. `None` ⇒
-    /// `p` already held at the root (root facts are never logged and
-    /// resolve away during analysis).
-    fn lookup(&self, p: Pred, limit: u32) -> Option<u32> {
+    /// predicate implies `p`, walking `p.var`'s per-variable chain down
+    /// from position `from`. `None` ⇒ `p` already held at the root (root
+    /// facts are never logged and resolve away during analysis).
+    fn lookup(&self, p: Pred, from: u32, limit: u32) -> Option<u32> {
         let log = self.store.log();
-        let mut pos = self.store.var_log_head(p.var);
+        let mut pos = from;
         let mut found = None;
         while pos != u32::MAX {
             let e = &log[pos as usize];
@@ -1573,9 +1687,11 @@ impl Solver {
     }
 
     /// Explain a log entry: append predicates that held strictly before
-    /// it and together force `entry.pred`. False ⇒ unexplainable (the
-    /// whole analysis falls back to a chronological step).
-    fn explain_entry(&self, eidx: u32, out: &mut Vec<Pred>) -> bool {
+    /// it and together force `entry.pred` (snapshot conjuncts go to
+    /// `anchors` by log position, see [`Solver::explain_requested`]).
+    /// False ⇒ unexplainable (the whole analysis falls back to a
+    /// chronological step).
+    fn explain_entry(&self, eidx: u32, out: &mut Vec<Pred>, anchors: &mut Vec<u32>) -> bool {
         let e = self.store.log()[eidx as usize];
         let v = e.pred.var;
         match e.reason {
@@ -1614,7 +1730,7 @@ impl Solver {
                     PredOp::Le => (Pred::le(v, e.base), e.pred.val + 1, e.base + 1),
                     _ => (e.pred, 0, 0),
                 };
-                if !self.explain_requested(req, e.reason, e.level, out) {
+                if !self.explain_requested(req, e.reason, e.level, out, anchors) {
                     return false;
                 }
                 for k in lo..hi {
@@ -1627,14 +1743,17 @@ impl Solver {
 
     /// Explain why `req` was being enforced under `reason` (`level` is
     /// the decision level at play, for `PriorDecisions`): append
-    /// predicates that held when the enforcement fired. False ⇒ no usable
-    /// explanation.
+    /// predicates that held when the enforcement fired. The generic
+    /// scope-snapshot fallback reads its conjuncts straight from the log
+    /// and appends their positions to `anchors` instead. False ⇒ no
+    /// usable explanation.
     fn explain_requested(
         &self,
         req: Pred,
         reason: Reason,
         level: u32,
         out: &mut Vec<Pred>,
+        anchors: &mut Vec<u32>,
     ) -> bool {
         match reason {
             Reason::Decision | Reason::Bound => false,
@@ -1657,11 +1776,10 @@ impl Solver {
                 for &sv in &self.prop_var_entries[s..e] {
                     let mut pos = self.store.var_log_head(sv);
                     while pos != u32::MAX {
-                        let entry = &log[pos as usize];
                         if pos < run_start {
-                            out.push(entry.pred);
+                            anchors.push(pos);
                         }
-                        pos = entry.prev;
+                        pos = log[pos as usize].prev;
                     }
                 }
                 true
