@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use mgrts_core::engine::{CancelGroup, SolverSpec};
+use mgrts_core::engine::{CancelGroup, PlatformSpec, SolverSpec};
 use mgrts_obs::flight;
 use rt_gen::{derive_stream_seed, ProblemGenerator, RateMatrixGen};
 
@@ -958,14 +958,16 @@ pub(crate) fn run_shard(
         let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         let (budget, budget_source) = policy.unit_budget(unit.cell);
         let budget = budget.capped(remaining);
-        let platform = cell.hetero.then(|| {
-            RateMatrixGen::default().generate(
+        let spec = if cell.hetero {
+            PlatformSpec::Heterogeneous(RateMatrixGen::default().generate(
                 p.taskset.len(),
                 p.m,
                 derive_stream_seed(p.seed, "platform"),
-            )
-        });
-        let exec = policy.execute(&p, platform.as_ref(), unit.solver, &budget, &token);
+            ))
+        } else {
+            PlatformSpec::identical(p.m)
+        };
+        let exec = policy.execute(&p, &spec, unit.solver, &budget, &token);
         if exec.outcome == InstanceOutcome::Cancelled {
             // Don't commit half-truths: a cancelled unit means the shard
             // must re-run on resume.

@@ -37,8 +37,8 @@
 //! * `table4` — Table IV (scaling with n ∈ {4 … 256}, Tmax = 15,
 //!   m = ⌈U⌉).
 //!
-//! Shared machinery lives here: the solver roster ([`ROSTER`]), the
-//! per-instance runner, the campaign executor, and plain-text table
+//! Shared machinery lives here: the per-instance runner
+//! ([`runner::run`]), the campaign executor, and plain-text table
 //! formatting. All runs are deterministic given the manifest seed;
 //! wall-clock *classifications* (overrun vs solved) depend on the machine,
 //! exactly as in the paper.
@@ -56,4 +56,4 @@ pub mod tables;
 pub use cli::Args;
 pub use mgrts_core::engine::SolverSpec;
 pub use policy::{ExecutionPolicy, PolicyKind, PolicyMode, PolicySpec};
-pub use runner::{run_corpus, InstanceOutcome, RunRecord, ROSTER};
+pub use runner::{run_corpus, InstanceOutcome, RunRecord};

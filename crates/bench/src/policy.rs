@@ -43,11 +43,10 @@ use mgrts_core::portfolio::{self, BackendStat};
 use mgrts_core::solve::Verdict;
 use mgrts_obs::flight;
 use rt_gen::Problem;
-use rt_platform::Platform;
 use rt_task::TaskSet;
 
 use crate::campaign::{CampaignError, Manifest};
-use crate::runner::{classify, run_one_engine_full, run_one_hetero_engine_full, InstanceOutcome};
+use crate::runner::{self, classify, InstanceOutcome};
 use crate::sink::RecordStore;
 
 // ---------------------------------------------------------------------------
@@ -332,14 +331,15 @@ pub trait ExecutionPolicy: Send + Sync {
     /// The executor further caps it by the shard's remaining allowance.
     fn unit_budget(&self, cell: usize) -> (Budget, BudgetSource);
 
-    /// Execute one unit. `unit_solver` indexes the manifest roster (always
-    /// 0 for racing policies, whose plan collapses the solver axis).
+    /// Execute one unit of instance `p` on the platform `spec` (built once
+    /// per unit by the executor). `unit_solver` indexes the manifest roster
+    /// (always 0 for racing policies, whose plan collapses the solver axis).
     /// Produced schedules are verified against the independent C1–C4
     /// checker; a verification failure is a solver bug and panics loudly.
     fn execute(
         &self,
         p: &Problem,
-        platform: Option<&Platform>,
+        spec: &PlatformSpec,
         unit_solver: usize,
         budget: &Budget,
         cancel: &CancelToken,
@@ -382,16 +382,13 @@ impl ExecutionPolicy for SingleSolver {
     fn execute(
         &self,
         p: &Problem,
-        platform: Option<&Platform>,
+        spec: &PlatformSpec,
         unit_solver: usize,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> UnitExecution {
         let engine = self.pool.get(self.roster[unit_solver], p.seed);
-        let (outcome, time_us, search) = match platform {
-            Some(platform) => run_one_hetero_engine_full(p, platform, &*engine, budget, cancel),
-            None => run_one_engine_full(p, &*engine, budget, cancel),
-        };
+        let (outcome, time_us, search) = runner::run(&p.taskset, spec, &*engine, budget, cancel);
         UnitExecution {
             outcome,
             time_us,
@@ -427,7 +424,7 @@ impl ExecutionPolicy for PortfolioRace {
     fn execute(
         &self,
         p: &Problem,
-        platform: Option<&Platform>,
+        spec: &PlatformSpec,
         _unit_solver: usize,
         budget: &Budget,
         cancel: &CancelToken,
@@ -435,11 +432,7 @@ impl ExecutionPolicy for PortfolioRace {
         // Engines come from the shared pool — constructed once per
         // (spec, seed), reused by every subsequent unit and request.
         let roster = self.pool.roster(&self.roster, p.seed);
-        let spec = match platform {
-            Some(platform) => PlatformSpec::Heterogeneous(platform.clone()),
-            None => PlatformSpec::identical(p.m),
-        };
-        let run = race_roster(&roster, &p.taskset, &spec, budget, cancel)
+        let run = race_roster(&roster, &p.taskset, spec, budget, cancel)
             .expect("valid constrained instance");
         UnitExecution {
             outcome: classify(&run.verdict),
@@ -498,12 +491,12 @@ impl ExecutionPolicy for AdaptiveBudget {
     fn execute(
         &self,
         p: &Problem,
-        platform: Option<&Platform>,
+        spec: &PlatformSpec,
         unit_solver: usize,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> UnitExecution {
-        self.inner.execute(p, platform, unit_solver, budget, cancel)
+        self.inner.execute(p, spec, unit_solver, budget, cancel)
     }
 
     fn refresh(&self, store: &dyn RecordStore) -> Result<(), CampaignError> {

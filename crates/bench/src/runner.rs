@@ -1,20 +1,15 @@
-//! The instance runner: solver roster, parallel execution, raw records.
+//! The instance runner: one verified solve, parallel execution, raw records.
 
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, SolverSpec};
+use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec, SolverSpec};
 use mgrts_core::solve::{StopReason, Verdict};
-use mgrts_core::verify::{check_heterogeneous, check_identical};
+use mgrts_core::verify;
 use rt_gen::Problem;
-use rt_platform::Platform;
-
-/// The paper's six solver columns, in Table I order. (Alias of
-/// [`SolverSpec::TABLE1_ROSTER`]; kept here because every experiment
-/// binary names it.)
-pub const ROSTER: [SolverSpec; 6] = SolverSpec::TABLE1_ROSTER;
+use rt_task::TaskSet;
 
 /// Classified outcome of one (instance, solver) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,118 +64,29 @@ pub(crate) fn classify(verdict: &Verdict) -> InstanceOutcome {
     }
 }
 
-/// Run one solver on one instance under an explicit budget and cancellation
-/// token (the campaign executor's entry point). Every produced schedule is
-/// verified against the independent C1–C4 checker; a verification failure
-/// is a bug and panics loudly.
+/// Run a prebuilt engine on one instance over `spec` — the single-solver
+/// path of the campaign policies, the serve workers and [`run_corpus`].
+/// Every produced schedule is verified against the
+/// independent C1–C4 checker ([`verify::check`]); an engine error or an
+/// invalid schedule is a bug and panics with the backend's name. Returns
+/// the classified outcome, the solve's wall clock (µs) and its search
+/// telemetry (`None` for backends without counters).
 #[must_use]
-pub fn run_one_budgeted(
-    p: &Problem,
-    solver: SolverSpec,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    run_one_engine(p, &*solver.build_seeded(p.seed), budget, cancel)
-}
-
-/// Run a *prebuilt* engine on one instance — the hoisted-construction path
-/// resident callers ([`mgrts_core::engine::EnginePool`] users, the serve
-/// worker pool) take so solver construction stays out of the per-call
-/// path. Semantics are identical to [`run_one_budgeted`], including the
-/// independent C1–C4 verification of every produced schedule.
-#[must_use]
-pub fn run_one_engine(
-    p: &Problem,
-    engine: &dyn FeasibilitySolver,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    let (outcome, time_us, _) = run_one_engine_full(p, engine, budget, cancel);
-    (outcome, time_us)
-}
-
-/// [`run_one_engine`] that also returns the backend's per-solve search
-/// telemetry (`None` for backends without counters) — the shape campaign
-/// recording consumes.
-#[must_use]
-pub fn run_one_engine_full(
-    p: &Problem,
+pub fn run(
+    ts: &TaskSet,
+    spec: &PlatformSpec,
     engine: &dyn FeasibilitySolver,
     budget: &Budget,
     cancel: &CancelToken,
 ) -> (InstanceOutcome, u64, Option<mgrts_obs::SearchStats>) {
     let res = engine
-        .solve(&p.taskset, p.m, budget, cancel)
+        .solve_on(ts, spec, budget, cancel)
         .unwrap_or_else(|e| panic!("solver {} failed: {e}", engine.name()));
     if let Verdict::Feasible(s) = &res.verdict {
-        check_identical(&p.taskset, p.m, s)
+        verify::check(ts, spec, s)
             .unwrap_or_else(|e| panic!("solver {} returned invalid schedule: {e}", engine.name()));
     }
     (classify(&res.verdict), res.stats.elapsed_us, res.search)
-}
-
-/// Run one solver on one instance over a heterogeneous platform (the
-/// campaign grid's heterogeneity dimension). Schedules are verified with
-/// the heterogeneous C1–C4 checker.
-#[must_use]
-pub fn run_one_hetero(
-    p: &Problem,
-    platform: &Platform,
-    solver: SolverSpec,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    run_one_hetero_engine(p, platform, &*solver.build_seeded(p.seed), budget, cancel)
-}
-
-/// Heterogeneous analogue of [`run_one_engine`]: a prebuilt engine, the
-/// heterogeneous C1–C4 checker.
-#[must_use]
-pub fn run_one_hetero_engine(
-    p: &Problem,
-    platform: &Platform,
-    engine: &dyn FeasibilitySolver,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    let (outcome, time_us, _) = run_one_hetero_engine_full(p, platform, engine, budget, cancel);
-    (outcome, time_us)
-}
-
-/// [`run_one_hetero_engine`] that also returns the backend's per-solve
-/// search telemetry.
-#[must_use]
-pub fn run_one_hetero_engine_full(
-    p: &Problem,
-    platform: &Platform,
-    engine: &dyn FeasibilitySolver,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64, Option<mgrts_obs::SearchStats>) {
-    let res = engine
-        .solve_hetero(&p.taskset, platform, budget, cancel)
-        .expect("valid constrained instance");
-    if let Verdict::Feasible(s) = &res.verdict {
-        check_heterogeneous(&p.taskset, platform, s).unwrap_or_else(|e| {
-            panic!(
-                "solver {} returned invalid hetero schedule: {e}",
-                engine.name()
-            )
-        });
-    }
-    (classify(&res.verdict), res.stats.elapsed_us, res.search)
-}
-
-/// Run one solver on one instance with a wall-clock budget (the historical
-/// single-run entry point).
-#[must_use]
-pub fn run_one(p: &Problem, solver: SolverSpec, time_limit: Duration) -> (InstanceOutcome, u64) {
-    run_one_budgeted(
-        p,
-        solver,
-        &Budget::time_limit(time_limit),
-        &CancelToken::new(),
-    )
 }
 
 /// Write raw records as JSON to `path` (the `--json` flag of the
@@ -223,7 +129,13 @@ pub fn run_corpus(
                 };
                 let (inst, solver) = jobs[idx];
                 let p = &problems[inst as usize];
-                let (outcome, time_us) = run_one(p, solver, time_limit);
+                let (outcome, time_us, _) = run(
+                    &p.taskset,
+                    &PlatformSpec::identical(p.m),
+                    &*solver.build_seeded(p.seed),
+                    &Budget::time_limit(time_limit),
+                    &CancelToken::new(),
+                );
                 records.lock().push(RunRecord {
                     instance: inst,
                     solver,
@@ -254,11 +166,18 @@ pub fn run_corpus(
 mod tests {
     use super::*;
     use mgrts_core::heuristics::TaskOrder;
+    use mgrts_core::portfolio::race_cancellable;
+    use mgrts_core::solve::{SolveResult, SolveStats};
+    use mgrts_core::Schedule;
     use rt_gen::{GeneratorConfig, ProblemGenerator};
+    use rt_task::TaskError;
 
     #[test]
     fn roster_matches_paper_columns() {
-        let labels: Vec<_> = ROSTER.iter().map(|s| s.label()).collect();
+        let labels: Vec<_> = SolverSpec::TABLE1_ROSTER
+            .iter()
+            .map(|s| s.label())
+            .collect();
         assert_eq!(
             labels,
             vec!["CSP1", "CSP2", "+RM", "+DM", "+(T-C)", "+(D-C)"]
@@ -266,14 +185,16 @@ mod tests {
     }
 
     #[test]
-    fn run_one_solves_the_running_example() {
-        let p = Problem {
-            taskset: rt_task::TaskSet::running_example(),
-            m: 2,
-            seed: 0,
-        };
-        for solver in ROSTER {
-            let (outcome, _) = run_one(&p, solver, Duration::from_secs(5));
+    fn run_solves_the_running_example() {
+        let ts = TaskSet::running_example();
+        for solver in SolverSpec::TABLE1_ROSTER {
+            let (outcome, _, _) = run(
+                &ts,
+                &PlatformSpec::identical(2),
+                &*solver.build(),
+                &Budget::time_limit(Duration::from_secs(5)),
+                &CancelToken::new(),
+            );
             assert_eq!(outcome, InstanceOutcome::Solved, "{solver:?}");
         }
     }
@@ -282,23 +203,20 @@ mod tests {
     fn pre_cancelled_run_reports_cancelled() {
         // A dense instance that needs real search: a raised token classifies
         // as Cancelled, never as a (wrong) verdict.
-        let p = Problem {
-            taskset: rt_task::TaskSet::from_ocdt(&[
-                (0, 2, 3, 4),
-                (0, 3, 4, 4),
-                (1, 2, 3, 4),
-                (0, 1, 2, 2),
-                (0, 2, 4, 4),
-                (0, 1, 3, 3),
-            ]),
-            m: 2,
-            seed: 0,
-        };
+        let ts = TaskSet::from_ocdt(&[
+            (0, 2, 3, 4),
+            (0, 3, 4, 4),
+            (1, 2, 3, 4),
+            (0, 1, 2, 2),
+            (0, 2, 4, 4),
+            (0, 1, 3, 3),
+        ]);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let (outcome, _) = run_one_budgeted(
-            &p,
-            SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet),
+        let (outcome, _, _) = run(
+            &ts,
+            &PlatformSpec::identical(2),
+            &*SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet).build(),
             &Budget::unlimited(),
             &cancel,
         );
@@ -311,6 +229,84 @@ mod tests {
             ),
             "{outcome:?}"
         );
+    }
+
+    /// Claims every instance feasible with an all-idle schedule, which
+    /// breaks C4 on any task set with work to do.
+    struct Liar;
+
+    impl FeasibilitySolver for Liar {
+        fn name(&self) -> String {
+            "liar".to_string()
+        }
+
+        fn solve_on(
+            &self,
+            ts: &TaskSet,
+            spec: &PlatformSpec,
+            _budget: &Budget,
+            _cancel: &CancelToken,
+        ) -> Result<SolveResult, TaskError> {
+            Ok(SolveResult {
+                verdict: Verdict::Feasible(Schedule::idle(
+                    spec.num_processors(),
+                    ts.hyperperiod()?,
+                )),
+                stats: SolveStats::default(),
+                search: None,
+            })
+        }
+    }
+
+    fn heterogeneous() -> PlatformSpec {
+        PlatformSpec::Heterogeneous(
+            rt_platform::Platform::heterogeneous(vec![vec![2, 1], vec![1, 1], vec![1, 2]]).unwrap(),
+        )
+    }
+
+    fn run_liar(spec: &PlatformSpec) {
+        let _ = run(
+            &TaskSet::running_example(),
+            spec,
+            &Liar,
+            &Budget::unlimited(),
+            &CancelToken::new(),
+        );
+    }
+
+    fn race_liar(spec: &PlatformSpec) {
+        let roster: [Box<dyn FeasibilitySolver>; 1] = [Box::new(Liar)];
+        let _ = race_cancellable(
+            &roster,
+            &TaskSet::running_example(),
+            spec,
+            &Budget::unlimited(),
+            &CancelToken::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "returned invalid schedule")]
+    fn run_rejects_an_invalid_identical_schedule() {
+        run_liar(&PlatformSpec::identical(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "returned invalid schedule")]
+    fn run_rejects_an_invalid_heterogeneous_schedule() {
+        run_liar(&heterogeneous());
+    }
+
+    #[test]
+    #[should_panic(expected = "returned invalid schedule")]
+    fn race_rejects_an_invalid_identical_schedule() {
+        race_liar(&PlatformSpec::identical(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "returned invalid schedule")]
+    fn race_rejects_an_invalid_heterogeneous_schedule() {
+        race_liar(&heterogeneous());
     }
 
     #[test]

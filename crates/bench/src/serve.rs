@@ -62,13 +62,12 @@ use serde_json::Value;
 
 use mgrts_core::engine::{Budget, CancelToken, EnginePool, PlatformSpec, SolverSpec};
 use mgrts_obs::{flight, Counter, FlightRecorder, Gauge, Histogram, Registry};
-use rt_gen::Problem;
 use rt_task::TaskSet;
 
 use crate::campaign::panic_reason;
 use crate::policy::{race_roster, BudgetSource, PolicyKind};
 use crate::queue::{list_leases, now_unix_ms, LeaseBoard, LEASE_DIR};
-use crate::runner::{classify, run_one_engine_full, InstanceOutcome};
+use crate::runner::{self, classify, InstanceOutcome};
 use crate::shard::{fnv1a, RunUnit, Shard};
 use crate::sink::{CampaignRecord, LocalStore, RecordStore, ShardWriter};
 
@@ -644,16 +643,12 @@ impl ServerState {
         let sp = flight::span("request.solve", &ticket);
         let budget_ms = req.effective_budget_ms(self.cfg.default_budget_ms);
         let budget = Budget::time_limit(Duration::from_millis(budget_ms));
-        let problem = Problem {
-            taskset: req.taskset.clone(),
-            m: req.m,
-            seed: req.seed,
-        };
+        let platform = PlatformSpec::identical(req.m);
         match &req.mode {
             RequestMode::Single(spec) => {
                 let engine = self.pool.get(*spec, req.seed);
                 let (outcome, time_us, search) =
-                    run_one_engine_full(&problem, &*engine, &budget, &self.cancel);
+                    runner::run(&req.taskset, &platform, &*engine, &budget, &self.cancel);
                 let record =
                     self.record_for(key, req, outcome, time_us, *spec, None, None, None, search);
                 let result = self.settle(key, req, record);
@@ -662,14 +657,8 @@ impl ServerState {
             }
             RequestMode::Race => {
                 let roster = self.pool.roster(&SolverSpec::DEFAULT_PORTFOLIO, req.seed);
-                let run = race_roster(
-                    &roster,
-                    &req.taskset,
-                    &PlatformSpec::identical(req.m),
-                    &budget,
-                    &self.cancel,
-                )
-                .expect("valid constrained instance");
+                let run = race_roster(&roster, &req.taskset, &platform, &budget, &self.cancel)
+                    .expect("valid constrained instance");
                 let outcome = classify(&run.verdict);
                 let record = self.record_for(
                     key,

@@ -45,7 +45,7 @@ use crate::hetero::{
 };
 use crate::heuristics::TaskOrder;
 use crate::local_search::{solve_local_search_cancellable, LocalSearchConfig, LsStrategy};
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason};
 
 // ---------------------------------------------------------------------------
 // CancelToken
@@ -54,7 +54,7 @@ use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
 /// Cooperative cancellation token.
 ///
 /// Cloning shares the flag. Solvers poll it in every stage of a solve and
-/// stop with [`Verdict::Unknown`]([`StopReason::Cancelled`]) once raised;
+/// stop with an unknown verdict ([`StopReason::Cancelled`]) once raised;
 /// the portfolio racer raises it when the first definitive verdict lands.
 /// The polls:
 ///
@@ -245,70 +245,49 @@ impl PlatformSpec {
 /// A feasibility decision procedure for MGRTS instances.
 ///
 /// Implementations are cheap, immutable descriptions of a solver
-/// configuration; `solve` may be called concurrently from racing threads
+/// configuration; `solve_on` may be called concurrently from racing threads
 /// (the trait requires `Send + Sync`).
 pub trait FeasibilitySolver: Send + Sync {
     /// Stable identifier (used in CLI flags, portfolio reports, bench
     /// tables).
     fn name(&self) -> String;
 
-    /// Decide feasibility on `m` identical processors.
+    /// Decide feasibility on the platform `spec` describes. Backends
+    /// without a heterogeneous variant report an unknown verdict
+    /// ([`StopReason::Unsupported`]) on a [`PlatformSpec::Heterogeneous`]
+    /// spec.
     ///
     /// `cancel` is polled while the backend encodes its model and builds
     /// its solver as well as during the search (see [`CancelToken`] for
-    /// where and how often). Once it is raised the solve returns
-    /// [`Verdict::Unknown`]([`StopReason::Cancelled`]) within one poll
+    /// where and how often). Once it is raised the solve returns an
+    /// unknown verdict ([`StopReason::Cancelled`]) within one poll
     /// interval of whatever stage it is in; a solve stopped before its
     /// search reports no search telemetry (`search: None`).
-    fn solve(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError>;
-
-    /// Decide feasibility on a heterogeneous platform. Backends without a
-    /// heterogeneous variant report
-    /// [`Verdict::Unknown`]([`StopReason::Unsupported`]).
-    fn solve_hetero(
-        &self,
-        _ts: &TaskSet,
-        _platform: &Platform,
-        _budget: &Budget,
-        _cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        Ok(SolveResult {
-            verdict: Verdict::Unknown(StopReason::Unsupported),
-            stats: SolveStats::default(),
-            search: None,
-        })
-    }
-
-    /// Whether [`FeasibilitySolver::solve_hetero`] is a real decision
-    /// procedure for this backend.
-    fn supports_hetero(&self) -> bool {
-        false
-    }
-
-    /// Complete backends prove infeasibility; incomplete ones (local
-    /// search) only ever find schedules.
-    fn is_exact(&self) -> bool {
-        true
-    }
-
-    /// Platform-polymorphic entry point: dispatches on the spec.
     fn solve_on(
         &self,
         ts: &TaskSet,
         spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
+    ) -> Result<SolveResult, TaskError>;
+
+    /// Shorthand for [`FeasibilitySolver::solve_on`] on `m` identical
+    /// processors. Implementations do not override it, so decorators see
+    /// every solve through `solve_on`.
+    fn solve(
+        &self,
+        ts: &TaskSet,
+        m: usize,
+        budget: &Budget,
+        cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
-        match spec {
-            PlatformSpec::Identical { m } => self.solve(ts, *m, budget, cancel),
-            PlatformSpec::Heterogeneous(p) => self.solve_hetero(ts, p, budget, cancel),
-        }
+        self.solve_on(ts, &PlatformSpec::identical(m), budget, cancel)
+    }
+
+    /// Complete backends prove infeasibility; incomplete ones (local
+    /// search) only ever find schedules.
+    fn is_exact(&self) -> bool {
+        true
     }
 
     /// Cumulative search telemetry over every solve served by this engine
@@ -364,32 +343,16 @@ impl FeasibilitySolver for Instrumented {
         self.inner.name()
     }
 
-    fn solve(
+    fn solve_on(
         &self,
         ts: &TaskSet,
-        m: usize,
+        spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
-        let res = self.inner.solve(ts, m, budget, cancel)?;
+        let res = self.inner.solve_on(ts, spec, budget, cancel)?;
         self.record(&res);
         Ok(res)
-    }
-
-    fn solve_hetero(
-        &self,
-        ts: &TaskSet,
-        platform: &Platform,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        let res = self.inner.solve_hetero(ts, platform, budget, cancel)?;
-        self.record(&res);
-        Ok(res)
-    }
-
-    fn supports_hetero(&self) -> bool {
-        self.inner.supports_hetero()
     }
 
     fn is_exact(&self) -> bool {
@@ -456,30 +419,15 @@ impl FeasibilitySolver for Chaos {
         self.inner.name()
     }
 
-    fn solve(
+    fn solve_on(
         &self,
         ts: &TaskSet,
-        m: usize,
+        spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
         self.roll()?;
-        self.inner.solve(ts, m, budget, cancel)
-    }
-
-    fn solve_hetero(
-        &self,
-        ts: &TaskSet,
-        platform: &Platform,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        self.roll()?;
-        self.inner.solve_hetero(ts, platform, budget, cancel)
-    }
-
-    fn supports_hetero(&self) -> bool {
-        self.inner.supports_hetero()
+        self.inner.solve_on(ts, spec, budget, cancel)
     }
 
     fn is_exact(&self) -> bool {
@@ -537,28 +485,18 @@ impl FeasibilitySolver for Csp1Engine {
         "csp1".to_string()
     }
 
-    fn solve(
+    fn solve_on(
         &self,
         ts: &TaskSet,
-        m: usize,
+        spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
-        solve_csp1_cancellable(ts, m, &self.config(budget), cancel)
-    }
-
-    fn solve_hetero(
-        &self,
-        ts: &TaskSet,
-        platform: &Platform,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        solve_csp1_hetero_cancellable(ts, platform, budget.time, self.seed, cancel)
-    }
-
-    fn supports_hetero(&self) -> bool {
-        true
+        let cfg = self.config(budget);
+        match spec {
+            PlatformSpec::Identical { m } => solve_csp1_cancellable(ts, *m, &cfg, cancel),
+            PlatformSpec::Heterogeneous(p) => solve_csp1_hetero_cancellable(ts, p, &cfg, cancel),
+        }
     }
 }
 
@@ -575,46 +513,39 @@ impl FeasibilitySolver for Csp1SatEngine {
         "sat".to_string()
     }
 
-    fn solve(
+    fn solve_on(
         &self,
         ts: &TaskSet,
-        m: usize,
+        spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
-        let mut cfg = Csp1SatConfig {
-            amo: self.amo,
-            time: budget.time,
-            max_conflicts: budget.max_conflicts,
-            ..Csp1SatConfig::default()
-        };
-        if let Some(cells) = budget.max_cells {
-            cfg.max_cells = cells;
+        match spec {
+            PlatformSpec::Identical { m } => {
+                let mut cfg = Csp1SatConfig {
+                    amo: self.amo,
+                    time: budget.time,
+                    max_conflicts: budget.max_conflicts,
+                    ..Csp1SatConfig::default()
+                };
+                if let Some(cells) = budget.max_cells {
+                    cfg.max_cells = cells;
+                }
+                solve_csp1_sat_cancellable(ts, *m, &cfg, cancel)
+            }
+            PlatformSpec::Heterogeneous(p) => {
+                let mut cfg = HeteroSatConfig {
+                    amo: self.amo,
+                    time: budget.time,
+                    max_conflicts: budget.max_conflicts,
+                    ..HeteroSatConfig::default()
+                };
+                if let Some(cells) = budget.max_cells {
+                    cfg.max_cells = cells;
+                }
+                solve_hetero_sat_cancellable(ts, p, &cfg, cancel)
+            }
         }
-        solve_csp1_sat_cancellable(ts, m, &cfg, cancel)
-    }
-
-    fn solve_hetero(
-        &self,
-        ts: &TaskSet,
-        platform: &Platform,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        let mut cfg = HeteroSatConfig {
-            amo: self.amo,
-            time: budget.time,
-            max_conflicts: budget.max_conflicts,
-            ..HeteroSatConfig::default()
-        };
-        if let Some(cells) = budget.max_cells {
-            cfg.max_cells = cells;
-        }
-        solve_hetero_sat_cancellable(ts, platform, &cfg, cancel)
-    }
-
-    fn supports_hetero(&self) -> bool {
-        true
     }
 }
 
@@ -637,45 +568,34 @@ impl FeasibilitySolver for Csp2Engine {
         }
     }
 
-    fn solve(
+    fn solve_on(
         &self,
         ts: &TaskSet,
-        m: usize,
+        spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
-        Ok(Csp2Solver::new(ts, m)?
-            .with_order(self.order)
-            .with_budget(Csp2Budget {
-                time: budget.time,
-                max_decisions: budget.max_decisions,
-            })
-            .with_cancel(cancel.clone())
-            .solve())
-    }
-
-    fn solve_hetero(
-        &self,
-        ts: &TaskSet,
-        platform: &Platform,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        solve_csp2_hetero_cancellable(
-            ts,
-            platform,
-            &Csp2HeteroConfig {
-                order: self.order,
-                time: budget.time,
-                max_decisions: budget.max_decisions,
-                ..Csp2HeteroConfig::default()
-            },
-            cancel,
-        )
-    }
-
-    fn supports_hetero(&self) -> bool {
-        true
+        match spec {
+            PlatformSpec::Identical { m } => Ok(Csp2Solver::new(ts, *m)?
+                .with_order(self.order)
+                .with_budget(Csp2Budget {
+                    time: budget.time,
+                    max_decisions: budget.max_decisions,
+                })
+                .with_cancel(cancel.clone())
+                .solve()),
+            PlatformSpec::Heterogeneous(p) => solve_csp2_hetero_cancellable(
+                ts,
+                p,
+                &Csp2HeteroConfig {
+                    order: self.order,
+                    time: budget.time,
+                    max_decisions: budget.max_decisions,
+                    ..Csp2HeteroConfig::default()
+                },
+                cancel,
+            ),
+        }
     }
 }
 
@@ -713,13 +633,19 @@ impl FeasibilitySolver for Csp2GenericEngine {
         }
     }
 
-    fn solve(
+    fn solve_on(
         &self,
         ts: &TaskSet,
-        m: usize,
+        spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
+        let PlatformSpec::Identical { m } = *spec else {
+            return Ok(SolveResult::stopped(
+                StopReason::Unsupported,
+                Duration::ZERO,
+            ));
+        };
         solve_csp2_generic_cancellable(
             ts,
             m,
@@ -764,13 +690,19 @@ impl FeasibilitySolver for LocalSearchEngine {
         }
     }
 
-    fn solve(
+    fn solve_on(
         &self,
         ts: &TaskSet,
-        m: usize,
+        spec: &PlatformSpec,
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
+        let PlatformSpec::Identical { m } = *spec else {
+            return Ok(SolveResult::stopped(
+                StopReason::Unsupported,
+                Duration::ZERO,
+            ));
+        };
         let mut cfg = LocalSearchConfig {
             strategy: self.strategy,
             seed: self.seed,
@@ -1077,6 +1009,7 @@ impl EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve::Verdict;
     use crate::verify::check_identical;
 
     const ALL_SPECS: [SolverSpec; 12] = [
@@ -1221,29 +1154,30 @@ mod tests {
         let spec = PlatformSpec::Heterogeneous(
             Platform::heterogeneous(vec![vec![2, 1], vec![1, 1]]).unwrap(),
         );
-        for s in [
-            SolverSpec::Csp1,
-            SolverSpec::Csp1Sat,
-            SolverSpec::Csp2(TaskOrder::default()),
-        ] {
-            let solver = s.build();
-            assert!(solver.supports_hetero(), "{}", solver.name());
-            let res = solver
+        for s in ALL_SPECS {
+            let res = s
+                .build()
                 .solve_on(&ts, &spec, &Budget::unlimited(), &CancelToken::new())
                 .unwrap();
-            assert!(
-                res.verdict.is_feasible(),
-                "{} on hetero: {:?}",
-                solver.name(),
-                res.verdict
-            );
+            // CSP1, the SAT route and the specialized CSP2 searches have a
+            // heterogeneous variant; every other backend reports Unsupported.
+            if matches!(
+                s,
+                SolverSpec::Csp1 | SolverSpec::Csp1Sat | SolverSpec::Csp2(_)
+            ) {
+                assert!(
+                    res.verdict.is_feasible(),
+                    "{s} on hetero: {:?}",
+                    res.verdict
+                );
+            } else {
+                assert_eq!(
+                    res.verdict,
+                    Verdict::Unknown(StopReason::Unsupported),
+                    "{s}"
+                );
+            }
         }
-        // A backend without a hetero variant reports Unsupported.
-        let res = SolverSpec::Csp2Generic
-            .build()
-            .solve_on(&ts, &spec, &Budget::unlimited(), &CancelToken::new())
-            .unwrap();
-        assert_eq!(res.verdict, Verdict::Unknown(StopReason::Unsupported));
     }
 
     #[test]

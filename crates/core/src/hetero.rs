@@ -31,7 +31,7 @@ use csp_engine::{Budget, Constraint, Model, Outcome, SolverConfig};
 use rt_platform::{identical_groups, quality_order, Platform};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
-use crate::csp1::{stop_reason, Csp1Layout, NEVER_RAISED};
+use crate::csp1::{stop_reason, Csp1Config, Csp1Layout, NEVER_RAISED};
 use crate::engine::CancelToken;
 use crate::heuristics::TaskOrder;
 use crate::schedule::Schedule;
@@ -115,14 +115,15 @@ fn encode_csp1_polled(
     Ok(Some((model, layout)))
 }
 
-/// Encode + solve heterogeneous CSP1 with the generic randomized engine.
+/// Encode + solve heterogeneous CSP1 with the generic randomized engine
+/// under the same [`Csp1Config`] (seed, budgets, `n·m·H` size guard) as
+/// the identical-platform route.
 pub fn solve_csp1_hetero(
     ts: &TaskSet,
     platform: &Platform,
-    time: Option<Duration>,
-    seed: u64,
+    cfg: &Csp1Config,
 ) -> Result<SolveResult, TaskError> {
-    solve_csp1_hetero_cancellable(ts, platform, time, seed, &CancelToken::new())
+    solve_csp1_hetero_cancellable(ts, platform, cfg, &CancelToken::new())
 }
 
 /// [`solve_csp1_hetero`] with cooperative cancellation, polled at each
@@ -131,20 +132,29 @@ pub fn solve_csp1_hetero(
 pub fn solve_csp1_hetero_cancellable(
     ts: &TaskSet,
     platform: &Platform,
-    time: Option<Duration>,
-    seed: u64,
+    cfg: &Csp1Config,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
     let start = Instant::now();
+    let ji = JobInstants::new(ts)?;
+    let cells = ts.len() as u64 * platform.num_processors() as u64 * ji.hyperperiod();
+    if cells > cfg.max_cells {
+        return Ok(SolveResult::stopped(
+            StopReason::EncodingTooLarge,
+            start.elapsed(),
+        ));
+    }
     let Some((mut model, layout)) = encode_csp1_polled(ts, platform, cancel)? else {
         return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
     };
     model.set_interrupt(cancel.as_flag());
-    let mut cfg = SolverConfig::generic_randomized(seed);
-    if let Some(t) = time {
-        cfg = cfg.with_budget(Budget::time_limit(t));
-    }
-    let mut solver = model.into_solver(cfg);
+    let mut solver = model.into_solver(SolverConfig::generic_randomized(cfg.seed).with_budget(
+        Budget {
+            time: cfg.time,
+            max_decisions: cfg.max_decisions,
+            max_failures: None,
+        },
+    ));
     let outcome = solver.solve();
     let st = solver.stats();
     let stats = SolveStats {
@@ -645,7 +655,11 @@ mod tests {
             vec![vec![2, 2], vec![2, 2]],
         ] {
             let p = Platform::heterogeneous(rates.clone()).unwrap();
-            let a = solve_csp1_hetero(&ts, &p, None, 3).unwrap();
+            let cfg = Csp1Config {
+                seed: 3,
+                ..Csp1Config::default()
+            };
+            let a = solve_csp1_hetero(&ts, &p, &cfg).unwrap();
             let b = solve_csp2_hetero(&ts, &p, &Csp2HeteroConfig::default()).unwrap();
             assert_eq!(
                 a.verdict.is_feasible(),
@@ -659,6 +673,52 @@ mod tests {
                 check_heterogeneous(&ts, &p, s).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn csp1_hetero_size_guard_refuses_large_models() {
+        let ts = TaskSet::running_example();
+        let p = Platform::identical(3, 2).unwrap();
+        let cfg = Csp1Config {
+            max_cells: 5,
+            ..Csp1Config::default()
+        };
+        let res = solve_csp1_hetero(&ts, &p, &cfg).unwrap();
+        assert_eq!(res.verdict, Verdict::Unknown(StopReason::EncodingTooLarge));
+    }
+
+    #[test]
+    fn csp1_hetero_honours_the_decision_budget() {
+        let ts = TaskSet::from_ocdt(&[
+            (0, 2, 3, 4),
+            (0, 3, 4, 4),
+            (1, 2, 3, 4),
+            (0, 1, 2, 2),
+            (0, 2, 4, 4),
+            (0, 1, 3, 3),
+        ]);
+        let p = Platform::identical(6, 2).unwrap();
+        let cfg = Csp1Config {
+            max_decisions: Some(1),
+            ..Csp1Config::default()
+        };
+        let res = solve_csp1_hetero(&ts, &p, &cfg).unwrap();
+        assert!(
+            matches!(
+                res.verdict,
+                Verdict::Unknown(StopReason::DecisionLimit)
+                    | Verdict::Feasible(_)
+                    | Verdict::Infeasible
+            ),
+            "{:?}",
+            res.verdict
+        );
+        // The engine stops at the first decision past the limit.
+        assert!(
+            res.stats.decisions <= 2,
+            "{} decisions",
+            res.stats.decisions
+        );
     }
 
     #[test]

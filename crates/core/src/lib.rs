@@ -28,7 +28,7 @@
 //! * [`schedule`] / [`verify`] — the periodic schedule object of Theorem 1
 //!   and an independent checker of feasibility conditions C1–C4.
 //! * [`engine`] — the [`FeasibilitySolver`] trait unifying every backend
-//!   behind one `solve(ts, m, budget, cancel)` shape, with
+//!   behind one `solve_on(ts, &platform_spec, budget, cancel)` shape, with
 //!   [`engine::SolverSpec`] as the parseable factory.
 //! * [`portfolio`] — parallel racing of any solver roster with cooperative
 //!   cancellation: first definitive verdict wins, the rest are preempted.
@@ -77,7 +77,7 @@ pub mod verify;
 pub use engine::{
     Budget, CancelToken, EnginePool, FeasibilitySolver, Instrumented, PlatformSpec, SolverSpec,
 };
-pub use portfolio::{race, race_on, BackendReport, PortfolioResult};
+pub use portfolio::{race, BackendReport, PortfolioResult};
 pub use schedule::Schedule;
 pub use solve::{SolveResult, SolveStats, Verdict};
 pub use verify::VerifyError;

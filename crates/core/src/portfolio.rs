@@ -37,7 +37,7 @@ use rt_task::{TaskError, TaskSet};
 
 use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
 use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
-use crate::verify::{check_heterogeneous, check_identical};
+use crate::verify;
 
 /// One backend's contribution to a race.
 #[derive(Debug, Clone)]
@@ -161,20 +161,7 @@ pub fn race<S>(
 where
     S: std::ops::Deref<Target = dyn FeasibilitySolver> + Sync,
 {
-    race_on(roster, ts, &PlatformSpec::identical(m), budget)
-}
-
-/// Race `roster` on an arbitrary [`PlatformSpec`].
-pub fn race_on<S>(
-    roster: &[S],
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    budget: &Budget,
-) -> Result<PortfolioResult, TaskError>
-where
-    S: std::ops::Deref<Target = dyn FeasibilitySolver> + Sync,
-{
-    race_inner(roster, ts, spec, budget, None)
+    race_inner(roster, ts, &PlatformSpec::identical(m), budget, None)
 }
 
 /// Race `roster` under an *external* cancellation token — the entry point
@@ -249,7 +236,7 @@ where
         // as either fires or every backend has returned (the last
         // backend's [`RunningGuard`] wakes it immediately — no sleep tail
         // on the measured wall clock). Only spawned when an external token
-        // exists; `race`/`race_on` callers pay nothing.
+        // exists; `race` callers pay nothing.
         if let Some(external) = external {
             let cancel = cancel.clone();
             let running = &running;
@@ -277,36 +264,25 @@ where
                 }
             });
         }
+        let mut handles = Vec::with_capacity(roster.len());
         for (i, (solver, slot)) in roster.iter().zip(slots.iter_mut()).enumerate() {
             let cancel = cancel.clone();
             let winner = &winner;
             let running = &running;
             let wake = &wake;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 let _running_guard = RunningGuard { running, wake };
                 let res = solver.solve_on(ts, spec, budget, &cancel);
                 if let Ok(r) = &res {
                     let definitive = match &r.verdict {
                         Verdict::Feasible(s) => {
                             // Verify before the verdict may cancel others.
-                            match spec {
-                                PlatformSpec::Identical { m } => {
-                                    check_identical(ts, *m, s).unwrap_or_else(|e| {
-                                        panic!(
-                                            "portfolio backend {} returned invalid schedule: {e}",
-                                            solver.name()
-                                        )
-                                    });
-                                }
-                                PlatformSpec::Heterogeneous(p) => {
-                                    check_heterogeneous(ts, p, s).unwrap_or_else(|e| {
-                                        panic!(
-                                            "portfolio backend {} returned invalid schedule: {e}",
-                                            solver.name()
-                                        )
-                                    });
-                                }
-                            }
+                            verify::check(ts, spec, s).unwrap_or_else(|e| {
+                                panic!(
+                                    "portfolio backend {} returned invalid schedule: {e}",
+                                    solver.name()
+                                )
+                            });
                             true
                         }
                         Verdict::Infeasible => true,
@@ -321,7 +297,15 @@ where
                     }
                 }
                 *slot = Some(res);
-            });
+            }));
+        }
+        // Joined here rather than by the scope, so a backend's panic (an
+        // invalid schedule, an injected fault) reaches the caller with its
+        // own message instead of the scope's generic one.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
@@ -516,7 +500,7 @@ mod tests {
         let spec = PlatformSpec::Heterogeneous(platform);
         // Roster mixes hetero-capable and non-capable backends; the latter
         // report Unsupported and cannot win.
-        let r = race_on(
+        let r = race_cancellable(
             &roster(&[
                 SolverSpec::Csp2(crate::heuristics::TaskOrder::DeadlineMinusWcet),
                 SolverSpec::Csp1,
@@ -526,6 +510,7 @@ mod tests {
             &ts,
             &spec,
             &Budget::unlimited(),
+            &CancelToken::new(),
         )
         .unwrap();
         assert!(r.result.verdict.is_feasible());

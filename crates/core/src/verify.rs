@@ -3,12 +3,14 @@
 //! This module shares no code with any solver: it re-derives availability
 //! from the task parameters and audits a [`Schedule`] directly, so a bug in
 //! an encoder or search cannot hide behind itself. Every solver output in
-//! this workspace is expected to pass `check_identical` (or
-//! `check_heterogeneous` for rate matrices).
+//! this workspace is expected to pass [`check`], which picks
+//! `check_identical` or `check_heterogeneous` (for rate matrices) from the
+//! platform.
 
 use rt_platform::Platform;
 use rt_task::{JobInstants, TaskId, TaskSet, Time};
 
+use crate::engine::PlatformSpec;
 use crate::schedule::Schedule;
 
 /// A violated feasibility condition.
@@ -93,6 +95,15 @@ impl std::fmt::Display for VerifyError {
 }
 
 impl std::error::Error for VerifyError {}
+
+/// Check C1–C4 on the platform `spec` describes: the one verification
+/// site every accepted `Feasible` verdict passes through.
+pub fn check(ts: &TaskSet, spec: &PlatformSpec, s: &Schedule) -> Result<(), VerifyError> {
+    match spec {
+        PlatformSpec::Identical { m } => check_identical(ts, *m, s),
+        PlatformSpec::Heterogeneous(p) => check_heterogeneous(ts, p, s),
+    }
+}
 
 /// Check C1–C4 on an identical platform. C2 (one task per processor-instant)
 /// holds structurally because [`Schedule`] stores one entry per slot.

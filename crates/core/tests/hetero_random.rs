@@ -5,6 +5,7 @@
 //! (task set, rate matrix) pairs, and all schedules must satisfy the
 //! rate-weighted completion constraint (11)/(12).
 
+use mgrts_core::csp1::Csp1Config;
 use mgrts_core::csp1_sat_hetero::{solve_hetero_sat, HeteroSatConfig};
 use mgrts_core::hetero::{solve_csp1_hetero, solve_csp2_hetero, Csp2HeteroConfig};
 use mgrts_core::verify::check_heterogeneous;
@@ -31,7 +32,11 @@ fn encodings_agree_on_random_heterogeneous_instances() {
     let mut infeasible = 0;
     for (idx, p) in gen.batch(80).into_iter().enumerate() {
         let platform = rates.generate(p.taskset.len(), p.m, p.seed);
-        let a = solve_csp1_hetero(&p.taskset, &platform, None, p.seed).unwrap();
+        let cfg = Csp1Config {
+            seed: p.seed,
+            ..Csp1Config::default()
+        };
+        let a = solve_csp1_hetero(&p.taskset, &platform, &cfg).unwrap();
         let b = solve_csp2_hetero(&p.taskset, &platform, &Csp2HeteroConfig::default()).unwrap();
         let c = solve_hetero_sat(&p.taskset, &platform, &HeteroSatConfig::default()).unwrap();
         assert_eq!(

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example heterogeneous`
 
+use mgrts::mgrts_core::csp1::Csp1Config;
 use mgrts::mgrts_core::csp1_sat_hetero::{solve_hetero_sat, HeteroSatConfig};
 use mgrts::mgrts_core::hetero::{solve_csp1_hetero, solve_csp2_hetero, Csp2HeteroConfig};
 use mgrts::mgrts_core::verify::check_heterogeneous;
@@ -51,7 +52,11 @@ fn main() {
     }
 
     println!("== heterogeneous CSP1 on the generic solver (cross-check) ==");
-    let res1 = solve_csp1_hetero(&ts, &platform, None, 7).unwrap();
+    let cfg = Csp1Config {
+        seed: 7,
+        ..Csp1Config::default()
+    };
+    let res1 = solve_csp1_hetero(&ts, &platform, &cfg).unwrap();
     match res1.verdict.schedule() {
         Some(s) => {
             check_heterogeneous(&ts, &platform, s).expect("constraint (11) holds");
