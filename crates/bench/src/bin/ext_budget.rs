@@ -10,26 +10,30 @@
 //!
 //! Run with: `cargo run --release -p mgrts-bench --bin ext_budget -- [flags]`
 
-use mgrts_bench::Args;
-use mgrts_core::csp2::{Csp2Budget, Csp2Solver};
+use mgrts_bench::runner::run;
+use mgrts_bench::{Args, InstanceOutcome};
+use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec, SolverSpec};
 use mgrts_core::heuristics::TaskOrder;
 use rt_gen::{GeneratorConfig, ProblemGenerator};
 use rt_prob::{quantile_budgets, with_budgets, ExecModel};
 use rt_task::TaskSet;
 
-fn feasible(ts: &TaskSet, m: usize, args: &Args) -> Option<bool> {
-    let res = Csp2Solver::new(ts, m)
-        .unwrap()
-        .with_order(TaskOrder::DeadlineMinusWcet)
-        .with_budget(Csp2Budget {
-            time: Some(args.time_limit),
-            max_decisions: None,
-        })
-        .solve();
-    if res.verdict.is_unknown() {
-        None
-    } else {
-        Some(res.verdict.is_feasible())
+/// The exact verdict of `engine` on `m` identical processors: `Some(true)`
+/// feasible, `Some(false)` infeasible, `None` past the time limit.
+fn feasible(engine: &dyn FeasibilitySolver, ts: &TaskSet, m: usize, args: &Args) -> Option<bool> {
+    let budget = Budget::time_limit(args.time_limit);
+    match run(
+        ts,
+        &PlatformSpec::identical(m),
+        engine,
+        &budget,
+        &CancelToken::new(),
+    )
+    .0
+    {
+        InstanceOutcome::Solved => Some(true),
+        InstanceOutcome::ProvedInfeasible => Some(false),
+        _ => None,
     }
 }
 
@@ -40,10 +44,11 @@ fn main() {
         args.instances, args.seed
     );
     let gen = ProblemGenerator::new(GeneratorConfig::table1(), args.seed);
+    let exact = SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet).build();
     // Collect instances that are decidedly infeasible at WCET budgets.
     let mut infeasible = Vec::new();
     for p in gen.batch(args.instances) {
-        if feasible(&p.taskset, p.m, &args) == Some(false) {
+        if feasible(&*exact, &p.taskset, p.m, &args) == Some(false) {
             infeasible.push(p);
         }
     }
@@ -66,7 +71,7 @@ fn main() {
             let Ok(resized) = with_budgets(&p.taskset, &budgets) else {
                 continue;
             };
-            if feasible(&resized, p.m, &args) == Some(true) {
+            if feasible(&*exact, &resized, p.m, &args) == Some(true) {
                 recovered += 1;
             }
         }

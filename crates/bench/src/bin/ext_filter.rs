@@ -10,8 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use mgrts_bench::Args;
-use mgrts_core::csp2::{Csp2Budget, Csp2Solver};
+use mgrts_bench::runner::run;
+use mgrts_bench::{Args, InstanceOutcome};
+use mgrts_core::engine::{Budget, CancelToken, PlatformSpec, SolverSpec};
 use mgrts_core::heuristics::TaskOrder;
 use rt_analysis::{analyze, TestOutcome};
 use rt_gen::{GeneratorConfig, ProblemGenerator};
@@ -24,6 +25,8 @@ fn main() {
     );
     let gen = ProblemGenerator::new(GeneratorConfig::table1(), args.seed);
     let problems = gen.batch(args.instances);
+    let exact = SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet).build();
+    let budget = Budget::time_limit(args.time_limit);
 
     let mut decided_by: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut feasible = 0u64;
@@ -44,18 +47,20 @@ fn main() {
                     infeasible += 1;
                 }
                 // Audit against the exact solver (budgeted; skip overruns).
-                let exact = Csp2Solver::new(&p.taskset, p.m)
-                    .unwrap()
-                    .with_order(TaskOrder::DeadlineMinusWcet)
-                    .with_budget(Csp2Budget {
-                        time: Some(args.time_limit),
-                        max_decisions: None,
-                    })
-                    .solve();
-                if !exact.verdict.is_unknown() {
+                let (verdict, _, _) = run(
+                    &p.taskset,
+                    &PlatformSpec::identical(p.m),
+                    &*exact,
+                    &budget,
+                    &CancelToken::new(),
+                );
+                if matches!(
+                    verdict,
+                    InstanceOutcome::Solved | InstanceOutcome::ProvedInfeasible
+                ) {
                     audited += 1;
                     let claim_feasible = report.verdict() == TestOutcome::Feasible;
-                    if claim_feasible != exact.verdict.is_feasible() {
+                    if claim_feasible != (verdict == InstanceOutcome::Solved) {
                         audit_failures += 1;
                         eprintln!("AUDIT FAILURE on seed {}", p.seed);
                     }

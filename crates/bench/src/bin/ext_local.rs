@@ -10,11 +10,10 @@
 //!
 //! Run with: `cargo run --release -p mgrts-bench --bin ext_local -- [flags]`
 
-use mgrts_bench::Args;
-use mgrts_core::csp2::{Csp2Budget, Csp2Solver};
+use mgrts_bench::runner::run;
+use mgrts_bench::{Args, InstanceOutcome};
+use mgrts_core::engine::{Budget, CancelToken, PlatformSpec, SolverSpec};
 use mgrts_core::heuristics::TaskOrder;
-use mgrts_core::local_search::{solve_local_search, LocalSearchConfig, LsStrategy};
-use mgrts_core::verify::check_identical;
 use rt_gen::{GeneratorConfig, ProblemGenerator};
 
 fn main() {
@@ -24,33 +23,34 @@ fn main() {
         args.instances, args.seed
     );
     let gen = ProblemGenerator::new(GeneratorConfig::table1(), args.seed);
+    let exact = SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet).build();
+    let exact_budget = Budget::time_limit(args.time_limit);
     let mut feasible = Vec::new();
     for p in gen.batch(args.instances) {
-        let res = Csp2Solver::new(&p.taskset, p.m)
-            .unwrap()
-            .with_order(TaskOrder::DeadlineMinusWcet)
-            .with_budget(Csp2Budget {
-                time: Some(args.time_limit),
-                max_decisions: None,
-            })
-            .solve();
-        if res.verdict.is_feasible() {
+        let spec = PlatformSpec::identical(p.m);
+        let (verdict, _, _) = run(
+            &p.taskset,
+            &spec,
+            &*exact,
+            &exact_budget,
+            &CancelToken::new(),
+        );
+        if verdict == InstanceOutcome::Solved {
             feasible.push(p);
         }
     }
     eprintln!("{} feasible instances form the benchmark", feasible.len());
 
-    let strategies: [(&str, LsStrategy); 3] = [
-        ("min-conflicts", LsStrategy::MinConflicts),
-        ("tabu(10)", LsStrategy::Tabu { tenure: 10 }),
-        (
-            "annealing",
-            LsStrategy::Annealing {
-                t0: 2.0,
-                cooling: 0.9995,
-            },
-        ),
+    // Tabu tenure 10; annealing from t0 = 2.0, cooling 0.9995 per move.
+    let strategies = [
+        ("min-conflicts", SolverSpec::Local),
+        ("tabu(10)", SolverSpec::LocalTabu),
+        ("annealing", SolverSpec::LocalSa),
     ];
+    let move_budget = Budget {
+        max_decisions: Some(100_000),
+        ..Budget::default()
+    };
 
     println!(
         "\nLOCAL-SEARCH ABLATION on {} feasible instances\n",
@@ -64,17 +64,16 @@ fn main() {
         let mut solved = 0u64;
         let mut moves = 0u64;
         for p in &feasible {
-            let cfg = LocalSearchConfig {
-                strategy,
-                max_iters: 100_000,
-                seed: p.seed,
-                ..LocalSearchConfig::default()
-            };
-            let res = solve_local_search(&p.taskset, p.m, &cfg).unwrap();
-            if let Some(s) = res.verdict.schedule() {
-                check_identical(&p.taskset, p.m, s).expect("local search schedule invalid");
+            let (verdict, _, search) = run(
+                &p.taskset,
+                &PlatformSpec::identical(p.m),
+                &*strategy.build_seeded(p.seed),
+                &move_budget,
+                &CancelToken::new(),
+            );
+            if verdict == InstanceOutcome::Solved {
                 solved += 1;
-                moves += res.stats.decisions;
+                moves += search.map_or(0, |s| s.decisions);
             }
         }
         let pct = 100.0 * solved as f64 / feasible.len().max(1) as f64;

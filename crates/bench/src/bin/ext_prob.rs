@@ -10,8 +10,9 @@
 //! Run with: `cargo run --release -p mgrts-bench --bin ext_prob -- [flags]`
 
 use mgrts_bench::Args;
-use mgrts_core::csp2::{Csp2Budget, Csp2Solver};
+use mgrts_core::engine::{Budget, CancelToken, PlatformSpec, SolverSpec};
 use mgrts_core::heuristics::TaskOrder;
+use mgrts_core::verify;
 use rt_gen::{GeneratorConfig, ProblemGenerator};
 use rt_prob::{analyze_all, hyperperiod_miss_probability, ExecModel, McConfig};
 
@@ -23,20 +24,20 @@ fn main() {
         args.seed
     );
     let gen = ProblemGenerator::new(GeneratorConfig::table1(), args.seed);
+    let exact = SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet).build();
+    let budget = Budget::time_limit(args.time_limit);
     let mut schedules = Vec::new();
     for p in gen.batch(args.instances) {
         if schedules.len() >= want {
             break;
         }
-        let res = Csp2Solver::new(&p.taskset, p.m)
-            .unwrap()
-            .with_order(TaskOrder::DeadlineMinusWcet)
-            .with_budget(Csp2Budget {
-                time: Some(args.time_limit),
-                max_decisions: None,
-            })
-            .solve();
+        let spec = PlatformSpec::identical(p.m);
+        let res = exact
+            .solve_on(&p.taskset, &spec, &budget, &CancelToken::new())
+            .expect("generated instances are valid task sets");
         if let Some(s) = res.verdict.schedule() {
+            verify::check(&p.taskset, &spec, s)
+                .unwrap_or_else(|e| panic!("CSP2+(D-C) produced an invalid schedule: {e}"));
             schedules.push((p.taskset.clone(), s.clone()));
         }
     }

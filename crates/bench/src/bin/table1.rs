@@ -18,9 +18,9 @@
 //!
 //! Run with: `cargo run --release -p mgrts-bench --bin table1 -- [flags]`
 
-use mgrts_bench::campaign::{self, CampaignOptions, Manifest};
+use mgrts_bench::campaign::{report_table1, Manifest};
+use mgrts_bench::cli::run_and_report;
 use mgrts_bench::Args;
-use mgrts_core::engine::CancelGroup;
 
 fn main() {
     let args = Args::parse();
@@ -29,25 +29,5 @@ fn main() {
         args.instances, args.time_limit, args.seed
     );
     let m = Manifest::table1("table1", args.instances, args.seed, args.time_limit);
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "target/campaigns/table1".into());
-    let opts = CampaignOptions {
-        threads: args.threads,
-        progress: true,
-        max_shards: None,
-    };
-    campaign::run_fresh(&m, &out_dir, &opts, &CancelGroup::new()).expect("campaign run");
-    let records = mgrts_bench::sink::load_records(&out_dir).expect("load records");
-    if let Some(path) = &args.json {
-        let runs: Vec<_> = records
-            .iter()
-            .map(mgrts_bench::sink::CampaignRecord::to_run_record)
-            .collect();
-        mgrts_bench::runner::save_records(&runs, path).expect("write records");
-        eprintln!("raw records written to {}", path.display());
-    }
-    print!("{}", campaign::report_table1(&m, &records));
-    eprintln!("record store: {}", out_dir.display());
+    run_and_report(&args, &m, usize::MAX, report_table1);
 }

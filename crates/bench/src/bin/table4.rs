@@ -15,9 +15,9 @@
 //!
 //! Run with: `cargo run --release -p mgrts-bench --bin table4 -- [flags]`
 
-use mgrts_bench::campaign::{self, CampaignOptions, Manifest};
+use mgrts_bench::campaign::{report_table4, Manifest};
+use mgrts_bench::cli::run_and_report;
 use mgrts_bench::Args;
-use mgrts_core::engine::CancelGroup;
 
 const NS: [usize; 7] = [4, 8, 16, 32, 64, 128, 256];
 
@@ -31,29 +31,9 @@ fn main() {
         args.instances, args.time_limit, args.seed
     );
     let m = Manifest::table4(&NS, args.instances, args.seed, args.time_limit);
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "target/campaigns/table4".into());
     // Large-n instances allocate hundreds of MB of search state each, and
     // the flat shard queue reaches the n ≥ 64 cells with every worker
     // active — cap at 2 workers (the old per-n ladder's large-n limit) so
     // peak memory stays bounded.
-    let opts = CampaignOptions {
-        threads: args.threads.min(2),
-        progress: true,
-        max_shards: None,
-    };
-    campaign::run_fresh(&m, &out_dir, &opts, &CancelGroup::new()).expect("campaign run");
-    let records = mgrts_bench::sink::load_records(&out_dir).expect("load records");
-    if let Some(path) = &args.json {
-        let runs: Vec<_> = records
-            .iter()
-            .map(mgrts_bench::sink::CampaignRecord::to_run_record)
-            .collect();
-        mgrts_bench::runner::save_records(&runs, path).expect("write records");
-        eprintln!("raw records written to {}", path.display());
-    }
-    print!("{}", campaign::report_table4(&m, &records));
-    eprintln!("record store: {}", out_dir.display());
+    run_and_report(&args, &m, 2, report_table4);
 }

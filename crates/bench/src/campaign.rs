@@ -21,7 +21,7 @@
 //!    that seeds the perf trajectory ([`gate`] compares two of them in
 //!    CI).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -55,6 +55,10 @@ pub enum CampaignError {
     Manifest(String),
     /// Record-store inconsistency (wrong manifest, impossible band, …).
     Store(String),
+    /// Two runs of one unit split Solved / ProvedInfeasible: the rendered
+    /// summary followed by every conflicting unit (see
+    /// [`verdict_conflicts`]).
+    Conflicts(String),
 }
 
 impl std::fmt::Display for CampaignError {
@@ -63,6 +67,7 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Io(e) => write!(f, "campaign I/O: {e}"),
             CampaignError::Manifest(e) => write!(f, "manifest: {e}"),
             CampaignError::Store(e) => write!(f, "record store: {e}"),
+            CampaignError::Conflicts(e) => write!(f, "{e}"),
         }
     }
 }
@@ -887,6 +892,7 @@ fn execute(
         &format!("BENCH_{}.json", manifest.name),
         &serde_json::to_string_pretty(&summary).map_err(std::io::Error::other)?,
     )?;
+    check_verdicts(&records, &summary)?;
     Ok(CampaignOutcome {
         summary,
         shards_committed,
@@ -1300,6 +1306,7 @@ pub fn report_store(store: &dyn RecordStore, kind: ReportKind) -> Result<String,
             let done = store.done_shards()?;
             let shards = manifest.plan().len() as u64;
             let summary = summarize(&manifest, &records, shards, done.len() as u64, 0);
+            check_verdicts(&records, &summary)?;
             render_summary(&summary)
         }
     })
@@ -1344,12 +1351,11 @@ pub fn report_profile(manifest: &Manifest, records: &[CampaignRecord]) -> String
 /// per-solver grouping is meaningless there — see `report winners`).
 #[must_use]
 pub fn report_table1(manifest: &Manifest, records: &[CampaignRecord]) -> String {
-    let runs: Vec<_> = records.iter().map(CampaignRecord::to_run_record).collect();
     let total = manifest.cells.len() as u64 * manifest.instances_per_cell;
     format!(
         "\nTABLE I — number of runs reaching the time limit\n\n{}\n\nTABLE II — unsolved runs reaching the limit, by r > 1 filter\n\n{}",
-        tables::table1(&runs, &manifest.roster, total),
-        tables::table2(&runs, &manifest.roster)
+        tables::table1(records, &manifest.roster, total),
+        tables::table2(records, &manifest.roster)
     )
 }
 
@@ -1358,10 +1364,9 @@ pub fn report_table1(manifest: &Manifest, records: &[CampaignRecord]) -> String 
 /// columns.)
 #[must_use]
 pub fn report_table3(_manifest: &Manifest, records: &[CampaignRecord]) -> String {
-    let runs: Vec<_> = records.iter().map(CampaignRecord::to_run_record).collect();
     format!(
         "\nTABLE III — instance distribution and mean resolution time by r\n\n{}",
-        tables::table3(&runs)
+        tables::table3(records)
     )
 }
 
@@ -1534,25 +1539,10 @@ pub fn parity(race_dir: &Path, single_dir: &Path) -> Result<GateReport, Campaign
     }
     let race_records = race_store.load_records()?;
     let single_records = single_store.load_records()?;
-    // One pass over the (large) single-solver set: per (cell, instance),
-    // did any run solve / prove infeasible? A unit with no entry at all
-    // is a coverage failure — comparing against a partially-drained
-    // single-solver store must not silently pass.
-    #[derive(Default, Clone, Copy)]
-    struct SingleBest {
-        solved: bool,
-        infeasible: bool,
-    }
-    let mut single_best: std::collections::HashMap<(usize, u64), SingleBest> =
-        std::collections::HashMap::new();
-    for r in &single_records {
-        let entry = single_best.entry((r.cell, r.instance)).or_default();
-        match r.outcome {
-            InstanceOutcome::Solved => entry.solved = true,
-            InstanceOutcome::ProvedInfeasible => entry.infeasible = true,
-            _ => {}
-        }
-    }
+    // A unit with no single-solver entry at all is a coverage failure —
+    // comparing against a partially-drained single-solver store must not
+    // silently pass.
+    let single_best = decided_units(&single_records);
     let mut straddles = 0u64;
     for r in &race_records {
         let key = format!("cell {} instance {}", r.cell, r.instance);
@@ -1618,6 +1608,79 @@ pub fn parity(race_dir: &Path, single_dir: &Path) -> Result<GateReport, Campaign
     let mut lines = failures;
     lines.extend(notes);
     Ok(GateReport { ok, lines })
+}
+
+/// Per-`(cell, instance)` verdicts of a record set: did any of the unit's
+/// runs solve it, did any prove it infeasible?
+#[derive(Debug, Default, Clone, Copy)]
+struct Decided {
+    solved: bool,
+    infeasible: bool,
+}
+
+/// Fold `records` into one [`Decided`] per `(cell, instance)` that has a
+/// record.
+fn decided_units(records: &[CampaignRecord]) -> HashMap<(usize, u64), Decided> {
+    let mut units: HashMap<(usize, u64), Decided> = HashMap::new();
+    for r in records {
+        let entry = units.entry((r.cell, r.instance)).or_default();
+        match r.outcome {
+            InstanceOutcome::Solved => entry.solved = true,
+            InstanceOutcome::ProvedInfeasible => entry.infeasible = true,
+            _ => {}
+        }
+    }
+    units
+}
+
+/// Every `(cell, instance)` on which one run of `records` found a verified
+/// schedule and another proved infeasibility — a soundness bug in an exact
+/// backend. One line per unit, in unit order, naming the backends on each
+/// side. Budget outcomes (overrun, too large, …) never conflict.
+#[must_use]
+pub fn verdict_conflicts(records: &[CampaignRecord]) -> Vec<String> {
+    let mut split: Vec<(usize, u64)> = decided_units(records)
+        .into_iter()
+        .filter(|(_, d)| d.solved && d.infeasible)
+        .map(|(unit, _)| unit)
+        .collect();
+    split.sort_unstable();
+    split
+        .into_iter()
+        .map(|(cell, instance)| {
+            let by = |o: InstanceOutcome| {
+                records
+                    .iter()
+                    .filter(|r| r.cell == cell && r.instance == instance && r.outcome == o)
+                    .map(|r| r.solver.name())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            };
+            format!(
+                "cell {cell} instance {instance}: Solved by {}, ProvedInfeasible by {}",
+                by(InstanceOutcome::Solved),
+                by(InstanceOutcome::ProvedInfeasible)
+            )
+        })
+        .collect()
+}
+
+/// Refuse a record set with [`verdict_conflicts`]: the error carries the
+/// rendered `summary` and one line per conflicting unit.
+fn check_verdicts(records: &[CampaignRecord], summary: &Summary) -> Result<(), CampaignError> {
+    let conflicts = verdict_conflicts(records);
+    if conflicts.is_empty() {
+        return Ok(());
+    }
+    let mut text = render_summary(summary);
+    for c in &conflicts {
+        text.push_str(&format!("VERDICT CONFLICT {c}\n"));
+    }
+    text.push_str(&format!(
+        "{} unit(s) split Solved / ProvedInfeasible between backends",
+        conflicts.len()
+    ));
+    Err(CampaignError::Conflicts(text))
 }
 
 /// Text rendering of a [`Summary`].
@@ -1838,6 +1901,35 @@ solvers = ["csp2-dc", "sat"]
             t1.plan().iter().map(|s| s.hash.clone()).collect::<Vec<_>>(),
         );
         assert_eq!(smoke.roster.len(), 6, "all six roster solvers");
+    }
+
+    #[test]
+    fn ext_sat_manifest_is_the_smoke_workload_with_the_sat_roster() {
+        let load = |name: &str| {
+            Manifest::load(
+                &Path::new(env!("CARGO_MANIFEST_DIR"))
+                    .join(format!("../../bench/manifests/{name}.toml")),
+            )
+            .unwrap()
+        };
+        let (smoke, ext) = (load("smoke"), load("ext_sat"));
+        assert_eq!(
+            ext.roster,
+            [
+                SolverSpec::Csp1,
+                SolverSpec::Csp2(mgrts_core::heuristics::TaskOrder::DeadlineMinusWcet),
+                SolverSpec::Csp1Sat
+            ]
+        );
+        assert_eq!(
+            Manifest {
+                name: smoke.name.clone(),
+                roster: smoke.roster.clone(),
+                ..ext
+            },
+            smoke,
+            "same seed, limit, instances, shards and Table I cell as smoke.toml"
+        );
     }
 
     #[test]
@@ -2132,6 +2224,97 @@ solvers = ["csp2-dc", "sat"]
                 r.ratio
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A hand-made single-policy record of unit `(cell, instance)`.
+    fn unit_record(
+        cell: usize,
+        instance: u64,
+        solver: &str,
+        outcome: InstanceOutcome,
+    ) -> CampaignRecord {
+        CampaignRecord {
+            shard: String::new(),
+            cell,
+            instance,
+            global_instance: cell as u64 * 3 + instance,
+            solver: solver.parse().unwrap(),
+            outcome,
+            time_us: 1000,
+            ratio: 0.9,
+            filtered: false,
+            m: 2,
+            n: 3,
+            t_max: 4,
+            hetero: false,
+            hyperperiod: 12,
+            seed: 7,
+            policy: Some(crate::policy::PolicyKind::Single),
+            winner: None,
+            budget_source: Some(crate::policy::BudgetSource::Manifest),
+            cancel_latency_us: None,
+            backends: None,
+            search: None,
+        }
+    }
+
+    #[test]
+    fn verdict_conflicts_name_each_split_unit() {
+        let records = [
+            unit_record(0, 2, "csp1", InstanceOutcome::Solved),
+            unit_record(0, 2, "csp2-dc", InstanceOutcome::ProvedInfeasible),
+            unit_record(0, 2, "sat", InstanceOutcome::ProvedInfeasible),
+            // Same instance index in another cell: a different unit.
+            unit_record(1, 2, "csp1", InstanceOutcome::Solved),
+        ];
+        assert_eq!(
+            verdict_conflicts(&records),
+            ["cell 0 instance 2: Solved by csp1, ProvedInfeasible by csp2-dc, sat"]
+        );
+    }
+
+    #[test]
+    fn overrun_next_to_a_verdict_is_not_a_conflict() {
+        let records = [
+            unit_record(0, 0, "csp1", InstanceOutcome::Overrun),
+            unit_record(0, 0, "csp2-dc", InstanceOutcome::Solved),
+            unit_record(0, 1, "csp1", InstanceOutcome::TooLarge),
+            unit_record(0, 1, "csp2-dc", InstanceOutcome::ProvedInfeasible),
+        ];
+        assert!(verdict_conflicts(&records).is_empty());
+    }
+
+    #[test]
+    fn summary_report_fails_on_a_verdict_split() {
+        let manifest = Manifest::parse(SMOKE).unwrap();
+        let dir = tmp("conflict");
+        let store = LocalStore::open(&dir).unwrap();
+        store.write_manifest(&manifest.to_toml()).unwrap();
+        let shard = &manifest.plan()[0];
+        let records: Vec<CampaignRecord> = [
+            ("csp2-dc", InstanceOutcome::Solved),
+            ("sat", InstanceOutcome::ProvedInfeasible),
+        ]
+        .into_iter()
+        .map(|(solver, outcome)| CampaignRecord {
+            shard: shard.hash.clone(),
+            ..unit_record(0, 0, solver, outcome)
+        })
+        .collect();
+        store
+            .open_writer("")
+            .unwrap()
+            .commit_shard(shard, &records)
+            .unwrap();
+        let err = report(&dir, ReportKind::Summary).unwrap_err().to_string();
+        assert!(err.contains("campaign unit"), "{err}");
+        assert!(
+            err.contains(
+                "VERDICT CONFLICT cell 0 instance 0: Solved by csp2-dc, ProvedInfeasible by sat"
+            ),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

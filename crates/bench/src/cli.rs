@@ -1,8 +1,14 @@
 //! Minimal flag parsing shared by the experiment binaries (kept
-//! dependency-free: the offline crate set has no CLI parser).
+//! dependency-free: the offline crate set has no CLI parser), and the
+//! run-then-report body of the `table*` binaries.
 
 use std::path::PathBuf;
 use std::time::Duration;
+
+use mgrts_core::engine::CancelGroup;
+
+use crate::campaign::{self, CampaignOptions, Manifest};
+use crate::sink::{self, CampaignRecord};
 
 /// Common experiment options.
 #[derive(Debug, Clone)]
@@ -18,9 +24,6 @@ pub struct Args {
     pub seed: u64,
     /// Worker threads.
     pub threads: usize,
-    /// Optional path for the raw per-run records as JSON (re-aggregation
-    /// without re-solving).
-    pub json: Option<PathBuf>,
     /// Record-store directory for the campaign engine (default
     /// `target/campaigns/<name>`).
     pub out: Option<PathBuf>,
@@ -35,7 +38,6 @@ impl Default for Args {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            json: None,
             out: None,
         }
     }
@@ -66,11 +68,10 @@ impl Args {
                 }
                 "--seed" => args.seed = value("--seed").parse().expect("u64"),
                 "--threads" => args.threads = value("--threads").parse().expect("usize"),
-                "--json" => args.json = Some(PathBuf::from(value("--json"))),
                 "--out" => args.out = Some(PathBuf::from(value("--out"))),
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --instances N  --time-limit-ms MS  --seed S  --threads T  --json FILE  --out DIR"
+                        "flags: --instances N  --time-limit-ms MS  --seed S  --threads T  --out DIR"
                     );
                     std::process::exit(0);
                 }
@@ -79,6 +80,38 @@ impl Args {
         }
         args
     }
+}
+
+/// Run `manifest` from scratch into the `--out` store (default
+/// `target/campaigns/<name>`) on at most `max_threads` workers, then print
+/// `report` over the store's records. The store stays behind, so
+/// `mgrts bench campaign resume --out <store>` continues a killed run and
+/// `mgrts bench campaign report` re-renders a finished one.
+///
+/// # Panics
+///
+/// When the campaign fails, including on a verdict conflict between two
+/// backends ([`campaign::verdict_conflicts`]).
+pub fn run_and_report(
+    args: &Args,
+    manifest: &Manifest,
+    max_threads: usize,
+    report: fn(&Manifest, &[CampaignRecord]) -> String,
+) {
+    let out_dir = args
+        .out
+        .clone()
+        .unwrap_or_else(|| PathBuf::from(format!("target/campaigns/{}", manifest.name)));
+    let opts = CampaignOptions {
+        threads: args.threads.min(max_threads),
+        progress: true,
+        max_shards: None,
+    };
+    campaign::run_fresh(manifest, &out_dir, &opts, &CancelGroup::new())
+        .unwrap_or_else(|e| panic!("campaign run: {e}"));
+    let records = sink::load_records(&out_dir).expect("load records");
+    print!("{}", report(manifest, &records));
+    eprintln!("record store: {}", out_dir.display());
 }
 
 #[cfg(test)]

@@ -37,9 +37,16 @@
 //! * `table4` — Table IV (scaling with n ∈ {4 … 256}, Tmax = 15,
 //!   m = ⌈U⌉).
 //!
+//! Every solver-roster experiment runs through the campaign store: the
+//! SAT route as a seventh Table I column is `bench/manifests/ext_sat.toml`
+//! plus `campaign report summary`. The `ext_*` binaries are the analyses
+//! that are not roster × grid campaigns (analytic filters, quantile
+//! budgets, probabilistic schedule analysis, local-search ablation); they
+//! solve through [`runner::run`] too.
+//!
 //! Shared machinery lives here: the per-instance runner
-//! ([`runner::run`]), the campaign executor, and plain-text table
-//! formatting. All runs are deterministic given the manifest seed;
+//! ([`runner::run`]), the campaign executor, the `table*` binaries' body
+//! ([`cli::run_and_report`]), and plain-text table formatting. All runs are deterministic given the manifest seed;
 //! wall-clock *classifications* (overrun vs solved) depend on the machine,
 //! exactly as in the paper.
 
@@ -56,4 +63,4 @@ pub mod tables;
 pub use cli::Args;
 pub use mgrts_core::engine::SolverSpec;
 pub use policy::{ExecutionPolicy, PolicyKind, PolicyMode, PolicySpec};
-pub use runner::{run_corpus, InstanceOutcome, RunRecord};
+pub use runner::InstanceOutcome;

@@ -320,6 +320,37 @@ pub struct UnitExecution {
     pub search: Option<mgrts_obs::SearchStats>,
 }
 
+impl UnitExecution {
+    /// A single-solver unit from the `(outcome, time_us, search)` that
+    /// [`runner::run`] returns.
+    #[must_use]
+    pub fn single(
+        (outcome, time_us, search): (InstanceOutcome, u64, Option<mgrts_obs::SearchStats>),
+    ) -> Self {
+        UnitExecution {
+            outcome,
+            time_us,
+            winner: None,
+            cancel_latency_us: None,
+            backends: None,
+            search,
+        }
+    }
+
+    /// A portfolio-race unit from its [`RaceRun`].
+    #[must_use]
+    pub fn race(run: RaceRun) -> Self {
+        UnitExecution {
+            outcome: classify(&run.verdict),
+            time_us: run.elapsed_us,
+            winner: run.winner,
+            cancel_latency_us: run.cancel_latency_us,
+            backends: Some(run.backends),
+            search: run.search,
+        }
+    }
+}
+
 /// A pluggable cell executor: decides, per campaign unit, *what runs and
 /// with what budget*. One policy object serves a whole executor / worker
 /// process; implementations are immutable and shared across threads.
@@ -388,15 +419,7 @@ impl ExecutionPolicy for SingleSolver {
         cancel: &CancelToken,
     ) -> UnitExecution {
         let engine = self.pool.get(self.roster[unit_solver], p.seed);
-        let (outcome, time_us, search) = runner::run(&p.taskset, spec, &*engine, budget, cancel);
-        UnitExecution {
-            outcome,
-            time_us,
-            winner: None,
-            cancel_latency_us: None,
-            backends: None,
-            search,
-        }
+        UnitExecution::single(runner::run(&p.taskset, spec, &*engine, budget, cancel))
     }
 }
 
@@ -432,16 +455,10 @@ impl ExecutionPolicy for PortfolioRace {
         // Engines come from the shared pool — constructed once per
         // (spec, seed), reused by every subsequent unit and request.
         let roster = self.pool.roster(&self.roster, p.seed);
-        let run = race_roster(&roster, &p.taskset, spec, budget, cancel)
-            .expect("valid constrained instance");
-        UnitExecution {
-            outcome: classify(&run.verdict),
-            time_us: run.elapsed_us,
-            winner: run.winner,
-            cancel_latency_us: run.cancel_latency_us,
-            backends: Some(run.backends),
-            search: run.search,
-        }
+        UnitExecution::race(
+            race_roster(&roster, &p.taskset, spec, budget, cancel)
+                .expect("valid constrained instance"),
+        )
     }
 }
 

@@ -1,14 +1,10 @@
-//! The instance runner: one verified solve, parallel execution, raw records.
+//! The instance runner: one verified solve and its classified outcome.
 
-use std::time::Duration;
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec, SolverSpec};
+use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
 use mgrts_core::solve::{StopReason, Verdict};
 use mgrts_core::verify;
-use rt_gen::Problem;
 use rt_task::TaskSet;
 
 /// Classified outcome of one (instance, solver) run.
@@ -34,23 +30,6 @@ pub enum InstanceOutcome {
     Failed,
 }
 
-/// One row of raw experimental data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunRecord {
-    /// Instance index in the generator stream.
-    pub instance: u64,
-    /// Which solver ran.
-    pub solver: SolverSpec,
-    /// Classified outcome.
-    pub outcome: InstanceOutcome,
-    /// Wall-clock solve time (µs). For overruns this is ≈ the time limit.
-    pub time_us: u64,
-    /// Utilization ratio r = U/m of the instance.
-    pub ratio: f64,
-    /// Whether the instance is pruned by the r > 1 filter (Table II).
-    pub filtered: bool,
-}
-
 /// Map a solver verdict onto the recorded outcome taxonomy (shared by the
 /// single-solver runner and the portfolio-race policy).
 pub(crate) fn classify(verdict: &Verdict) -> InstanceOutcome {
@@ -65,8 +44,8 @@ pub(crate) fn classify(verdict: &Verdict) -> InstanceOutcome {
 }
 
 /// Run a prebuilt engine on one instance over `spec` — the single-solver
-/// path of the campaign policies, the serve workers and [`run_corpus`].
-/// Every produced schedule is verified against the
+/// path of the campaign policies, the serve workers and the extension
+/// binaries. Every produced schedule is verified against the
 /// independent C1–C4 checker ([`verify::check`]); an engine error or an
 /// invalid schedule is a bug and panics with the backend's name. Returns
 /// the classified outcome, the solve's wall clock (µs) and its search
@@ -89,88 +68,16 @@ pub fn run(
     (classify(&res.verdict), res.stats.elapsed_us, res.search)
 }
 
-/// Write raw records as JSON to `path` (the `--json` flag of the
-/// experiment binaries).
-pub fn save_records(records: &[RunRecord], path: &std::path::Path) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), records)
-        .map_err(std::io::Error::other)?;
-    Ok(())
-}
-
-/// Run a roster of solvers over a problem stream in parallel. Results come
-/// back sorted by (instance, roster position) regardless of scheduling.
-#[must_use]
-pub fn run_corpus(
-    problems: &[Problem],
-    roster: &[SolverSpec],
-    time_limit: Duration,
-    threads: usize,
-    progress: bool,
-) -> Vec<RunRecord> {
-    let jobs: Vec<(u64, SolverSpec)> = (0..problems.len() as u64)
-        .flat_map(|i| roster.iter().map(move |&s| (i, s)))
-        .collect();
-    let next = Mutex::new(0usize);
-    let records = Mutex::new(Vec::with_capacity(jobs.len()));
-    let done = Mutex::new(0usize);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|_| loop {
-                let idx = {
-                    let mut n = next.lock();
-                    if *n >= jobs.len() {
-                        break;
-                    }
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                let (inst, solver) = jobs[idx];
-                let p = &problems[inst as usize];
-                let (outcome, time_us, _) = run(
-                    &p.taskset,
-                    &PlatformSpec::identical(p.m),
-                    &*solver.build_seeded(p.seed),
-                    &Budget::time_limit(time_limit),
-                    &CancelToken::new(),
-                );
-                records.lock().push(RunRecord {
-                    instance: inst,
-                    solver,
-                    outcome,
-                    time_us,
-                    ratio: p.utilization_ratio(),
-                    filtered: p.filtered_out(),
-                });
-                if progress {
-                    let mut d = done.lock();
-                    *d += 1;
-                    if (*d).is_multiple_of(100) {
-                        eprintln!("  … {}/{} runs", *d, jobs.len());
-                    }
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
-
-    let mut out = records.into_inner();
-    let pos = |s: SolverSpec| roster.iter().position(|&r| r == s).unwrap_or(usize::MAX);
-    out.sort_by_key(|r| (r.instance, pos(r.solver)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgrts_core::engine::SolverSpec;
     use mgrts_core::heuristics::TaskOrder;
     use mgrts_core::portfolio::race_cancellable;
     use mgrts_core::solve::{SolveResult, SolveStats};
     use mgrts_core::Schedule;
-    use rt_gen::{GeneratorConfig, ProblemGenerator};
     use rt_task::TaskError;
+    use std::time::Duration;
 
     #[test]
     fn roster_matches_paper_columns() {
@@ -307,31 +214,5 @@ mod tests {
     #[should_panic(expected = "returned invalid schedule")]
     fn race_rejects_an_invalid_heterogeneous_schedule() {
         race_liar(&heterogeneous());
-    }
-
-    #[test]
-    fn corpus_runs_deterministic_order() {
-        let gen = ProblemGenerator::new(
-            GeneratorConfig {
-                n: 3,
-                t_max: 3,
-                ..GeneratorConfig::table1()
-            },
-            1,
-        );
-        let problems = gen.batch(6);
-        let roster = [
-            SolverSpec::Csp2(TaskOrder::Lexicographic),
-            SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet),
-        ];
-        let a = run_corpus(&problems, &roster, Duration::from_secs(1), 4, false);
-        let b = run_corpus(&problems, &roster, Duration::from_secs(1), 2, false);
-        assert_eq!(a.len(), 12);
-        let key = |r: &RunRecord| (r.instance, r.solver, r.outcome);
-        assert_eq!(
-            a.iter().map(key).collect::<Vec<_>>(),
-            b.iter().map(key).collect::<Vec<_>>(),
-            "outcomes must not depend on thread count"
-        );
     }
 }

@@ -65,9 +65,9 @@ use mgrts_obs::{flight, Counter, FlightRecorder, Gauge, Histogram, Registry};
 use rt_task::TaskSet;
 
 use crate::campaign::panic_reason;
-use crate::policy::{race_roster, BudgetSource, PolicyKind};
+use crate::policy::{race_roster, BudgetSource, PolicyKind, UnitExecution};
 use crate::queue::{list_leases, now_unix_ms, LeaseBoard, LEASE_DIR};
-use crate::runner::{self, classify, InstanceOutcome};
+use crate::runner::{self, InstanceOutcome};
 use crate::shard::{fnv1a, RunUnit, Shard};
 use crate::sink::{CampaignRecord, LocalStore, RecordStore, ShardWriter};
 
@@ -644,38 +644,28 @@ impl ServerState {
         let budget_ms = req.effective_budget_ms(self.cfg.default_budget_ms);
         let budget = Budget::time_limit(Duration::from_millis(budget_ms));
         let platform = PlatformSpec::identical(req.m);
-        match &req.mode {
+        let exec = match &req.mode {
             RequestMode::Single(spec) => {
                 let engine = self.pool.get(*spec, req.seed);
-                let (outcome, time_us, search) =
-                    runner::run(&req.taskset, &platform, &*engine, &budget, &self.cancel);
-                let record =
-                    self.record_for(key, req, outcome, time_us, *spec, None, None, None, search);
-                let result = self.settle(key, req, record);
-                self.finish_execute(&ticket, req, &result, started, sp);
-                result
+                UnitExecution::single(runner::run(
+                    &req.taskset,
+                    &platform,
+                    &*engine,
+                    &budget,
+                    &self.cancel,
+                ))
             }
             RequestMode::Race => {
                 let roster = self.pool.roster(&SolverSpec::DEFAULT_PORTFOLIO, req.seed);
-                let run = race_roster(&roster, &req.taskset, &platform, &budget, &self.cancel)
-                    .expect("valid constrained instance");
-                let outcome = classify(&run.verdict);
-                let record = self.record_for(
-                    key,
-                    req,
-                    outcome,
-                    run.elapsed_us,
-                    SolverSpec::DEFAULT_PORTFOLIO[0],
-                    run.winner.clone(),
-                    run.cancel_latency_us,
-                    Some(run.backends),
-                    run.search,
-                );
-                let result = self.settle(key, req, record);
-                self.finish_execute(&ticket, req, &result, started, sp);
-                result
+                UnitExecution::race(
+                    race_roster(&roster, &req.taskset, &platform, &budget, &self.cancel)
+                        .expect("valid constrained instance"),
+                )
             }
-        }
+        };
+        let result = self.settle(key, self.record_for(key, req, exec));
+        self.finish_execute(&ticket, req, &result, started, sp);
+        result
     }
 
     /// Post-solve observation: close the request span, feed the latency
@@ -731,22 +721,13 @@ impl ServerState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn record_for(
-        &self,
-        key: u64,
-        req: &SolveRequest,
-        outcome: InstanceOutcome,
-        time_us: u64,
-        solver: SolverSpec,
-        winner: Option<String>,
-        cancel_latency_us: Option<u64>,
-        backends: Option<Vec<mgrts_core::portfolio::BackendStat>>,
-        search: Option<mgrts_obs::SearchStats>,
-    ) -> CampaignRecord {
-        let (kind, src) = match req.mode {
-            RequestMode::Single(_) => (PolicyKind::Single, BudgetSource::Manifest),
-            RequestMode::Race => (PolicyKind::PortfolioRace, BudgetSource::Manifest),
+    /// The store record of one executed request: `exec` plus the
+    /// request's provenance, as [`crate::campaign`] records a unit. Race
+    /// records carry the roster head as their solver, like race units.
+    fn record_for(&self, key: u64, req: &SolveRequest, exec: UnitExecution) -> CampaignRecord {
+        let (kind, solver) = match req.mode {
+            RequestMode::Single(spec) => (PolicyKind::Single, spec),
+            RequestMode::Race => (PolicyKind::PortfolioRace, SolverSpec::DEFAULT_PORTFOLIO[0]),
         };
         CampaignRecord {
             shard: ticket_of(key),
@@ -754,8 +735,8 @@ impl ServerState {
             instance: key,
             global_instance: key,
             solver,
-            outcome,
-            time_us,
+            outcome: exec.outcome,
+            time_us: exec.time_us,
             ratio: req.taskset.utilization_ratio(req.m),
             filtered: req.taskset.utilization_exceeds(req.m),
             m: req.m,
@@ -765,11 +746,11 @@ impl ServerState {
             hyperperiod: req.taskset.hyperperiod().unwrap_or(0),
             seed: req.seed,
             policy: Some(kind),
-            winner,
-            budget_source: Some(src),
-            cancel_latency_us,
-            backends,
-            search,
+            winner: exec.winner,
+            budget_source: Some(BudgetSource::Manifest),
+            cancel_latency_us: exec.cancel_latency_us,
+            backends: exec.backends,
+            search: exec.search,
         }
     }
 
@@ -777,7 +758,7 @@ impl ServerState {
     /// request key) and publish it in the in-memory cache. Cancelled
     /// outcomes (a shutdown mid-solve) are returned to their waiters but
     /// never cached — a restarted server must re-decide them.
-    fn settle(&self, key: u64, req: &SolveRequest, record: CampaignRecord) -> CachedResult {
+    fn settle(&self, key: u64, record: CampaignRecord) -> CachedResult {
         let result = CachedResult {
             outcome: record.outcome,
             time_us: record.time_us,
@@ -808,7 +789,6 @@ impl ServerState {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key, result.clone());
-        let _ = req; // provenance lives in the record
         result
     }
 
@@ -855,22 +835,8 @@ impl ServerState {
             self.cfg.job_retries + 1
         );
         self.stats.with(|c| c.failed += 1);
-        let spec = match &req.mode {
-            RequestMode::Single(spec) => *spec,
-            RequestMode::Race => SolverSpec::DEFAULT_PORTFOLIO[0],
-        };
-        let record = self.record_for(
-            key,
-            req,
-            InstanceOutcome::Failed,
-            0,
-            spec,
-            None,
-            None,
-            None,
-            None,
-        );
-        self.settle(key, req, record)
+        let failed = UnitExecution::single((InstanceOutcome::Failed, 0, None));
+        self.settle(key, self.record_for(key, req, failed))
     }
 
     /// Resolve a flight: publish the result to every waiter and retire

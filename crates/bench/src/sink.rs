@@ -41,11 +41,12 @@ use mgrts_core::portfolio::BackendStat;
 use mgrts_fault::FaultFs;
 
 use crate::policy::{BudgetSource, PolicyKind};
-use crate::runner::{InstanceOutcome, RunRecord};
+use crate::runner::InstanceOutcome;
 use crate::shard::Shard;
 
-/// One campaign run record: a [`RunRecord`] plus full scenario provenance,
-/// so reports never need to re-derive which grid cell a line came from.
+/// One campaign run record: the unit's classified outcome plus full
+/// scenario provenance, so reports never need to re-derive which grid cell
+/// a line came from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignRecord {
     /// Content hash of the shard that produced this record.
@@ -103,20 +104,6 @@ pub struct CampaignRecord {
 }
 
 impl CampaignRecord {
-    /// Project onto the classic bench [`RunRecord`] shape the table
-    /// formatters consume.
-    #[must_use]
-    pub fn to_run_record(&self) -> RunRecord {
-        RunRecord {
-            instance: self.global_instance,
-            solver: self.solver,
-            outcome: self.outcome,
-            time_us: self.time_us,
-            ratio: self.ratio,
-            filtered: self.filtered,
-        }
-    }
-
     /// The unit key a resumed campaign dedupes on. Race units carry a
     /// deterministic placeholder in `solver` (the roster head), so the key
     /// is replay-stable under every policy.

@@ -1,23 +1,29 @@
-//! Aggregation and formatting of the paper's Tables I–IV from raw
-//! [`RunRecord`]s.
+//! Aggregation and formatting of the paper's Tables I–IV from campaign
+//! [`CampaignRecord`]s. Instances are keyed by
+//! [`CampaignRecord::global_instance`], unique across a campaign's cells.
 
 use std::collections::HashSet;
 
 use mgrts_core::engine::SolverSpec;
 
-use crate::runner::{InstanceOutcome, RunRecord};
+use crate::runner::InstanceOutcome;
+use crate::sink::CampaignRecord;
 
 /// Instances solved (feasible schedule found) by at least one solver.
 #[must_use]
-pub fn solved_by_someone(records: &[RunRecord]) -> HashSet<u64> {
+pub fn solved_by_someone(records: &[CampaignRecord]) -> HashSet<u64> {
     records
         .iter()
         .filter(|r| r.outcome == InstanceOutcome::Solved)
-        .map(|r| r.instance)
+        .map(|r| r.global_instance)
         .collect()
 }
 
-fn overruns(records: &[RunRecord], solver: SolverSpec, pred: impl Fn(&RunRecord) -> bool) -> usize {
+fn overruns(
+    records: &[CampaignRecord],
+    solver: SolverSpec,
+    pred: impl Fn(&CampaignRecord) -> bool,
+) -> usize {
     records
         .iter()
         .filter(|r| r.solver == solver && r.outcome == InstanceOutcome::Overrun && pred(r))
@@ -27,7 +33,7 @@ fn overruns(records: &[RunRecord], solver: SolverSpec, pred: impl Fn(&RunRecord)
 /// Table I: per solver, the number of runs reaching the time limit, split
 /// by whether the instance was solved by at least one solver.
 #[must_use]
-pub fn table1(records: &[RunRecord], roster: &[SolverSpec], total_instances: u64) -> String {
+pub fn table1(records: &[CampaignRecord], roster: &[SolverSpec], total_instances: u64) -> String {
     let solved = solved_by_someone(records);
     let mut out = String::from("# overruns |");
     for s in roster {
@@ -39,7 +45,9 @@ pub fn table1(records: &[RunRecord], roster: &[SolverSpec], total_instances: u64
     for (name, in_solved) in [("solved", true), ("unsolved", false)] {
         out.push_str(&format!("{name:<10} |"));
         for &s in roster {
-            let n = overruns(records, s, |r| solved.contains(&r.instance) == in_solved);
+            let n = overruns(records, s, |r| {
+                solved.contains(&r.global_instance) == in_solved
+            });
             out.push_str(&format!(" {n:>7}"));
         }
         let total = if in_solved {
@@ -55,11 +63,11 @@ pub fn table1(records: &[RunRecord], roster: &[SolverSpec], total_instances: u64
 /// Table II: the unsolved-instance overruns of Table I split by the
 /// `r > 1` utilization filter.
 #[must_use]
-pub fn table2(records: &[RunRecord], roster: &[SolverSpec]) -> String {
+pub fn table2(records: &[CampaignRecord], roster: &[SolverSpec]) -> String {
     let solved = solved_by_someone(records);
     let unsolved_instances: HashSet<u64> = records
         .iter()
-        .map(|r| r.instance)
+        .map(|r| r.global_instance)
         .filter(|i| !solved.contains(i))
         .collect();
     let mut filtered_total = 0usize;
@@ -67,7 +75,7 @@ pub fn table2(records: &[RunRecord], roster: &[SolverSpec]) -> String {
     for &i in &unsolved_instances {
         let filtered = records
             .iter()
-            .find(|r| r.instance == i)
+            .find(|r| r.global_instance == i)
             .is_some_and(|r| r.filtered);
         if filtered {
             filtered_total += 1;
@@ -89,7 +97,7 @@ pub fn table2(records: &[RunRecord], roster: &[SolverSpec]) -> String {
         out.push_str(&format!("{name:<10} |"));
         for &s in roster {
             let n = overruns(records, s, |r| {
-                !solved.contains(&r.instance) && r.filtered == want_filtered
+                !solved.contains(&r.global_instance) && r.filtered == want_filtered
             });
             out.push_str(&format!(" {n:>7}"));
         }
@@ -121,15 +129,15 @@ pub const RATIO_BUCKETS: [(f64, f64); 15] = [
 /// time (over all solvers; an overrun contributes its full measured time,
 /// ≈ the limit — the paper does the same by construction).
 #[must_use]
-pub fn table3(records: &[RunRecord]) -> String {
+pub fn table3(records: &[CampaignRecord]) -> String {
     let mut out = String::from("rmin–rmax  | #instances |  t_res (ms)\n");
     out.push_str("-----------+------------+------------\n");
     for (lo, hi) in RATIO_BUCKETS {
-        let in_bucket: Vec<&RunRecord> = records
+        let in_bucket: Vec<&CampaignRecord> = records
             .iter()
             .filter(|r| r.ratio >= lo && r.ratio < hi)
             .collect();
-        let instances: HashSet<u64> = in_bucket.iter().map(|r| r.instance).collect();
+        let instances: HashSet<u64> = in_bucket.iter().map(|r| r.global_instance).collect();
         if instances.is_empty() {
             out.push_str(&format!("{lo:.1}–{hi:.1}    | {:>10} |          –\n", 0));
             continue;
@@ -414,14 +422,29 @@ mod tests {
         outcome: InstanceOutcome,
         ratio: f64,
         filtered: bool,
-    ) -> RunRecord {
-        RunRecord {
+    ) -> CampaignRecord {
+        CampaignRecord {
+            shard: String::new(),
+            cell: 0,
             instance,
+            global_instance: instance,
             solver,
             outcome,
             time_us: 1000,
             ratio,
             filtered,
+            m: 5,
+            n: 10,
+            t_max: 7,
+            hetero: false,
+            hyperperiod: 420,
+            seed: instance,
+            policy: None,
+            winner: None,
+            budget_source: None,
+            cancel_latency_us: None,
+            backends: None,
+            search: None,
         }
     }
 
@@ -603,5 +626,18 @@ chrono     |      1           30           10           200         0         0 
             rec(0, DC, InstanceOutcome::Solved, 0.5, false),
         ];
         assert_eq!(solved_by_someone(&records).len(), 1);
+    }
+
+    #[test]
+    fn instances_are_keyed_campaign_wide() {
+        // Instance 0 of cell 1 is global instance 24, not instance 0 of
+        // cell 0.
+        let other_cell = CampaignRecord {
+            cell: 1,
+            global_instance: 24,
+            ..rec(0, DC, InstanceOutcome::Solved, 0.5, false)
+        };
+        let records = vec![rec(0, DC, InstanceOutcome::Solved, 0.5, false), other_cell];
+        assert_eq!(solved_by_someone(&records).len(), 2);
     }
 }

@@ -31,6 +31,13 @@ fn resolve_m(args: &Args, file_m: Option<usize>) -> Result<usize, CliError> {
     file_m.ok_or_else(|| CliError::Other("no --m and the input file embeds none".into()))
 }
 
+/// Check a solver's schedule against C1–C4 before it is printed or
+/// analysed.
+fn check_schedule(ts: &TaskSet, m: usize, s: &mgrts_core::Schedule) -> Result<(), CliError> {
+    check_identical(ts, m, s)
+        .map_err(|e| CliError::Other(format!("solver produced invalid schedule: {e}")))
+}
+
 fn parse_order(args: &Args) -> Result<TaskOrder, CliError> {
     Ok(match args.opt_str("order") {
         None | Some("dc") => TaskOrder::DeadlineMinusWcet,
@@ -90,8 +97,7 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
     let mut out = String::new();
     match &res.verdict {
         Verdict::Feasible(s) => {
-            check_identical(&inst.taskset, m, s)
-                .map_err(|e| CliError::Other(format!("solver produced invalid schedule: {e}")))?;
+            check_schedule(&inst.taskset, m, s)?;
             out.push_str("FEASIBLE\n");
             if args.switch("json") {
                 out.push_str(&serde_json::to_string(s).expect("schedule serializes"));
@@ -191,6 +197,7 @@ pub fn cmd_gantt(args: &Args) -> Result<String, CliError> {
             .with_order(TaskOrder::DeadlineMinusWcet)
             .solve();
         if let Some(s) = res.verdict.schedule() {
+            check_schedule(&inst.taskset, m, s)?;
             out.push('\n');
             out.push_str(&rt_sim::render_schedule(s));
         } else {
@@ -217,6 +224,7 @@ pub fn cmd_prob(args: &Args) -> Result<String, CliError> {
             "instance has no feasible schedule to analyze".into(),
         ));
     };
+    check_schedule(&inst.taskset, m, schedule)?;
     let model = if p_over > 0.0 {
         ExecModel::with_overruns(&inst.taskset, p_over, factor)
     } else {
