@@ -37,7 +37,7 @@ fn bench_task_orders(c: &mut Criterion) {
                                 max_decisions: None,
                             })
                             .solve();
-                        black_box(res.stats.decisions);
+                        black_box(res.search);
                     }
                 })
             },
@@ -75,7 +75,7 @@ fn bench_symmetry_breaking(c: &mut Criterion) {
                         ..Default::default()
                     };
                     let res = solve_csp2_generic(&p.taskset, p.m, &cfg).unwrap();
-                    black_box(res.stats.failures);
+                    black_box(res.search);
                 }
             })
         });

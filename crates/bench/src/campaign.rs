@@ -1667,7 +1667,10 @@ pub fn verdict_conflicts(records: &[CampaignRecord]) -> Vec<String> {
 
 /// Refuse a record set with [`verdict_conflicts`]: the error carries the
 /// rendered `summary` and one line per conflicting unit.
-fn check_verdicts(records: &[CampaignRecord], summary: &Summary) -> Result<(), CampaignError> {
+pub(crate) fn check_verdicts(
+    records: &[CampaignRecord],
+    summary: &Summary,
+) -> Result<(), CampaignError> {
     let conflicts = verdict_conflicts(records);
     if conflicts.is_empty() {
         return Ok(());

@@ -45,7 +45,9 @@ use serde::{Deserialize, Serialize};
 use mgrts_core::engine::CancelGroup;
 use mgrts_fault::{backoff_delay, is_transient_io, FaultFs};
 
-use crate::campaign::{panic_reason, run_shard, summarize, CampaignError, Manifest, Summary};
+use crate::campaign::{
+    check_verdicts, panic_reason, run_shard, summarize, CampaignError, Manifest, Summary,
+};
 use crate::policy::ExecutionPolicy;
 use crate::shard::Shard;
 use crate::sink::{fnv64, validate_writer_id, LocalStore, RecordStore};
@@ -781,6 +783,7 @@ pub fn run_worker(
         &format!("BENCH_{}.json", manifest.name),
         &serde_json::to_string_pretty(&summary).map_err(std::io::Error::other)?,
     )?;
+    check_verdicts(&records, &summary)?;
     Ok(WorkerOutcome {
         summary,
         shards_committed,

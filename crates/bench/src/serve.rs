@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use serde_json::Value;
 
 use mgrts_core::engine::{Budget, CancelToken, EnginePool, PlatformSpec, SolverSpec};
-use mgrts_obs::{flight, Counter, FlightRecorder, Gauge, Histogram, Registry};
+use mgrts_obs::{flight, render_sample, FlightRecorder, Histogram, Registry, SampleKind};
 use rt_task::TaskSet;
 
 use crate::campaign::panic_reason;
@@ -375,36 +375,74 @@ impl CachedResult {
     }
 }
 
-/// One consistent snapshot of the serving counters and queue gauges (the
-/// `stats` response, and the machine-readable surface the serve-smoke CI
-/// job asserts against).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeCounters {
+/// Declares [`ServeCounters`] and [`SERVE_METRICS`] from one list, so a
+/// serve counter is named once: each row gives the field (which is also
+/// the `stats` key), its exposition type, metric name and help text.
+macro_rules! serve_counters {
+    ($($(#[doc = $doc:literal])* $field:ident: $kind:ident, $metric:literal, $help:literal;)*) => {
+        /// One consistent snapshot of the serving counters and gauges (the
+        /// `stats` response, and the machine-readable surface the
+        /// serve-smoke CI job asserts against).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServeCounters {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        /// Every serve counter and gauge. The `stats` response and the
+        /// `metrics` exposition both render these rows, in this order,
+        /// from one [`ServeStats::snapshot`].
+        const SERVE_METRICS: &[ServeMetric] = &[$(ServeMetric {
+            key: stringify!($field),
+            metric: $metric,
+            help: $help,
+            kind: SampleKind::$kind,
+            value: |c| c.$field,
+        },)*];
+    };
+}
+
+/// One row of [`SERVE_METRICS`]: the `stats` key, the exposition name,
+/// help text and type, and the snapshot field it reads.
+struct ServeMetric {
+    key: &'static str,
+    metric: &'static str,
+    help: &'static str,
+    kind: SampleKind,
+    value: fn(&ServeCounters) -> u64,
+}
+
+serve_counters! {
     /// Request lines accepted (any verb).
-    pub requests: u64,
+    requests: Counter, "mgrts_serve_requests_total", "Request lines accepted";
     /// Actual engine executions (the dedupe instrumentation: coalesced
     /// and cached requests do not increment this).
-    pub solves: u64,
+    solves: Counter, "mgrts_serve_solves_total", "Actual engine executions";
     /// Answers served from the record-store cache.
-    pub cache_hits: u64,
+    cache_hits: Counter, "mgrts_serve_cache_hits_total",
+        "Answers served from the record-store cache";
     /// Solves actually performed for a requester (cache misses).
-    pub cache_misses: u64,
+    cache_misses: Counter, "mgrts_serve_cache_misses_total", "Solves performed for a requester";
     /// Requests coalesced onto an in-flight solve.
-    pub inflight_hits: u64,
+    inflight_hits: Counter, "mgrts_serve_inflight_hits_total",
+        "Requests coalesced onto an in-flight solve";
     /// Admission-control rejections.
-    pub rejected: u64,
+    rejected: Counter, "mgrts_serve_rejected_total", "Admission-control rejections";
     /// Requests spilled to the heavy queue.
-    pub spilled: u64,
+    spilled: Counter, "mgrts_serve_spilled_total", "Requests spilled to the heavy queue";
     /// Poll requests answered.
-    pub polls: u64,
+    polls: Counter, "mgrts_serve_polls_total", "Poll requests answered";
     /// Malformed or invalid request lines.
-    pub errors: u64,
+    errors: Counter, "mgrts_serve_errors_total", "Malformed or invalid request lines";
     /// Jobs settled as `failed` after exhausting their panic retries.
-    pub failed: u64,
+    failed: Counter, "mgrts_serve_failed_total",
+        "Jobs settled as failed after exhausting panic retries";
     /// Current small-request queue length (gauge, tracked at push/pop).
-    pub queue_depth: u64,
+    queue_depth: Gauge, "mgrts_serve_queue_depth", "Current small-request queue length";
     /// Current heavy-queue length (gauge, tracked at push/pop).
-    pub heavy_depth: u64,
+    heavy_depth: Gauge, "mgrts_serve_heavy_queue_depth", "Current heavy-queue length";
+    /// Distinct engines in the shared pool (gauge, tracked where the pool
+    /// hands engines out).
+    engines_cached: Gauge, "mgrts_serve_engines_cached", "Distinct engines in the shared pool";
 }
 
 /// The server's counters behind one mutex, so a `stats` response reports
@@ -430,47 +468,25 @@ impl ServeStats {
         *self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn response(&self, engines: usize) -> Value {
+    fn response(&self) -> Value {
         let c = self.snapshot();
-        obj(vec![
-            ("type", s("stats")),
-            ("requests", Value::UInt(c.requests)),
-            ("solves", Value::UInt(c.solves)),
-            ("cache_hits", Value::UInt(c.cache_hits)),
-            ("cache_misses", Value::UInt(c.cache_misses)),
-            ("inflight_hits", Value::UInt(c.inflight_hits)),
-            ("rejected", Value::UInt(c.rejected)),
-            ("spilled", Value::UInt(c.spilled)),
-            ("polls", Value::UInt(c.polls)),
-            ("errors", Value::UInt(c.errors)),
-            ("failed", Value::UInt(c.failed)),
-            ("queue_depth", Value::UInt(c.queue_depth)),
-            ("heavy_depth", Value::UInt(c.heavy_depth)),
-            ("engines_cached", Value::UInt(engines as u64)),
-        ])
+        let mut fields = vec![("type", s("stats"))];
+        fields.extend(
+            SERVE_METRICS
+                .iter()
+                .map(|m| (m.key, Value::UInt((m.value)(&c)))),
+        );
+        obj(fields)
     }
 }
 
-/// The server's metrics-exposition surface: an [`mgrts_obs::Registry`]
-/// plus pre-registered handles for the hot instruments. Counters and
-/// gauges mirror a [`ServeCounters`] snapshot at scrape time (so the
-/// exposition inherits the snapshot's consistency); the latency
-/// histograms are observed live on the solve path.
+/// The server's metrics-exposition surface: the [`SERVE_METRICS`] rows of
+/// one counter snapshot (so the exposition inherits the snapshot's
+/// consistency), then a registry holding the latency histograms, which
+/// are observed live on the solve path, and the per-backend search
+/// counters.
 struct ServeMetrics {
     registry: Registry,
-    requests: Arc<Counter>,
-    solves: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    inflight_hits: Arc<Counter>,
-    rejected: Arc<Counter>,
-    spilled: Arc<Counter>,
-    polls: Arc<Counter>,
-    errors: Arc<Counter>,
-    failed: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    heavy_depth: Arc<Gauge>,
-    engines_cached: Arc<Gauge>,
     solve_duration_us: Arc<Histogram>,
     request_duration_us: Arc<Histogram>,
 }
@@ -478,48 +494,7 @@ struct ServeMetrics {
 impl ServeMetrics {
     fn new() -> Self {
         let registry = Registry::new();
-        let c = |name: &str, help: &str| registry.counter(name, help);
         ServeMetrics {
-            requests: c("mgrts_serve_requests_total", "Request lines accepted"),
-            solves: c("mgrts_serve_solves_total", "Actual engine executions"),
-            cache_hits: c(
-                "mgrts_serve_cache_hits_total",
-                "Answers served from the record-store cache",
-            ),
-            cache_misses: c(
-                "mgrts_serve_cache_misses_total",
-                "Solves performed for a requester",
-            ),
-            inflight_hits: c(
-                "mgrts_serve_inflight_hits_total",
-                "Requests coalesced onto an in-flight solve",
-            ),
-            rejected: c("mgrts_serve_rejected_total", "Admission-control rejections"),
-            spilled: c(
-                "mgrts_serve_spilled_total",
-                "Requests spilled to the heavy queue",
-            ),
-            polls: c("mgrts_serve_polls_total", "Poll requests answered"),
-            errors: c(
-                "mgrts_serve_errors_total",
-                "Malformed or invalid request lines",
-            ),
-            failed: c(
-                "mgrts_serve_failed_total",
-                "Jobs settled as failed after exhausting panic retries",
-            ),
-            queue_depth: registry.gauge(
-                "mgrts_serve_queue_depth",
-                "Current small-request queue length",
-            ),
-            heavy_depth: registry.gauge(
-                "mgrts_serve_heavy_queue_depth",
-                "Current heavy-queue length",
-            ),
-            engines_cached: registry.gauge(
-                "mgrts_serve_engines_cached",
-                "Distinct engines in the shared pool",
-            ),
             solve_duration_us: registry.histogram(
                 "mgrts_serve_solve_duration_us",
                 "Wall-clock of actual engine executions, microseconds",
@@ -532,22 +507,13 @@ impl ServeMetrics {
         }
     }
 
-    /// Mirror a counter snapshot and the pool's per-backend search
-    /// telemetry into the registry, then render the exposition text.
+    /// Render a counter snapshot, then mirror the pool's per-backend
+    /// search telemetry into the registry and render that.
     fn render(&self, counters: ServeCounters, pool: &EnginePool) -> String {
-        self.requests.set(counters.requests);
-        self.solves.set(counters.solves);
-        self.cache_hits.set(counters.cache_hits);
-        self.cache_misses.set(counters.cache_misses);
-        self.inflight_hits.set(counters.inflight_hits);
-        self.rejected.set(counters.rejected);
-        self.spilled.set(counters.spilled);
-        self.polls.set(counters.polls);
-        self.errors.set(counters.errors);
-        self.failed.set(counters.failed);
-        self.queue_depth.set(counters.queue_depth);
-        self.heavy_depth.set(counters.heavy_depth);
-        self.engines_cached.set(pool.len() as u64);
+        let mut body = String::new();
+        for m in SERVE_METRICS {
+            render_sample(&mut body, m.metric, m.help, m.kind, (m.value)(&counters));
+        }
         for (name, st) in pool.engine_stats() {
             let labels: &[(&str, &str)] = &[("solver", name.as_str())];
             let facets: [(&str, &str, u64); 5] = [
@@ -581,7 +547,7 @@ impl ServeMetrics {
         // The process-wide registry carries the robustness counters the
         // store / lease / supervisor layers maintain (quarantined lines,
         // commit retries, fail-overs, caught panics, parked shards).
-        let mut body = self.registry.render();
+        body.push_str(&self.registry.render());
         body.push_str(&mgrts_obs::global().render());
         body
     }
@@ -630,6 +596,16 @@ impl ServerState {
             .cloned()
     }
 
+    /// Track the pool's size after it handed out engines. The pool only
+    /// grows, so the largest size seen is the current one, whatever order
+    /// concurrent solves record it in; reading it before taking the stats
+    /// lock keeps that lock a leaf.
+    fn count_engines(&self) {
+        let engines = self.pool.len() as u64;
+        self.stats
+            .with(|c| c.engines_cached = c.engines_cached.max(engines));
+    }
+
     /// Run the request's engines (the only place solves happen). The
     /// artificial delay precedes the solve so tests can observe the
     /// in-flight window deterministically.
@@ -647,6 +623,7 @@ impl ServerState {
         let exec = match &req.mode {
             RequestMode::Single(spec) => {
                 let engine = self.pool.get(*spec, req.seed);
+                self.count_engines();
                 UnitExecution::single(runner::run(
                     &req.taskset,
                     &platform,
@@ -657,6 +634,7 @@ impl ServerState {
             }
             RequestMode::Race => {
                 let roster = self.pool.roster(&SolverSpec::DEFAULT_PORTFOLIO, req.seed);
+                self.count_engines();
                 UnitExecution::race(
                     race_roster(&roster, &req.taskset, &platform, &budget, &self.cancel)
                         .expect("valid constrained instance"),
@@ -1030,7 +1008,7 @@ fn handle_line(state: &ServerState, line: &str) -> (Value, bool) {
     let out = match parse_request(line) {
         Ok(Request::Solve(req)) => (handle_solve(state, req), false),
         Ok(Request::Poll { ticket }) => (handle_poll(state, &ticket), false),
-        Ok(Request::Stats) => (state.stats.response(state.pool.len()), false),
+        Ok(Request::Stats) => (state.stats.response(), false),
         Ok(Request::Metrics) => (handle_metrics(state), false),
         Ok(Request::Shutdown) => (
             obj(vec![("type", s("ok")), ("msg", s("shutting down"))]),

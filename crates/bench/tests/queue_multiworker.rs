@@ -18,7 +18,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use mgrts_bench::campaign::{
-    canonical_store_export, compact, report, run_fresh, CampaignOptions, Manifest, ReportKind,
+    canonical_store_export, compact, report, run_fresh, CampaignError, CampaignOptions, Manifest,
+    ReportKind,
 };
 use mgrts_bench::queue::{
     dispatch, now_unix_ms, run_worker, status, Lease, WorkerOptions, LEASE_DIR,
@@ -203,6 +204,25 @@ fn worker_refuses_an_undispatched_store() {
     std::fs::create_dir_all(&dir).unwrap();
     let err = run_worker(&dir, &wopts("w1", None), &CancelGroup::new());
     assert!(err.is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn worker_refuses_a_store_whose_verdicts_split() {
+    let dir = tmp("split");
+    dispatch(&manifest(5, 64), &dir, false).unwrap();
+    run_worker(&dir, &wopts("w1", None), &CancelGroup::new()).unwrap();
+    // Flip one backend's Solved record: its unit now splits Solved /
+    // ProvedInfeasible between backends, as a buggy backend would.
+    let segment = dir.join("records-w1.jsonl");
+    let text = std::fs::read_to_string(&segment).unwrap();
+    let flipped = text.replacen("\"Solved\"", "\"ProvedInfeasible\"", 1);
+    assert_ne!(flipped, text, "the campaign solved no instance");
+    std::fs::write(&segment, flipped).unwrap();
+    // The store is drained, so this worker only summarizes it.
+    let err = run_worker(&dir, &wopts("w2", None), &CancelGroup::new()).unwrap_err();
+    assert!(matches!(err, CampaignError::Conflicts(_)), "{err}");
+    assert!(err.to_string().contains("VERDICT CONFLICT"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -284,6 +284,79 @@ fn metrics_request_returns_parseable_exposition() {
     server.shutdown();
 }
 
+/// The `stats` key, metric name and `# TYPE` of every serve counter and
+/// gauge: the wire protocol both surfaces promise.
+const STATS_AS_METRICS: [(&str, &str, &str); 13] = [
+    ("requests", "mgrts_serve_requests_total", "counter"),
+    ("solves", "mgrts_serve_solves_total", "counter"),
+    ("cache_hits", "mgrts_serve_cache_hits_total", "counter"),
+    ("cache_misses", "mgrts_serve_cache_misses_total", "counter"),
+    (
+        "inflight_hits",
+        "mgrts_serve_inflight_hits_total",
+        "counter",
+    ),
+    ("rejected", "mgrts_serve_rejected_total", "counter"),
+    ("spilled", "mgrts_serve_spilled_total", "counter"),
+    ("polls", "mgrts_serve_polls_total", "counter"),
+    ("errors", "mgrts_serve_errors_total", "counter"),
+    ("failed", "mgrts_serve_failed_total", "counter"),
+    ("queue_depth", "mgrts_serve_queue_depth", "gauge"),
+    ("heavy_depth", "mgrts_serve_heavy_queue_depth", "gauge"),
+    ("engines_cached", "mgrts_serve_engines_cached", "gauge"),
+];
+
+#[test]
+fn stats_and_metrics_report_the_same_counters() {
+    let _serial = serial();
+    let server = Server::start(config("agree")).unwrap();
+    let addr = server.addr();
+
+    // Mixed traffic: a miss, a hit, a poll and a malformed line.
+    let miss = exchange(addr, &solve_line(""));
+    assert_eq!(miss["cache"].as_str(), Some("miss"), "{miss:?}");
+    let hit = exchange(addr, &solve_line(""));
+    assert_eq!(hit["cache"].as_str(), Some("hit"), "{hit:?}");
+    let ticket = miss["ticket"].as_str().unwrap();
+    exchange(
+        addr,
+        &format!("{{\"type\":\"poll\",\"ticket\":\"{ticket}\"}}"),
+    );
+    exchange(addr, "{not json");
+
+    // Quiescent now: only the two probes below still count, as requests.
+    let stats = exchange(addr, "{\"type\":\"stats\"}");
+    let metrics = exchange(addr, "{\"type\":\"metrics\"}");
+    let body = metrics["body"].as_str().expect("metrics body");
+    let Value::Object(fields) = &stats else {
+        panic!("stats reply is not an object: {stats:?}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    let expected: Vec<&str> = std::iter::once("type")
+        .chain(STATS_AS_METRICS.iter().map(|(key, _, _)| *key))
+        .collect();
+    assert_eq!(keys, expected);
+    for (key, metric, kind) in STATS_AS_METRICS {
+        assert!(
+            body.contains(&format!("\n# TYPE {metric} {kind}\n")),
+            "{metric} is not a {kind}:\n{body}"
+        );
+        let sample = body
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{metric} ")))
+            .unwrap_or_else(|| panic!("no {metric} sample:\n{body}"));
+        let mut want = stats[key].as_u64().expect(key);
+        if key == "requests" {
+            want += 1; // the metrics request itself
+        }
+        assert_eq!(sample.parse::<u64>().ok(), Some(want), "{key} vs {metric}");
+    }
+    assert_eq!(stats["polls"].as_u64(), Some(1));
+    assert_eq!(stats["errors"].as_u64(), Some(1));
+    assert_eq!(stats["engines_cached"].as_u64(), Some(1));
+    server.shutdown();
+}
+
 #[test]
 fn slow_request_threshold_logs_and_dumps_flight_recording() {
     let _serial = serial();

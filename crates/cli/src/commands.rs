@@ -111,10 +111,11 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
         Verdict::Unknown(r) => out.push_str(&format!("UNKNOWN ({r:?})\n")),
     }
     if !args.switch("quiet") {
+        let search = res.search.unwrap_or_default();
         out.push_str(&format!(
             "decisions={} failures={} elapsed={:?}\n",
-            res.stats.decisions,
-            res.stats.failures,
+            search.decisions,
+            search.backtracks,
             res.stats.elapsed()
         ));
     }

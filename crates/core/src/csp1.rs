@@ -26,7 +26,7 @@ use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
 use crate::engine::CancelToken;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason, Verdict};
 
 /// Map a generic-engine stop reason onto the solver-facing one.
 pub(crate) fn stop_reason(limit: LimitReason) -> StopReason {
@@ -227,23 +227,12 @@ pub fn solve_csp1_cancellable(
         max_decisions: cfg.max_decisions,
         max_failures: None,
     });
-    let outcome = solver.solve();
-    let engine_stats = solver.stats();
-    let stats = SolveStats {
-        decisions: engine_stats.decisions,
-        failures: engine_stats.failures,
-        elapsed_us: engine_stats.elapsed_us,
-    };
-    let verdict = match outcome {
+    let verdict = match solver.solve() {
         Outcome::Sat(sol) => Verdict::Feasible(decode(&layout, &sol)),
         Outcome::Unsat => Verdict::Infeasible,
         Outcome::Unknown(limit) => Verdict::Unknown(stop_reason(limit)),
     };
-    Ok(SolveResult {
-        verdict,
-        stats,
-        search: Some(crate::solve::search_from_csp(&engine_stats)),
-    })
+    Ok(SolveResult::searched(verdict, solver.stats(), start))
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ use rt_task::{JobId, JobInstants, TaskError, TaskSet};
 use crate::csp1::{Csp1Layout, DEFAULT_MAX_CELLS, NEVER_RAISED};
 use crate::engine::CancelToken;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason, Verdict};
 
 /// Map a CDCL stop reason onto the solver-facing one.
 pub(crate) fn sat_stop_reason(limit: SatLimit) -> StopReason {
@@ -258,23 +258,12 @@ pub(crate) fn run_cdcl(
         return SolveResult::stopped(StopReason::TimeLimit, start.elapsed());
     }
     solver.set_time_limit(left);
-    let outcome = solver.solve();
-    let st = solver.stats();
-    let stats = SolveStats {
-        decisions: st.decisions,
-        failures: st.conflicts,
-        elapsed_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-    };
-    let verdict = match outcome {
+    let verdict = match solver.solve() {
         SatOutcome::Sat(model) => Verdict::Feasible(decode_model(layout, &model)),
         SatOutcome::Unsat => Verdict::Infeasible,
         SatOutcome::Unknown(limit) => Verdict::Unknown(sat_stop_reason(limit)),
     };
-    SolveResult {
-        verdict,
-        stats,
-        search: Some(crate::solve::search_from_sat(&st)),
-    }
+    SolveResult::searched(verdict, solver.stats(), start)
 }
 
 #[cfg(test)]

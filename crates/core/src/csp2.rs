@@ -24,12 +24,13 @@
 
 use std::time::{Duration, Instant};
 
+use mgrts_obs::SearchStats;
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
 use crate::engine::CancelToken;
 use crate::heuristics::TaskOrder;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason, Verdict};
 
 /// Resource limits for the CSP2 search.
 #[derive(Debug, Clone, Copy, Default)]
@@ -93,7 +94,13 @@ impl<'a> Csp2Solver<'a> {
     /// Run the search to a verdict.
     #[must_use]
     pub fn solve(&self) -> SolveResult {
-        Search::new(self).run()
+        self.solve_since(Instant::now())
+    }
+
+    /// [`Csp2Solver::solve`] with the time budget and the reported wall
+    /// clock counted from `start`, the caller's solve entry.
+    pub(crate) fn solve_since(&self, start: Instant) -> SolveResult {
+        Search::new(self).run(start)
     }
 }
 
@@ -120,7 +127,7 @@ struct Search<'s, 'a> {
     grid: Vec<i32>,
     stack: Vec<ChoicePoint>,
     cur_slot: usize,
-    stats: SolveStats,
+    stats: SearchStats,
 }
 
 impl<'s, 'a> Search<'s, 'a> {
@@ -144,7 +151,10 @@ impl<'s, 'a> Search<'s, 'a> {
             grid: vec![-1; m * h as usize],
             stack: Vec::new(),
             cur_slot: 0,
-            stats: SolveStats::default(),
+            stats: SearchStats {
+                solves: 1,
+                ..SearchStats::default()
+            },
         }
     }
 
@@ -286,7 +296,7 @@ impl<'s, 'a> Search<'s, 'a> {
                 self.stack.pop();
             }
             self.unassign(slot, prev_task);
-            self.stats.failures += 1;
+            self.stats.backtracks += 1;
             if let Some(task) = next_task {
                 self.assign(slot, task);
                 self.cur_slot = slot + 1;
@@ -295,8 +305,7 @@ impl<'s, 'a> Search<'s, 'a> {
         }
     }
 
-    fn run(mut self) -> SolveResult {
-        let start = Instant::now();
+    fn run(mut self, start: Instant) -> SolveResult {
         let total = self.m * self.h as usize;
         let mut iter: u64 = 0;
         let verdict = loop {
@@ -358,12 +367,7 @@ impl<'s, 'a> Search<'s, 'a> {
                 }
             }
         };
-        self.stats.elapsed_us = start.elapsed().as_micros() as u64;
-        SolveResult {
-            verdict,
-            stats: self.stats,
-            search: Some(crate::solve::search_from_basic(&self.stats)),
-        }
+        SolveResult::searched(verdict, self.stats, start)
     }
 
     fn extract(&self) -> Schedule {
@@ -478,7 +482,7 @@ mod tests {
         let a = solve_with(&ts, 2, TaskOrder::DeadlineMinusWcet);
         let b = solve_with(&ts, 2, TaskOrder::DeadlineMinusWcet);
         assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.stats.decisions, b.stats.decisions);
+        assert_eq!(a.search, b.search);
     }
 
     #[test]
@@ -524,6 +528,6 @@ mod tests {
     fn stats_are_populated() {
         let ts = TaskSet::running_example();
         let res = solve_with(&ts, 2, TaskOrder::DeadlineMinusWcet);
-        assert!(res.stats.decisions > 0);
+        assert!(res.search.unwrap().decisions > 0);
     }
 }

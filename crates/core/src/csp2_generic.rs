@@ -32,7 +32,7 @@ use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 use crate::csp1::{stop_reason, NEVER_RAISED};
 use crate::engine::CancelToken;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason, Verdict};
 
 /// Configuration for the generic CSP2 solve.
 #[derive(Debug, Clone, Copy)]
@@ -231,23 +231,12 @@ pub fn solve_csp2_generic_cancellable(
         max_decisions: cfg.max_decisions,
         max_failures: None,
     });
-    let outcome = solver.solve();
-    let st = solver.stats();
-    let stats = SolveStats {
-        decisions: st.decisions,
-        failures: st.failures,
-        elapsed_us: st.elapsed_us,
-    };
-    let verdict = match outcome {
+    let verdict = match solver.solve() {
         Outcome::Sat(sol) => Verdict::Feasible(decode(&layout, &sol)),
         Outcome::Unsat => Verdict::Infeasible,
         Outcome::Unknown(limit) => Verdict::Unknown(stop_reason(limit)),
     };
-    Ok(SolveResult {
-        verdict,
-        stats,
-        search: Some(crate::solve::search_from_csp(&st)),
-    })
+    Ok(SolveResult::searched(verdict, solver.stats(), start))
 }
 
 #[cfg(test)]
@@ -305,7 +294,7 @@ mod tests {
             without.verdict.is_feasible(),
             "eq. (10) must not change the verdict"
         );
-        assert!(with.stats.failures <= without.stats.failures.max(1) * 4);
+        assert!(with.search.unwrap().backtracks <= without.search.unwrap().backtracks.max(1) * 4);
     }
 
     #[test]

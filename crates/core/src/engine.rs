@@ -27,7 +27,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -575,6 +575,7 @@ impl FeasibilitySolver for Csp2Engine {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
+        let start = Instant::now();
         match spec {
             PlatformSpec::Identical { m } => Ok(Csp2Solver::new(ts, *m)?
                 .with_order(self.order)
@@ -583,7 +584,7 @@ impl FeasibilitySolver for Csp2Engine {
                     max_decisions: budget.max_decisions,
                 })
                 .with_cancel(cancel.clone())
-                .solve()),
+                .solve_since(start)),
             PlatformSpec::Heterogeneous(p) => solve_csp2_hetero_cancellable(
                 ts,
                 p,
@@ -1103,9 +1104,9 @@ mod tests {
                     "{spec} on n = {}",
                     ts.len()
                 );
-                assert_eq!(res.stats.decisions, 0, "{spec}: decisions");
-                assert_eq!(res.stats.failures, 0, "{spec}: failures");
                 if let Some(search) = &res.search {
+                    assert_eq!(search.decisions, 0, "{spec}: decisions");
+                    assert_eq!(search.backtracks, 0, "{spec}: backtracks");
                     assert_eq!(search.conflicts, 0, "{spec}: conflicts");
                 }
                 // The backends that encode a model stop while encoding, so

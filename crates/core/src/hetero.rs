@@ -28,6 +28,7 @@
 use std::time::{Duration, Instant};
 
 use csp_engine::{Budget, Constraint, Model, Outcome, SolverConfig};
+use mgrts_obs::SearchStats;
 use rt_platform::{identical_groups, quality_order, Platform};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
@@ -35,7 +36,7 @@ use crate::csp1::{stop_reason, Csp1Config, Csp1Layout, NEVER_RAISED};
 use crate::engine::CancelToken;
 use crate::heuristics::TaskOrder;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason, Verdict};
 
 // ---------------------------------------------------------------------------
 // CSP1 on heterogeneous platforms (constraint (11)).
@@ -155,23 +156,12 @@ pub fn solve_csp1_hetero_cancellable(
             max_failures: None,
         },
     ));
-    let outcome = solver.solve();
-    let st = solver.stats();
-    let stats = SolveStats {
-        decisions: st.decisions,
-        failures: st.failures,
-        elapsed_us: st.elapsed_us,
-    };
-    let verdict = match outcome {
+    let verdict = match solver.solve() {
         Outcome::Sat(sol) => Verdict::Feasible(crate::csp1::decode(&layout, &sol)),
         Outcome::Unsat => Verdict::Infeasible,
         Outcome::Unknown(limit) => Verdict::Unknown(stop_reason(limit)),
     };
-    Ok(SolveResult {
-        verdict,
-        stats,
-        search: Some(crate::solve::search_from_csp(&st)),
-    })
+    Ok(SolveResult::searched(verdict, solver.stats(), start))
 }
 
 // ---------------------------------------------------------------------------
@@ -218,9 +208,10 @@ pub fn solve_csp2_hetero_cancellable(
     cfg: &Csp2HeteroConfig,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
+    let start = Instant::now();
     assert_eq!(platform.num_tasks(), ts.len(), "rate matrix row count");
     let ji = JobInstants::new(ts)?;
-    Ok(HeteroSearch::new(ts, platform, ji, cfg, cancel.clone()).run())
+    Ok(HeteroSearch::new(ts, platform, ji, cfg, cancel.clone()).run(start))
 }
 
 struct HeteroSearch<'a> {
@@ -246,7 +237,7 @@ struct HeteroSearch<'a> {
     grid: Vec<i32>,
     stack: Vec<HChoice>,
     cur_slot: usize,
-    stats: SolveStats,
+    stats: SearchStats,
     cancel: CancelToken,
 }
 
@@ -308,7 +299,10 @@ impl<'a> HeteroSearch<'a> {
             grid: vec![-1; m * h as usize],
             stack: Vec::new(),
             cur_slot: 0,
-            stats: SolveStats::default(),
+            stats: SearchStats {
+                solves: 1,
+                ..SearchStats::default()
+            },
             cancel,
             ji,
         }
@@ -431,7 +425,7 @@ impl<'a> HeteroSearch<'a> {
                 self.stack.pop();
             }
             self.unassign(slot, prev);
-            self.stats.failures += 1;
+            self.stats.backtracks += 1;
             if let Some(c) = next_cand {
                 self.assign(slot, c);
                 self.cur_slot = slot + 1;
@@ -457,8 +451,7 @@ impl<'a> HeteroSearch<'a> {
         true
     }
 
-    fn run(mut self) -> SolveResult {
-        let start = Instant::now();
+    fn run(mut self, start: Instant) -> SolveResult {
         let total = self.m * self.h as usize;
         let mut iter: u64 = 0;
         let verdict = loop {
@@ -530,12 +523,7 @@ impl<'a> HeteroSearch<'a> {
                 }
             }
         };
-        self.stats.elapsed_us = start.elapsed().as_micros() as u64;
-        SolveResult {
-            verdict,
-            stats: self.stats,
-            search: Some(crate::solve::search_from_basic(&self.stats)),
-        }
+        SolveResult::searched(verdict, self.stats, start)
     }
 
     fn extract(&self) -> Schedule {
@@ -642,7 +630,9 @@ mod tests {
         assert!(aggressive.verdict.is_feasible());
         check_heterogeneous(&ts, &p, aggressive.verdict.schedule().unwrap()).unwrap();
         // Aggressive mode explores no more than the complete search.
-        assert!(aggressive.stats.decisions <= complete.stats.decisions.max(1) * 2);
+        assert!(
+            aggressive.search.unwrap().decisions <= complete.search.unwrap().decisions.max(1) * 2
+        );
     }
 
     #[test]
@@ -714,11 +704,8 @@ mod tests {
             res.verdict
         );
         // The engine stops at the first decision past the limit.
-        assert!(
-            res.stats.decisions <= 2,
-            "{} decisions",
-            res.stats.decisions
-        );
+        let decisions = res.search.unwrap().decisions;
+        assert!(decisions <= 2, "{decisions} decisions");
     }
 
     #[test]

@@ -30,11 +30,12 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use mgrts_obs::SearchStats;
 use rt_task::{JobId, JobInstants, TaskError, TaskSet, Time};
 
 use crate::engine::CancelToken;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
+use crate::solve::{SolveResult, StopReason, Verdict};
 
 /// Neighbourhood strategy for the local search.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -254,10 +255,13 @@ pub fn solve_local_search_cancellable(
     cfg: &LocalSearchConfig,
     cancel: &CancelToken,
 ) -> Result<SolveResult, TaskError> {
-    let ji = JobInstants::new(ts)?;
     let start = Instant::now();
+    let ji = JobInstants::new(ts)?;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut stats = SolveStats::default();
+    let mut search = SearchStats {
+        solves: 1,
+        ..SearchStats::default()
+    };
     let mut state = State::random(&ji, ts, m, &mut rng);
     let mut best = state.total_conflicts();
     let mut since_improvement: u64 = 0;
@@ -269,126 +273,107 @@ pub fn solve_local_search_cancellable(
         _ => 0.0,
     };
 
-    for it in 0..cfg.max_iters {
-        // The token is one relaxed load, so it is polled on every move;
-        // the clock read is amortized over 512 moves.
-        if cancel.is_cancelled() {
-            stats.decisions = it;
-            stats.elapsed_us = start.elapsed().as_micros() as u64;
-            return Ok(SolveResult {
-                verdict: Verdict::Unknown(StopReason::Cancelled),
-                stats,
-                search: Some(crate::solve::search_from_basic(&stats)),
-            });
-        }
-        if it % 512 == 0 && cfg.time.is_some_and(|limit| start.elapsed() >= limit) {
-            stats.decisions = it;
-            stats.elapsed_us = start.elapsed().as_micros() as u64;
-            return Ok(SolveResult {
-                verdict: Verdict::Unknown(StopReason::TimeLimit),
-                stats,
-                search: Some(crate::solve::search_from_basic(&stats)),
-            });
-        }
-        let total = state.total_conflicts();
-        if total == 0 {
-            stats.decisions = it;
-            stats.elapsed_us = start.elapsed().as_micros() as u64;
-            let schedule = state.to_schedule();
-            return Ok(SolveResult {
-                verdict: Verdict::Feasible(schedule),
-                stats,
-                search: Some(crate::solve::search_from_basic(&stats)),
-            });
-        }
-        if total < best {
-            best = total;
-            since_improvement = 0;
-        } else {
-            since_improvement += 1;
-            if since_improvement >= cfg.restart_after {
-                state = State::random(&ji, ts, m, &mut rng);
-                best = state.total_conflicts();
+    let (verdict, iters) = 'search: {
+        for it in 0..cfg.max_iters {
+            // The token is one relaxed load, so it is polled on every move;
+            // the clock read is amortized over 512 moves.
+            if cancel.is_cancelled() {
+                break 'search (Verdict::Unknown(StopReason::Cancelled), it);
+            }
+            if it % 512 == 0 && cfg.time.is_some_and(|limit| start.elapsed() >= limit) {
+                break 'search (Verdict::Unknown(StopReason::TimeLimit), it);
+            }
+            let total = state.total_conflicts();
+            if total == 0 {
+                break 'search (Verdict::Feasible(state.to_schedule()), it);
+            }
+            if total < best {
+                best = total;
                 since_improvement = 0;
-                stats.failures += 1; // count restarts as failures
-                tabu.clear();
-                if let LsStrategy::Annealing { t0, .. } = cfg.strategy {
-                    temperature = t0; // re-heat
+            } else {
+                since_improvement += 1;
+                if since_improvement >= cfg.restart_after {
+                    state = State::random(&ji, ts, m, &mut rng);
+                    best = state.total_conflicts();
+                    since_improvement = 0;
+                    search.backtracks += 1; // count restarts as failures
+                    tabu.clear();
+                    if let LsStrategy::Annealing { t0, .. } = cfg.strategy {
+                        temperature = t0; // re-heat
+                    }
+                    continue;
                 }
-                continue;
             }
-        }
-        // Pick a random conflicted unit.
-        let conflicted: Vec<usize> = (0..state.units.len())
-            .filter(|&i| state.conflicts_of(state.units[i]) > 0)
-            .collect();
-        let idx = conflicted[rng.gen_range(0..conflicted.len())];
-        let u = state.units[idx];
+            // Pick a random conflicted unit.
+            let conflicted: Vec<usize> = (0..state.units.len())
+                .filter(|&i| state.conflicts_of(state.units[i]) > 0)
+                .collect();
+            let idx = conflicted[rng.gen_range(0..conflicted.len())];
+            let u = state.units[idx];
 
-        match cfg.strategy {
-            LsStrategy::MinConflicts | LsStrategy::Tabu { .. } => {
-                let tenure = match cfg.strategy {
-                    LsStrategy::Tabu { tenure } => tenure,
-                    _ => 0,
-                };
-                let mut best_cost = u32::MAX;
-                let mut choices: Vec<(Time, usize)> = Vec::new();
-                for (t, proc) in candidate_targets(&state, u) {
-                    let cost = target_cost(&state, u, t, proc);
-                    if tenure > 0 {
-                        let is_tabu = tabu.get(&(u.job, t, proc)).is_some_and(|&until| it < until);
-                        // Aspiration: a move that reaches a new global
-                        // best overrides its tabu status.
-                        let aspires = u64::from(cost) < best;
-                        if is_tabu && !aspires {
-                            continue;
+            match cfg.strategy {
+                LsStrategy::MinConflicts | LsStrategy::Tabu { .. } => {
+                    let tenure = match cfg.strategy {
+                        LsStrategy::Tabu { tenure } => tenure,
+                        _ => 0,
+                    };
+                    let mut best_cost = u32::MAX;
+                    let mut choices: Vec<(Time, usize)> = Vec::new();
+                    for (t, proc) in candidate_targets(&state, u) {
+                        let cost = target_cost(&state, u, t, proc);
+                        if tenure > 0 {
+                            let is_tabu =
+                                tabu.get(&(u.job, t, proc)).is_some_and(|&until| it < until);
+                            // Aspiration: a move that reaches a new global
+                            // best overrides its tabu status.
+                            let aspires = u64::from(cost) < best;
+                            if is_tabu && !aspires {
+                                continue;
+                            }
+                        }
+                        match cost.cmp(&best_cost) {
+                            std::cmp::Ordering::Less => {
+                                best_cost = cost;
+                                choices.clear();
+                                choices.push((t, proc));
+                            }
+                            std::cmp::Ordering::Equal => choices.push((t, proc)),
+                            std::cmp::Ordering::Greater => {}
                         }
                     }
-                    match cost.cmp(&best_cost) {
-                        std::cmp::Ordering::Less => {
-                            best_cost = cost;
-                            choices.clear();
-                            choices.push((t, proc));
+                    if !choices.is_empty() {
+                        let (t, proc) = choices[rng.gen_range(0..choices.len())];
+                        if tenure > 0 {
+                            tabu.insert((u.job, u.t, u.proc), it + tenure);
+                            if tabu.len() > 4 * state.units.len() {
+                                tabu.retain(|_, &mut until| until > it);
+                            }
                         }
-                        std::cmp::Ordering::Equal => choices.push((t, proc)),
-                        std::cmp::Ordering::Greater => {}
-                    }
-                }
-                if !choices.is_empty() {
-                    let (t, proc) = choices[rng.gen_range(0..choices.len())];
-                    if tenure > 0 {
-                        tabu.insert((u.job, u.t, u.proc), it + tenure);
-                        if tabu.len() > 4 * state.units.len() {
-                            tabu.retain(|_, &mut until| until > it);
-                        }
-                    }
-                    state.move_unit(idx, t, proc);
-                }
-            }
-            LsStrategy::Annealing { cooling, .. } => {
-                let targets = candidate_targets(&state, u);
-                if !targets.is_empty() {
-                    let (t, proc) = targets[rng.gen_range(0..targets.len())];
-                    let old = state.conflicts_of(u);
-                    let new = target_cost(&state, u, t, proc);
-                    let delta = f64::from(new) - f64::from(old);
-                    let accept = delta <= 0.0
-                        || (temperature > 0.0 && rng.gen::<f64>() < (-delta / temperature).exp());
-                    if accept {
                         state.move_unit(idx, t, proc);
                     }
                 }
-                temperature *= cooling;
+                LsStrategy::Annealing { cooling, .. } => {
+                    let targets = candidate_targets(&state, u);
+                    if !targets.is_empty() {
+                        let (t, proc) = targets[rng.gen_range(0..targets.len())];
+                        let old = state.conflicts_of(u);
+                        let new = target_cost(&state, u, t, proc);
+                        let delta = f64::from(new) - f64::from(old);
+                        let accept = delta <= 0.0
+                            || (temperature > 0.0
+                                && rng.gen::<f64>() < (-delta / temperature).exp());
+                        if accept {
+                            state.move_unit(idx, t, proc);
+                        }
+                    }
+                    temperature *= cooling;
+                }
             }
         }
-    }
-    stats.decisions = cfg.max_iters;
-    stats.elapsed_us = start.elapsed().as_micros() as u64;
-    Ok(SolveResult {
-        verdict: Verdict::Unknown(StopReason::DecisionLimit),
-        stats,
-        search: Some(crate::solve::search_from_basic(&stats)),
-    })
+        (Verdict::Unknown(StopReason::DecisionLimit), cfg.max_iters)
+    };
+    search.decisions = iters;
+    Ok(SolveResult::searched(verdict, search, start))
 }
 
 #[cfg(test)]
@@ -431,7 +416,7 @@ mod tests {
         let a = solve_local_search(&ts, 2, &cfg).unwrap();
         let b = solve_local_search(&ts, 2, &cfg).unwrap();
         assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.stats.decisions, b.stats.decisions);
+        assert_eq!(a.search, b.search);
     }
 
     #[test]
@@ -445,7 +430,7 @@ mod tests {
             };
             let res = solve_local_search(&ts, 2, &cfg).unwrap();
             assert!(res.verdict.is_feasible());
-            iters.push(res.stats.decisions);
+            iters.push(res.search.unwrap().decisions);
         }
         iters.dedup();
         assert!(iters.len() > 1, "expected some variation across seeds");
@@ -540,7 +525,7 @@ mod tests {
             let a = solve_local_search(&ts, 2, &cfg).unwrap();
             let b = solve_local_search(&ts, 2, &cfg).unwrap();
             assert_eq!(a.verdict, b.verdict, "{strategy:?}");
-            assert_eq!(a.stats.decisions, b.stats.decisions, "{strategy:?}");
+            assert_eq!(a.search, b.search, "{strategy:?}");
         }
     }
 

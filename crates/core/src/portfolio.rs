@@ -71,22 +71,29 @@ pub struct BackendStat {
 }
 
 impl BackendReport {
-    /// Search counters (zeros when the backend errored out).
+    /// The backend's wall clock (zero when it errored out).
     #[must_use]
     pub fn stats(&self) -> SolveStats {
         self.result.as_ref().map(|r| r.stats).unwrap_or_default()
     }
 
-    /// Project onto the serializable [`BackendStat`] shape.
+    /// Project onto the serializable [`BackendStat`] shape; the counters
+    /// come from the backend's `search` block (zeros without one).
     #[must_use]
     pub fn stat(&self) -> BackendStat {
-        let stats = self.stats();
+        let (decisions, failures) = match &self.result {
+            Ok(SolveResult {
+                search: Some(search),
+                ..
+            }) => (search.decisions, search.backtracks),
+            _ => (0, 0),
+        };
         BackendStat {
             name: self.name.clone(),
             outcome: self.outcome_label(),
-            time_us: stats.elapsed_us,
-            decisions: stats.decisions,
-            failures: stats.failures,
+            time_us: self.stats().elapsed_us,
+            decisions,
+            failures,
             winner: self.winner,
         }
     }

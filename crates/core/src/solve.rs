@@ -1,7 +1,7 @@
 //! Common result types shared by every MGRTS solver in this crate, plus the
 //! arbitrary-deadline driver (Section VI-B).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -69,18 +69,22 @@ pub enum StopReason {
     Unsupported,
 }
 
-/// Search counters common to both encodings.
+/// The wall clock of one solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveStats {
-    /// Decisions (assignment choice points).
-    pub decisions: u64,
-    /// Failures / backtracks.
-    pub failures: u64,
-    /// Wall-clock duration of the solve, microseconds.
+    /// Wall-clock time from the backend's `solve_on` entry to its verdict,
+    /// in microseconds: it covers encoding, solver construction, search
+    /// and decoding.
     pub elapsed_us: u64,
 }
 
 impl SolveStats {
+    fn from_elapsed(elapsed: Duration) -> SolveStats {
+        SolveStats {
+            elapsed_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+        }
+    }
+
     /// Elapsed time as a [`Duration`].
     #[must_use]
     pub fn elapsed(&self) -> Duration {
@@ -93,7 +97,7 @@ impl SolveStats {
 pub struct SolveResult {
     /// The verdict.
     pub verdict: Verdict,
-    /// Search statistics.
+    /// The solve's wall clock.
     pub stats: SolveStats,
     /// Detailed search telemetry for this solve, when the backend collects
     /// it (`None` for backends without internal counters).
@@ -101,77 +105,28 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
+    /// A solve that ran its search: the verdict, the search counters and
+    /// the wall clock since `start`, the solve's entry.
+    pub(crate) fn searched(
+        verdict: Verdict,
+        search: mgrts_obs::SearchStats,
+        start: Instant,
+    ) -> SolveResult {
+        SolveResult {
+            verdict,
+            stats: SolveStats::from_elapsed(start.elapsed()),
+            search: Some(search),
+        }
+    }
+
     /// A solve that stopped before its search: no verdict, no search
     /// counters, only the wall clock `elapsed` since the solve began.
     pub(crate) fn stopped(reason: StopReason, elapsed: Duration) -> SolveResult {
         SolveResult {
             verdict: Verdict::Unknown(reason),
-            stats: SolveStats {
-                elapsed_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                ..SolveStats::default()
-            },
+            stats: SolveStats::from_elapsed(elapsed),
             search: None,
         }
-    }
-}
-
-/// Convert one CSP-engine solve's counters into portable
-/// [`mgrts_obs::SearchStats`] telemetry (one solve, so `solves == 1`).
-#[must_use]
-pub fn search_from_csp(st: &csp_engine::SolveStats) -> mgrts_obs::SearchStats {
-    let kinds = csp_engine::PropKind::ALL
-        .iter()
-        .zip(st.kinds.iter())
-        .filter(|(_, kc)| kc.wakes != 0 || kc.prunes != 0 || kc.entailments != 0)
-        .map(|(k, kc)| mgrts_obs::KindStats {
-            kind: k.name().to_string(),
-            wakes: kc.wakes,
-            prunes: kc.prunes,
-            entailments: kc.entailments,
-        })
-        .collect();
-    mgrts_obs::SearchStats {
-        solves: 1,
-        decisions: st.decisions,
-        backtracks: st.failures,
-        propagations: st.propagations,
-        conflicts: st.conflicts,
-        restarts: st.restarts,
-        learnt_clauses: st.learned_nogoods,
-        backjump_sum: st.backjump_sum,
-        db_reductions: st.db_reductions,
-        gac_rebuilds: st.gac_rebuilds,
-        peak_trail: st.peak_trail as u64,
-        peak_depth: st.max_depth as u64,
-        kinds,
-    }
-}
-
-/// Telemetry for backends that only track the common counters (the
-/// specialized CSP2 searches, local search): decisions and backtracks.
-#[must_use]
-pub fn search_from_basic(st: &SolveStats) -> mgrts_obs::SearchStats {
-    mgrts_obs::SearchStats {
-        solves: 1,
-        decisions: st.decisions,
-        backtracks: st.failures,
-        ..Default::default()
-    }
-}
-
-/// Convert one SAT solve's counters into portable
-/// [`mgrts_obs::SearchStats`] telemetry.
-#[must_use]
-pub fn search_from_sat(st: &rt_sat::SatStats) -> mgrts_obs::SearchStats {
-    mgrts_obs::SearchStats {
-        solves: 1,
-        decisions: st.decisions,
-        backtracks: st.conflicts,
-        propagations: st.propagations,
-        conflicts: st.conflicts,
-        restarts: st.restarts,
-        learnt_clauses: st.learnt_clauses,
-        ..Default::default()
     }
 }
 
@@ -226,10 +181,7 @@ mod tests {
 
     #[test]
     fn stats_elapsed() {
-        let st = SolveStats {
-            elapsed_us: 2500,
-            ..Default::default()
-        };
+        let st = SolveStats { elapsed_us: 2500 };
         assert_eq!(st.elapsed(), Duration::from_micros(2500));
     }
 

@@ -27,23 +27,45 @@ fn small_config() -> GeneratorConfig {
     }
 }
 
-#[test]
-fn all_exact_solvers_agree_on_200_random_instances() {
+/// CSP1's decision budget in the default sweep. Unbudgeted, CSP1 needs
+/// 16 million and 3 million decisions on two infeasible instances of the
+/// stream (n = 4, m = 2, H = 12), about ten minutes of a debug build,
+/// where CSP2 takes milliseconds. Under this budget the sweep costs CSP1
+/// about 150 thousand decisions in all.
+const CSP1_DECISIONS: u64 = 20_000;
+
+/// Instances of the stream CSP1 decides within [`CSP1_DECISIONS`]: all
+/// but the five that need more decisions.
+const CSP1_DECIDED: usize = 195;
+
+/// Solve the 200-instance stream with specialized CSP2, CSP1 (under
+/// `csp1_decisions`, when given) and CSP2 on the generic engine. Every
+/// verdict CSP1 reaches, and every generic verdict, must match CSP2's, and
+/// every schedule must pass C1–C4. Returns how many instances CSP1 decided.
+fn exact_solvers_agree(csp1_decisions: Option<u64>) -> usize {
     let gen = ProblemGenerator::new(small_config(), 0xC5F1);
+    let csp1_cfg = Csp1Config {
+        max_decisions: csp1_decisions,
+        ..Csp1Config::default()
+    };
     let mut feasible = 0;
     let mut infeasible = 0;
+    let mut csp1_decided = 0;
     for p in gen.batch(200) {
         let csp2 = Csp2Solver::new(&p.taskset, p.m)
             .unwrap()
             .with_order(TaskOrder::DeadlineMinusWcet)
             .solve();
-        let csp1 = solve_csp1(&p.taskset, p.m, &Csp1Config::default()).unwrap();
+        let csp1 = solve_csp1(&p.taskset, p.m, &csp1_cfg).unwrap();
         let generic = solve_csp2_generic(&p.taskset, p.m, &Csp2GenericConfig::default()).unwrap();
 
         let f2 = csp2.verdict.is_feasible();
-        let f1 = csp1.verdict.is_feasible();
+        if !csp1.verdict.is_unknown() {
+            csp1_decided += 1;
+            let f1 = csp1.verdict.is_feasible();
+            assert_eq!(f1, f2, "CSP1 vs CSP2 disagree on seed {}", p.seed);
+        }
         let fg = generic.verdict.is_feasible();
-        assert_eq!(f1, f2, "CSP1 vs CSP2 disagree on seed {}", p.seed);
         assert_eq!(fg, f2, "generic CSP2 vs CSP2 disagree on seed {}", p.seed);
 
         for (name, res) in [("csp1", &csp1), ("csp2", &csp2), ("generic", &generic)] {
@@ -62,6 +84,20 @@ fn all_exact_solvers_agree_on_200_random_instances() {
     // vacuous.
     assert!(feasible >= 20, "only {feasible} feasible instances");
     assert!(infeasible >= 20, "only {infeasible} infeasible instances");
+    csp1_decided
+}
+
+#[test]
+fn all_exact_solvers_agree_on_200_random_instances() {
+    assert_eq!(exact_solvers_agree(Some(CSP1_DECISIONS)), CSP1_DECIDED);
+}
+
+/// The same sweep with CSP1 unbudgeted, so it must decide every instance:
+/// about a minute in a release build, which is how CI runs it.
+#[test]
+#[ignore = "minutes of CSP1 search in a debug build; run with --release -- --ignored"]
+fn all_exact_solvers_agree_on_200_random_instances_unbudgeted() {
+    assert_eq!(exact_solvers_agree(None), 200);
 }
 
 #[test]

@@ -62,8 +62,8 @@ proptest! {
             engine.verdict.is_infeasible(),
             legacy.verdict.is_infeasible()
         );
-        // Same seed + same deterministic engine ⇒ identical search effort.
-        prop_assert_eq!(engine.stats.decisions, legacy.stats.decisions);
+        // Same seed + same deterministic engine ⇒ identical search counters.
+        prop_assert_eq!(&engine.search, &legacy.search);
     }
 
     #[test]
@@ -76,7 +76,7 @@ proptest! {
                 legacy.verdict.is_feasible(),
                 "csp2 {:?} adapter diverged", order
             );
-            prop_assert_eq!(engine.stats.decisions, legacy.stats.decisions,
+            prop_assert_eq!(&engine.search, &legacy.search,
                 "csp2 {:?} explored a different tree", order);
             if let Some(s) = engine.verdict.schedule() {
                 check_identical(&ts, m, s).unwrap();
@@ -93,7 +93,7 @@ proptest! {
             legacy.verdict.is_feasible(),
             "sat adapter diverged"
         );
-        prop_assert_eq!(engine.stats.decisions, legacy.stats.decisions);
+        prop_assert_eq!(&engine.search, &legacy.search);
     }
 
     #[test]
@@ -105,7 +105,7 @@ proptest! {
             legacy.verdict.is_feasible(),
             "csp2-generic adapter diverged"
         );
-        prop_assert_eq!(engine.stats.decisions, legacy.stats.decisions);
+        prop_assert_eq!(&engine.search, &legacy.search);
     }
 
     #[test]
@@ -134,7 +134,7 @@ proptest! {
                 legacy.verdict.is_feasible(),
                 "local-search {:?} adapter diverged", strategy
             );
-            prop_assert_eq!(engine.stats.decisions, legacy.stats.decisions);
+            prop_assert_eq!(&engine.search, &legacy.search);
         }
     }
 

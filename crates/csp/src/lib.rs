@@ -72,7 +72,6 @@ pub use model::Model;
 pub use nogood::{Nogood, Pred, PredOp};
 pub use propagators::{PropKind, Propagator};
 pub use solver::{
-    Budget, KindCounters, LearnConfig, LimitReason, Outcome, SolveStats, Solver, SolverConfig,
-    ValOrder, VarOrder,
+    Budget, LearnConfig, LimitReason, Outcome, Solver, SolverConfig, ValOrder, VarOrder,
 };
 pub use store::{EventMask, StateId, Store, VarId};

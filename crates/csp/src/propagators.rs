@@ -39,7 +39,7 @@ use crate::nogood::{Pred, PredOp};
 use crate::store::{EmptyDomain, EventMask, StateId, Store, Val, VarId};
 
 /// Discriminates the propagator implementations for the per-kind
-/// wake/prune/entailment telemetry ([`crate::SolveStats::kinds`]).
+/// wake/prune/entailment telemetry ([`mgrts_obs::SearchStats::kinds`]).
 ///
 /// The two all-different variants are distinct kinds on purpose: which one
 /// `build` selected per scope (see `build_all_diff`) is exactly the sort

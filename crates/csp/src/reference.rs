@@ -19,7 +19,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::constraints::Constraint;
 use crate::model::Model;
-use crate::solver::{LimitReason, Outcome, SolveStats, SolverConfig, ValOrder, VarOrder};
+use mgrts_obs::SearchStats;
+
+use crate::solver::{LimitReason, Outcome, SolverConfig, ValOrder, VarOrder};
 use crate::store::{EventMask, Store, Val, VarId};
 
 /// The stateless reference solver. Build one with
@@ -36,7 +38,7 @@ pub struct RefSolver {
     decisions: Vec<(VarId, Val)>,
     config: SolverConfig,
     rng: SmallRng,
-    stats: SolveStats,
+    stats: SearchStats,
     initially_inconsistent: bool,
     dirty_buf: Vec<(VarId, EventMask)>,
 }
@@ -65,7 +67,7 @@ impl RefSolver {
             decisions: Vec::new(),
             rng: SmallRng::seed_from_u64(config.seed),
             config,
-            stats: SolveStats::default(),
+            stats: SearchStats::default(),
             initially_inconsistent,
             dirty_buf: Vec::new(),
         }
@@ -73,8 +75,8 @@ impl RefSolver {
 
     /// Statistics of the last solve call.
     #[must_use]
-    pub fn stats(&self) -> SolveStats {
-        self.stats
+    pub fn stats(&self) -> SearchStats {
+        self.stats.clone()
     }
 
     /// Run root propagation to fixpoint and return every variable's domain,
@@ -100,13 +102,10 @@ impl RefSolver {
     /// Run the search to a verdict or a budget limit.
     pub fn solve(&mut self) -> Outcome {
         let start = Instant::now();
-        let outcome = self.solve_inner(start);
-        self.stats.elapsed_us = start.elapsed().as_micros() as u64;
-        outcome
-    }
-
-    fn solve_inner(&mut self, start: Instant) -> Outcome {
-        self.stats = SolveStats::default();
+        self.stats = SearchStats {
+            solves: 1,
+            ..SearchStats::default()
+        };
         if self.initially_inconsistent {
             return Outcome::Unsat;
         }
@@ -155,7 +154,7 @@ impl RefSolver {
             self.store.push_level();
             self.decisions.push((var, val));
             self.stats.decisions += 1;
-            self.stats.max_depth = self.stats.max_depth.max(self.decisions.len());
+            self.stats.peak_depth = self.stats.peak_depth.max(self.decisions.len() as u64);
             if self
                 .config
                 .budget
@@ -167,13 +166,13 @@ impl RefSolver {
 
             let mut ok = self.enact(var, val, start);
             while !ok {
-                self.stats.failures += 1;
+                self.stats.backtracks += 1;
                 failures_since_restart += 1;
                 if self
                     .config
                     .budget
                     .max_failures
-                    .is_some_and(|mx| self.stats.failures > mx)
+                    .is_some_and(|mx| self.stats.backtracks > mx)
                 {
                     return Outcome::Unknown(LimitReason::Failures);
                 }
@@ -199,7 +198,10 @@ impl RefSolver {
     /// [`crate::Solver::enumerate`] for the semantics mirrored here.
     pub fn enumerate<F: FnMut(&[Val])>(&mut self, limit: u64, mut on_solution: F) -> (u64, bool) {
         let start = Instant::now();
-        self.stats = SolveStats::default();
+        self.stats = SearchStats {
+            solves: 1,
+            ..SearchStats::default()
+        };
         if self.initially_inconsistent {
             return (0, true);
         }
@@ -240,7 +242,7 @@ impl RefSolver {
                 }
             }
             loop {
-                self.stats.failures += 1;
+                self.stats.backtracks += 1;
                 let Some((v, val)) = self.decisions.pop() else {
                     return (count, true);
                 };

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mgrts_obs::{KindStats, SearchStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -255,48 +256,14 @@ impl SolverConfig {
     }
 }
 
-/// Per-propagator-kind counters (indexed by [`PropKind::index`] in
-/// [`SolveStats::kinds`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KindCounters {
-    /// Times a propagator of this kind was dequeued and run.
-    pub wakes: u64,
-    /// Domain values removed while a propagator of this kind ran.
-    pub prunes: u64,
-    /// Runs that newly raised this kind's entailment flag.
-    pub entailments: u64,
-}
-
-/// Counters reported after a solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Decisions (search-tree nodes).
-    pub decisions: u64,
-    /// Failures (dead ends).
-    pub failures: u64,
-    /// Propagator executions.
-    pub propagations: u64,
-    /// Restarts performed.
-    pub restarts: u64,
-    /// Deepest decision stack reached.
-    pub max_depth: usize,
-    /// Wall-clock time of the last `solve` call, in microseconds.
-    pub elapsed_us: u64,
-    /// Deepest trail length reached (sampled at each decision).
-    pub peak_trail: usize,
-    /// GAC all-different matching rebuilds.
-    pub gac_rebuilds: u64,
-    /// Conflicts analyzed (learning mode; equals `failures` there).
-    pub conflicts: u64,
-    /// Nogoods learned by 1-UIP conflict analysis.
-    pub learned_nogoods: u64,
-    /// Σ of backjump lengths in levels (mean = `backjump_sum / conflicts`).
-    pub backjump_sum: u64,
-    /// Learned-database reductions performed.
-    pub db_reductions: u64,
-    /// Per-propagator-kind wake/prune/entailment counters, indexed by
-    /// [`PropKind::index`].
-    pub kinds: [KindCounters; PropKind::COUNT],
+/// One propagator kind's wake/prune/entailment counters, indexed by
+/// [`PropKind::index`]: the propagation loop's flat storage, folded into
+/// [`SearchStats::kinds`] by [`Solver::stats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct KindCounters {
+    wakes: u64,
+    prunes: u64,
+    entailments: u64,
 }
 
 /// Interval (in budget-check calls) between actual `Instant::now()` polls.
@@ -355,7 +322,8 @@ pub struct Solver {
     decisions: Vec<(VarId, Val)>,
     config: SolverConfig,
     rng: SmallRng,
-    stats: SolveStats,
+    stats: SearchStats,
+    kinds: [KindCounters; PropKind::COUNT],
     initially_inconsistent: bool,
     interrupt: Option<Arc<AtomicBool>>,
     /// False when the interrupt stopped construction before every
@@ -604,7 +572,8 @@ impl Solver {
             decisions: Vec::new(),
             rng: SmallRng::seed_from_u64(config.seed),
             config,
-            stats: SolveStats::default(),
+            stats: SearchStats::default(),
+            kinds: [KindCounters::default(); PropKind::COUNT],
             initially_inconsistent,
             interrupt,
             loaded,
@@ -644,15 +613,29 @@ impl Solver {
         self.nogoods.iter().filter_map(|slot| slot.as_ref())
     }
 
-    /// Statistics of the last [`Solver::solve`] call.
+    /// Counters of the last [`Solver::solve`] or [`Solver::enumerate`]
+    /// call, as one solve's [`SearchStats`].
     #[must_use]
-    pub fn stats(&self) -> SolveStats {
-        let mut st = self.stats;
-        // Derived on read rather than maintained in the propagation loop:
-        // the store's rebuild counter is monotone, so the delta from the
-        // solve-start base is always current.
-        st.gac_rebuilds = self.store.gac_rebuild_count().saturating_sub(self.gac_base);
-        st
+    pub fn stats(&self) -> SearchStats {
+        let kinds = PropKind::ALL
+            .iter()
+            .zip(&self.kinds)
+            .filter(|(_, kc)| kc.wakes != 0 || kc.prunes != 0 || kc.entailments != 0)
+            .map(|(k, kc)| KindStats {
+                kind: k.name().to_string(),
+                wakes: kc.wakes,
+                prunes: kc.prunes,
+                entailments: kc.entailments,
+            })
+            .collect();
+        SearchStats {
+            // Derived on read rather than maintained in the propagation
+            // loop: the store's rebuild counter is monotone, so the delta
+            // from the solve-start base is always current.
+            gac_rebuilds: self.store.gac_rebuild_count().saturating_sub(self.gac_base),
+            kinds,
+            ..self.stats.clone()
+        }
     }
 
     /// Run root propagation to fixpoint and return every variable's domain,
@@ -700,7 +683,6 @@ impl Solver {
         } else {
             self.solve_inner(start)
         };
-        self.stats.elapsed_us = start.elapsed().as_micros() as u64;
         if let Outcome::Sat(sol) = &outcome {
             // The engine's own post-condition: never hand out a bogus model.
             for c in &self.constraints {
@@ -714,10 +696,7 @@ impl Solver {
     }
 
     fn solve_inner(&mut self, start: Instant) -> Outcome {
-        self.stats = SolveStats::default();
-        self.budget_ticks = 0;
-        self.abort_pending = false;
-        self.gac_base = self.store.gac_rebuild_count();
+        self.begin_solve();
         if self.stopped_at_entry() {
             return Outcome::Unknown(LimitReason::Interrupted);
         }
@@ -774,8 +753,8 @@ impl Solver {
             self.store.push_level();
             self.decisions.push((var, val));
             self.stats.decisions += 1;
-            self.stats.max_depth = self.stats.max_depth.max(self.decisions.len());
-            self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len());
+            self.stats.peak_depth = self.stats.peak_depth.max(self.decisions.len() as u64);
+            self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len() as u64);
             if self
                 .config
                 .budget
@@ -787,13 +766,13 @@ impl Solver {
 
             let mut ok = self.enact(var, val, start);
             while !ok {
-                self.stats.failures += 1;
+                self.stats.backtracks += 1;
                 failures_since_restart += 1;
                 if self
                     .config
                     .budget
                     .max_failures
-                    .is_some_and(|mx| self.stats.failures > mx)
+                    .is_some_and(|mx| self.stats.backtracks > mx)
                 {
                     return Outcome::Unknown(LimitReason::Failures);
                 }
@@ -825,10 +804,7 @@ impl Solver {
     /// solutions); budgets still apply and make `complete = false`.
     pub fn enumerate<F: FnMut(&[Val])>(&mut self, limit: u64, mut on_solution: F) -> (u64, bool) {
         let start = Instant::now();
-        self.stats = SolveStats::default();
-        self.budget_ticks = 0;
-        self.abort_pending = false;
-        self.gac_base = self.store.gac_rebuild_count();
+        self.begin_solve();
         // Enumeration never learns (no conflict analysis here); already
         // learned nogoods are model-implied, so their pruning cannot drop
         // solutions, but the implication log must stop growing.
@@ -856,7 +832,7 @@ impl Solver {
                 self.store.push_level();
                 self.decisions.push((var, val));
                 self.stats.decisions += 1;
-                self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len());
+                self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len() as u64);
                 if self
                     .config
                     .budget
@@ -881,7 +857,7 @@ impl Solver {
             }
             // Backtrack out of the conflict / recorded solution.
             loop {
-                self.stats.failures += 1;
+                self.stats.backtracks += 1;
                 let Some((v, val)) = self.decisions.pop() else {
                     return (count, true);
                 };
@@ -904,6 +880,19 @@ impl Solver {
     /// [`Solver::enumerate`].
     pub fn count_solutions(&mut self, limit: u64) -> (u64, bool) {
         self.enumerate(limit, |_| {})
+    }
+
+    /// Reset the per-solve counters and budget state: the counters then
+    /// describe one solve from its start.
+    fn begin_solve(&mut self) {
+        self.stats = SearchStats {
+            solves: 1,
+            ..SearchStats::default()
+        };
+        self.kinds = [KindCounters::default(); PropKind::COUNT];
+        self.budget_ticks = 0;
+        self.abort_pending = false;
+        self.gac_base = self.store.gac_rebuild_count();
     }
 
     /// The check before a solve's root propagation: a raised flag stops
@@ -1127,7 +1116,7 @@ impl Solver {
                 self.pending[ci_us] = pend; // keep the allocation
                 r
             };
-            let kc = &mut self.stats.kinds[ki];
+            let kc = &mut self.kinds[ki];
             kc.wakes += 1;
             kc.prunes += self.store.prune_count() - prunes_before;
             // Entailed propagators never reach the queue (dispatch skips
@@ -1244,10 +1233,7 @@ impl Solver {
     /// pruning by nogoods never loses solutions, and any analysis anomaly
     /// degrades to a plain chronological step.
     fn solve_learning(&mut self, start: Instant) -> Outcome {
-        self.stats = SolveStats::default();
-        self.budget_ticks = 0;
-        self.abort_pending = false;
-        self.gac_base = self.store.gac_rebuild_count();
+        self.begin_solve();
         if self.stopped_at_entry() {
             return Outcome::Unknown(LimitReason::Interrupted);
         }
@@ -1306,8 +1292,8 @@ impl Solver {
                 self.saved_phase[var] = Some(val);
             }
             self.stats.decisions += 1;
-            self.stats.max_depth = self.stats.max_depth.max(self.decisions.len());
-            self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len());
+            self.stats.peak_depth = self.stats.peak_depth.max(self.decisions.len() as u64);
+            self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len() as u64);
             if self
                 .config
                 .budget
@@ -1320,14 +1306,14 @@ impl Solver {
             self.store.set_reason(Reason::Decision);
             let mut ok = self.enact(var, val, start);
             while !ok {
-                self.stats.failures += 1;
+                self.stats.backtracks += 1;
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
                 if self
                     .config
                     .budget
                     .max_failures
-                    .is_some_and(|mx| self.stats.failures > mx)
+                    .is_some_and(|mx| self.stats.backtracks > mx)
                 {
                     return Outcome::Unknown(LimitReason::Failures);
                 }
@@ -1366,7 +1352,7 @@ impl Solver {
                             self.store.backtrack();
                             self.decisions.pop();
                         }
-                        self.stats.learned_nogoods += 1;
+                        self.stats.learnt_clauses += 1;
                         if rest.is_empty() {
                             // Unit nogood: ¬uip is a permanent root fact
                             // (root mutations are never logged, so the
@@ -2201,7 +2187,7 @@ mod tests {
         let st = s.stats();
         assert!(st.conflicts > 0, "expected conflicts, got {st:?}");
         assert!(
-            st.learned_nogoods > 0,
+            st.learnt_clauses > 0,
             "expected learned nogoods, got {st:?}"
         );
         assert!(s.learned_nogoods().count() > 0);
@@ -2224,10 +2210,10 @@ mod tests {
         let mut b = pigeonhole_pairwise(8).into_solver(SolverConfig::chronological_learning());
         assert!(b.solve().is_unsat());
         assert!(
-            b.stats().failures < a.stats().failures,
+            b.stats().backtracks < a.stats().backtracks,
             "learning: {} failures, chronological: {}",
-            b.stats().failures,
-            a.stats().failures
+            b.stats().backtracks,
+            a.stats().backtracks
         );
     }
 

@@ -25,7 +25,7 @@ pub mod metrics;
 pub mod stats;
 
 pub use flight::{FlightRecorder, ThreadRing};
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::{render_sample, Counter, Gauge, Histogram, Registry, SampleKind};
 pub use stats::{KindStats, SearchStats};
 
 use std::sync::OnceLock;

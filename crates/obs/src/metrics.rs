@@ -275,19 +275,42 @@ impl Registry {
                 continue;
             }
             seen.push(&e.name);
-            out.push_str(&format!(
-                "# HELP {} {}\n# TYPE {} {}\n",
-                e.name,
-                escape_help(&e.help),
-                e.name,
-                e.handle.type_name()
-            ));
+            header(&mut out, &e.name, &e.help, e.handle.type_name());
             for s in entries.iter().filter(|s| s.name == e.name) {
                 render_entry(&mut out, s);
             }
         }
         out
     }
+}
+
+/// The type of a sample rendered by [`render_sample`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleKind {
+    /// A monotone count.
+    Counter,
+    /// A current value.
+    Gauge,
+}
+
+/// Render one unlabeled counter or gauge under its own `# HELP` /
+/// `# TYPE` header, in the format of [`Registry::render`]: for values
+/// kept outside a registry, such as the fields of a snapshot taken under
+/// one lock.
+pub fn render_sample(out: &mut String, name: &str, help: &str, kind: SampleKind, value: u64) {
+    let type_name = match kind {
+        SampleKind::Counter => "counter",
+        SampleKind::Gauge => "gauge",
+    };
+    header(out, name, help, type_name);
+    out.push_str(&format!("{name} {value}\n"));
+}
+
+fn header(out: &mut String, name: &str, help: &str, type_name: &str) {
+    out.push_str(&format!(
+        "# HELP {name} {}\n# TYPE {name} {type_name}\n",
+        escape_help(help)
+    ));
 }
 
 fn label_eq(a: &[(String, String)], b: &[(&str, &str)]) -> bool {
@@ -436,6 +459,23 @@ mod tests {
         assert_eq!(snap.buckets[64], 1);
         assert_eq!(snap.count, 3);
         assert_eq!(snap.sum, u64::MAX.wrapping_add(1)); // 0 + 1 + MAX wraps
+    }
+
+    #[test]
+    fn render_sample_matches_a_registry_series() {
+        let r = Registry::new();
+        r.counter("hits_total", "Hits.\nAll of them.").set(7);
+        r.gauge("depth", "Depth.").set(2);
+        let mut out = String::new();
+        render_sample(
+            &mut out,
+            "hits_total",
+            "Hits.\nAll of them.",
+            SampleKind::Counter,
+            7,
+        );
+        render_sample(&mut out, "depth", "Depth.", SampleKind::Gauge, 2);
+        assert_eq!(out, r.render());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Search-statistics counters shared by every solver backend.
 //!
-//! [`SearchStats`] is the lingua franca of the telemetry pipeline: the CSP
-//! and SAT engines fill one per solve, engines accumulate them across
-//! solves, campaign records persist them as an optional `search` block,
-//! and `report profile` merges them per experiment cell. All fields are
-//! plain saturating-free `u64` counters — cheap to bump, cheap to merge,
-//! loss-free to serialize.
+//! [`SearchStats`] is the one counter type of the telemetry pipeline: the
+//! CSP and SAT engines and the specialized searches count into one per
+//! solve, engines accumulate them across solves, campaign records persist
+//! them as an optional `search` block, and `report profile` merges them
+//! per experiment cell. All fields are plain saturating-free `u64`
+//! counters — cheap to bump, cheap to merge, loss-free to serialize.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -43,7 +43,8 @@ pub struct SearchStats {
     pub conflicts: u64,
     /// Restarts performed.
     pub restarts: u64,
-    /// SAT clauses / CSP nogoods learned.
+    /// CSP nogoods learned; for SAT, learned clauses still in the database
+    /// (database reduction removes them again).
     pub learnt_clauses: u64,
     /// Levels jumped over by non-chronological backtracking, summed over
     /// all conflicts (0 for chronological search). Serde-additive: absent

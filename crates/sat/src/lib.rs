@@ -48,5 +48,5 @@ pub use cnf::{Cnf, DimacsError};
 pub use encodings::{
     at_least_k, at_most_k, at_most_one, exactly_k, exactly_one, pb_exactly, AmoEncoding,
 };
-pub use solver::{SatConfig, SatLimit, SatOutcome, SatSolver, SatStats};
+pub use solver::{SatConfig, SatLimit, SatOutcome, SatSolver};
 pub use types::{LBool, Lit, Var};

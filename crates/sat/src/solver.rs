@@ -26,6 +26,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mgrts_obs::SearchStats;
+
 use crate::cnf::Cnf;
 use crate::heap::VarHeap;
 use crate::types::{LBool, Lit, Var};
@@ -92,25 +94,6 @@ pub enum SatLimit {
     Interrupted,
 }
 
-/// Search counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SatStats {
-    /// Decision count.
-    pub decisions: u64,
-    /// Propagated literals.
-    pub propagations: u64,
-    /// Conflicts analyzed.
-    pub conflicts: u64,
-    /// Restarts performed.
-    pub restarts: u64,
-    /// Learned clauses currently in the database.
-    pub learnt_clauses: u64,
-    /// Learned clauses deleted by database reduction.
-    pub deleted_clauses: u64,
-    /// Wall-clock time of the last solve, microseconds.
-    pub elapsed_us: u64,
-}
-
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SatConfig {
@@ -168,7 +151,7 @@ pub struct SatSolver {
     phase: Vec<bool>,
     seen: Vec<bool>,
     ok: bool,
-    stats: SatStats,
+    stats: SearchStats,
     interrupt: Option<Arc<AtomicBool>>,
     /// False when the interrupt stopped [`SatSolver::with_interrupt`]
     /// before every clause was loaded. A partial formula may be
@@ -232,7 +215,7 @@ impl SatSolver {
             phase: vec![cfg.default_phase; n],
             seen: vec![false; n],
             ok: true,
-            stats: SatStats::default(),
+            stats: SearchStats::default(),
             interrupt,
             loaded: true,
             budget_ticks: 0,
@@ -286,10 +269,12 @@ impl SatSolver {
         SatSolver::new(cnf, SatConfig::default()).solve()
     }
 
-    /// Counters from the most recent [`SatSolver::solve`].
+    /// Counters summed over every solve call so far. `learnt_clauses`
+    /// counts the learned clauses currently in the database (reduction
+    /// removes them again), and every conflict is also a backtrack.
     #[must_use]
-    pub fn stats(&self) -> SatStats {
-        self.stats
+    pub fn stats(&self) -> SearchStats {
+        self.stats.clone()
     }
 
     /// Replace the wall-clock budget of subsequent solves — for callers
@@ -659,7 +644,6 @@ impl SatSolver {
             {
                 c.deleted = true;
                 self.stats.learnt_clauses -= 1;
-                self.stats.deleted_clauses += 1;
             }
         }
         // Slide the surviving clauses down over the deleted ones' literals;
@@ -735,9 +719,9 @@ impl SatSolver {
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatOutcome {
         let start = Instant::now();
         self.budget_ticks = 0;
+        self.stats.solves += 1;
         let result = self.search(start, assumptions);
         self.backtrack_to(0);
-        self.stats.elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         result
     }
 
@@ -768,6 +752,7 @@ impl SatSolver {
                 }
                 if let Some(confl) = self.propagate() {
                     self.stats.conflicts += 1;
+                    self.stats.backtracks += 1;
                     conflicts_here += 1;
                     if self.decision_level() == 0 {
                         self.ok = false;
@@ -1033,9 +1018,9 @@ mod tests {
                 .clone()
                 .map(|c| (!s.clauses[c as usize].deleted).then(|| s.lits(c).to_vec()))
                 .collect();
-            let deleted = s.stats().deleted_clauses;
+            let live_learnts = s.stats().learnt_clauses;
             s.reduce_db();
-            if s.stats().deleted_clauses > deleted {
+            if s.stats().learnt_clauses < live_learnts {
                 reductions += 1;
             }
             assert!(s.arena_is_compact());

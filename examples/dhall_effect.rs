@@ -43,7 +43,7 @@ fn main() {
     let schedule = res.verdict.schedule().expect("the CSP finds it");
     println!(
         "feasible in {} decisions — schedule of one hyperperiod:",
-        res.stats.decisions
+        res.search.unwrap_or_default().decisions
     );
     println!("{}", render_schedule(schedule));
 

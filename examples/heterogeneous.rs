@@ -42,9 +42,10 @@ fn main() {
     match res.verdict.schedule() {
         Some(s) => {
             check_heterogeneous(&ts, &platform, s).expect("constraint (12) holds");
+            let search = res.search.clone().unwrap_or_default();
             println!(
                 "feasible in {} decisions / {} failures:",
-                res.stats.decisions, res.stats.failures
+                search.decisions, search.backtracks
             );
             println!("{}", render_schedule(s));
         }

@@ -67,13 +67,12 @@ fn main() {
             None => println!("no backend reached a definitive verdict"),
         }
         for report in &outcome.backends {
-            let stats = report.stats();
             println!(
                 "  {:<14} {:<22} decisions={:<8} elapsed={:?}",
                 format!("{}{}", report.name, if report.winner { " *" } else { "" }),
                 report.outcome_label(),
-                stats.decisions,
-                stats.elapsed(),
+                report.stat().decisions,
+                report.stats().elapsed(),
             );
         }
         if let Some(schedule) = outcome.result.verdict.schedule() {

@@ -28,9 +28,10 @@ fn main() {
         .solve();
     let schedule = res.verdict.schedule().expect("the example is feasible");
     check_identical(&ts, m, schedule).expect("C1–C4 hold");
+    let search = res.search.unwrap_or_default();
     println!(
         "feasible in {} decisions, {} failures, {} µs",
-        res.stats.decisions, res.stats.failures, res.stats.elapsed_us
+        search.decisions, search.backtracks, res.stats.elapsed_us
     );
     println!("{}", render_schedule(schedule));
 
@@ -38,9 +39,10 @@ fn main() {
     let res = solve_csp1(&ts, m, &Csp1Config::default()).unwrap();
     let schedule = res.verdict.schedule().expect("the example is feasible");
     check_identical(&ts, m, schedule).expect("C1–C4 hold");
+    let search = res.search.unwrap_or_default();
     println!(
         "feasible in {} decisions, {} failures, {} µs",
-        res.stats.decisions, res.stats.failures, res.stats.elapsed_us
+        search.decisions, search.backtracks, res.stats.elapsed_us
     );
     println!("{}", render_schedule(schedule));
 }

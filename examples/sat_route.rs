@@ -33,9 +33,10 @@ fn main() {
     let res = solve_csp1_sat(&ts, m, &Csp1SatConfig::default()).expect("constrained task set");
     let schedule = res.verdict.schedule().expect("Example 1 is feasible");
     check_identical(&ts, m, schedule).expect("C1-C4 hold");
+    let search = res.search.clone().unwrap_or_default();
     println!(
         "\nCDCL verdict: FEASIBLE in {} decisions / {} conflicts\n",
-        res.stats.decisions, res.stats.failures
+        search.decisions, search.conflicts
     );
     println!("{}", render_schedule(schedule));
 

@@ -27,8 +27,15 @@ fn full_pipeline_on_the_running_example() {
     assert!(rendered.starts_with("P1"));
 }
 
-#[test]
-fn generated_problems_flow_through_both_encodings() {
+/// CSP1's decision budget in the default run. Unbudgeted, one infeasible
+/// instance of the stream needs 6.5 million CSP1 decisions: 19 s of a
+/// release build, minutes of a debug build.
+const CSP1_DECISIONS: u64 = 25_000;
+
+/// Solve 25 generated problems with CSP2 and CSP1 (under `csp1_decisions`,
+/// when given): every verdict CSP1 reaches must match CSP2's, and every
+/// schedule must pass C1–C4. Returns how many instances CSP1 decided.
+fn both_encodings_agree(csp1_decisions: Option<u64>) -> usize {
     let cfg = GeneratorConfig {
         n: 5,
         m: MSpec::Fixed(3),
@@ -36,22 +43,44 @@ fn generated_problems_flow_through_both_encodings() {
         order: ParamOrder::DeadlineFirst,
         synchronous: false,
     };
+    let csp1_cfg = Csp1Config {
+        max_decisions: csp1_decisions,
+        ..Csp1Config::default()
+    };
     let gen = ProblemGenerator::new(cfg, 424242);
+    let mut csp1_decided = 0;
     for p in gen.batch(25) {
         let a = Csp2Solver::new(&p.taskset, p.m).unwrap().solve();
-        let b = solve_csp1(&p.taskset, p.m, &Csp1Config::default()).unwrap();
-        assert_eq!(
-            a.verdict.is_feasible(),
-            b.verdict.is_feasible(),
-            "encodings disagree on seed {}",
-            p.seed
-        );
+        let b = solve_csp1(&p.taskset, p.m, &csp1_cfg).unwrap();
+        if !b.verdict.is_unknown() {
+            csp1_decided += 1;
+            assert_eq!(
+                a.verdict.is_feasible(),
+                b.verdict.is_feasible(),
+                "encodings disagree on seed {}",
+                p.seed
+            );
+        }
         for res in [&a, &b] {
             if let Some(s) = res.verdict.schedule() {
                 check_identical(&p.taskset, p.m, s).unwrap();
             }
         }
     }
+    csp1_decided
+}
+
+#[test]
+fn generated_problems_flow_through_both_encodings() {
+    assert_eq!(both_encodings_agree(Some(CSP1_DECISIONS)), 24);
+}
+
+/// The same run with CSP1 unbudgeted, so it must decide every instance:
+/// about 20 s in a release build, which is how CI runs it.
+#[test]
+#[ignore = "minutes of CSP1 search in a debug build; run with --release -- --ignored"]
+fn generated_problems_flow_through_both_encodings_unbudgeted() {
+    assert_eq!(both_encodings_agree(None), 25);
 }
 
 #[test]
