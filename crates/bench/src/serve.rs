@@ -289,16 +289,18 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// and the stored record's instance id.
 #[must_use]
 pub fn request_key(req: &SolveRequest, default_budget_ms: u64) -> u64 {
-    use serde::Serialize;
-    let canon = serde_json::to_string(&req.taskset.to_value()).unwrap_or_default();
-    let tail = format!(
+    use std::fmt::Write;
+    let mut text = serde_json::to_string(&req.taskset).unwrap_or_default();
+    write!(
+        text,
         "|m={}|mode={}|budget_ms={}|seed={}",
         req.m,
         req.mode.tag(),
         req.effective_budget_ms(default_budget_ms),
         req.seed
-    );
-    fnv1a(format!("{canon}{tail}").as_bytes())
+    )
+    .expect("writing to a String cannot fail");
+    fnv1a(text.as_bytes())
 }
 
 /// Render a request key as the wire ticket (16 hex digits — the same
@@ -1151,13 +1153,16 @@ fn heavy_worker(state: &Arc<ServerState>, index: usize) {
 /// partial line in place — the framing the protocol tests pin down.
 pub fn drain_lines(buf: &mut Vec<u8>) -> Vec<String> {
     let mut lines = Vec::new();
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = buf.drain(..=pos).collect();
-        let text = String::from_utf8_lossy(&line[..line.len() - 1])
-            .trim_end_matches('\r')
-            .to_string();
-        lines.push(text);
+    let mut start = 0;
+    while let Some(len) = buf[start..].iter().position(|&b| b == b'\n') {
+        let mut line = &buf[start..start + len];
+        while let [rest @ .., b'\r'] = line {
+            line = rest;
+        }
+        lines.push(String::from_utf8_lossy(line).into_owned());
+        start += len + 1;
     }
+    buf.drain(..start);
     lines
 }
 
@@ -1481,6 +1486,54 @@ mod tests {
         let mut other = base.clone();
         other.budget_ms = Some(1_000);
         assert_eq!(k, request_key(&other, 1_000));
+    }
+
+    fn ticket_for(line: &str, default_budget_ms: u64) -> String {
+        match parse_request(line).unwrap() {
+            Request::Solve(r) => ticket_of(request_key(&r, default_budget_ms)),
+            other => panic!("expected a solve request, got {other:?}"),
+        }
+    }
+
+    /// Stores written by earlier builds keep serving hits only while the
+    /// key function hashes the same bytes, so these tickets never change.
+    #[test]
+    fn request_keys_are_pinned() {
+        // The `serve_roundtrip` request, under the default budget.
+        let roundtrip = concat!(
+            r#"{"type":"solve","taskset":{"tasks":[{"offset":0,"wcet":1,"deadline":2,"period":2},"#,
+            r#"{"offset":1,"wcet":3,"deadline":4,"period":4},"#,
+            r#"{"offset":0,"wcet":2,"deadline":2,"period":3}]},"m":2,"solver":"csp2-dc"}"#
+        );
+        assert_eq!(
+            ticket_for(roundtrip, ServeConfig::default().default_budget_ms),
+            "1695f5f87a8cc517"
+        );
+        // The first Table I instance of seed 2009 with U/m < 0.7 (generator
+        // index 20), as the benchmark's serve phase sends it.
+        let paper_cell = concat!(
+            r#"{"type":"solve","taskset":{"tasks":[{"offset":1,"wcet":1,"deadline":1,"period":3},"#,
+            r#"{"offset":0,"wcet":1,"deadline":7,"period":7},{"offset":3,"wcet":1,"deadline":5,"period":6},"#,
+            r#"{"offset":4,"wcet":2,"deadline":7,"period":7},{"offset":0,"wcet":2,"deadline":3,"period":4},"#,
+            r#"{"offset":0,"wcet":2,"deadline":4,"period":7},{"offset":2,"wcet":1,"deadline":2,"period":4},"#,
+            r#"{"offset":5,"wcet":1,"deadline":6,"period":7},{"offset":1,"wcet":1,"deadline":1,"period":4},"#,
+            r#"{"offset":4,"wcet":3,"deadline":4,"period":7}]},"m":5,"solver":"csp2-dc","budget_ms":20,"seed":1}"#
+        );
+        assert_eq!(ticket_for(paper_cell, 20), "830f1905c3671e5b");
+    }
+
+    #[test]
+    fn request_keys_are_canonical() {
+        let canonical = concat!(
+            r#"{"type":"solve","taskset":{"tasks":[{"offset":0,"wcet":1,"deadline":2,"period":2},"#,
+            r#"{"offset":1,"wcet":3,"deadline":4,"period":4}]},"m":2,"solver":"csp2-dc"}"#
+        );
+        let shuffled = concat!(
+            " { \"solver\" : \"csp2-dc\" ,\n \"m\":2, \"taskset\" : {\"tasks\" : [ ",
+            "{\"period\":2,\"deadline\":2,\"wcet\":1,\"offset\":0} ,\r\n",
+            "{\"wcet\":3, \"offset\":1,\"period\":4,\"deadline\":4} ] } ,\t\"type\" : \"solve\" } "
+        );
+        assert_eq!(ticket_for(canonical, 1_000), ticket_for(shuffled, 1_000));
     }
 
     #[test]

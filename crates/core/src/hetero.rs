@@ -149,13 +149,14 @@ pub fn solve_csp1_hetero_cancellable(
         return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
     };
     model.set_interrupt(cancel.as_flag());
-    let mut solver = model.into_solver(SolverConfig::generic_randomized(cfg.seed).with_budget(
-        Budget {
-            time: cfg.time,
-            max_decisions: cfg.max_decisions,
-            max_failures: None,
-        },
-    ));
+    let mut solver = model.into_solver(SolverConfig::generic_randomized(cfg.seed));
+    // The time budget counts from solve entry: encoding and construction
+    // draw on the same allowance as the search.
+    solver.set_budget(Budget {
+        time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
+        max_decisions: cfg.max_decisions,
+        max_failures: None,
+    });
     let verdict = match solver.solve() {
         Outcome::Sat(sol) => Verdict::Feasible(crate::csp1::decode(&layout, &sol)),
         Outcome::Unsat => Verdict::Infeasible,
