@@ -135,6 +135,27 @@ fn malformed_lines_get_errors_without_disconnect() {
 }
 
 #[test]
+fn invalid_taskset_gets_an_error_reply() {
+    let _serial = serial();
+    let server = Server::start(config("bad-taskset")).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    // `wcet > deadline`: the task set fails validation while parsing, so
+    // no backend ever sees it.
+    let err = exchange_on(
+        &stream,
+        r#"{"type":"solve","taskset":{"tasks":[{"offset":0,"wcet":3,"deadline":2,"period":4}]},"m":1}"#,
+    );
+    assert_eq!(err["type"].as_str(), Some("error"), "got {err:?}");
+    let msg = err["error"].as_str().unwrap_or_default();
+    assert!(
+        msg.contains("bad `taskset`") && msg.contains("exceeds deadline"),
+        "got {err:?}"
+    );
+    assert_eq!(server.stats().solves, 0);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_request_resolves_via_spill_and_poll() {
     let _serial = serial();
     let mut cfg = config("spill");

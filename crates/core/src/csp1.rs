@@ -32,7 +32,7 @@ use crate::solve::{SolveResult, StopReason, Verdict};
 pub(crate) fn stop_reason(limit: LimitReason) -> StopReason {
     match limit {
         LimitReason::Time => StopReason::TimeLimit,
-        LimitReason::Decisions | LimitReason::Failures => StopReason::DecisionLimit,
+        LimitReason::Decisions => StopReason::DecisionLimit,
         LimitReason::Interrupted => StopReason::Cancelled,
     }
 }
@@ -225,7 +225,6 @@ pub fn solve_csp1_cancellable(
     solver.set_budget(Budget {
         time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
         max_decisions: cfg.max_decisions,
-        max_failures: None,
     });
     let verdict = match solver.solve() {
         Outcome::Sat(sol) => Verdict::Feasible(decode(&layout, &sol)),

@@ -39,9 +39,6 @@ use crate::solve::{SolveResult, StopReason, Verdict};
 pub struct Csp2GenericConfig {
     /// Post the eq. (10) symmetry-breaking chain.
     pub symmetry_breaking: bool,
-    /// Use chronological (input-order) variable selection rather than the
-    /// engine default.
-    pub chronological: bool,
     /// Conflict-driven nogood learning (lazy clause generation): 1-UIP
     /// conflict analysis, non-chronological backjumping, Luby restarts and
     /// phase saving on top of the chronological ordering.
@@ -50,19 +47,15 @@ pub struct Csp2GenericConfig {
     pub time: Option<Duration>,
     /// Decision budget.
     pub max_decisions: Option<u64>,
-    /// RNG seed (only relevant without `chronological`).
-    pub seed: u64,
 }
 
 impl Default for Csp2GenericConfig {
     fn default() -> Self {
         Csp2GenericConfig {
             symmetry_breaking: true,
-            chronological: true,
             learning: false,
             time: None,
             max_decisions: None,
-            seed: 1,
         }
     }
 }
@@ -213,15 +206,15 @@ pub fn solve_csp2_generic_cancellable(
         return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
     };
     model.set_interrupt(cancel.as_flag());
+    // Both modes branch chronologically (input order, smallest value
+    // first), so the search is deterministic and needs no seed.
     let solver_cfg = if cfg.learning {
         SolverConfig::chronological_learning()
-    } else if cfg.chronological {
+    } else {
         SolverConfig {
             var_order: VarOrder::Input,
             ..SolverConfig::default()
         }
-    } else {
-        SolverConfig::generic_randomized(cfg.seed)
     };
     let mut solver = model.into_solver(solver_cfg);
     // The time budget counts from solve entry: encoding and construction
@@ -229,7 +222,6 @@ pub fn solve_csp2_generic_cancellable(
     solver.set_budget(Budget {
         time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
         max_decisions: cfg.max_decisions,
-        max_failures: None,
     });
     let verdict = match solver.solve() {
         Outcome::Sat(sol) => Verdict::Feasible(decode(&layout, &sol)),
@@ -295,19 +287,6 @@ mod tests {
             "eq. (10) must not change the verdict"
         );
         assert!(with.search.unwrap().backtracks <= without.search.unwrap().backtracks.max(1) * 4);
-    }
-
-    #[test]
-    fn non_chronological_randomized_mode() {
-        let ts = TaskSet::running_example();
-        let cfg = Csp2GenericConfig {
-            chronological: false,
-            seed: 5,
-            ..Default::default()
-        };
-        let res = solve_csp2_generic(&ts, 2, &cfg).unwrap();
-        let s = res.verdict.schedule().expect("feasible");
-        check_identical(&ts, 2, s).unwrap();
     }
 
     #[test]

@@ -605,22 +605,16 @@ impl FeasibilitySolver for Csp2Engine {
 pub struct Csp2GenericEngine {
     /// Post the eq. (10) symmetry-breaking chain.
     pub symmetry_breaking: bool,
-    /// Chronological (input-order) variable selection.
-    pub chronological: bool,
     /// Conflict-driven nogood learning (lazy clause generation) with
     /// non-chronological backjumping, Luby restarts and phase saving.
     pub learning: bool,
-    /// Seed (relevant only without `chronological`).
-    pub seed: u64,
 }
 
 impl Default for Csp2GenericEngine {
     fn default() -> Self {
         Csp2GenericEngine {
             symmetry_breaking: true,
-            chronological: true,
             learning: false,
-            seed: 1,
         }
     }
 }
@@ -652,11 +646,9 @@ impl FeasibilitySolver for Csp2GenericEngine {
             m,
             &Csp2GenericConfig {
                 symmetry_breaking: self.symmetry_breaking,
-                chronological: self.chronological,
                 learning: self.learning,
                 time: budget.time,
                 max_decisions: budget.max_decisions,
-                seed: self.seed,
             },
             cancel,
         )
@@ -786,13 +778,9 @@ impl SolverSpec {
             SolverSpec::Csp1 => Box::new(Csp1Engine { seed }),
             SolverSpec::Csp1Sat => Box::new(Csp1SatEngine::default()),
             SolverSpec::Csp2(order) => Box::new(Csp2Engine { order: *order }),
-            SolverSpec::Csp2Generic => Box::new(Csp2GenericEngine {
-                seed,
-                ..Csp2GenericEngine::default()
-            }),
+            SolverSpec::Csp2Generic => Box::new(Csp2GenericEngine::default()),
             SolverSpec::Csp2Learn => Box::new(Csp2GenericEngine {
                 learning: true,
-                seed,
                 ..Csp2GenericEngine::default()
             }),
             SolverSpec::Local => Box::new(LocalSearchEngine {
@@ -831,19 +819,20 @@ impl SolverSpec {
 
     /// Does the built engine's behaviour depend on the seed?
     ///
-    /// `Csp1` (randomized restarts), `Csp2Generic` (randomized
-    /// tie-breaking) and the local-search family are seeded; the SAT and
-    /// specialized-CSP2 backends are deterministic, so [`EnginePool`] can
-    /// serve one cached instance for every seed.
+    /// `Csp1` (randomized restarts) and the local-search family are
+    /// seeded; the SAT, specialized-CSP2 and chronological generic-engine
+    /// backends are deterministic, so [`EnginePool`] can serve one cached
+    /// instance for every seed.
     #[must_use]
     pub fn seed_sensitive(&self) -> bool {
         match self {
-            SolverSpec::Csp1
+            SolverSpec::Csp1 | SolverSpec::Local | SolverSpec::LocalTabu | SolverSpec::LocalSa => {
+                true
+            }
+            SolverSpec::Csp1Sat
+            | SolverSpec::Csp2(_)
             | SolverSpec::Csp2Generic
-            | SolverSpec::Local
-            | SolverSpec::LocalTabu
-            | SolverSpec::LocalSa => true,
-            SolverSpec::Csp1Sat | SolverSpec::Csp2(_) | SolverSpec::Csp2Learn => false,
+            | SolverSpec::Csp2Learn => false,
         }
     }
 
@@ -1141,7 +1130,8 @@ mod tests {
         assert_eq!(spec, SolverSpec::Csp2Learn);
         assert_eq!(spec.name(), "csp2-learn");
         assert_eq!(spec.label(), "csp2-learn");
-        assert!(!spec.seed_sensitive());
+        // Both chronological generic-engine routes are deterministic.
+        assert!(!spec.seed_sensitive() && !SolverSpec::Csp2Generic.seed_sensitive());
         assert_eq!(spec.build().name(), "csp2-learn");
         assert!(SolverSpec::DEFAULT_PORTFOLIO.contains(&SolverSpec::Csp2Learn));
         // The unknown-solver error advertises the learning roster entry.

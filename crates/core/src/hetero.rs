@@ -155,7 +155,6 @@ pub fn solve_csp1_hetero_cancellable(
     solver.set_budget(Budget {
         time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
         max_decisions: cfg.max_decisions,
-        max_failures: None,
     });
     let verdict = match solver.solve() {
         Outcome::Sat(sol) => Verdict::Feasible(crate::csp1::decode(&layout, &sol)),

@@ -159,3 +159,78 @@ proptest! {
         }
     }
 }
+
+/// Golden search path of the generic engine's three routes (`csp1` with
+/// seed 1, `csp2-generic`, `csp2-learn`) on the first six Table I
+/// instances of seed 2009, each under a 500-decision budget: the verdict
+/// and the exact search counters. Any change to the engine's search loop
+/// that is meant to keep its behaviour must leave every row unchanged.
+#[test]
+fn generic_engine_search_path_is_pinned() {
+    use rt_gen::{GeneratorConfig, ProblemGenerator};
+
+    let engines: [(&str, Box<dyn FeasibilitySolver>); 3] = [
+        ("csp1", Box::new(Csp1Engine { seed: 1 })),
+        ("csp2-generic", Box::new(Csp2GenericEngine::default())),
+        (
+            "csp2-learn",
+            Box::new(Csp2GenericEngine {
+                learning: true,
+                ..Csp2GenericEngine::default()
+            }),
+        ),
+    ];
+    let budget = Budget {
+        max_decisions: Some(500),
+        ..Budget::unlimited()
+    };
+    let gen = ProblemGenerator::new(GeneratorConfig::table1(), 2009);
+    let mut got = Vec::new();
+    for (i, p) in gen.batch(6).iter().enumerate() {
+        for (name, engine) in &engines {
+            let res = engine
+                .solve(&p.taskset, p.m, &budget, &CancelToken::new())
+                .expect("valid instance");
+            let verdict = match &res.verdict {
+                v if v.is_feasible() => "feasible".to_string(),
+                v if v.is_infeasible() => "infeasible".to_string(),
+                v => format!("{v:?}"),
+            };
+            let s = res.search.expect("engine telemetry");
+            got.push(format!(
+                "{i} {name} {verdict} {} {} {} {} {} {} {} {}",
+                s.decisions,
+                s.backtracks,
+                s.conflicts,
+                s.restarts,
+                s.learnt_clauses,
+                s.propagations,
+                s.backjump_sum,
+                s.db_reductions,
+            ));
+        }
+    }
+    // instance engine verdict decisions backtracks conflicts restarts
+    // learnt_clauses propagations backjump_sum db_reductions
+    let expected = [
+        "0 csp1 Unknown(DecisionLimit) 501 23 0 0 0 7425 0 0",
+        "0 csp2-generic Unknown(DecisionLimit) 501 488 0 0 0 19678 0 0",
+        "0 csp2-learn Unknown(DecisionLimit) 501 467 467 2 154 19230 154 0",
+        "1 csp1 Unknown(DecisionLimit) 501 0 0 0 0 9874 0 0",
+        "1 csp2-generic Unknown(DecisionLimit) 501 476 0 0 0 14166 0 0",
+        "1 csp2-learn Unknown(DecisionLimit) 501 394 394 2 30 12585 71 0",
+        "2 csp1 Unknown(DecisionLimit) 501 0 0 0 0 11575 0 0",
+        "2 csp2-generic Unknown(DecisionLimit) 501 463 0 0 0 15528 0 0",
+        "2 csp2-learn Unknown(DecisionLimit) 501 296 296 2 121 20056 255 0",
+        "3 csp1 Unknown(DecisionLimit) 501 0 0 0 0 11930 0 0",
+        "3 csp2-generic Unknown(DecisionLimit) 501 487 0 0 0 18460 0 0",
+        "3 csp2-learn Unknown(DecisionLimit) 501 256 256 2 205 19743 374 0",
+        "4 csp1 Unknown(DecisionLimit) 501 0 0 0 0 7414 0 0",
+        "4 csp2-generic Unknown(DecisionLimit) 501 482 0 0 0 14273 0 0",
+        "4 csp2-learn Unknown(DecisionLimit) 501 404 404 2 133 13603 191 0",
+        "5 csp1 Unknown(DecisionLimit) 501 0 0 0 0 9087 0 0",
+        "5 csp2-generic Unknown(DecisionLimit) 501 479 0 0 0 19559 0 0",
+        "5 csp2-learn Unknown(DecisionLimit) 501 400 400 2 220 18487 265 0",
+    ];
+    assert_eq!(got, expected, "search path changed:\n{}", got.join("\n"));
+}

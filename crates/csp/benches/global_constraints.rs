@@ -30,7 +30,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use csp_engine::reference::RefSolver;
-use csp_engine::{Budget, Constraint, LearnConfig, Model, SolverConfig, ValOrder, VarOrder};
+use csp_engine::{
+    Budget, Constraint, LearnConfig, Model, RestartSchedule, SolverConfig, ValOrder, VarOrder,
+};
 
 /// Deterministic LCG (Knuth MMIX constants) so the punched-out pattern and
 /// the table rows are stable across runs and toolchains.
@@ -90,7 +92,7 @@ fn alldiff_cfg() -> SolverConfig {
     SolverConfig {
         var_order: VarOrder::Input,
         val_order: ValOrder::Min,
-        restarts: None,
+        restarts: RestartSchedule::Never,
         seed: 1,
         learn: LearnConfig::default(),
         budget: Budget {
@@ -145,7 +147,7 @@ fn table_cfg() -> SolverConfig {
     SolverConfig {
         var_order: VarOrder::Input,
         val_order: ValOrder::Min,
-        restarts: None,
+        restarts: RestartSchedule::Never,
         seed: 1,
         learn: LearnConfig::default(),
         budget: Budget::default(),

@@ -31,7 +31,9 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use csp_engine::{Budget, Constraint, LearnConfig, Model, SolverConfig, ValOrder, VarOrder};
+use csp_engine::{
+    Budget, Constraint, LearnConfig, Model, RestartSchedule, SolverConfig, ValOrder, VarOrder,
+};
 
 // ---------------------------------------------------------------------------
 // Cells: free prefix + pigeonhole suffix
@@ -79,7 +81,13 @@ fn cfg(learn: bool) -> SolverConfig {
     SolverConfig {
         var_order: VarOrder::Input,
         val_order: ValOrder::Min,
-        restarts: None,
+        // The learning leg keeps `csp2-learn`'s Luby restarts; plain
+        // chronological search never restarts.
+        restarts: if learn {
+            RestartSchedule::Luby { unit: 128 }
+        } else {
+            RestartSchedule::Never
+        },
         seed: 1,
         learn: if learn {
             LearnConfig::on()

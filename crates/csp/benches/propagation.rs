@@ -32,7 +32,8 @@ use std::hint::black_box;
 
 use csp_engine::reference::RefSolver;
 use csp_engine::{
-    Budget, Constraint, LearnConfig, Model, Outcome, SolverConfig, ValOrder, VarOrder,
+    Budget, Constraint, LearnConfig, Model, Outcome, RestartSchedule, SolverConfig, ValOrder,
+    VarOrder,
 };
 
 /// Synthetic paper-scale task system: (wcet, period) with offset 0 and
@@ -96,7 +97,7 @@ fn chronological() -> SolverConfig {
     SolverConfig {
         var_order: VarOrder::Input,
         val_order: ValOrder::Max,
-        restarts: None,
+        restarts: RestartSchedule::Never,
         seed: 1,
         learn: LearnConfig::default(),
         budget: Budget {
@@ -112,7 +113,7 @@ fn domwdeg() -> SolverConfig {
     SolverConfig {
         var_order: VarOrder::DomOverWDeg,
         val_order: ValOrder::Min,
-        restarts: None,
+        restarts: RestartSchedule::Never,
         seed: 1,
         learn: LearnConfig::default(),
         budget: Budget {

@@ -7,7 +7,9 @@
 use std::time::Instant;
 
 use csp_engine::reference::RefSolver;
-use csp_engine::{Budget, Constraint, LearnConfig, Model, SolverConfig, ValOrder, VarOrder};
+use csp_engine::{
+    Budget, Constraint, LearnConfig, Model, RestartSchedule, SolverConfig, ValOrder, VarOrder,
+};
 
 const TASKS: [(i64, i64); 6] = [(2, 5), (3, 6), (3, 7), (2, 5), (3, 6), (3, 7)];
 const M: usize = 5;
@@ -60,7 +62,7 @@ fn cfg() -> SolverConfig {
     SolverConfig {
         var_order: VarOrder::Input,
         val_order: ValOrder::Max,
-        restarts: None,
+        restarts: RestartSchedule::Never,
         seed: 1,
         learn: LearnConfig::default(),
         budget: Budget {

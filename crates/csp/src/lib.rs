@@ -72,6 +72,7 @@ pub use model::Model;
 pub use nogood::{Nogood, Pred, PredOp};
 pub use propagators::{PropKind, Propagator};
 pub use solver::{
-    Budget, LearnConfig, LimitReason, Outcome, Solver, SolverConfig, ValOrder, VarOrder,
+    Budget, LearnConfig, LimitReason, Outcome, RestartSchedule, Solver, SolverConfig, ValOrder,
+    VarOrder,
 };
 pub use store::{EventMask, StateId, Store, VarId};

@@ -119,11 +119,7 @@ impl RefSolver {
             return Outcome::Unknown(r);
         }
 
-        let mut restart_quota = self
-            .config
-            .restarts
-            .map(|p| p.initial_failures)
-            .unwrap_or(u64::MAX);
+        let mut restart_quota = self.config.restarts.quota(0, 0);
         let mut failures_since_restart = 0u64;
 
         loop {
@@ -135,9 +131,10 @@ impl RefSolver {
                 self.decisions.clear();
                 self.stats.restarts += 1;
                 failures_since_restart = 0;
-                if let Some(p) = self.config.restarts {
-                    restart_quota = ((restart_quota as f64) * p.growth).ceil() as u64;
-                }
+                restart_quota = self
+                    .config
+                    .restarts
+                    .quota(self.stats.restarts, restart_quota);
                 for ci in 0..self.constraints.len() {
                     self.enqueue(ci as u32);
                 }
@@ -168,14 +165,6 @@ impl RefSolver {
             while !ok {
                 self.stats.backtracks += 1;
                 failures_since_restart += 1;
-                if self
-                    .config
-                    .budget
-                    .max_failures
-                    .is_some_and(|mx| self.stats.backtracks > mx)
-                {
-                    return Outcome::Unknown(LimitReason::Failures);
-                }
                 if let Some(r) = self.check_budget(start) {
                     return Outcome::Unknown(r);
                 }

@@ -54,21 +54,46 @@ pub enum ValOrder {
     Random,
 }
 
-/// Restart policy: restart from the root after a failure quota, growing the
-/// quota geometrically (guarantees completeness on finite search spaces).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RestartPolicy {
-    /// Failures allowed before the first restart.
-    pub initial_failures: u64,
-    /// Multiplicative quota growth per restart (> 1 for completeness).
-    pub growth: f64,
+/// Restart schedule: after a quota of failures the search restarts from
+/// the root. Growing quotas keep the search complete on finite spaces.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum RestartSchedule {
+    /// Never restart.
+    #[default]
+    Never,
+    /// `initial_failures` before the first restart, then a quota growing
+    /// by `growth` (> 1 for completeness) per restart.
+    Geometric {
+        /// Failures allowed before the first restart.
+        initial_failures: u64,
+        /// Multiplicative quota growth per restart.
+        growth: f64,
+    },
+    /// Restart `i` (from 0) comes after `luby(i) * unit` failures; a
+    /// `unit` of 0 counts as 1.
+    Luby {
+        /// Failures per Luby-sequence unit.
+        unit: u64,
+    },
 }
 
-impl Default for RestartPolicy {
-    fn default() -> Self {
-        RestartPolicy {
-            initial_failures: 128,
-            growth: 1.5,
+impl RestartSchedule {
+    /// Failure quota of run `run` (0 before the first restart), given the
+    /// quota of the run before it.
+    pub(crate) fn quota(self, run: u64, prev: u64) -> u64 {
+        match self {
+            RestartSchedule::Never => u64::MAX,
+            RestartSchedule::Geometric {
+                initial_failures,
+                growth,
+            } => {
+                if run == 0 {
+                    initial_failures
+                } else {
+                    ((prev as f64) * growth).ceil() as u64
+                }
+            }
+            RestartSchedule::Luby { unit } => luby(run) * unit.max(1),
         }
     }
 }
@@ -80,8 +105,6 @@ pub struct Budget {
     pub time: Option<Duration>,
     /// Decision limit.
     pub max_decisions: Option<u64>,
-    /// Failure (backtrack) limit.
-    pub max_failures: Option<u64>,
 }
 
 impl Budget {
@@ -102,8 +125,6 @@ pub enum LimitReason {
     Time,
     /// Decision budget exhausted.
     Decisions,
-    /// Failure budget exhausted.
-    Failures,
     /// An external interrupt flag was raised (portfolio cancellation).
     Interrupted,
 }
@@ -143,33 +164,28 @@ impl Outcome {
     }
 }
 
-/// Knobs for conflict-driven nogood learning (lazy clause generation).
-/// Disabled by default; [`SolverConfig::chronological_learning`] turns it
-/// on with the portfolio's `csp2-learn` settings.
+/// Conflict-driven nogood learning (lazy clause generation). Disabled by
+/// default; [`SolverConfig::chronological_learning`] turns it on with the
+/// portfolio's `csp2-learn` settings. A learning search restarts on
+/// [`SolverConfig::restarts`] like any other.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnConfig {
     /// Master switch: record the implication log, analyze conflicts with
-    /// 1-UIP resolution, backjump, and propagate learned nogoods.
+    /// 1-UIP resolution, backjump, propagate learned nogoods, and branch
+    /// on the last value each variable was tried with while it is still
+    /// in its domain (SAT-style phase saving).
     pub enabled: bool,
-    /// Conflicts per Luby-sequence unit: restart after
-    /// `luby(i) * luby_unit` conflicts. `0` is treated as `1`.
-    pub luby_unit: u64,
     /// Learned-nogood database bound: exceeding it triggers a reduction
     /// that evicts the worse (high-LBD, old) half. Glue nogoods
     /// (LBD ≤ 2) and nogoods locked as reasons are never evicted.
     pub db_max: usize,
-    /// Branch on the last value a variable was tried with, when still in
-    /// its domain (SAT-style phase saving).
-    pub phase_saving: bool,
 }
 
 impl Default for LearnConfig {
     fn default() -> Self {
         LearnConfig {
             enabled: false,
-            luby_unit: 128,
             db_max: 4000,
-            phase_saving: true,
         }
     }
 }
@@ -185,15 +201,17 @@ impl LearnConfig {
     }
 }
 
-/// Solver configuration.
+/// Solver configuration. [`Solver::solve`] runs one depth-first search
+/// under it; [`Solver::enumerate`] runs the same search with learning off
+/// and without restarts.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
     /// Variable-ordering heuristic.
     pub var_order: VarOrder,
     /// Value-ordering heuristic.
     pub val_order: ValOrder,
-    /// Optional restart schedule.
-    pub restarts: Option<RestartPolicy>,
+    /// Restart schedule (quotas counted in failures).
+    pub restarts: RestartSchedule,
     /// RNG seed for `Random` heuristics and restart diversification.
     pub seed: u64,
     /// Resource limits.
@@ -207,7 +225,7 @@ impl Default for SolverConfig {
         SolverConfig {
             var_order: VarOrder::DomOverWDeg,
             val_order: ValOrder::Min,
-            restarts: None,
+            restarts: RestartSchedule::Never,
             seed: 42,
             budget: Budget::default(),
             learn: LearnConfig::default(),
@@ -225,7 +243,10 @@ impl SolverConfig {
         SolverConfig {
             var_order: VarOrder::DomOverWDeg,
             val_order: ValOrder::Random,
-            restarts: Some(RestartPolicy::default()),
+            restarts: RestartSchedule::Geometric {
+                initial_failures: 128,
+                growth: 1.5,
+            },
             seed,
             budget: Budget::default(),
             learn: LearnConfig::default(),
@@ -233,15 +254,14 @@ impl SolverConfig {
     }
 
     /// Chronological variable/value order with conflict-driven nogood
-    /// learning, Luby restarts and phase saving — the `csp2-learn`
-    /// portfolio entry. The geometric restart schedule is off (Luby
-    /// restarts are driven by the learning loop itself).
+    /// learning, phase saving and Luby restarts of 128 failures per unit —
+    /// the `csp2-learn` portfolio entry.
     #[must_use]
     pub fn chronological_learning() -> Self {
         SolverConfig {
             var_order: VarOrder::Input,
             val_order: ValOrder::Min,
-            restarts: None,
+            restarts: RestartSchedule::Luby { unit: 128 },
             seed: 42,
             budget: Budget::default(),
             learn: LearnConfig::on(),
@@ -659,10 +679,7 @@ impl Solver {
         // both are suspended for this call.
         let saved_time = self.config.budget.time.take();
         let saved_interrupt = self.interrupt.take();
-        for ci in 0..self.constraints.len() {
-            self.enqueue(ci as u32);
-        }
-        let consistent = self.propagate(Instant::now());
+        let consistent = self.propagate_all(Instant::now());
         self.config.budget.time = saved_time;
         self.interrupt = saved_interrupt;
         if !consistent {
@@ -677,122 +694,10 @@ impl Solver {
 
     /// Run the search to a verdict or a budget limit.
     pub fn solve(&mut self) -> Outcome {
-        let start = Instant::now();
-        let outcome = if self.config.learn.enabled {
-            self.solve_learning(start)
-        } else {
-            self.solve_inner(start)
-        };
-        if let Outcome::Sat(sol) = &outcome {
-            // The engine's own post-condition: never hand out a bogus model.
-            for c in &self.constraints {
-                assert!(
-                    c.is_satisfied(sol),
-                    "internal error: solver produced an assignment violating {c:?}"
-                );
-            }
-        }
-        outcome
-    }
-
-    fn solve_inner(&mut self, start: Instant) -> Outcome {
-        self.begin_solve();
-        if self.stopped_at_entry() {
-            return Outcome::Unknown(LimitReason::Interrupted);
-        }
-        if self.initially_inconsistent {
-            return Outcome::Unsat;
-        }
-        // Root propagation over every constraint.
-        for ci in 0..self.constraints.len() {
-            self.enqueue(ci as u32);
-        }
-        if !self.propagate(start) {
-            return Outcome::Unsat;
-        }
-        if let Some(r) = self.check_budget(start) {
-            return Outcome::Unknown(r);
-        }
-
-        let mut restart_quota = self
-            .config
-            .restarts
-            .map(|p| p.initial_failures)
-            .unwrap_or(u64::MAX);
-        let mut failures_since_restart = 0u64;
-
-        loop {
-            if let Some(r) = self.check_budget(start) {
-                return Outcome::Unknown(r);
-            }
-            // Restart when the quota is hit (only above the root).
-            if failures_since_restart >= restart_quota && !self.decisions.is_empty() {
-                self.store.backtrack_to_root();
-                self.decisions.clear();
-                self.stats.restarts += 1;
-                failures_since_restart = 0;
-                if let Some(p) = self.config.restarts {
-                    restart_quota = ((restart_quota as f64) * p.growth).ceil() as u64;
-                }
-                // Re-propagate from the root (cheap now: propagators with no
-                // pending events are no-ops, but permanent refutations may
-                // have left stale flags behind).
-                for ci in 0..self.constraints.len() {
-                    self.enqueue(ci as u32);
-                }
-                if !self.propagate(start) {
-                    return Outcome::Unsat;
-                }
-                continue;
-            }
-
-            let Some(var) = self.select_var() else {
-                return Outcome::Sat(self.extract());
-            };
-            let val = self.select_val(var);
-            self.store.push_level();
-            self.decisions.push((var, val));
-            self.stats.decisions += 1;
-            self.stats.peak_depth = self.stats.peak_depth.max(self.decisions.len() as u64);
-            self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len() as u64);
-            if self
-                .config
-                .budget
-                .max_decisions
-                .is_some_and(|mx| self.stats.decisions > mx)
-            {
-                return Outcome::Unknown(LimitReason::Decisions);
-            }
-
-            let mut ok = self.enact(var, val, start);
-            while !ok {
-                self.stats.backtracks += 1;
-                failures_since_restart += 1;
-                if self
-                    .config
-                    .budget
-                    .max_failures
-                    .is_some_and(|mx| self.stats.backtracks > mx)
-                {
-                    return Outcome::Unknown(LimitReason::Failures);
-                }
-                if let Some(r) = self.check_budget(start) {
-                    return Outcome::Unknown(r);
-                }
-                let Some((v, val)) = self.decisions.pop() else {
-                    return Outcome::Unsat;
-                };
-                self.store.backtrack();
-                // Refute the failed decision at the parent level.
-                ok = match self.store.remove(v, val) {
-                    Err(_) => false,
-                    Ok(_) => {
-                        self.dispatch_dirty();
-                        self.propagate(start)
-                    }
-                };
-            }
-        }
+        let SolverConfig {
+            learn, restarts, ..
+        } = self.config;
+        self.search(learn.enabled, restarts, &mut |_| false)
     }
 
     /// Enumerate solutions by exhaustive DFS, invoking `on_solution` for
@@ -800,38 +705,85 @@ impl Solver {
     /// `complete` is true when the whole space was exhausted (so `count` is
     /// the exact solution count when `count < limit`).
     ///
-    /// Restarts are ignored during enumeration (they would revisit
-    /// solutions); budgets still apply and make `complete = false`.
+    /// Enumeration never learns and never restarts (a restart would
+    /// revisit solutions); budgets still apply and make `complete = false`.
+    /// Already learned nogoods are model-implied, so their pruning cannot
+    /// drop solutions.
     pub fn enumerate<F: FnMut(&[Val])>(&mut self, limit: u64, mut on_solution: F) -> (u64, bool) {
+        let mut count = 0u64;
+        let outcome = self.search(false, RestartSchedule::Never, &mut |sol| {
+            on_solution(sol);
+            count += 1;
+            count < limit
+        });
+        (count, outcome.is_unsat())
+    }
+
+    /// The depth-first search behind [`Solver::solve`] and
+    /// [`Solver::enumerate`]. `learn` turns on conflict analysis with
+    /// backjumping and phase saving; `restarts` sets the failure quotas.
+    /// Each complete assignment goes to `on_leaf`: `false` ends the search
+    /// with it as [`Outcome::Sat`], `true` treats it as a dead end and
+    /// searches on. [`Outcome::Unsat`] means the space is exhausted.
+    ///
+    /// A learning search starts from the root; any other resumes where the
+    /// previous call stopped.
+    fn search(
+        &mut self,
+        learn: bool,
+        restarts: RestartSchedule,
+        on_leaf: &mut dyn FnMut(&[Val]) -> bool,
+    ) -> Outcome {
         let start = Instant::now();
         self.begin_solve();
-        // Enumeration never learns (no conflict analysis here); already
-        // learned nogoods are model-implied, so their pruning cannot drop
-        // solutions, but the implication log must stop growing.
-        self.store.set_learning(false);
         if self.stopped_at_entry() {
-            return (0, false);
+            return Outcome::Unknown(LimitReason::Interrupted);
         }
         if self.initially_inconsistent {
-            return (0, true);
+            return Outcome::Unsat;
         }
-        for ci in 0..self.constraints.len() {
-            self.enqueue(ci as u32);
+        if learn {
+            // The implication log only covers levels pushed while it was
+            // enabled, so state left behind by a previous non-logging call
+            // must be unwound first.
+            self.store.backtrack_to_root();
+            self.decisions.clear();
         }
-        if !self.propagate(start) {
-            return (0, true);
+        self.store.set_learning(learn);
+        if !self.propagate_all(start) {
+            return Outcome::Unsat;
         }
-        let mut count = 0u64;
+        let mut quota = restarts.quota(0, 0);
+        let mut failures = 0u64;
         loop {
-            if self.check_budget(start).is_some() {
-                return (count, false);
+            if let Some(r) = self.check_budget(start) {
+                return Outcome::Unknown(r);
             }
-            let next_var = self.select_var();
-            if let Some(var) = next_var {
-                let val = self.select_val(var);
+            // Restart when the quota is hit (only above the root).
+            if failures >= quota && !self.decisions.is_empty() {
+                self.store.backtrack_to_root();
+                self.decisions.clear();
+                self.stats.restarts += 1;
+                quota = restarts.quota(self.stats.restarts, quota);
+                failures = 0;
+                // Re-propagate from the root (cheap now: propagators with no
+                // pending events are no-ops, but permanent refutations and
+                // learned root facts may have left work behind).
+                if !self.propagate_all(start) {
+                    return Outcome::Unsat;
+                }
+                continue;
+            }
+
+            let mut ok = if let Some(var) = self.select_var() {
+                let val = self.select_val(var, learn);
                 self.store.push_level();
                 self.decisions.push((var, val));
+                if learn {
+                    self.saved_phase[var] = Some(val);
+                }
                 self.stats.decisions += 1;
+                self.stats.peak_depth = self.stats.peak_depth.max(self.decisions.len() as u64);
                 self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len() as u64);
                 if self
                     .config
@@ -839,41 +791,90 @@ impl Solver {
                     .max_decisions
                     .is_some_and(|mx| self.stats.decisions > mx)
                 {
-                    return (count, false);
+                    return Outcome::Unknown(LimitReason::Decisions);
                 }
-                if self.enact(var, val, start) {
-                    continue;
-                }
+                self.store.set_reason(Reason::Decision);
+                let applied = self.store.assign(var, val).is_ok();
+                self.settle(applied, start)
             } else {
-                // All variables fixed: record the solution, then treat the
-                // leaf as a dead end to keep searching.
                 let sol = self.extract();
-                debug_assert!(self.constraints.iter().all(|c| c.is_satisfied(&sol)));
-                on_solution(&sol);
-                count += 1;
-                if count >= limit {
-                    return (count, false);
+                // The engine's own post-condition: never hand out a bogus
+                // model.
+                for c in &self.constraints {
+                    assert!(
+                        c.is_satisfied(&sol),
+                        "internal error: solver produced an assignment violating {c:?}"
+                    );
                 }
-            }
-            // Backtrack out of the conflict / recorded solution.
-            loop {
+                if !on_leaf(&sol) {
+                    return Outcome::Sat(sol);
+                }
+                false
+            };
+            while !ok {
                 self.stats.backtracks += 1;
-                let Some((v, val)) = self.decisions.pop() else {
-                    return (count, true);
-                };
-                self.store.backtrack();
-                let ok = match self.store.remove(v, val) {
-                    Err(_) => false,
-                    Ok(_) => {
-                        self.dispatch_dirty();
-                        self.propagate(start)
-                    }
-                };
-                if ok {
-                    break;
+                if learn {
+                    self.stats.conflicts += 1;
                 }
+                failures += 1;
+                if let Some(r) = self.check_budget(start) {
+                    return Outcome::Unknown(r);
+                }
+                let Some(next) = self.recover(learn, start) else {
+                    return Outcome::Unsat;
+                };
+                ok = next;
             }
         }
+    }
+
+    /// Step out of a failed node: `None` when the search space is
+    /// exhausted, else whether the node it lands on is consistent. With
+    /// `learn`, 1-UIP analysis learns a nogood and backjumps to the level
+    /// where it asserts; otherwise, and whenever the analysis falls back,
+    /// the deepest decision is refuted at its parent level.
+    fn recover(&mut self, learn: bool, start: Instant) -> Option<bool> {
+        if self.store.depth() == 0 {
+            return None;
+        }
+        let analysis = if learn {
+            self.analyze()
+        } else {
+            Analysis::Fallback
+        };
+        let applied = match analysis {
+            Analysis::RootUnsat => return None,
+            Analysis::Fallback => {
+                let (v, val) = self.decisions.pop()?;
+                self.store.backtrack();
+                self.store.set_reason(Reason::PriorDecisions);
+                self.store.remove(v, val).is_ok()
+            }
+            Analysis::Learned {
+                uip,
+                rest,
+                assert_level,
+                lbd,
+            } => {
+                self.stats.backjump_sum += (self.store.depth() - assert_level) as u64;
+                while self.store.depth() > assert_level {
+                    self.store.backtrack();
+                    self.decisions.pop();
+                }
+                self.stats.learnt_clauses += 1;
+                if rest.is_empty() {
+                    // Unit nogood: ¬uip is a permanent root fact (root
+                    // mutations are never logged, so the reason is
+                    // irrelevant).
+                    self.store.set_reason(Reason::Decision);
+                } else {
+                    let id = self.add_nogood(uip, &rest, lbd);
+                    self.store.set_reason(Reason::Nogood { id });
+                }
+                self.enforce_negated(uip)
+            }
+        };
+        Some(self.settle(applied, start))
     }
 
     /// Count solutions up to `limit`. Convenience wrapper over
@@ -1145,13 +1146,20 @@ impl Solver {
         }
     }
 
-    fn enact(&mut self, var: VarId, val: Val, start: Instant) -> bool {
-        match self.store.assign(var, val) {
-            Err(_) => false,
-            Ok(_) => {
-                self.dispatch_dirty();
-                self.propagate(start)
-            }
+    /// Propagate every constraint to fixpoint. Returns false on conflict.
+    fn propagate_all(&mut self, start: Instant) -> bool {
+        for ci in 0..self.constraints.len() {
+            self.enqueue(ci as u32);
+        }
+        self.propagate(start)
+    }
+
+    /// Finish a search step: if its store mutation `applied` without a
+    /// wipeout, route the events and propagate. Returns false on conflict.
+    fn settle(&mut self, applied: bool, start: Instant) -> bool {
+        applied && {
+            self.dispatch_dirty();
+            self.propagate(start)
         }
     }
 
@@ -1209,7 +1217,15 @@ impl Solver {
         }
     }
 
-    fn select_val(&mut self, var: VarId) -> Val {
+    /// Value choice. A learning search first re-tries the last value
+    /// branched on for this variable when it is still available (phase
+    /// saving).
+    fn select_val(&mut self, var: VarId, learn: bool) -> Val {
+        if learn {
+            if let Some(s) = self.saved_phase[var].filter(|&s| self.store.contains(var, s)) {
+                return s;
+            }
+        }
         match self.config.val_order {
             ValOrder::Min => self.store.min(var),
             ValOrder::Max => self.store.max(var),
@@ -1224,167 +1240,6 @@ impl Solver {
         (0..self.store.num_vars())
             .map(|v| self.store.value(v))
             .collect()
-    }
-
-    /// The learning search loop: DFS with 1-UIP conflict analysis,
-    /// non-chronological backjumping, a bounded learned-nogood database,
-    /// Luby restarts and phase saving. Verdict-equivalent to
-    /// [`Solver::solve_inner`] — every learned nogood is model-implied, so
-    /// pruning by nogoods never loses solutions, and any analysis anomaly
-    /// degrades to a plain chronological step.
-    fn solve_learning(&mut self, start: Instant) -> Outcome {
-        self.begin_solve();
-        if self.stopped_at_entry() {
-            return Outcome::Unknown(LimitReason::Interrupted);
-        }
-        if self.initially_inconsistent {
-            return Outcome::Unsat;
-        }
-        // Learning always resumes from the root: the implication log only
-        // covers levels pushed while it was enabled, so state left behind
-        // by a previous non-logging call must be unwound first.
-        self.store.backtrack_to_root();
-        self.decisions.clear();
-        self.store.set_learning(true);
-        for ci in 0..self.constraints.len() {
-            self.enqueue(ci as u32);
-        }
-        if !self.propagate(start) {
-            return Outcome::Unsat;
-        }
-        if let Some(r) = self.check_budget(start) {
-            return Outcome::Unknown(r);
-        }
-
-        let unit = self.config.learn.luby_unit.max(1);
-        let mut restart_idx = 0u64;
-        let mut restart_quota = luby(0) * unit;
-        let mut conflicts_since_restart = 0u64;
-
-        loop {
-            if let Some(r) = self.check_budget(start) {
-                return Outcome::Unknown(r);
-            }
-            if conflicts_since_restart >= restart_quota && !self.decisions.is_empty() {
-                self.store.backtrack_to_root();
-                self.decisions.clear();
-                self.stats.restarts += 1;
-                restart_idx += 1;
-                restart_quota = luby(restart_idx) * unit;
-                conflicts_since_restart = 0;
-                // Learned root facts survive the restart; re-propagate.
-                for ci in 0..self.constraints.len() {
-                    self.enqueue(ci as u32);
-                }
-                if !self.propagate(start) {
-                    return Outcome::Unsat;
-                }
-                continue;
-            }
-
-            let Some(var) = self.select_var() else {
-                return Outcome::Sat(self.extract());
-            };
-            let val = self.select_val_learning(var);
-            self.store.push_level();
-            self.decisions.push((var, val));
-            if self.config.learn.phase_saving {
-                self.saved_phase[var] = Some(val);
-            }
-            self.stats.decisions += 1;
-            self.stats.peak_depth = self.stats.peak_depth.max(self.decisions.len() as u64);
-            self.stats.peak_trail = self.stats.peak_trail.max(self.store.trail_len() as u64);
-            if self
-                .config
-                .budget
-                .max_decisions
-                .is_some_and(|mx| self.stats.decisions > mx)
-            {
-                return Outcome::Unknown(LimitReason::Decisions);
-            }
-
-            self.store.set_reason(Reason::Decision);
-            let mut ok = self.enact(var, val, start);
-            while !ok {
-                self.stats.backtracks += 1;
-                self.stats.conflicts += 1;
-                conflicts_since_restart += 1;
-                if self
-                    .config
-                    .budget
-                    .max_failures
-                    .is_some_and(|mx| self.stats.backtracks > mx)
-                {
-                    return Outcome::Unknown(LimitReason::Failures);
-                }
-                if let Some(r) = self.check_budget(start) {
-                    return Outcome::Unknown(r);
-                }
-                if self.store.depth() == 0 {
-                    return Outcome::Unsat;
-                }
-                match self.analyze() {
-                    Analysis::RootUnsat => return Outcome::Unsat,
-                    Analysis::Fallback => {
-                        // Plain chronological step: refute the deepest
-                        // decision at its parent level.
-                        let Some((v, dval)) = self.decisions.pop() else {
-                            return Outcome::Unsat;
-                        };
-                        self.store.backtrack();
-                        self.store.set_reason(Reason::PriorDecisions);
-                        ok = match self.store.remove(v, dval) {
-                            Err(_) => false,
-                            Ok(_) => {
-                                self.dispatch_dirty();
-                                self.propagate(start)
-                            }
-                        };
-                    }
-                    Analysis::Learned {
-                        uip,
-                        rest,
-                        assert_level,
-                        lbd,
-                    } => {
-                        self.stats.backjump_sum += (self.store.depth() - assert_level) as u64;
-                        while self.store.depth() > assert_level {
-                            self.store.backtrack();
-                            self.decisions.pop();
-                        }
-                        self.stats.learnt_clauses += 1;
-                        if rest.is_empty() {
-                            // Unit nogood: ¬uip is a permanent root fact
-                            // (root mutations are never logged, so the
-                            // reason is irrelevant).
-                            self.store.set_reason(Reason::Decision);
-                        } else {
-                            let id = self.add_nogood(uip, &rest, lbd);
-                            self.store.set_reason(Reason::Nogood { id });
-                        }
-                        ok = if self.enforce_negated(uip) {
-                            self.dispatch_dirty();
-                            self.propagate(start)
-                        } else {
-                            false
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    /// Value choice with phase saving: re-try the last value branched on
-    /// for this variable when it is still available.
-    fn select_val_learning(&mut self, var: VarId) -> Val {
-        if self.config.learn.phase_saving {
-            if let Some(s) = self.saved_phase[var] {
-                if self.store.contains(var, s) {
-                    return s;
-                }
-            }
-        }
-        self.select_val(var)
     }
 
     /// Establish the negation of `p` in the store. False ⇒ wipeout (the
@@ -1810,7 +1665,7 @@ mod tests {
                 cfgs.push(SolverConfig {
                     var_order,
                     val_order,
-                    restarts: None,
+                    restarts: RestartSchedule::Never,
                     seed: 7,
                     budget: Budget::default(),
                     learn: LearnConfig::default(),
@@ -1822,14 +1677,12 @@ mod tests {
         cfgs.push(SolverConfig {
             var_order: VarOrder::DomOverWDeg,
             val_order: ValOrder::Min,
-            restarts: None,
+            restarts: RestartSchedule::Luby { unit: 2 }, // stress restarts
             seed: 5,
             budget: Budget::default(),
             learn: LearnConfig {
                 enabled: true,
-                luby_unit: 2, // stress the restart machinery
-                db_max: 8,    // stress DB reduction
-                phase_saving: false,
+                db_max: 8, // stress DB reduction
             },
         });
         cfgs
@@ -1990,7 +1843,7 @@ mod tests {
         let cfg = SolverConfig {
             var_order: VarOrder::Input,
             val_order: ValOrder::Min,
-            restarts: None,
+            restarts: RestartSchedule::Never,
             seed: 0,
             budget: Budget::time_limit(Duration::ZERO),
             learn: LearnConfig::default(),
@@ -2022,7 +1875,7 @@ mod tests {
         let mut cfg = SolverConfig {
             var_order: VarOrder::Input,
             val_order: ValOrder::Min,
-            restarts: None,
+            restarts: RestartSchedule::Never,
             seed: 0,
             budget: Budget::default(),
             learn: LearnConfig::default(),
@@ -2056,10 +1909,10 @@ mod tests {
         let v = m.new_vars(5, 0, 3);
         m.post(Constraint::AllDifferent { vars: v });
         let cfg = SolverConfig {
-            restarts: Some(RestartPolicy {
+            restarts: RestartSchedule::Geometric {
                 initial_failures: 1,
                 growth: 1.3,
-            }),
+            },
             val_order: ValOrder::Random,
             var_order: VarOrder::Random,
             seed: 11,
@@ -2085,6 +1938,51 @@ mod tests {
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), 6, "no duplicate solutions");
+    }
+
+    #[test]
+    fn search_paths_are_pinned() {
+        // Decision and failure counts of fixed searches: enumeration (which
+        // ignores the learning switch), geometric restarts and learning
+        // with Luby restarts. A loop refactor must leave them unchanged.
+        let distinct = |n: usize, hi: Val| {
+            let mut m = Model::new();
+            let v = m.new_vars(n, 0, hi);
+            for i in 0..v.len() {
+                for j in (i + 1)..v.len() {
+                    m.post(Constraint::NotEqual { a: v[i], b: v[j] });
+                }
+            }
+            m
+        };
+        let mut got = Vec::new();
+        for cfg in [
+            SolverConfig::default(),
+            SolverConfig::chronological_learning(),
+        ] {
+            let mut s = distinct(4, 3).into_solver(cfg);
+            let (count, complete) = s.count_solutions(1000);
+            let st = s.stats();
+            got.push((count, complete, st.decisions, st.backtracks));
+        }
+        for cfg in [
+            SolverConfig::generic_randomized(3),
+            SolverConfig::chronological_learning(),
+        ] {
+            let mut s = distinct(8, 6).into_solver(cfg);
+            let unsat = s.solve().is_unsat();
+            let st = s.stats();
+            got.push((st.restarts, unsat, st.decisions, st.backtracks));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (24, true, 23, 24),
+                (24, true, 23, 24),
+                (8, true, 7646, 7626),
+                (2, true, 323, 322),
+            ]
+        );
     }
 
     #[test]
@@ -2200,7 +2098,7 @@ mod tests {
         let chrono = SolverConfig {
             var_order: VarOrder::Input,
             val_order: ValOrder::Min,
-            restarts: None,
+            restarts: RestartSchedule::Never,
             seed: 42,
             budget: Budget::default(),
             learn: LearnConfig::default(),
@@ -2275,7 +2173,7 @@ mod tests {
     #[test]
     fn learning_restarts_fire_under_a_tiny_luby_unit() {
         let mut cfg = SolverConfig::chronological_learning();
-        cfg.learn.luby_unit = 1;
+        cfg.restarts = RestartSchedule::Luby { unit: 1 };
         let mut s = pigeonhole_pairwise(7).into_solver(cfg);
         assert!(s.solve().is_unsat());
         assert!(s.stats().restarts > 0, "stats: {:?}", s.stats());

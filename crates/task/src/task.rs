@@ -1,6 +1,6 @@
 //! A single periodic task `τi = (Oi, Ci, Di, Ti)`.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::TaskError;
 use crate::time::Time;
@@ -14,7 +14,7 @@ pub type TaskId = usize;
 /// A task releases job `k` (k = 1, 2, …) at time `Oi + (k-1)·Ti`; the job must
 /// receive exactly `Ci` units of execution within the availability interval
 /// `[Oi + (k-1)·Ti, Oi + (k-1)·Ti + Di)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Task {
     /// Offset `Oi`: release time of the first job.
     pub offset: Time,
@@ -24,6 +24,21 @@ pub struct Task {
     pub deadline: Time,
     /// Period `Ti`.
     pub period: Time,
+}
+
+/// Parsed through [`Task::new`], so a task read from JSON is as valid as
+/// one built in code.
+impl Deserialize for Task {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        use serde::__private::field;
+        Task::new(
+            field(v, "offset")?,
+            field(v, "wcet")?,
+            field(v, "deadline")?,
+            field(v, "period")?,
+        )
+        .map_err(|e| DeError::new(e.to_string()))
+    }
 }
 
 impl Task {
@@ -187,6 +202,39 @@ mod tests {
                 deadline: 2
             })
         );
+    }
+
+    #[test]
+    fn json_tasks_are_validated() {
+        let parse = |json: &str| serde_json::from_str::<Task>(json).map_err(|e| e.to_string());
+        assert_eq!(
+            parse(r#"{"offset":1,"wcet":3,"deadline":4,"period":4}"#),
+            Ok(Task::ocdt(1, 3, 4, 4))
+        );
+        for (json, error) in [
+            (
+                r#"{"offset":0,"wcet":0,"deadline":1,"period":1}"#,
+                TaskError::ZeroWcet,
+            ),
+            (
+                r#"{"offset":0,"wcet":1,"deadline":1,"period":0}"#,
+                TaskError::ZeroPeriod,
+            ),
+            (
+                r#"{"offset":0,"wcet":1,"deadline":0,"period":1}"#,
+                TaskError::ZeroDeadline,
+            ),
+            (
+                r#"{"offset":0,"wcet":3,"deadline":2,"period":5}"#,
+                TaskError::WcetExceedsDeadline {
+                    wcet: 3,
+                    deadline: 2,
+                },
+            ),
+        ] {
+            let err = parse(json).expect_err(json);
+            assert!(err.contains(&error.to_string()), "{json}: {err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Task sets: validated collections of periodic tasks.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::TaskError;
 use crate::task::{Task, TaskId};
@@ -10,9 +10,17 @@ use crate::time::{checked_hyperperiod, Time};
 ///
 /// The task set owns no platform information; pair it with an
 /// `rt-platform` platform to state a full MGRTS problem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TaskSet {
     tasks: Vec<Task>,
+}
+
+/// Parsed through [`TaskSet::new`] (and each task through [`Task::new`]),
+/// so a task set read from JSON is as valid as one built in code.
+impl Deserialize for TaskSet {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        TaskSet::new(serde::__private::field(v, "tasks")?).map_err(|e| DeError::new(e.to_string()))
+    }
 }
 
 impl TaskSet {
@@ -157,6 +165,20 @@ impl TaskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_task_sets_are_validated() {
+        let parse = |json: &str| serde_json::from_str::<TaskSet>(json).map_err(|e| e.to_string());
+        let ts = TaskSet::running_example();
+        assert_eq!(parse(&serde_json::to_string(&ts).unwrap()), Ok(ts));
+        let err = parse(r#"{"tasks":[]}"#).unwrap_err();
+        assert!(err.contains(&TaskError::EmptyTaskSet.to_string()), "{err}");
+        // An invalid row fails the whole set, naming the field it sits in.
+        let err =
+            parse(r#"{"tasks":[{"offset":0,"wcet":0,"deadline":1,"period":1}]}"#).unwrap_err();
+        assert!(err.contains("field `tasks`"), "{err}");
+        assert!(err.contains(&TaskError::ZeroWcet.to_string()), "{err}");
+    }
 
     #[test]
     fn running_example_properties() {
