@@ -25,10 +25,21 @@ impl From<ArgError> for CliError {
 
 /// Resolve `m`: flag overrides file, file overrides nothing.
 fn resolve_m(args: &Args, file_m: Option<usize>) -> Result<usize, CliError> {
-    if let Some(m) = args.opt::<usize>("m", "a processor count")? {
-        return Ok(m);
+    let m = match args.opt::<usize>("m", "a processor count")? {
+        Some(m) => m,
+        None => {
+            file_m.ok_or_else(|| CliError::Other("no --m and the input file embeds none".into()))?
+        }
+    };
+    positive_m(m)
+}
+
+/// Reject a platform without processors, as a served request does.
+fn positive_m(m: usize) -> Result<usize, CliError> {
+    if m == 0 {
+        return Err(CliError::Other("m must be positive".into()));
     }
-    file_m.ok_or_else(|| CliError::Other("no --m and the input file embeds none".into()))
+    Ok(m)
 }
 
 /// Check a solver's schedule against C1–C4 before it is printed or
@@ -192,7 +203,11 @@ pub fn cmd_min_m(args: &Args) -> Result<String, CliError> {
 pub fn cmd_gantt(args: &Args) -> Result<String, CliError> {
     let inst = load_instance(args.positional(0, "instance")?)?;
     let mut out = rt_sim::render_intervals(&inst.taskset)?;
-    let m = args.opt::<usize>("m", "a processor count")?.or(inst.file_m);
+    let m = args
+        .opt::<usize>("m", "a processor count")?
+        .or(inst.file_m)
+        .map(positive_m)
+        .transpose()?;
     if let Some(m) = m {
         let res = Csp2Solver::new(&inst.taskset, m)?
             .with_order(TaskOrder::DeadlineMinusWcet)

@@ -233,6 +233,34 @@ fn missing_m_is_a_clear_error() {
 }
 
 #[test]
+fn zero_processors_is_a_clear_error() {
+    let dir = tmpdir("zero-m");
+    let file = example_file(&dir);
+    let path = file.to_str().unwrap();
+    let embedded = dir.join("embedded-zero.json");
+    std::fs::write(
+        &embedded,
+        r#"{"taskset":{"tasks":[{"offset":0,"wcet":1,"deadline":2,"period":2}]},"m":0,"seed":1}"#,
+    )
+    .unwrap();
+    let embedded = embedded.to_str().unwrap();
+    for argv in [
+        vec!["solve", path, "--m", "0"],
+        vec!["solve", path, "--m", "0", "--solver", "sat"],
+        vec!["solve", embedded],
+        vec!["portfolio", path, "--m", "0"],
+        vec!["gantt", path, "--m", "0"],
+        vec!["gantt", embedded],
+    ] {
+        let err = run_command(argv[0], &args(&argv[1..])).unwrap_err();
+        assert!(
+            err.to_string().contains("m must be positive"),
+            "{argv:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn portfolio_races_default_roster() {
     let dir = tmpdir("portfolio");
     let file = example_file(&dir);

@@ -101,8 +101,10 @@ pub fn encode(ts: &TaskSet, m: usize) -> Result<(Model, Csp1Layout), TaskError> 
 /// The `expect` message of an encoder's never-cancelled entry point.
 pub(crate) const NEVER_RAISED: &str = "a fresh token is never raised";
 
-/// [`encode`], polling `cancel` at each stage boundary: `Ok(None)` once it
-/// is raised.
+/// [`encode`], polling `cancel` once per iteration of each constraint
+/// family's outer loop and once more at the end: `Ok(None)` once it is
+/// raised. A racing winner then waits for at most one task's or one
+/// processor's worth of encoding, not a whole family's.
 fn encode_polled(
     ts: &TaskSet,
     m: usize,
@@ -119,6 +121,9 @@ fn encode_polled(
 
     // Variables with constraint (2) folded into the domains.
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for _j in 0..m {
             for t in 0..h {
                 if ji.job_at(i, t).is_some() {
@@ -131,20 +136,20 @@ fn encode_polled(
     }
 
     // (3): at most one task per processor-instant.
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for j in 0..m {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             let vars: Vec<VarId> = (0..n).map(|i| layout.var(i, j, t)).collect();
             model.post(Constraint::AtMostOneTrue { vars });
         }
     }
     // (4): at most one processor per task-instant (only where available).
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             if ji.job_at(i, t).is_some() {
                 let vars: Vec<VarId> = (0..m).map(|j| layout.var(i, j, t)).collect();
@@ -153,10 +158,10 @@ fn encode_polled(
         }
     }
     // (5): exactly Ci units per availability interval.
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for k in 0..ji.jobs_of(i) {
             let mut vars = Vec::new();
             for t in ji.instants_mod(JobId { task: i, k }) {
@@ -169,6 +174,9 @@ fn encode_polled(
                 rhs: u32::try_from(ts.task(i).wcet).expect("WCET fits u32"),
             });
         }
+    }
+    if cancel.is_cancelled() {
+        return Ok(None);
     }
     Ok(Some((model, layout)))
 }
@@ -196,9 +204,10 @@ pub fn solve_csp1(ts: &TaskSet, m: usize, cfg: &Csp1Config) -> Result<SolveResul
     solve_csp1_cancellable(ts, m, cfg, &CancelToken::new())
 }
 
-/// [`solve_csp1`] with cooperative cancellation: `cancel` is polled at each
-/// encoding stage, per propagator while the engine is built, and at the
-/// engine's budget checkpoints.
+/// [`solve_csp1`] with cooperative cancellation: `cancel` is polled once
+/// per task or processor while encoding, every 1024 variables and once
+/// per propagator while the engine is built, and at the engine's budget
+/// checkpoints.
 pub fn solve_csp1_cancellable(
     ts: &TaskSet,
     m: usize,

@@ -25,7 +25,7 @@
 use std::time::{Duration, Instant};
 
 use mgrts_obs::SearchStats;
-use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
+use rt_task::{JobInstants, TaskError, TaskId, TaskSet, Time};
 
 use crate::engine::CancelToken;
 use crate::heuristics::TaskOrder;
@@ -104,53 +104,106 @@ impl<'a> Csp2Solver<'a> {
     }
 }
 
-/// One choice point: the candidate tasks (by rank) for a slot, and which
-/// candidate is currently enacted (`next - 1`).
+/// Marks "no job at this instant" in [`Active::job`].
+const NO_JOB: usize = usize::MAX;
+
+/// One task seen from the instant the search sits at (the per-instant job
+/// cache). Entries are kept in priority-rank order.
+#[derive(Debug, Clone, Copy)]
+struct Active {
+    task: TaskId,
+    wcet: Time,
+    /// Flat index of the task's first job in `Search::done`.
+    base: usize,
+    /// Flat `done` index of the job available at the instant, or
+    /// [`NO_JOB`].
+    job: usize,
+    /// `slots_at_or_after(job, t)` for that job.
+    left: Time,
+    /// Already running at the instant (C3).
+    running: bool,
+}
+
+/// A candidate on the shared choice stack: the task and the flat `done`
+/// index of its job at the choice point's instant.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    task: TaskId,
+    job: usize,
+}
+
+/// One choice point: slot `(t, j)`, its candidates `cands[start..end]`
+/// in ascending rank, and which one is enacted (`next - 1`).
 struct ChoicePoint {
-    slot: usize,
-    cands: Vec<TaskId>,
+    t: Time,
+    j: usize,
+    start: usize,
     next: usize,
+    end: usize,
 }
 
 struct Search<'s, 'a> {
     solver: &'s Csp2Solver<'a>,
     h: Time,
-    n: usize,
     m: usize,
-    /// `priority[rank] = task` under the configured heuristic.
-    priority: Vec<TaskId>,
-    /// `rank[task]`.
+    /// `rank[task]` under the configured heuristic.
     rank: Vec<usize>,
-    /// Executed units of each job: `done[task][k]`.
-    done: Vec<Vec<u32>>,
+    /// The tasks in rank order, their jobs at instant `at`.
+    active: Vec<Active>,
+    /// The instant `active` describes (`Time::MAX` before the first).
+    at: Time,
+    /// Executed units of each job, flat: task `i`'s job `k` at
+    /// `active[rank[i]].base + k`.
+    done: Vec<u32>,
     /// Flat assignment grid, `grid[t*m + j]`, `-1` = idle/unassigned.
     grid: Vec<i32>,
+    /// Candidates of every open choice point, one range each.
+    cands: Vec<Cand>,
     stack: Vec<ChoicePoint>,
-    cur_slot: usize,
+    /// The slot to decide next, `(t, j)`.
+    t: Time,
+    j: usize,
     stats: SearchStats,
 }
 
 impl<'s, 'a> Search<'s, 'a> {
     fn new(solver: &'s Csp2Solver<'a>) -> Self {
-        let h = solver.ji.hyperperiod();
-        let n = solver.ts.len();
+        let ji = &solver.ji;
+        let h = ji.hyperperiod();
         let m = solver.m;
-        let priority = solver.order.priorities(solver.ts);
         let rank = solver.order.ranks(solver.ts);
-        let done = (0..n)
-            .map(|i| vec![0u32; solver.ji.jobs_of(i) as usize])
+        let mut base = vec![0; rank.len()];
+        let mut jobs = 0;
+        for (i, b) in base.iter_mut().enumerate() {
+            *b = jobs;
+            jobs += ji.jobs_of(i) as usize;
+        }
+        let active = solver
+            .order
+            .priorities(solver.ts)
+            .into_iter()
+            .map(|task| Active {
+                task,
+                wcet: ji.wcet(task),
+                base: base[task],
+                job: NO_JOB,
+                left: 0,
+                running: false,
+            })
             .collect();
         Search {
             solver,
             h,
-            n,
             m,
-            priority,
             rank,
-            done,
+            active,
+            at: Time::MAX,
+            done: vec![0; jobs],
             grid: vec![-1; m * h as usize],
+            cands: Vec::new(),
             stack: Vec::new(),
-            cur_slot: 0,
+            t: 0,
+            j: 0,
             stats: SearchStats {
                 solves: 1,
                 ..SearchStats::default()
@@ -158,38 +211,66 @@ impl<'s, 'a> Search<'s, 'a> {
         }
     }
 
-    /// Task `i`'s active job at `t` with remaining work, if any.
-    fn active_job(&self, i: TaskId, t: Time) -> Option<(JobId, Time)> {
-        let job = self.solver.ji.job_at(i, t)?;
-        let rem = self.solver.ji.wcet(i) - Time::from(self.done[i][job.k as usize]);
-        (rem > 0).then_some((job, rem))
+    /// Point the job cache at instant `t`: each task's job and its
+    /// remaining schedulable instants, and which tasks row `t` of the
+    /// grid already runs (every slot past the cursor is unassigned).
+    fn enter(&mut self, t: Time) {
+        let ji = &self.solver.ji;
+        for a in &mut self.active {
+            match ji.job_at(a.task, t) {
+                Some(job) => {
+                    a.job = a.base + job.k as usize;
+                    a.left = ji.slots_at_or_after(job, t);
+                }
+                None => a.job = NO_JOB,
+            }
+            a.running = false;
+        }
+        let row = t as usize * self.m;
+        for &e in &self.grid[row..row + self.m] {
+            if e >= 0 {
+                self.active[self.rank[e as usize]].running = true;
+            }
+        }
+        self.at = t;
     }
 
-    fn assign(&mut self, slot: usize, task: TaskId) {
-        let t = (slot / self.m) as Time;
-        let job = self.solver.ji.job_at(task, t).expect("candidate is active");
-        self.grid[slot] = task as i32;
-        self.done[task][job.k as usize] += 1;
+    /// Remaining work of `a`'s job at the cached instant, if it has one
+    /// with work left.
+    fn remaining(&self, a: &Active) -> Option<Time> {
+        if a.job == NO_JOB {
+            return None;
+        }
+        let rem = a.wcet - Time::from(self.done[a.job]);
+        (rem > 0).then_some(rem)
     }
 
-    fn unassign(&mut self, slot: usize, task: TaskId) {
-        let t = (slot / self.m) as Time;
-        let job = self.solver.ji.job_at(task, t).expect("was active");
-        self.grid[slot] = -1;
-        self.done[task][job.k as usize] -= 1;
+    fn assign(&mut self, t: Time, j: usize, c: Cand) {
+        self.grid[t as usize * self.m + j] = c.task as i32;
+        self.done[c.job] += 1;
+        if t == self.at {
+            self.active[self.rank[c.task]].running = true;
+        }
     }
 
-    /// Constraint (9) propagation at the start of instant `t`: every active
-    /// job must satisfy `remaining ≤ slots_left`.
-    fn laxity_ok(&self, t: Time) -> bool {
+    fn unassign(&mut self, t: Time, j: usize, c: Cand) {
+        self.grid[t as usize * self.m + j] = -1;
+        self.done[c.job] -= 1;
+        if t == self.at {
+            self.active[self.rank[c.task]].running = false;
+        }
+    }
+
+    /// Constraint (9) propagation at the start of the cached instant:
+    /// every active job must satisfy `remaining ≤ slots_left`.
+    fn laxity_ok(&self) -> bool {
         let mut mandatory = 0usize;
-        for i in 0..self.n {
-            if let Some((job, rem)) = self.active_job(i, t) {
-                let left = self.solver.ji.slots_at_or_after(job, t);
-                if rem > left {
+        for a in &self.active {
+            if let Some(rem) = self.remaining(a) {
+                if rem > a.left {
                     return false;
                 }
-                if rem == left {
+                if rem == a.left {
                     mandatory += 1;
                 }
             }
@@ -197,39 +278,37 @@ impl<'s, 'a> Search<'s, 'a> {
         mandatory <= self.m
     }
 
-    /// Candidates for slot `(t, j)` under rules 1–2 and mandatory pruning.
-    /// `None` means "fail this branch"; `Some(vec![])` means "auto-idle the
+    /// Push the candidates for the cursor slot under rules 1–2 and
+    /// mandatory pruning onto `cands`, in ascending rank. `None` means
+    /// "fail this branch" (nothing pushed); `Some(0)` means "auto-idle the
     /// rest of the instant" (no available unscheduled work).
-    fn candidates(&self, slot: usize) -> Option<Vec<TaskId>> {
-        let t = (slot / self.m) as Time;
-        let j = slot % self.m;
-        let step_base = (slot / self.m) * self.m;
+    fn candidates(&mut self) -> Option<usize> {
+        let j = self.j;
         let prev_rank: Option<usize> = if j == 0 {
             None
         } else {
-            let prev = self.grid[slot - 1];
+            let prev = self.grid[self.t as usize * self.m + j - 1];
             debug_assert!(prev >= 0, "idle slots auto-fill to the step end");
             Some(self.rank[prev as usize])
         };
 
-        // Unscheduled available tasks, and the mandatory subset.
-        let mut unscheduled: Vec<TaskId> = Vec::new();
+        // Available tasks not yet running at t, and the mandatory subset;
+        // the scan runs in rank order, so the first mandatory rank is the
+        // lowest.
+        let mut available = false;
         let mut min_mand_rank: Option<usize> = None;
         let mut mand_count = 0usize;
-        for i in 0..self.n {
-            let Some((job, rem)) = self.active_job(i, t) else {
-                continue;
-            };
-            if self.grid[step_base..slot].contains(&(i as i32)) {
+        for (r, a) in self.active.iter().enumerate() {
+            if a.running {
                 continue; // already running at t (C3)
             }
-            unscheduled.push(i);
-            if rem == self.solver.ji.slots_at_or_after(job, t) {
+            let Some(rem) = self.remaining(a) else {
+                continue;
+            };
+            available = true;
+            if rem == a.left {
                 mand_count += 1;
-                let r = self.rank[i];
-                if min_mand_rank.is_none_or(|mr| r < mr) {
-                    min_mand_rank = Some(r);
-                }
+                min_mand_rank.get_or_insert(r);
             }
         }
 
@@ -243,70 +322,72 @@ impl<'s, 'a> Search<'s, 'a> {
             }
         }
 
-        if unscheduled.is_empty() {
-            return Some(Vec::new()); // genuine idle: rule 1 satisfied
+        if !available {
+            return Some(0); // genuine idle: rule 1 satisfied
         }
 
         // Candidate ranks: above the previous processor's rank (rule 2),
         // at most the lowest mandatory rank (skipping mandatory work is a
         // guaranteed dead end), and non-mandatory choices only while slots
         // outnumber mandatory jobs.
-        let only_mandatory = mand_count == slots_left_in_step;
-        let mut cands: Vec<(usize, TaskId)> = Vec::new();
-        for &i in &unscheduled {
-            let r = self.rank[i];
-            if prev_rank.is_some_and(|pr| r <= pr) {
-                continue;
+        let lo = match min_mand_rank {
+            Some(mr) if mand_count == slots_left_in_step => mr,
+            _ => prev_rank.map_or(0, |pr| pr + 1),
+        };
+        let hi = min_mand_rank.unwrap_or(self.active.len() - 1);
+        let start = self.cands.len();
+        for r in lo..=hi {
+            let a = self.active[r];
+            if !a.running && self.remaining(&a).is_some() {
+                self.cands.push(Cand {
+                    task: a.task,
+                    job: a.job,
+                });
             }
-            if let Some(mr) = min_mand_rank {
-                if r > mr {
-                    continue;
-                }
-                if only_mandatory && r < mr {
-                    continue;
-                }
-            }
-            cands.push((r, i));
         }
-        if cands.is_empty() {
-            // Available work exists but none is admissible here. If the
-            // inadmissibility comes from rule 2 (all ranks ≤ prev), letting
-            // the processor idle would violate rule 1 — but an equivalent
-            // canonical branch (a different earlier choice) covers the
-            // schedule, so failing is sound symmetry breaking.
-            return None;
+        let count = self.cands.len() - start;
+        // Available work may exist with none of it admissible here. If
+        // the inadmissibility comes from rule 2 (all ranks ≤ prev),
+        // letting the processor idle would violate rule 1 — but an
+        // equivalent canonical branch (a different earlier choice) covers
+        // the schedule, so failing is sound symmetry breaking.
+        (count > 0).then_some(count)
+    }
+
+    /// Move the cursor one slot on.
+    fn advance(&mut self) {
+        self.j += 1;
+        if self.j == self.m {
+            self.j = 0;
+            self.t += 1;
         }
-        cands.sort_unstable();
-        Some(cands.into_iter().map(|(_, i)| i).collect())
     }
 
     fn backtrack(&mut self) -> bool {
-        loop {
-            let Some(cp) = self.stack.last_mut() else {
-                return false;
-            };
-            let slot = cp.slot;
-            let prev_task = cp.cands[cp.next - 1];
-            let next = cp.next;
-            let has_more = next < cp.cands.len();
-            let next_task = if has_more { Some(cp.cands[next]) } else { None };
-            if has_more {
+        while let Some(cp) = self.stack.last_mut() {
+            let (t, j) = (cp.t, cp.j);
+            let prev = self.cands[cp.next - 1];
+            let next = (cp.next < cp.end).then(|| {
                 cp.next += 1;
-            } else {
+                self.cands[cp.next - 1]
+            });
+            if next.is_none() {
+                self.cands.truncate(cp.start);
                 self.stack.pop();
             }
-            self.unassign(slot, prev_task);
+            self.unassign(t, j, prev);
             self.stats.backtracks += 1;
-            if let Some(task) = next_task {
-                self.assign(slot, task);
-                self.cur_slot = slot + 1;
+            if let Some(c) = next {
+                self.assign(t, j, c);
+                (self.t, self.j) = (t, j);
+                self.advance();
                 return true;
             }
         }
+        false
     }
 
     fn run(mut self, start: Instant) -> SolveResult {
-        let total = self.m * self.h as usize;
         let mut iter: u64 = 0;
         let verdict = loop {
             // Budget checks: the time syscall is amortized over iterations.
@@ -330,39 +411,43 @@ impl<'s, 'a> Search<'s, 'a> {
                 break Verdict::Unknown(StopReason::DecisionLimit);
             }
 
-            if self.cur_slot == total {
+            if self.t == self.h {
                 break Verdict::Feasible(self.extract());
             }
-            let t = (self.cur_slot / self.m) as Time;
-            let j = self.cur_slot % self.m;
-            if j == 0 && !self.laxity_ok(t) {
+            if self.t != self.at {
+                self.enter(self.t);
+            }
+            if self.j == 0 && !self.laxity_ok() {
                 if self.backtrack() {
                     continue;
                 }
                 break Verdict::Infeasible;
             }
-            match self.candidates(self.cur_slot) {
+            match self.candidates() {
                 None => {
                     if self.backtrack() {
                         continue;
                     }
                     break Verdict::Infeasible;
                 }
-                Some(cands) if cands.is_empty() => {
+                Some(0) => {
                     // Auto-idle to the end of the instant (rule 1 honoured:
                     // nothing is available).
-                    self.cur_slot = (self.cur_slot / self.m + 1) * self.m;
+                    self.t += 1;
+                    self.j = 0;
                 }
-                Some(cands) => {
-                    let slot = self.cur_slot;
-                    let first = cands[0];
+                Some(count) => {
+                    let first = self.cands.len() - count;
+                    let (t, j) = (self.t, self.j);
                     self.stack.push(ChoicePoint {
-                        slot,
-                        cands,
-                        next: 1,
+                        t,
+                        j,
+                        start: first,
+                        next: first + 1,
+                        end: first + count,
                     });
-                    self.assign(slot, first);
-                    self.cur_slot = slot + 1;
+                    self.assign(t, j, self.cands[first]);
+                    self.advance();
                     self.stats.decisions += 1;
                 }
             }
@@ -373,10 +458,11 @@ impl<'s, 'a> Search<'s, 'a> {
     fn extract(&self) -> Schedule {
         // Every job must have received exactly its WCET — guaranteed by the
         // laxity propagation; the debug assertion documents the invariant.
-        debug_assert!((0..self.n).all(|i| {
-            self.done[i]
+        debug_assert!(self.active.iter().all(|a| {
+            let jobs = self.solver.ji.jobs_of(a.task) as usize;
+            self.done[a.base..a.base + jobs]
                 .iter()
-                .all(|&d| Time::from(d) == self.solver.ji.wcet(i))
+                .all(|&d| Time::from(d) == a.wcet)
         }));
         let grid = self
             .grid
@@ -384,15 +470,6 @@ impl<'s, 'a> Search<'s, 'a> {
             .map(|&e| (e >= 0).then_some(e as TaskId))
             .collect();
         Schedule::from_grid(self.m, self.h, grid)
-    }
-}
-
-// `priority` is consumed only through `rank`, but keeping it simplifies
-// debugging sessions; silence the field-never-read lint in release checks.
-impl<'s, 'a> Search<'s, 'a> {
-    #[allow(dead_code)]
-    fn priority_order(&self) -> &[TaskId] {
-        &self.priority
     }
 }
 

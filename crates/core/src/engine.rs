@@ -58,10 +58,12 @@ use crate::solve::{SolveResult, StopReason};
 /// the portfolio racer raises it when the first definitive verdict lands.
 /// The polls:
 ///
-/// * encoding — the model encoders at each constraint family's boundary,
-///   the CNF encoders once per iteration of each family's outer loop;
-/// * construction — once per propagator while the CSP engine is built,
-///   every 1024 clauses while the CDCL solver sizes and loads its formula;
+/// * encoding — the CSP1 model encoder and the CNF encoders once per
+///   iteration of each constraint family's outer loop, the other model
+///   encoders at each family's boundary;
+/// * construction — every 1024 variables and once per propagator while
+///   the CSP engine is built, every 1024 clauses while the CDCL solver
+///   sizes and loads its formula;
 /// * search — before root propagation, then at every CSP-engine budget
 ///   check, every CDCL propagation round, every 1024 iterations of the
 ///   specialized CSP2 searches and every move of local search.

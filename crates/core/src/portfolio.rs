@@ -10,10 +10,11 @@
 //!   it, and the others stop at their next poll with
 //!   [`StopReason::Cancelled`]. The token is polled while a backend
 //!   encodes its model (at each constraint family, or each outer loop of
-//!   one for the CNF encoders) and builds its solver (once per CSP-engine
-//!   propagator, every 1024 CDCL clauses), not only in its search loop, so
-//!   the race returns about when its winner does instead of waiting for
-//!   the losers to finish building models whose result is never used;
+//!   one for the CSP1 and CNF encoders) and builds its solver (once per
+//!   CSP-engine propagator, every 1024 CDCL clauses), not only in its
+//!   search loop, so the race returns about when its winner does instead
+//!   of waiting for the losers to finish building models whose result is
+//!   never used;
 //! * any feasible schedule is re-verified against the independent C1–C4
 //!   checker before it can win — an invalid schedule is a solver bug and
 //!   panics loudly, exactly like the bench runner;

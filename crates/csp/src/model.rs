@@ -5,7 +5,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::constraints::Constraint;
-use crate::solver::{Solver, SolverConfig};
+use crate::solver::{raised, Solver, SolverConfig};
 use crate::store::{Store, Val, VarId};
 
 /// A CSP under construction.
@@ -39,13 +39,13 @@ impl Model {
     }
 
     /// Install a cooperative interrupt flag, polled from
-    /// [`Model::into_solver`] on: once per propagator while the solver is
-    /// built, then at the search's budget checks. When another thread
-    /// raises it the search stops with
-    /// [`crate::LimitReason::Interrupted`]; a solver whose construction was
-    /// interrupted reports that from every solve, even if the flag is
-    /// lowered later, because it lacks propagators. Used by portfolio
-    /// racing.
+    /// [`Model::into_solver`] on: every 1024 variables while the domain
+    /// store is built, once per propagator while the solver is built, then
+    /// at the search's budget checks. When another thread raises it the
+    /// search stops with [`crate::LimitReason::Interrupted`]; a solver
+    /// whose construction was interrupted reports that from every solve,
+    /// even if the flag is lowered later, because it lacks its variables
+    /// or propagators. Used by portfolio racing.
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag);
     }
@@ -107,8 +107,18 @@ impl Model {
     /// into a fresh store. The boolean is true when a removal already
     /// wiped a domain out.
     pub(crate) fn build_store(&self) -> (Store, bool) {
+        self.build_store_polled(None)
+            .expect("an absent interrupt flag is never raised")
+    }
+
+    /// [`Model::build_store`], polling `interrupt` every 1024 variables:
+    /// `None` once it is raised.
+    fn build_store_polled(&self, interrupt: Option<&AtomicBool>) -> Option<(Store, bool)> {
         let mut store = Store::new();
-        for &(lb, ub) in &self.domains {
+        for (k, &(lb, ub)) in self.domains.iter().enumerate() {
+            if k % 1024 == 0 && raised(interrupt) {
+                return None;
+            }
             store.new_var(lb, ub);
         }
         let mut initially_inconsistent = false;
@@ -117,21 +127,15 @@ impl Model {
                 initially_inconsistent = true;
             }
         }
-        (store, initially_inconsistent)
+        Some((store, initially_inconsistent))
     }
 
     /// Freeze the model into a solver (see [`Model::set_interrupt`] for
     /// how an interrupt flag reaches it).
     #[must_use]
     pub fn into_solver(self, config: SolverConfig) -> Solver {
-        let (store, initially_inconsistent) = self.build_store();
-        Solver::from_parts(
-            store,
-            self.constraints,
-            config,
-            initially_inconsistent,
-            self.interrupt,
-        )
+        let built = self.build_store_polled(self.interrupt.as_deref());
+        Solver::from_parts(built, self.constraints, config, self.interrupt)
     }
 }
 

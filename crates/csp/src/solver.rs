@@ -293,7 +293,7 @@ const BUDGET_CHECK_MASK: u64 = 1023;
 
 /// Has an optional interrupt flag been raised? (A relaxed load; `None`
 /// never is.)
-fn raised(flag: Option<&AtomicBool>) -> bool {
+pub(crate) fn raised(flag: Option<&AtomicBool>) -> bool {
     flag.is_some_and(|f| f.load(Ordering::Relaxed))
 }
 
@@ -485,27 +485,31 @@ enum Analysis {
 }
 
 impl Solver {
+    /// Build a solver from the model's store and constraints. `built` is
+    /// the store with its initial-inconsistency mark, or `None` when the
+    /// interrupt stopped the store's construction.
     pub(crate) fn from_parts(
-        mut store: Store,
+        built: Option<(Store, bool)>,
         mut constraints: Vec<Constraint>,
         config: SolverConfig,
-        initially_inconsistent: bool,
         interrupt: Option<Arc<AtomicBool>>,
     ) -> Self {
+        let store_built = built.is_some();
+        let (mut store, initially_inconsistent) = built.unwrap_or_else(|| (Store::new(), false));
         // Model-building removals precede propagator construction; their
         // events are subsumed by the initial full propagation of every
         // propagator (all start stale).
         store.clear_dirty();
         let mut props: Vec<Box<dyn Propagator>> = Vec::with_capacity(constraints.len());
         for c in &constraints {
-            if raised(interrupt.as_deref()) {
+            if !store_built || raised(interrupt.as_deref()) {
                 break;
             }
             props.push(build(c, &mut store));
         }
         // An interrupted build keeps no constraints: the rest of the
         // construction is then trivial, and `loaded` bars the search.
-        let loaded = props.len() == constraints.len();
+        let loaded = store_built && props.len() == constraints.len();
         if !loaded {
             props.clear();
             constraints.clear();
@@ -2076,6 +2080,31 @@ mod tests {
         let mut m = pigeonhole_pairwise(5);
         m.set_interrupt(flag);
         assert!(m.into_solver(SolverConfig::default()).solve().is_unsat());
+    }
+
+    #[test]
+    fn interrupted_store_build_keeps_no_variables() {
+        // A raised flag stops the store before its first variable, even on
+        // a model without constraints, whose solver would otherwise report
+        // a solution over the missing variables once the flag is lowered.
+        let flag = Arc::new(AtomicBool::new(true));
+        let mut m = Model::new();
+        let _ = m.new_vars(3000, 0, 1);
+        m.set_interrupt(flag.clone());
+        let mut s = m.into_solver(SolverConfig::default());
+        assert_eq!(s.store().num_vars(), 0);
+        flag.store(false, Ordering::Relaxed);
+        assert!(matches!(
+            s.solve(),
+            Outcome::Unknown(LimitReason::Interrupted)
+        ));
+        // Under a lowered flag the same model builds every variable.
+        let mut m = Model::new();
+        let _ = m.new_vars(3000, 0, 1);
+        m.set_interrupt(flag);
+        let mut s = m.into_solver(SolverConfig::default());
+        assert_eq!(s.store().num_vars(), 3000);
+        assert!(s.solve().is_sat());
     }
 
     #[test]
