@@ -13,7 +13,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use mgrts_core::csp2::{Csp2Budget, Csp2Solver};
+use mgrts_core::csp2::Csp2Solver;
+use mgrts_core::engine::Budget;
 use mgrts_core::heuristics::TaskOrder;
 use rt_gen::{GeneratorConfig, ProblemGenerator};
 
@@ -27,9 +28,9 @@ const TOTAL_BACKTRACKS: u64 = 747_609;
 
 fn main() {
     let problems = ProblemGenerator::new(GeneratorConfig::table1(), SEED).batch(INSTANCES);
-    let budget = Csp2Budget {
-        time: None,
+    let budget = Budget {
         max_decisions: Some(DECISIONS),
+        ..Budget::unlimited()
     };
     // One pass over the stream; returns (decisions, backtracks).
     let pass = || -> (u64, u64) {

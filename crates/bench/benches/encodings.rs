@@ -8,9 +8,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use mgrts_core::csp1::{encode as encode_csp1, solve_csp1, Csp1Config};
+use mgrts_core::csp1::encode as encode_csp1;
 use mgrts_core::csp2::Csp2Solver;
-use mgrts_core::csp2_generic::{solve_csp2_generic, Csp2GenericConfig};
+use mgrts_core::engine::{Budget, CancelToken, Csp1Engine, Csp2GenericEngine, FeasibilitySolver};
 use mgrts_core::heuristics::TaskOrder;
 use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
 use rt_task::TaskSet;
@@ -68,11 +68,13 @@ fn bench_solvers(c: &mut Criterion) {
     group.bench_function("csp2_generic_engine", |b| {
         b.iter(|| {
             for (ts, m) in &corpus {
-                let cfg = Csp2GenericConfig {
+                let budget = Budget {
                     time: cap,
-                    ..Csp2GenericConfig::default()
+                    ..Budget::unlimited()
                 };
-                let res = solve_csp2_generic(ts, *m, &cfg).unwrap();
+                let res = Csp2GenericEngine::default()
+                    .solve(ts, *m, &budget, &CancelToken::new())
+                    .unwrap();
                 black_box(res.verdict.is_feasible());
             }
         })
@@ -80,11 +82,13 @@ fn bench_solvers(c: &mut Criterion) {
     group.bench_function("csp1_generic_engine", |b| {
         b.iter(|| {
             for (ts, m) in &corpus {
-                let cfg = Csp1Config {
+                let budget = Budget {
                     time: cap,
-                    ..Csp1Config::default()
+                    ..Budget::unlimited()
                 };
-                let res = solve_csp1(ts, *m, &cfg).unwrap();
+                let res = Csp1Engine::default()
+                    .solve(ts, *m, &budget, &CancelToken::new())
+                    .unwrap();
                 black_box(res.verdict.is_feasible());
             }
         })
@@ -134,7 +138,9 @@ fn bench_infeasible_proof(c: &mut Criterion) {
     });
     group.bench_function("csp1", |b| {
         b.iter(|| {
-            let res = solve_csp1(&ts, m, &Csp1Config::default()).unwrap();
+            let res = Csp1Engine::default()
+                .solve(&ts, m, &Budget::unlimited(), &CancelToken::new())
+                .unwrap();
             black_box(res.verdict.is_infeasible());
         })
     });

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mgrts_core::csp2::Csp2Solver;
-use mgrts_core::csp2_generic::{solve_csp2_generic, Csp2GenericConfig};
+use mgrts_core::engine::{Budget, CancelToken, Csp2GenericEngine, FeasibilitySolver};
 use mgrts_core::heuristics::TaskOrder;
 use rt_gen::{GeneratorConfig, ProblemGenerator};
 
@@ -32,10 +32,7 @@ fn bench_task_orders(c: &mut Criterion) {
                         let res = Csp2Solver::new(&p.taskset, p.m)
                             .unwrap()
                             .with_order(order)
-                            .with_budget(mgrts_core::csp2::Csp2Budget {
-                                time: Some(std::time::Duration::from_millis(250)),
-                                max_decisions: None,
-                            })
+                            .with_budget(Budget::time_limit(std::time::Duration::from_millis(250)))
                             .solve();
                         black_box(res.search);
                     }
@@ -69,12 +66,14 @@ fn bench_symmetry_breaking(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &sym, |b, &sym| {
             b.iter(|| {
                 for p in &problems {
-                    let cfg = Csp2GenericConfig {
+                    let engine = Csp2GenericEngine {
                         symmetry_breaking: sym,
-                        time: Some(std::time::Duration::from_millis(500)),
-                        ..Default::default()
+                        ..Csp2GenericEngine::default()
                     };
-                    let res = solve_csp2_generic(&p.taskset, p.m, &cfg).unwrap();
+                    let budget = Budget::time_limit(std::time::Duration::from_millis(500));
+                    let res = engine
+                        .solve(&p.taskset, p.m, &budget, &CancelToken::new())
+                        .unwrap();
                     black_box(res.search);
                 }
             })

@@ -13,7 +13,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mgrts_core::csp2_generic::{solve_csp2_generic, Csp2GenericConfig};
+use mgrts_core::engine::{Budget, CancelToken, Csp2GenericEngine, FeasibilitySolver};
 use rt_gen::{GeneratorConfig, ProblemGenerator};
 
 const INSTANCES: u64 = 12;
@@ -21,17 +21,22 @@ const DECISIONS: u64 = 500;
 
 fn bench_learning_table1(c: &mut Criterion) {
     let problems = ProblemGenerator::new(GeneratorConfig::table1(), 2009).batch(INSTANCES);
-    let cfg = Csp2GenericConfig {
+    let engine = Csp2GenericEngine {
         learning: true,
+        ..Csp2GenericEngine::default()
+    };
+    let budget = Budget {
         max_decisions: Some(DECISIONS),
-        ..Csp2GenericConfig::default()
+        ..Budget::unlimited()
     };
     // One pass over the instances; returns the conflicts analyzed.
     let solve_all = || -> u64 {
         problems
             .iter()
             .map(|p| {
-                let res = solve_csp2_generic(&p.taskset, p.m, &cfg).unwrap();
+                let res = engine
+                    .solve(&p.taskset, p.m, &budget, &CancelToken::new())
+                    .unwrap();
                 res.search.map_or(0, |s| s.conflicts)
             })
             .sum()

@@ -7,8 +7,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mgrts_core::csp2::Csp2Solver;
+use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, LocalSearchEngine};
 use mgrts_core::heuristics::TaskOrder;
-use mgrts_core::local_search::{solve_local_search, LocalSearchConfig, LsStrategy};
+use mgrts_core::local_search::LsStrategy;
 use rt_analysis::analyze;
 use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
 use rt_task::TaskSet;
@@ -59,12 +60,15 @@ fn bench_local_strategies(c: &mut Criterion) {
         for (label, strategy) in strategies {
             group.bench_with_input(BenchmarkId::new(label, i), ts, |b, ts| {
                 b.iter(|| {
-                    let cfg = LocalSearchConfig {
+                    let engine = LocalSearchEngine {
                         strategy,
-                        max_iters: 500_000,
-                        ..LocalSearchConfig::default()
+                        ..LocalSearchEngine::default()
                     };
-                    let res = solve_local_search(ts, *m, &cfg).unwrap();
+                    let budget = Budget {
+                        max_decisions: Some(500_000),
+                        ..Budget::unlimited()
+                    };
+                    let res = engine.solve(ts, *m, &budget, &CancelToken::new()).unwrap();
                     assert!(black_box(res).verdict.is_feasible());
                 });
             });

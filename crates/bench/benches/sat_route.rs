@@ -6,8 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use mgrts_core::csp1_sat::{encode_cnf, solve_csp1_sat, Csp1SatConfig};
+use mgrts_core::csp1_sat::encode_cnf;
 use mgrts_core::csp2::Csp2Solver;
+use mgrts_core::engine::{Budget, CancelToken, Csp1SatEngine, FeasibilitySolver};
 use mgrts_core::heuristics::TaskOrder;
 use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
 use rt_sat::{AmoEncoding, SatConfig, SatSolver};
@@ -63,7 +64,9 @@ fn bench_sat_vs_csp2(c: &mut Criterion) {
     for (i, (ts, m)) in corpus.iter().enumerate() {
         group.bench_with_input(BenchmarkId::new("sat_cdcl", i), ts, |b, ts| {
             b.iter(|| {
-                let res = solve_csp1_sat(ts, *m, &Csp1SatConfig::default()).unwrap();
+                let res = Csp1SatEngine::default()
+                    .solve(ts, *m, &Budget::unlimited(), &CancelToken::new())
+                    .unwrap();
                 assert!(black_box(res).verdict.is_feasible());
             });
         });

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use csp_engine::{Constraint, Model, SolverConfig, Store};
-use mgrts_core::local_search::{solve_local_search, LocalSearchConfig};
+use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, LocalSearchEngine};
 use rt_gen::{GeneratorConfig, ProblemGenerator};
 use rt_sim::{simulate, Policy};
 use rt_task::{clone_transform, JobInstants, Task, TaskSet};
@@ -86,7 +86,9 @@ fn bench_local_search(c: &mut Criterion) {
     let ts = TaskSet::running_example();
     c.bench_function("min_conflicts_running_example", |b| {
         b.iter(|| {
-            let res = solve_local_search(&ts, 2, &LocalSearchConfig::default()).unwrap();
+            let res = LocalSearchEngine::default()
+                .solve(&ts, 2, &Budget::unlimited(), &CancelToken::new())
+                .unwrap();
             black_box(res.verdict.is_feasible())
         })
     });

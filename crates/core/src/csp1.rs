@@ -19,51 +19,25 @@
 //! CSP1 "runs out of memory on large instances" (Section VII-E) as a clean
 //! [`StopReason::EncodingTooLarge`] verdict instead of an abort.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use csp_engine::{Budget, Constraint, LimitReason, Model, Outcome, SolverConfig, VarId};
+use csp_engine::{Constraint, Model, SolverConfig, VarId};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
-use crate::engine::CancelToken;
+use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, StopReason, Verdict};
-
-/// Map a generic-engine stop reason onto the solver-facing one.
-pub(crate) fn stop_reason(limit: LimitReason) -> StopReason {
-    match limit {
-        LimitReason::Time => StopReason::TimeLimit,
-        LimitReason::Decisions => StopReason::DecisionLimit,
-        LimitReason::Interrupted => StopReason::Cancelled,
-    }
-}
+use crate::solve::{no_processors, search_model, SolveResult, StopReason};
 
 /// Default refusal threshold: models beyond this many boolean cells are not
 /// built (≈ a few hundred MB of solver state, the regime where the paper's
-/// CSP1 died).
+/// CSP1 died). [`Budget::max_cells`] overrides it.
 pub const DEFAULT_MAX_CELLS: u64 = 4_000_000;
 
-/// Configuration for a CSP1 solve.
-#[derive(Debug, Clone, Copy)]
-pub struct Csp1Config {
-    /// Seed for the randomized generic search.
-    pub seed: u64,
-    /// Wall-clock budget.
-    pub time: Option<Duration>,
-    /// Decision budget for the generic search.
-    pub max_decisions: Option<u64>,
-    /// Encoding size guard (boolean cell count `n·m·H`).
-    pub max_cells: u64,
-}
-
-impl Default for Csp1Config {
-    fn default() -> Self {
-        Csp1Config {
-            seed: 1,
-            time: None,
-            max_decisions: None,
-            max_cells: DEFAULT_MAX_CELLS,
-        }
-    }
+/// The size guard of the boolean encodings (`csp1` and `sat`, on either
+/// platform): does the `n·m·H` cell grid exceed the budget's `max_cells`?
+pub(crate) fn exceeds_max_cells(ts: &TaskSet, ji: &JobInstants, m: usize, budget: &Budget) -> bool {
+    let cells = ts.len() as u64 * m as u64 * ji.hyperperiod();
+    cells > budget.max_cells.unwrap_or(DEFAULT_MAX_CELLS)
 }
 
 /// Variable layout of an encoded CSP1 model: `x_{i,j}(t)` lives at index
@@ -198,55 +172,74 @@ pub fn decode(layout: &Csp1Layout, solution: &[i32]) -> Schedule {
     s
 }
 
-/// Encode and solve with the generic randomized engine — the full CSP1
-/// pipeline of the paper's experiments.
-pub fn solve_csp1(ts: &TaskSet, m: usize, cfg: &Csp1Config) -> Result<SolveResult, TaskError> {
-    solve_csp1_cancellable(ts, m, cfg, &CancelToken::new())
+/// CSP1 on the generic randomized engine (the paper's Choco setup), on
+/// identical processors or, with constraint (11), on a heterogeneous
+/// platform ([`crate::hetero`]).
+///
+/// Models past the [`Budget::max_cells`] size guard ([`DEFAULT_MAX_CELLS`]
+/// by default) are refused with [`StopReason::EncodingTooLarge`]. `cancel`
+/// is polled once per task or processor while encoding, every 1024
+/// variables and once per propagator while the engine is built, and at the
+/// engine's budget checkpoints.
+#[derive(Debug, Clone, Copy)]
+pub struct Csp1Engine {
+    /// Seed for the randomized search strategy.
+    pub seed: u64,
 }
 
-/// [`solve_csp1`] with cooperative cancellation: `cancel` is polled once
-/// per task or processor while encoding, every 1024 variables and once
-/// per propagator while the engine is built, and at the engine's budget
-/// checkpoints.
-pub fn solve_csp1_cancellable(
-    ts: &TaskSet,
-    m: usize,
-    cfg: &Csp1Config,
-    cancel: &CancelToken,
-) -> Result<SolveResult, TaskError> {
-    let start = Instant::now();
-    // Size guard first, so huge instances fail fast and cleanly.
-    let ji = JobInstants::new(ts)?;
-    let cells = ts.len() as u64 * m as u64 * ji.hyperperiod();
-    if cells > cfg.max_cells {
-        return Ok(SolveResult::stopped(
-            StopReason::EncodingTooLarge,
-            start.elapsed(),
-        ));
+impl Default for Csp1Engine {
+    fn default() -> Self {
+        Csp1Engine { seed: 1 }
     }
-    let Some((mut model, layout)) = encode_polled(ts, m, cancel)? else {
-        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
-    };
-    model.set_interrupt(cancel.as_flag());
-    let mut solver = model.into_solver(SolverConfig::generic_randomized(cfg.seed));
-    // The time budget counts from solve entry: encoding and construction
-    // draw on the same allowance as the search.
-    solver.set_budget(Budget {
-        time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
-        max_decisions: cfg.max_decisions,
-    });
-    let verdict = match solver.solve() {
-        Outcome::Sat(sol) => Verdict::Feasible(decode(&layout, &sol)),
-        Outcome::Unsat => Verdict::Infeasible,
-        Outcome::Unknown(limit) => Verdict::Unknown(stop_reason(limit)),
-    };
-    Ok(SolveResult::searched(verdict, solver.stats(), start))
+}
+
+impl FeasibilitySolver for Csp1Engine {
+    fn name(&self) -> String {
+        "csp1".to_string()
+    }
+
+    fn solve_on(
+        &self,
+        ts: &TaskSet,
+        spec: &PlatformSpec,
+        budget: &Budget,
+        cancel: &CancelToken,
+    ) -> Result<SolveResult, TaskError> {
+        let start = Instant::now();
+        // Size guard first, so huge instances fail fast and cleanly.
+        let ji = JobInstants::new(ts)?;
+        if exceeds_max_cells(ts, &ji, spec.num_processors(), budget) {
+            return Ok(SolveResult::stopped(
+                StopReason::EncodingTooLarge,
+                start.elapsed(),
+            ));
+        }
+        if spec.num_processors() == 0 {
+            return Ok(no_processors(start));
+        }
+        let encoded = match spec {
+            PlatformSpec::Identical { m } => encode_polled(ts, *m, cancel)?,
+            PlatformSpec::Heterogeneous(p) => crate::hetero::encode_csp1_polled(ts, p, cancel)?,
+        };
+        let Some((model, layout)) = encoded else {
+            return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+        };
+        let config = SolverConfig::generic_randomized(self.seed);
+        Ok(search_model(model, config, budget, start, cancel, |sol| {
+            decode(&layout, sol)
+        }))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve::Verdict;
     use crate::verify::check_identical;
+
+    fn solve(ts: &TaskSet, m: usize, engine: Csp1Engine, budget: &Budget) -> SolveResult {
+        engine.solve(ts, m, budget, &CancelToken::new()).unwrap()
+    }
 
     #[test]
     fn layout_is_a_bijection() {
@@ -266,7 +259,7 @@ mod tests {
     #[test]
     fn running_example_feasible() {
         let ts = TaskSet::running_example();
-        let res = solve_csp1(&ts, 2, &Csp1Config::default()).unwrap();
+        let res = solve(&ts, 2, Csp1Engine::default(), &Budget::unlimited());
         let s = res.verdict.schedule().expect("feasible");
         check_identical(&ts, 2, s).unwrap();
     }
@@ -285,18 +278,18 @@ mod tests {
     #[test]
     fn infeasible_overload() {
         let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
-        let res = solve_csp1(&ts, 2, &Csp1Config::default()).unwrap();
+        let res = solve(&ts, 2, Csp1Engine::default(), &Budget::unlimited());
         assert!(res.verdict.is_infeasible());
     }
 
     #[test]
     fn size_guard_refuses_large_models() {
         let ts = TaskSet::running_example();
-        let cfg = Csp1Config {
-            max_cells: 10,
-            ..Csp1Config::default()
+        let budget = Budget {
+            max_cells: Some(10),
+            ..Budget::unlimited()
         };
-        let res = solve_csp1(&ts, 2, &cfg).unwrap();
+        let res = solve(&ts, 2, Csp1Engine::default(), &budget);
         assert_eq!(res.verdict, Verdict::Unknown(StopReason::EncodingTooLarge));
     }
 
@@ -304,11 +297,7 @@ mod tests {
     fn different_seeds_still_sound() {
         let ts = TaskSet::from_ocdt(&[(0, 1, 2, 2), (0, 2, 3, 3)]);
         for seed in 0..4 {
-            let cfg = Csp1Config {
-                seed,
-                ..Csp1Config::default()
-            };
-            let res = solve_csp1(&ts, 2, &cfg).unwrap();
+            let res = solve(&ts, 2, Csp1Engine { seed }, &Budget::unlimited());
             let s = res.verdict.schedule().expect("feasible");
             check_identical(&ts, 2, s).unwrap();
         }
@@ -318,7 +307,7 @@ mod tests {
     fn wrapped_interval_encoded_correctly() {
         // τ2-style wrap: (O=1, C=3, D=4, T=4) alone on one processor.
         let ts = TaskSet::from_ocdt(&[(1, 3, 4, 4)]);
-        let res = solve_csp1(&ts, 1, &Csp1Config::default()).unwrap();
+        let res = solve(&ts, 1, Csp1Engine::default(), &Budget::unlimited());
         let s = res.verdict.schedule().expect("feasible");
         check_identical(&ts, 1, s).unwrap();
     }

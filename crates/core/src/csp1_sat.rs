@@ -29,48 +29,24 @@
 //! the `n·m·H` layout block, so [`crate::csp1::Csp1Layout`] decodes a SAT
 //! model exactly like a CSP solution.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rt_sat::{
     at_most_one, exactly_k, AmoEncoding, Cnf, Lit, SatConfig, SatLimit, SatOutcome, SatSolver,
 };
 use rt_task::{JobId, JobInstants, TaskError, TaskSet};
 
-use crate::csp1::{Csp1Layout, DEFAULT_MAX_CELLS, NEVER_RAISED};
-use crate::engine::CancelToken;
+use crate::csp1::{exceeds_max_cells, Csp1Layout, NEVER_RAISED};
+use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
 use crate::schedule::Schedule;
 use crate::solve::{SolveResult, StopReason, Verdict};
 
 /// Map a CDCL stop reason onto the solver-facing one.
-pub(crate) fn sat_stop_reason(limit: SatLimit) -> StopReason {
+fn sat_stop_reason(limit: SatLimit) -> StopReason {
     match limit {
         SatLimit::Time => StopReason::TimeLimit,
         SatLimit::Conflicts => StopReason::DecisionLimit,
         SatLimit::Interrupted => StopReason::Cancelled,
-    }
-}
-
-/// Configuration for the SAT route.
-#[derive(Debug, Clone, Copy)]
-pub struct Csp1SatConfig {
-    /// At-most-one encoding for constraint families (3) and (4).
-    pub amo: AmoEncoding,
-    /// Wall-clock budget.
-    pub time: Option<Duration>,
-    /// Conflict budget.
-    pub max_conflicts: Option<u64>,
-    /// Encoding size guard on the `n·m·H` base variable count.
-    pub max_cells: u64,
-}
-
-impl Default for Csp1SatConfig {
-    fn default() -> Self {
-        Csp1SatConfig {
-            amo: AmoEncoding::Pairwise,
-            time: None,
-            max_conflicts: None,
-            max_cells: DEFAULT_MAX_CELLS,
-        }
     }
 }
 
@@ -197,63 +173,77 @@ pub fn decode_model(layout: &Csp1Layout, model: &[bool]) -> Schedule {
     s
 }
 
-/// Encode CSP1 as CNF and solve with the CDCL solver — the full SAT
-/// pipeline the paper's Section IV alludes to.
-pub fn solve_csp1_sat(
-    ts: &TaskSet,
-    m: usize,
-    cfg: &Csp1SatConfig,
-) -> Result<SolveResult, TaskError> {
-    solve_csp1_sat_cancellable(ts, m, cfg, &CancelToken::new())
+/// CSP1 lowered to CNF on the CDCL solver (the paper's "even SAT solvers
+/// could be used" route), on identical processors or, with the
+/// pseudo-boolean constraint (11), on a heterogeneous platform
+/// ([`crate::csp1_sat_hetero`]).
+///
+/// The solve shares the `csp1` size guard ([`Budget::max_cells`]) and reads
+/// [`Budget::max_conflicts`]. `cancel` is polled while the CNF is encoded
+/// and loaded into the CDCL solver (see [`SatSolver::with_interrupt`]) and
+/// in the CDCL propagation loop. The time budget and the reported
+/// `elapsed_us` run from solve entry, so they cover encoding and solver
+/// construction as well as the search.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Csp1SatEngine {
+    /// At-most-one encoding for constraint families (3)/(4).
+    pub amo: AmoEncoding,
 }
 
-/// [`solve_csp1_sat`] with cooperative cancellation: `cancel` is polled
-/// while the CNF is encoded and loaded into the CDCL solver (see
-/// [`SatSolver::with_interrupt`]) and in the CDCL propagation loop. The
-/// time budget and the reported `elapsed_us` run from this call's entry,
-/// so they cover encoding and solver construction as well as the search.
-pub fn solve_csp1_sat_cancellable(
-    ts: &TaskSet,
-    m: usize,
-    cfg: &Csp1SatConfig,
-    cancel: &CancelToken,
-) -> Result<SolveResult, TaskError> {
-    let start = Instant::now();
-    let ji = JobInstants::new(ts)?;
-    let cells = ts.len() as u64 * m as u64 * ji.hyperperiod();
-    if cells > cfg.max_cells {
-        return Ok(SolveResult::stopped(
-            StopReason::EncodingTooLarge,
-            start.elapsed(),
-        ));
+impl FeasibilitySolver for Csp1SatEngine {
+    fn name(&self) -> String {
+        "sat".to_string()
     }
-    let Some((cnf, layout)) = encode_cnf_polled(ts, &ji, m, cfg.amo, cancel) else {
-        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
-    };
+
+    fn solve_on(
+        &self,
+        ts: &TaskSet,
+        spec: &PlatformSpec,
+        budget: &Budget,
+        cancel: &CancelToken,
+    ) -> Result<SolveResult, TaskError> {
+        let start = Instant::now();
+        let ji = JobInstants::new(ts)?;
+        if exceeds_max_cells(ts, &ji, spec.num_processors(), budget) {
+            return Ok(SolveResult::stopped(
+                StopReason::EncodingTooLarge,
+                start.elapsed(),
+            ));
+        }
+        let encoded = match spec {
+            PlatformSpec::Identical { m } => encode_cnf_polled(ts, &ji, *m, self.amo, cancel),
+            PlatformSpec::Heterogeneous(p) => {
+                crate::csp1_sat_hetero::encode_cnf_hetero_polled(ts, &ji, p, self.amo, cancel)
+            }
+        };
+        let Some((cnf, layout)) = encoded else {
+            return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+        };
+        Ok(run_cdcl(&cnf, &layout, budget, start, cancel))
+    }
+}
+
+/// Load `cnf` into a CDCL solver under `cancel` and search it within
+/// `budget`'s conflicts, with its wall-clock allowance counted from
+/// `start` (the solve's entry), so encoding and construction draw on the
+/// same allowance as the search.
+fn run_cdcl(
+    cnf: &Cnf,
+    layout: &Csp1Layout,
+    budget: &Budget,
+    start: Instant,
+    cancel: &CancelToken,
+) -> SolveResult {
     let sat_cfg = SatConfig {
-        max_conflicts: cfg.max_conflicts,
+        max_conflicts: budget.max_conflicts,
         // Almost all grid cells are false in any schedule (utilization < 1
         // per processor implies idle slots; each task occupies one cell per
         // unit of work), so deciding false-first finds models sooner.
         default_phase: false,
         ..SatConfig::default()
     };
-    Ok(run_cdcl(&cnf, &layout, sat_cfg, cfg.time, start, cancel))
-}
-
-/// Load `cnf` into a CDCL solver under `cancel` and search it, with the
-/// wall-clock budget `time` counted from `start` (the solve's entry), so
-/// encoding and construction draw on the same allowance as the search.
-pub(crate) fn run_cdcl(
-    cnf: &Cnf,
-    layout: &Csp1Layout,
-    sat_cfg: SatConfig,
-    time: Option<Duration>,
-    start: Instant,
-    cancel: &CancelToken,
-) -> SolveResult {
     let mut solver = SatSolver::with_interrupt(cnf, sat_cfg, Some(cancel.as_flag()));
-    let left = time.map(|t| t.saturating_sub(start.elapsed()));
+    let left = budget.time.map(|t| t.saturating_sub(start.elapsed()));
     if left.is_some_and(|d| d.is_zero()) {
         return SolveResult::stopped(StopReason::TimeLimit, start.elapsed());
     }
@@ -269,18 +259,23 @@ pub(crate) fn run_cdcl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csp1::{solve_csp1, Csp1Config};
+    use crate::csp1::Csp1Engine;
     use crate::verify::check_identical;
+
+    fn solve(
+        ts: &TaskSet,
+        m: usize,
+        engine: &dyn FeasibilitySolver,
+        budget: &Budget,
+    ) -> SolveResult {
+        engine.solve(ts, m, budget, &CancelToken::new()).unwrap()
+    }
 
     #[test]
     fn running_example_feasible_both_amo() {
         let ts = TaskSet::running_example();
         for amo in [AmoEncoding::Pairwise, AmoEncoding::Ladder] {
-            let cfg = Csp1SatConfig {
-                amo,
-                ..Csp1SatConfig::default()
-            };
-            let res = solve_csp1_sat(&ts, 2, &cfg).unwrap();
+            let res = solve(&ts, 2, &Csp1SatEngine { amo }, &Budget::unlimited());
             let s = res.verdict.schedule().expect("feasible");
             check_identical(&ts, 2, s).unwrap();
         }
@@ -290,7 +285,7 @@ mod tests {
     fn infeasible_overload() {
         // Three always-busy tasks, two processors.
         let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
-        let res = solve_csp1_sat(&ts, 2, &Csp1SatConfig::default()).unwrap();
+        let res = solve(&ts, 2, &Csp1SatEngine::default(), &Budget::unlimited());
         assert!(res.verdict.is_infeasible());
     }
 
@@ -307,8 +302,8 @@ mod tests {
         ];
         for (spec, m) in instances {
             let ts = TaskSet::from_ocdt(&spec);
-            let sat = solve_csp1_sat(&ts, m, &Csp1SatConfig::default()).unwrap();
-            let engine = solve_csp1(&ts, m, &Csp1Config::default()).unwrap();
+            let sat = solve(&ts, m, &Csp1SatEngine::default(), &Budget::unlimited());
+            let engine = solve(&ts, m, &Csp1Engine::default(), &Budget::unlimited());
             assert_eq!(
                 sat.verdict.is_feasible(),
                 engine.verdict.is_feasible(),
@@ -323,18 +318,18 @@ mod tests {
     #[test]
     fn size_guard_refuses_large_models() {
         let ts = TaskSet::running_example();
-        let cfg = Csp1SatConfig {
-            max_cells: 10,
-            ..Csp1SatConfig::default()
+        let budget = Budget {
+            max_cells: Some(10),
+            ..Budget::unlimited()
         };
-        let res = solve_csp1_sat(&ts, 2, &cfg).unwrap();
+        let res = solve(&ts, 2, &Csp1SatEngine::default(), &budget);
         assert_eq!(res.verdict, Verdict::Unknown(StopReason::EncodingTooLarge));
     }
 
     #[test]
     fn wrapped_interval_handled() {
         let ts = TaskSet::from_ocdt(&[(1, 3, 4, 4)]);
-        let res = solve_csp1_sat(&ts, 1, &Csp1SatConfig::default()).unwrap();
+        let res = solve(&ts, 1, &Csp1SatEngine::default(), &Budget::unlimited());
         let s = res.verdict.schedule().expect("feasible");
         check_identical(&ts, 1, s).unwrap();
     }
@@ -348,13 +343,13 @@ mod tests {
             (0, 1, 2, 2),
             (0, 2, 4, 4),
         ]);
-        let cfg = Csp1SatConfig {
+        let budget = Budget {
             max_conflicts: Some(1),
-            ..Csp1SatConfig::default()
+            ..Budget::unlimited()
         };
         // With one conflict allowed the solver either finishes by pure
         // propagation or reports Unknown — it must not misreport.
-        let res = solve_csp1_sat(&ts, 2, &cfg).unwrap();
+        let res = solve(&ts, 2, &Csp1SatEngine::default(), &budget);
         if let Some(s) = res.verdict.schedule() {
             check_identical(&ts, 2, s).unwrap();
         }

@@ -13,40 +13,12 @@
 //!   the specialized [`crate::csp1_sat`] path remains preferable there
 //!   because its per-instant aggregation keeps groups `m`× smaller.
 
-use std::time::{Duration, Instant};
-
 use rt_platform::Platform;
-use rt_sat::{at_most_one, pb_exactly, AmoEncoding, Cnf, Lit, SatConfig};
+use rt_sat::{at_most_one, pb_exactly, AmoEncoding, Cnf, Lit};
 use rt_task::{JobId, JobInstants, TaskError, TaskSet};
 
-use crate::csp1::{Csp1Layout, DEFAULT_MAX_CELLS, NEVER_RAISED};
-use crate::csp1_sat::run_cdcl;
+use crate::csp1::{Csp1Layout, NEVER_RAISED};
 use crate::engine::CancelToken;
-use crate::solve::{SolveResult, StopReason};
-
-/// Configuration for the heterogeneous SAT route.
-#[derive(Debug, Clone, Copy)]
-pub struct HeteroSatConfig {
-    /// At-most-one encoding for (3)/(4).
-    pub amo: AmoEncoding,
-    /// Wall-clock budget.
-    pub time: Option<Duration>,
-    /// Conflict budget.
-    pub max_conflicts: Option<u64>,
-    /// Encoding size guard on `n·m·H`.
-    pub max_cells: u64,
-}
-
-impl Default for HeteroSatConfig {
-    fn default() -> Self {
-        HeteroSatConfig {
-            amo: AmoEncoding::Pairwise,
-            time: None,
-            max_conflicts: None,
-            max_cells: DEFAULT_MAX_CELLS,
-        }
-    }
-}
 
 /// Build the heterogeneous CNF.
 pub fn encode_cnf_hetero(
@@ -60,8 +32,9 @@ pub fn encode_cnf_hetero(
 
 /// [`encode_cnf_hetero`] over the job instants `ji` of `ts`, polling
 /// `cancel` once per iteration of each constraint family's outer loop:
-/// `None` once it is raised.
-fn encode_cnf_hetero_polled(
+/// `None` once it is raised. The `sat` engine's heterogeneous route
+/// ([`crate::csp1_sat::Csp1SatEngine`]).
+pub(crate) fn encode_cnf_hetero_polled(
     ts: &TaskSet,
     ji: &JobInstants,
     platform: &Platform,
@@ -156,56 +129,26 @@ fn encode_cnf_hetero_polled(
     Some((cnf, layout))
 }
 
-/// Encode and solve the heterogeneous instance on the CDCL solver.
-pub fn solve_hetero_sat(
-    ts: &TaskSet,
-    platform: &Platform,
-    cfg: &HeteroSatConfig,
-) -> Result<SolveResult, TaskError> {
-    solve_hetero_sat_cancellable(ts, platform, cfg, &CancelToken::new())
-}
-
-/// [`solve_hetero_sat`] with cooperative cancellation, polled during
-/// encoding, solver construction and search; the time budget and the
-/// reported `elapsed_us` run from this call's entry (as in
-/// [`crate::csp1_sat::solve_csp1_sat_cancellable`]).
-pub fn solve_hetero_sat_cancellable(
-    ts: &TaskSet,
-    platform: &Platform,
-    cfg: &HeteroSatConfig,
-    cancel: &CancelToken,
-) -> Result<SolveResult, TaskError> {
-    let start = Instant::now();
-    let ji = JobInstants::new(ts)?;
-    let cells = ts.len() as u64 * platform.num_processors() as u64 * ji.hyperperiod();
-    if cells > cfg.max_cells {
-        return Ok(SolveResult::stopped(
-            StopReason::EncodingTooLarge,
-            start.elapsed(),
-        ));
-    }
-    let Some((cnf, layout)) = encode_cnf_hetero_polled(ts, &ji, platform, cfg.amo, cancel) else {
-        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
-    };
-    let sat_cfg = SatConfig {
-        max_conflicts: cfg.max_conflicts,
-        default_phase: false,
-        ..SatConfig::default()
-    };
-    Ok(run_cdcl(&cnf, &layout, sat_cfg, cfg.time, start, cancel))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::Verdict;
+    use crate::csp1_sat::Csp1SatEngine;
+    use crate::engine::{Budget, FeasibilitySolver, PlatformSpec};
+    use crate::solve::{SolveResult, StopReason, Verdict};
     use crate::verify::check_heterogeneous;
+
+    fn solve(ts: &TaskSet, platform: &Platform, budget: &Budget) -> SolveResult {
+        let spec = PlatformSpec::Heterogeneous(platform.clone());
+        Csp1SatEngine::default()
+            .solve_on(ts, &spec, budget, &CancelToken::new())
+            .unwrap()
+    }
 
     #[test]
     fn identical_rates_reduce_to_the_plain_problem() {
         let ts = TaskSet::running_example();
         let platform = Platform::identical(3, 2).unwrap();
-        let res = solve_hetero_sat(&ts, &platform, &HeteroSatConfig::default()).unwrap();
+        let res = solve(&ts, &platform, &Budget::unlimited());
         let s = res.verdict.schedule().expect("feasible");
         check_heterogeneous(&ts, &platform, s).unwrap();
     }
@@ -219,7 +162,7 @@ mod tests {
         let ts = TaskSet::from_ocdt(&[(0, 2, 2, 4), (0, 2, 2, 4)]);
         // Both tasks can run only on the single rate-2 processor.
         let platform = Platform::heterogeneous(vec![vec![2], vec![2]]).unwrap();
-        let res = solve_hetero_sat(&ts, &platform, &HeteroSatConfig::default()).unwrap();
+        let res = solve(&ts, &platform, &Budget::unlimited());
         let s = res.verdict.schedule().expect("rate 2 halves the demand");
         check_heterogeneous(&ts, &platform, &s.clone()).unwrap();
     }
@@ -229,7 +172,7 @@ mod tests {
         // τ1 can only run on P1, τ2 only on P2; both need the full window.
         let ts = TaskSet::from_ocdt(&[(0, 2, 2, 2), (0, 2, 2, 2)]);
         let platform = Platform::heterogeneous(vec![vec![1, 0], vec![0, 1]]).unwrap();
-        let res = solve_hetero_sat(&ts, &platform, &HeteroSatConfig::default()).unwrap();
+        let res = solve(&ts, &platform, &Budget::unlimited());
         let s = res.verdict.schedule().expect("dedicated split works");
         for (j, _t, task) in s.busy_iter() {
             assert_eq!(j, task, "task {task} strayed off its dedicated processor");
@@ -237,7 +180,7 @@ mod tests {
         // Flip: both forbidden everywhere except one shared processor →
         // infeasible (two full-window tasks, one usable processor).
         let squeezed = Platform::heterogeneous(vec![vec![1, 0], vec![1, 0]]).unwrap();
-        let res = solve_hetero_sat(&ts, &squeezed, &HeteroSatConfig::default()).unwrap();
+        let res = solve(&ts, &squeezed, &Budget::unlimited());
         assert!(res.verdict.is_infeasible());
     }
 
@@ -248,7 +191,7 @@ mod tests {
         // completion semantics of constraint (11)).
         let ts = TaskSet::from_ocdt(&[(0, 3, 3, 3)]);
         let platform = Platform::heterogeneous(vec![vec![2]]).unwrap();
-        let res = solve_hetero_sat(&ts, &platform, &HeteroSatConfig::default()).unwrap();
+        let res = solve(&ts, &platform, &Budget::unlimited());
         assert!(res.verdict.is_infeasible());
     }
 
@@ -256,11 +199,11 @@ mod tests {
     fn size_guard() {
         let ts = TaskSet::running_example();
         let platform = Platform::identical(3, 2).unwrap();
-        let cfg = HeteroSatConfig {
-            max_cells: 5,
-            ..HeteroSatConfig::default()
+        let budget = Budget {
+            max_cells: Some(5),
+            ..Budget::unlimited()
         };
-        let res = solve_hetero_sat(&ts, &platform, &cfg).unwrap();
+        let res = solve(&ts, &platform, &budget);
         assert_eq!(res.verdict, Verdict::Unknown(StopReason::EncodingTooLarge));
     }
 }

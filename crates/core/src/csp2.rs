@@ -22,23 +22,56 @@
 //! [`Verdict::Infeasible`] only after exhausting the (symmetry-reduced)
 //! space.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mgrts_obs::SearchStats;
 use rt_task::{JobInstants, TaskError, TaskId, TaskSet, Time};
 
-use crate::engine::CancelToken;
+use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
 use crate::heuristics::TaskOrder;
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, StopReason, Verdict};
+use crate::solve::{no_processors, SolveResult, StopReason, Verdict};
 
-/// Resource limits for the CSP2 search.
+/// The specialized chronological CSP2 search under one value-ordering
+/// heuristic, on identical processors or, with the rate-weighted
+/// constraint (12), on a heterogeneous platform ([`crate::hetero`]). It
+/// reads [`Budget::time`] and [`Budget::max_decisions`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Csp2Budget {
-    /// Wall-clock limit (the paper's 30 s cap).
-    pub time: Option<Duration>,
-    /// Decision limit.
-    pub max_decisions: Option<u64>,
+pub struct Csp2Engine {
+    /// Value-ordering heuristic (a paper Table I column).
+    pub order: TaskOrder,
+}
+
+impl FeasibilitySolver for Csp2Engine {
+    fn name(&self) -> String {
+        match self.order {
+            TaskOrder::Lexicographic => "csp2".to_string(),
+            TaskOrder::RateMonotonic => "csp2-rm".to_string(),
+            TaskOrder::DeadlineMonotonic => "csp2-dm".to_string(),
+            TaskOrder::PeriodMinusWcet => "csp2-tc".to_string(),
+            TaskOrder::DeadlineMinusWcet => "csp2-dc".to_string(),
+        }
+    }
+
+    fn solve_on(
+        &self,
+        ts: &TaskSet,
+        spec: &PlatformSpec,
+        budget: &Budget,
+        cancel: &CancelToken,
+    ) -> Result<SolveResult, TaskError> {
+        let start = Instant::now();
+        match spec {
+            PlatformSpec::Identical { m } => Ok(Csp2Solver::new(ts, *m)?
+                .with_order(self.order)
+                .with_budget(*budget)
+                .with_cancel(cancel.clone())
+                .solve_since(start)),
+            PlatformSpec::Heterogeneous(p) => {
+                crate::hetero::solve_csp2(ts, p, self.order, budget, cancel, start)
+            }
+        }
+    }
 }
 
 /// The specialized CSP2 solver for identical processors.
@@ -48,7 +81,7 @@ pub struct Csp2Solver<'a> {
     m: usize,
     ji: JobInstants,
     order: TaskOrder,
-    budget: Csp2Budget,
+    budget: Budget,
     cancel: CancelToken,
 }
 
@@ -57,14 +90,13 @@ impl<'a> Csp2Solver<'a> {
     /// or its hyperperiod overflows (arbitrary deadlines go through the
     /// clone transform first, see [`crate::solve::solve_arbitrary_deadline`]).
     pub fn new(ts: &'a TaskSet, m: usize) -> Result<Self, TaskError> {
-        assert!(m >= 1, "at least one processor");
         let ji = JobInstants::new(ts)?;
         Ok(Csp2Solver {
             ts,
             m,
             ji,
             order: TaskOrder::default(),
-            budget: Csp2Budget::default(),
+            budget: Budget::unlimited(),
             cancel: CancelToken::new(),
         })
     }
@@ -76,9 +108,10 @@ impl<'a> Csp2Solver<'a> {
         self
     }
 
-    /// Set resource limits (builder style).
+    /// Set resource limits (builder style): the search reads
+    /// [`Budget::time`] and [`Budget::max_decisions`].
     #[must_use]
-    pub fn with_budget(mut self, budget: Csp2Budget) -> Self {
+    pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
     }
@@ -99,7 +132,10 @@ impl<'a> Csp2Solver<'a> {
 
     /// [`Csp2Solver::solve`] with the time budget and the reported wall
     /// clock counted from `start`, the caller's solve entry.
-    pub(crate) fn solve_since(&self, start: Instant) -> SolveResult {
+    fn solve_since(&self, start: Instant) -> SolveResult {
+        if self.m == 0 {
+            return no_processors(start);
+        }
         Search::new(self).run(start)
     }
 }
@@ -568,9 +604,9 @@ mod tests {
         let ts = TaskSet::from_ocdt(&[(0, 1, 2, 2), (1, 3, 4, 4), (0, 2, 2, 3), (0, 1, 3, 4)]);
         let res = Csp2Solver::new(&ts, 2)
             .unwrap()
-            .with_budget(Csp2Budget {
-                time: None,
+            .with_budget(Budget {
                 max_decisions: Some(1),
+                ..Budget::unlimited()
             })
             .solve();
         assert_eq!(res.verdict, Verdict::Unknown(StopReason::DecisionLimit));

@@ -26,39 +26,13 @@
 
 use std::time::{Duration, Instant};
 
-use csp_engine::{Budget, Constraint, Model, Outcome, SolverConfig, VarId, VarOrder};
+use csp_engine::{Constraint, Model, SolverConfig, VarId, VarOrder};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
-use crate::csp1::{stop_reason, NEVER_RAISED};
-use crate::engine::CancelToken;
+use crate::csp1::NEVER_RAISED;
+use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
 use crate::schedule::Schedule;
-use crate::solve::{SolveResult, StopReason, Verdict};
-
-/// Configuration for the generic CSP2 solve.
-#[derive(Debug, Clone, Copy)]
-pub struct Csp2GenericConfig {
-    /// Post the eq. (10) symmetry-breaking chain.
-    pub symmetry_breaking: bool,
-    /// Conflict-driven nogood learning (lazy clause generation): 1-UIP
-    /// conflict analysis, non-chronological backjumping, Luby restarts and
-    /// phase saving on top of the chronological ordering.
-    pub learning: bool,
-    /// Wall-clock budget.
-    pub time: Option<Duration>,
-    /// Decision budget.
-    pub max_decisions: Option<u64>,
-}
-
-impl Default for Csp2GenericConfig {
-    fn default() -> Self {
-        Csp2GenericConfig {
-            symmetry_breaking: true,
-            learning: false,
-            time: None,
-            max_decisions: None,
-        }
-    }
-}
+use crate::solve::{no_processors, search_model, SolveResult, StopReason};
 
 /// Variable layout: `x_j(t)` at `t·m + j` (time-major, matching the
 /// chronological search of Section V-C1).
@@ -87,8 +61,9 @@ pub fn encode(
     encode_polled(ts, m, symmetry_breaking, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
 }
 
-/// [`encode`], polling `cancel` at each stage boundary: `Ok(None)` once it
-/// is raised.
+/// [`encode`], polling `cancel` once per iteration of each constraint
+/// family's outer loop and once more at the end: `Ok(None)` once it is
+/// raised.
 fn encode_polled(
     ts: &TaskSet,
     m: usize,
@@ -105,15 +80,18 @@ fn encode_polled(
 
     // Variables x_j(t) ∈ {-1 .. n-1}, time-major.
     for _t in 0..h {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for _j in 0..m {
             model.new_var(-1, n - 1);
         }
     }
     // (7): availability holes.
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for t in 0..h {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for i in 0..ts.len() {
             if ji.job_at(i, t).is_none() {
                 for j in 0..m {
@@ -125,18 +103,18 @@ fn encode_polled(
     // (8): processors never share a task (idle exempt) — posted as one
     // global all-different-except-idle per instant rather than m(m-1)/2
     // pairwise inequalities.
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for t in 0..h {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         let vars: Vec<VarId> = (0..m).map(|j| layout.var(j, t)).collect();
         model.post(Constraint::AllDifferentExcept { vars, except: -1 });
     }
     // (9): exactly Ci occurrences of value i across the job's instants.
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for i in 0..ts.len() {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for k in 0..ji.jobs_of(i) {
             let mut vars = Vec::new();
             for t in ji.instants_mod(JobId { task: i, k }) {
@@ -152,11 +130,11 @@ fn encode_polled(
         }
     }
     // (10): canonical ordering within each instant.
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     if symmetry_breaking {
         for t in 0..h {
+            if cancel.is_cancelled() {
+                return Ok(None);
+            }
             for j in 0..m.saturating_sub(1) {
                 model.post(Constraint::LeqVar {
                     a: layout.var(j, t),
@@ -164,6 +142,9 @@ fn encode_polled(
                 });
             }
         }
+    }
+    if cancel.is_cancelled() {
+        return Ok(None);
     }
     Ok(Some((model, layout)))
 }
@@ -183,52 +164,75 @@ pub fn decode(layout: &Csp2Layout, solution: &[i32]) -> Schedule {
     s
 }
 
-/// Encode and solve CSP2 on the generic engine.
-pub fn solve_csp2_generic(
-    ts: &TaskSet,
-    m: usize,
-    cfg: &Csp2GenericConfig,
-) -> Result<SolveResult, TaskError> {
-    solve_csp2_generic_cancellable(ts, m, cfg, &CancelToken::new())
+/// CSP2 posted verbatim on the generic engine (the cross-validation
+/// route), identical processors only: a heterogeneous platform gets
+/// [`StopReason::Unsupported`].
+///
+/// Both modes branch chronologically (input order, smallest value first),
+/// so the search is deterministic and needs no seed. `cancel` is polled
+/// once per instant or task while encoding, per propagator while the
+/// engine is built, and at the engine's budget checkpoints.
+#[derive(Debug, Clone, Copy)]
+pub struct Csp2GenericEngine {
+    /// Post the eq. (10) symmetry-breaking chain.
+    pub symmetry_breaking: bool,
+    /// Conflict-driven nogood learning (lazy clause generation) with
+    /// non-chronological backjumping, Luby restarts and phase saving.
+    pub learning: bool,
 }
 
-/// [`solve_csp2_generic`] with cooperative cancellation: `cancel` is polled
-/// at each encoding stage, per propagator while the engine is built, and
-/// at the engine's budget checkpoints.
-pub fn solve_csp2_generic_cancellable(
-    ts: &TaskSet,
-    m: usize,
-    cfg: &Csp2GenericConfig,
-    cancel: &CancelToken,
-) -> Result<SolveResult, TaskError> {
-    let start = Instant::now();
-    let Some((mut model, layout)) = encode_polled(ts, m, cfg.symmetry_breaking, cancel)? else {
-        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
-    };
-    model.set_interrupt(cancel.as_flag());
-    // Both modes branch chronologically (input order, smallest value
-    // first), so the search is deterministic and needs no seed.
-    let solver_cfg = if cfg.learning {
-        SolverConfig::chronological_learning()
-    } else {
-        SolverConfig {
-            var_order: VarOrder::Input,
-            ..SolverConfig::default()
+impl Default for Csp2GenericEngine {
+    fn default() -> Self {
+        Csp2GenericEngine {
+            symmetry_breaking: true,
+            learning: false,
         }
-    };
-    let mut solver = model.into_solver(solver_cfg);
-    // The time budget counts from solve entry: encoding and construction
-    // draw on the same allowance as the search.
-    solver.set_budget(Budget {
-        time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
-        max_decisions: cfg.max_decisions,
-    });
-    let verdict = match solver.solve() {
-        Outcome::Sat(sol) => Verdict::Feasible(decode(&layout, &sol)),
-        Outcome::Unsat => Verdict::Infeasible,
-        Outcome::Unknown(limit) => Verdict::Unknown(stop_reason(limit)),
-    };
-    Ok(SolveResult::searched(verdict, solver.stats(), start))
+    }
+}
+
+impl FeasibilitySolver for Csp2GenericEngine {
+    fn name(&self) -> String {
+        if self.learning {
+            "csp2-learn".to_string()
+        } else {
+            "csp2-generic".to_string()
+        }
+    }
+
+    fn solve_on(
+        &self,
+        ts: &TaskSet,
+        spec: &PlatformSpec,
+        budget: &Budget,
+        cancel: &CancelToken,
+    ) -> Result<SolveResult, TaskError> {
+        let PlatformSpec::Identical { m } = *spec else {
+            return Ok(SolveResult::stopped(
+                StopReason::Unsupported,
+                Duration::ZERO,
+            ));
+        };
+        let start = Instant::now();
+        if m == 0 {
+            // The task set's errors come first, as on every other backend.
+            JobInstants::new(ts)?;
+            return Ok(no_processors(start));
+        }
+        let Some((model, layout)) = encode_polled(ts, m, self.symmetry_breaking, cancel)? else {
+            return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
+        };
+        let config = if self.learning {
+            SolverConfig::chronological_learning()
+        } else {
+            SolverConfig {
+                var_order: VarOrder::Input,
+                ..SolverConfig::default()
+            }
+        };
+        Ok(search_model(model, config, budget, start, cancel, |sol| {
+            decode(&layout, sol)
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -236,15 +240,19 @@ mod tests {
     use super::*;
     use crate::verify::check_identical;
 
+    fn solve(ts: &TaskSet, m: usize, engine: Csp2GenericEngine, budget: &Budget) -> SolveResult {
+        engine.solve(ts, m, budget, &CancelToken::new()).unwrap()
+    }
+
     #[test]
     fn running_example_feasible() {
         let ts = TaskSet::running_example();
         for symmetry in [false, true] {
-            let cfg = Csp2GenericConfig {
+            let engine = Csp2GenericEngine {
                 symmetry_breaking: symmetry,
                 ..Default::default()
             };
-            let res = solve_csp2_generic(&ts, 2, &cfg).unwrap();
+            let res = solve(&ts, 2, engine, &Budget::unlimited());
             let s = res.verdict.schedule().expect("feasible");
             check_identical(&ts, 2, s).unwrap();
         }
@@ -253,7 +261,7 @@ mod tests {
     #[test]
     fn agrees_with_infeasible_cases() {
         let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
-        let res = solve_csp2_generic(&ts, 2, &Csp2GenericConfig::default()).unwrap();
+        let res = solve(&ts, 2, Csp2GenericEngine::default(), &Budget::unlimited());
         assert!(res.verdict.is_infeasible());
     }
 
@@ -262,24 +270,24 @@ mod tests {
         let ts = TaskSet::from_ocdt(&[(0, 1, 2, 2), (1, 3, 4, 4), (0, 2, 2, 3), (0, 1, 2, 4)]);
         // Infeasible-leaning hard instance on 2 processors; compare failure
         // counts with and without eq. (10).
-        let with = solve_csp2_generic(
+        let with = solve(
             &ts,
             2,
-            &Csp2GenericConfig {
+            Csp2GenericEngine {
                 symmetry_breaking: true,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let without = solve_csp2_generic(
+            &Budget::unlimited(),
+        );
+        let without = solve(
             &ts,
             2,
-            &Csp2GenericConfig {
+            Csp2GenericEngine {
                 symmetry_breaking: false,
                 ..Default::default()
             },
-        )
-        .unwrap();
+            &Budget::unlimited(),
+        );
         // Verdicts must agree (symmetry breaking preserves satisfiability).
         assert_eq!(
             with.verdict.is_feasible(),
@@ -291,16 +299,16 @@ mod tests {
 
     #[test]
     fn learning_mode_agrees_on_both_verdicts() {
-        let cfg = Csp2GenericConfig {
+        let engine = Csp2GenericEngine {
             learning: true,
             ..Default::default()
         };
         let ts = TaskSet::running_example();
-        let res = solve_csp2_generic(&ts, 2, &cfg).unwrap();
+        let res = solve(&ts, 2, engine, &Budget::unlimited());
         let s = res.verdict.schedule().expect("feasible");
         check_identical(&ts, 2, s).unwrap();
         let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
-        let res = solve_csp2_generic(&ts, 2, &cfg).unwrap();
+        let res = solve(&ts, 2, engine, &Budget::unlimited());
         assert!(res.verdict.is_infeasible());
     }
 
@@ -309,16 +317,19 @@ mod tests {
         use rt_gen::{GeneratorConfig, ProblemGenerator};
         // Learning is reproducible: repeated solves on freshly built
         // solvers learn the same nogoods and take the same steps.
-        let cfg = Csp2GenericConfig {
+        let engine = Csp2GenericEngine {
             learning: true,
-            max_decisions: Some(500),
             ..Default::default()
+        };
+        let budget = Budget {
+            max_decisions: Some(500),
+            ..Budget::unlimited()
         };
         let gen = ProblemGenerator::new(GeneratorConfig::table1(), 0x2009);
         let mut conflicts = 0;
         for p in gen.batch(3) {
             let counts = |_| {
-                let res = solve_csp2_generic(&p.taskset, p.m, &cfg).unwrap();
+                let res = solve(&p.taskset, p.m, engine, &budget);
                 let s = res.search.expect("engine telemetry");
                 (
                     s.conflicts,

@@ -18,34 +18,36 @@
 //!   boxed solvers — the factory the bench roster and the CLI `--solver`
 //!   flags reduce to.
 //!
-//! Every backend of the repository implements the trait: CSP1 on the
-//! generic engine, CSP1 lowered to CNF on the CDCL solver, the specialized
-//! CSP2 search under each value-ordering heuristic, CSP2 posted on the
-//! generic engine, and the incomplete local searches.
+//! Every backend of the repository implements the trait, in its own
+//! module, as its one solve entry: CSP1 on the generic engine
+//! ([`Csp1Engine`]), CSP1 lowered to CNF on the CDCL solver
+//! ([`Csp1SatEngine`]), the specialized CSP2 search under each
+//! value-ordering heuristic ([`Csp2Engine`]), CSP2 posted on the generic
+//! engine ([`Csp2GenericEngine`]), and the incomplete local searches
+//! ([`LocalSearchEngine`]). Each reads the [`Budget`] fields it has a
+//! counter for and reaches its heterogeneous variant, if it has one, from
+//! the same `solve_on`.
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use rt_platform::Platform;
-use rt_sat::AmoEncoding;
 use rt_task::{TaskError, TaskSet};
 
-use crate::csp1::{solve_csp1_cancellable, Csp1Config};
-use crate::csp1_sat::{solve_csp1_sat_cancellable, Csp1SatConfig};
-use crate::csp1_sat_hetero::{solve_hetero_sat_cancellable, HeteroSatConfig};
-use crate::csp2::{Csp2Budget, Csp2Solver};
-use crate::csp2_generic::{solve_csp2_generic_cancellable, Csp2GenericConfig};
-use crate::hetero::{
-    solve_csp1_hetero_cancellable, solve_csp2_hetero_cancellable, Csp2HeteroConfig,
-};
+pub use crate::csp1::Csp1Engine;
+pub use crate::csp1_sat::Csp1SatEngine;
+pub use crate::csp2::Csp2Engine;
+pub use crate::csp2_generic::Csp2GenericEngine;
+pub use crate::local_search::LocalSearchEngine;
+
 use crate::heuristics::TaskOrder;
-use crate::local_search::{solve_local_search_cancellable, LocalSearchConfig, LsStrategy};
-use crate::solve::{SolveResult, StopReason};
+use crate::local_search::LsStrategy;
+use crate::solve::SolveResult;
 
 // ---------------------------------------------------------------------------
 // CancelToken
@@ -58,9 +60,8 @@ use crate::solve::{SolveResult, StopReason};
 /// the portfolio racer raises it when the first definitive verdict lands.
 /// The polls:
 ///
-/// * encoding — the CSP1 model encoder and the CNF encoders once per
-///   iteration of each constraint family's outer loop, the other model
-///   encoders at each family's boundary;
+/// * encoding — every model and CNF encoder once per iteration of each
+///   constraint family's outer loop;
 /// * construction — every 1024 variables and once per propagator while
 ///   the CSP engine is built, every 1024 clauses while the CDCL solver
 ///   sizes and loads its formula;
@@ -70,6 +71,8 @@ use crate::solve::{SolveResult, StopReason};
 ///
 /// A solver whose construction was interrupted never searches: its
 /// partial model could be satisfiable where the whole one is not.
+///
+/// [`StopReason::Cancelled`]: crate::solve::StopReason::Cancelled
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -164,7 +167,9 @@ impl CancelGroup {
 ///
 /// Fields a backend has no counter for are ignored (`max_conflicts` only
 /// binds the SAT route, `max_decisions` binds the searches); `None` means
-/// unlimited. `max_cells` overrides each encoding's default size guard.
+/// unlimited, except that local search falls back to 200 000 moves and the
+/// boolean encodings (`csp1`, `sat`) to their default size guard
+/// ([`crate::csp1::DEFAULT_MAX_CELLS`]), which `max_cells` overrides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock limit (the paper's 30 s "resolution time" cap).
@@ -265,6 +270,9 @@ pub trait FeasibilitySolver: Send + Sync {
     /// unknown verdict ([`StopReason::Cancelled`]) within one poll
     /// interval of whatever stage it is in; a solve stopped before its
     /// search reports no search telemetry (`search: None`).
+    ///
+    /// [`StopReason::Unsupported`]: crate::solve::StopReason::Unsupported
+    /// [`StopReason::Cancelled`]: crate::solve::StopReason::Cancelled
     fn solve_on(
         &self,
         ts: &TaskSet,
@@ -447,271 +455,6 @@ fn chaos_wrap(inner: Box<dyn FeasibilitySolver>) -> Box<dyn FeasibilitySolver> {
         Box::new(Chaos::new(inner))
     } else {
         inner
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Backend implementations
-// ---------------------------------------------------------------------------
-
-/// CSP1 on the generic randomized engine (the paper's Choco setup).
-#[derive(Debug, Clone, Copy)]
-pub struct Csp1Engine {
-    /// Seed for the randomized search strategy.
-    pub seed: u64,
-}
-
-impl Default for Csp1Engine {
-    fn default() -> Self {
-        Csp1Engine { seed: 1 }
-    }
-}
-
-impl Csp1Engine {
-    fn config(&self, budget: &Budget) -> Csp1Config {
-        let mut cfg = Csp1Config {
-            seed: self.seed,
-            time: budget.time,
-            max_decisions: budget.max_decisions,
-            ..Csp1Config::default()
-        };
-        if let Some(cells) = budget.max_cells {
-            cfg.max_cells = cells;
-        }
-        cfg
-    }
-}
-
-impl FeasibilitySolver for Csp1Engine {
-    fn name(&self) -> String {
-        "csp1".to_string()
-    }
-
-    fn solve_on(
-        &self,
-        ts: &TaskSet,
-        spec: &PlatformSpec,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        let cfg = self.config(budget);
-        match spec {
-            PlatformSpec::Identical { m } => solve_csp1_cancellable(ts, *m, &cfg, cancel),
-            PlatformSpec::Heterogeneous(p) => solve_csp1_hetero_cancellable(ts, p, &cfg, cancel),
-        }
-    }
-}
-
-/// CSP1 lowered to CNF on the CDCL solver (the paper's "even SAT solvers
-/// could be used" route).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Csp1SatEngine {
-    /// At-most-one encoding for constraint families (3)/(4).
-    pub amo: AmoEncoding,
-}
-
-impl FeasibilitySolver for Csp1SatEngine {
-    fn name(&self) -> String {
-        "sat".to_string()
-    }
-
-    fn solve_on(
-        &self,
-        ts: &TaskSet,
-        spec: &PlatformSpec,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        match spec {
-            PlatformSpec::Identical { m } => {
-                let mut cfg = Csp1SatConfig {
-                    amo: self.amo,
-                    time: budget.time,
-                    max_conflicts: budget.max_conflicts,
-                    ..Csp1SatConfig::default()
-                };
-                if let Some(cells) = budget.max_cells {
-                    cfg.max_cells = cells;
-                }
-                solve_csp1_sat_cancellable(ts, *m, &cfg, cancel)
-            }
-            PlatformSpec::Heterogeneous(p) => {
-                let mut cfg = HeteroSatConfig {
-                    amo: self.amo,
-                    time: budget.time,
-                    max_conflicts: budget.max_conflicts,
-                    ..HeteroSatConfig::default()
-                };
-                if let Some(cells) = budget.max_cells {
-                    cfg.max_cells = cells;
-                }
-                solve_hetero_sat_cancellable(ts, p, &cfg, cancel)
-            }
-        }
-    }
-}
-
-/// The specialized chronological CSP2 search (Section V) under one
-/// value-ordering heuristic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Csp2Engine {
-    /// Value-ordering heuristic (a paper Table I column).
-    pub order: TaskOrder,
-}
-
-impl FeasibilitySolver for Csp2Engine {
-    fn name(&self) -> String {
-        match self.order {
-            TaskOrder::Lexicographic => "csp2".to_string(),
-            TaskOrder::RateMonotonic => "csp2-rm".to_string(),
-            TaskOrder::DeadlineMonotonic => "csp2-dm".to_string(),
-            TaskOrder::PeriodMinusWcet => "csp2-tc".to_string(),
-            TaskOrder::DeadlineMinusWcet => "csp2-dc".to_string(),
-        }
-    }
-
-    fn solve_on(
-        &self,
-        ts: &TaskSet,
-        spec: &PlatformSpec,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        let start = Instant::now();
-        match spec {
-            PlatformSpec::Identical { m } => Ok(Csp2Solver::new(ts, *m)?
-                .with_order(self.order)
-                .with_budget(Csp2Budget {
-                    time: budget.time,
-                    max_decisions: budget.max_decisions,
-                })
-                .with_cancel(cancel.clone())
-                .solve_since(start)),
-            PlatformSpec::Heterogeneous(p) => solve_csp2_hetero_cancellable(
-                ts,
-                p,
-                &Csp2HeteroConfig {
-                    order: self.order,
-                    time: budget.time,
-                    max_decisions: budget.max_decisions,
-                    ..Csp2HeteroConfig::default()
-                },
-                cancel,
-            ),
-        }
-    }
-}
-
-/// CSP2 posted verbatim on the generic engine (cross-validation route).
-#[derive(Debug, Clone, Copy)]
-pub struct Csp2GenericEngine {
-    /// Post the eq. (10) symmetry-breaking chain.
-    pub symmetry_breaking: bool,
-    /// Conflict-driven nogood learning (lazy clause generation) with
-    /// non-chronological backjumping, Luby restarts and phase saving.
-    pub learning: bool,
-}
-
-impl Default for Csp2GenericEngine {
-    fn default() -> Self {
-        Csp2GenericEngine {
-            symmetry_breaking: true,
-            learning: false,
-        }
-    }
-}
-
-impl FeasibilitySolver for Csp2GenericEngine {
-    fn name(&self) -> String {
-        if self.learning {
-            "csp2-learn".to_string()
-        } else {
-            "csp2-generic".to_string()
-        }
-    }
-
-    fn solve_on(
-        &self,
-        ts: &TaskSet,
-        spec: &PlatformSpec,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        let PlatformSpec::Identical { m } = *spec else {
-            return Ok(SolveResult::stopped(
-                StopReason::Unsupported,
-                Duration::ZERO,
-            ));
-        };
-        solve_csp2_generic_cancellable(
-            ts,
-            m,
-            &Csp2GenericConfig {
-                symmetry_breaking: self.symmetry_breaking,
-                learning: self.learning,
-                time: budget.time,
-                max_decisions: budget.max_decisions,
-            },
-            cancel,
-        )
-    }
-}
-
-/// Min-conflicts / tabu / annealing local search (Section VIII). Incomplete:
-/// never proves infeasibility.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalSearchEngine {
-    /// Neighbourhood strategy.
-    pub strategy: LsStrategy,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for LocalSearchEngine {
-    fn default() -> Self {
-        LocalSearchEngine {
-            strategy: LsStrategy::MinConflicts,
-            seed: 1,
-        }
-    }
-}
-
-impl FeasibilitySolver for LocalSearchEngine {
-    fn name(&self) -> String {
-        match self.strategy {
-            LsStrategy::MinConflicts => "local".to_string(),
-            LsStrategy::Tabu { .. } => "local-tabu".to_string(),
-            LsStrategy::Annealing { .. } => "local-sa".to_string(),
-        }
-    }
-
-    fn solve_on(
-        &self,
-        ts: &TaskSet,
-        spec: &PlatformSpec,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> Result<SolveResult, TaskError> {
-        let PlatformSpec::Identical { m } = *spec else {
-            return Ok(SolveResult::stopped(
-                StopReason::Unsupported,
-                Duration::ZERO,
-            ));
-        };
-        let mut cfg = LocalSearchConfig {
-            strategy: self.strategy,
-            seed: self.seed,
-            time: budget.time,
-            ..LocalSearchConfig::default()
-        };
-        if let Some(iters) = budget.max_decisions {
-            cfg.max_iters = iters;
-        }
-        solve_local_search_cancellable(ts, m, &cfg, cancel)
-    }
-
-    fn is_exact(&self) -> bool {
-        false
     }
 }
 
@@ -1001,7 +744,7 @@ impl EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::Verdict;
+    use crate::solve::{StopReason, Verdict};
     use crate::verify::check_identical;
 
     const ALL_SPECS: [SolverSpec; 12] = [
@@ -1110,6 +853,52 @@ mod tests {
                         | SolverSpec::Csp2Learn
                 );
                 assert_eq!(res.search.is_none(), encodes, "{spec}: search telemetry");
+            }
+        }
+        // The heterogeneous routes, on the Table I instance's size: the
+        // `csp1` and `sat` encoders stop before building a solver, the
+        // specialized search before its first decision.
+        let rates = vec![vec![2, 1, 1, 0, 1]; table1.len()];
+        let hetero = PlatformSpec::Heterogeneous(Platform::heterogeneous(rates).unwrap());
+        for spec in [
+            SolverSpec::Csp1,
+            SolverSpec::Csp1Sat,
+            SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet),
+        ] {
+            let res = spec
+                .build()
+                .solve_on(&table1, &hetero, &Budget::unlimited(), &cancel)
+                .unwrap();
+            assert_eq!(
+                res.verdict,
+                Verdict::Unknown(StopReason::Cancelled),
+                "hetero {spec}"
+            );
+            match &res.search {
+                Some(search) => {
+                    assert!(matches!(spec, SolverSpec::Csp2(_)), "hetero {spec}");
+                    assert_eq!(search.decisions, 0, "hetero {spec}: decisions");
+                }
+                None => assert!(!matches!(spec, SolverSpec::Csp2(_)), "hetero {spec}"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_processors_get_one_answer_from_every_backend() {
+        // Every task needs Ci ≥ 1 units of work, so no schedule exists on
+        // zero processors: the exact backends prove it, the incomplete
+        // ones give up without a verdict.
+        let ts = TaskSet::running_example();
+        for spec in ALL_SPECS {
+            let solver = spec.build();
+            let res = solver
+                .solve(&ts, 0, &Budget::unlimited(), &CancelToken::new())
+                .unwrap();
+            if solver.is_exact() {
+                assert_eq!(res.verdict, Verdict::Infeasible, "{spec}");
+            } else {
+                assert!(res.verdict.is_unknown(), "{spec}: {:?}", res.verdict);
             }
         }
     }

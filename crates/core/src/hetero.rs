@@ -14,6 +14,16 @@
 //!   permutation symmetry is restricted to *identical* processors
 //!   (eq. (13)), which the quality ordering conveniently groups together.
 //!
+//! Callers reach these routes through the engines, handing them a
+//! [`PlatformSpec::Heterogeneous`] spec: `csp1` ([`Csp1Engine`]), every
+//! specialized CSP2 heuristic ([`Csp2Engine`]) and `sat`
+//! ([`Csp1SatEngine`]).
+//!
+//! [`PlatformSpec::Heterogeneous`]: crate::engine::PlatformSpec::Heterogeneous
+//! [`Csp1Engine`]: crate::csp1::Csp1Engine
+//! [`Csp2Engine`]: crate::csp2::Csp2Engine
+//! [`Csp1SatEngine`]: crate::csp1_sat::Csp1SatEngine
+//!
 //! ## Soundness note on the idle rule
 //!
 //! The identical-processor "never idle while work is available" rule is
@@ -21,19 +31,18 @@
 //! rates with exact completion: forcing a task onto a slow processor now can
 //! make the exact total `Ci` unreachable, while idling and using a faster
 //! processor later succeeds. The paper carries the rule over without
-//! comment; we implement it as an *optional* aggressive mode
-//! ([`Csp2HeteroConfig::work_conserving`], off by default) and keep the
-//! default search complete.
+//! comment; the search here keeps idling as a real alternative in every
+//! slot, so it stays complete.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use csp_engine::{Budget, Constraint, Model, Outcome, SolverConfig};
+use csp_engine::{Constraint, Model};
 use mgrts_obs::SearchStats;
 use rt_platform::{identical_groups, quality_order, Platform};
 use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
 
-use crate::csp1::{stop_reason, Csp1Config, Csp1Layout, NEVER_RAISED};
-use crate::engine::CancelToken;
+use crate::csp1::{Csp1Layout, NEVER_RAISED};
+use crate::engine::{Budget, CancelToken};
 use crate::heuristics::TaskOrder;
 use crate::schedule::Schedule;
 use crate::solve::{SolveResult, StopReason, Verdict};
@@ -48,9 +57,11 @@ pub fn encode_csp1(ts: &TaskSet, platform: &Platform) -> Result<(Model, Csp1Layo
     encode_csp1_polled(ts, platform, &CancelToken::new()).map(|e| e.expect(NEVER_RAISED))
 }
 
-/// [`encode_csp1`], polling `cancel` at each stage boundary: `Ok(None)`
-/// once it is raised.
-fn encode_csp1_polled(
+/// [`encode_csp1`], polling `cancel` once per iteration of each
+/// constraint family's outer loop and once more at the end: `Ok(None)`
+/// once it is raised. The `csp1` engine's heterogeneous route
+/// ([`crate::csp1::Csp1Engine`]).
+pub(crate) fn encode_csp1_polled(
     ts: &TaskSet,
     platform: &Platform,
     cancel: &CancelToken,
@@ -64,6 +75,9 @@ fn encode_csp1_polled(
     let mut model = Model::new();
 
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for j in 0..m {
             for t in 0..h {
                 if ji.job_at(i, t).is_some() && platform.can_run(i, j) {
@@ -74,19 +88,19 @@ fn encode_csp1_polled(
             }
         }
     }
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for j in 0..m {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             let vars = (0..n).map(|i| layout.var(i, j, t)).collect();
             model.post(Constraint::AtMostOneTrue { vars });
         }
     }
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for t in 0..h {
             if ji.job_at(i, t).is_some() {
                 let vars = (0..m).map(|j| layout.var(i, j, t)).collect();
@@ -95,10 +109,10 @@ fn encode_csp1_polled(
         }
     }
     // (11): Σ_t Σ_j si,j · x_{i,j}(t) = Ci per job.
-    if cancel.is_cancelled() {
-        return Ok(None);
-    }
     for i in 0..n {
+        if cancel.is_cancelled() {
+            return Ok(None);
+        }
         for k in 0..ji.jobs_of(i) {
             let mut vars = Vec::new();
             let mut coeffs = Vec::new();
@@ -113,111 +127,37 @@ fn encode_csp1_polled(
             model.post(Constraint::linear_eq(vars, coeffs, ts.task(i).wcet as i64));
         }
     }
-    Ok(Some((model, layout)))
-}
-
-/// Encode + solve heterogeneous CSP1 with the generic randomized engine
-/// under the same [`Csp1Config`] (seed, budgets, `n·m·H` size guard) as
-/// the identical-platform route.
-pub fn solve_csp1_hetero(
-    ts: &TaskSet,
-    platform: &Platform,
-    cfg: &Csp1Config,
-) -> Result<SolveResult, TaskError> {
-    solve_csp1_hetero_cancellable(ts, platform, cfg, &CancelToken::new())
-}
-
-/// [`solve_csp1_hetero`] with cooperative cancellation, polled at each
-/// encoding stage, per propagator while the engine is built, and at the
-/// engine's budget checkpoints.
-pub fn solve_csp1_hetero_cancellable(
-    ts: &TaskSet,
-    platform: &Platform,
-    cfg: &Csp1Config,
-    cancel: &CancelToken,
-) -> Result<SolveResult, TaskError> {
-    let start = Instant::now();
-    let ji = JobInstants::new(ts)?;
-    let cells = ts.len() as u64 * platform.num_processors() as u64 * ji.hyperperiod();
-    if cells > cfg.max_cells {
-        return Ok(SolveResult::stopped(
-            StopReason::EncodingTooLarge,
-            start.elapsed(),
-        ));
+    if cancel.is_cancelled() {
+        return Ok(None);
     }
-    let Some((mut model, layout)) = encode_csp1_polled(ts, platform, cancel)? else {
-        return Ok(SolveResult::stopped(StopReason::Cancelled, start.elapsed()));
-    };
-    model.set_interrupt(cancel.as_flag());
-    let mut solver = model.into_solver(SolverConfig::generic_randomized(cfg.seed));
-    // The time budget counts from solve entry: encoding and construction
-    // draw on the same allowance as the search.
-    solver.set_budget(Budget {
-        time: cfg.time.map(|t| t.saturating_sub(start.elapsed())),
-        max_decisions: cfg.max_decisions,
-    });
-    let verdict = match solver.solve() {
-        Outcome::Sat(sol) => Verdict::Feasible(crate::csp1::decode(&layout, &sol)),
-        Outcome::Unsat => Verdict::Infeasible,
-        Outcome::Unknown(limit) => Verdict::Unknown(stop_reason(limit)),
-    };
-    Ok(SolveResult::searched(verdict, solver.stats(), start))
+    Ok(Some((model, layout)))
 }
 
 // ---------------------------------------------------------------------------
 // CSP2 specialized search on heterogeneous platforms.
 // ---------------------------------------------------------------------------
 
-/// Configuration of the heterogeneous CSP2 search.
-#[derive(Debug, Clone, Copy)]
-pub struct Csp2HeteroConfig {
-    /// Base value-ordering heuristic (combined with eligibility count).
-    pub order: TaskOrder,
-    /// Apply the (unsound-in-general, see module docs) idle-avoidance rule.
-    pub work_conserving: bool,
-    /// Wall-clock budget.
-    pub time: Option<Duration>,
-    /// Decision budget.
-    pub max_decisions: Option<u64>,
-}
-
-impl Default for Csp2HeteroConfig {
-    fn default() -> Self {
-        Csp2HeteroConfig {
-            order: TaskOrder::DeadlineMinusWcet,
-            work_conserving: false,
-            time: None,
-            max_decisions: None,
-        }
-    }
-}
-
-/// Specialized chronological solver for heterogeneous platforms.
-pub fn solve_csp2_hetero(
+/// The specialized chronological search on `platform` under the base
+/// heuristic `order`, within `budget`'s time (counted from `start`, the
+/// solve's entry) and decisions: the heterogeneous route of
+/// [`crate::csp2::Csp2Engine`].
+pub(crate) fn solve_csp2(
     ts: &TaskSet,
     platform: &Platform,
-    cfg: &Csp2HeteroConfig,
-) -> Result<SolveResult, TaskError> {
-    solve_csp2_hetero_cancellable(ts, platform, cfg, &CancelToken::new())
-}
-
-/// [`solve_csp2_hetero`] with cooperative cancellation.
-pub fn solve_csp2_hetero_cancellable(
-    ts: &TaskSet,
-    platform: &Platform,
-    cfg: &Csp2HeteroConfig,
+    order: TaskOrder,
+    budget: &Budget,
     cancel: &CancelToken,
+    start: Instant,
 ) -> Result<SolveResult, TaskError> {
-    let start = Instant::now();
     assert_eq!(platform.num_tasks(), ts.len(), "rate matrix row count");
     let ji = JobInstants::new(ts)?;
-    Ok(HeteroSearch::new(ts, platform, ji, cfg, cancel.clone()).run(start))
+    Ok(HeteroSearch::new(ts, platform, ji, order, budget, cancel.clone()).run(start))
 }
 
 struct HeteroSearch<'a> {
     ji: JobInstants,
     platform: &'a Platform,
-    cfg: Csp2HeteroConfig,
+    budget: Budget,
     n: usize,
     m: usize,
     h: Time,
@@ -255,7 +195,8 @@ impl<'a> HeteroSearch<'a> {
         ts: &TaskSet,
         platform: &'a Platform,
         ji: JobInstants,
-        cfg: &Csp2HeteroConfig,
+        order: TaskOrder,
+        budget: &Budget,
         cancel: CancelToken,
     ) -> Self {
         let n = ts.len();
@@ -274,7 +215,7 @@ impl<'a> HeteroSearch<'a> {
         let group_of_visit = proc_order.iter().map(|&p| group_id[p]).collect();
         // Value priority: fewer eligible processors first (Section VI-A),
         // then the base heuristic key, then id.
-        let base = cfg.order.ranks(ts);
+        let base = order.ranks(ts);
         let mut order: Vec<TaskId> = (0..n).collect();
         order.sort_by_key(|&i| (platform.eligibility_count(i), base[i], i));
         let mut rank = vec![0usize; n];
@@ -287,7 +228,7 @@ impl<'a> HeteroSearch<'a> {
         let done = (0..n).map(|i| vec![0; ji.jobs_of(i) as usize]).collect();
         HeteroSearch {
             platform,
-            cfg: *cfg,
+            budget: *budget,
             n,
             m,
             h,
@@ -356,7 +297,6 @@ impl<'a> HeteroSearch<'a> {
         }
 
         let mut cands: Vec<(usize, usize)> = Vec::new();
-        let mut any_eligible_unscheduled = false;
         for i in 0..self.n {
             let Some((_job, rem)) = self.active_job(i, t) else {
                 continue;
@@ -368,7 +308,6 @@ impl<'a> HeteroSearch<'a> {
             if rate == 0 {
                 continue;
             }
-            any_eligible_unscheduled = true;
             if rate > rem {
                 continue; // would overshoot the exact total (12)
             }
@@ -379,11 +318,8 @@ impl<'a> HeteroSearch<'a> {
         }
         cands.sort_unstable();
         let mut out: Vec<usize> = cands.into_iter().map(|(_, i)| i).collect();
-        // Idle is a real alternative unless the aggressive mode forbids it
-        // while eligible work exists.
-        if !(self.cfg.work_conserving && any_eligible_unscheduled && !out.is_empty()) {
-            out.push(IDLE_CAND);
-        }
+        // Idle is always a real alternative (see the module docs).
+        out.push(IDLE_CAND);
         Some(out)
     }
 
@@ -460,14 +396,14 @@ impl<'a> HeteroSearch<'a> {
                 if self.cancel.is_cancelled() {
                     break Verdict::Unknown(StopReason::Cancelled);
                 }
-                if let Some(limit) = self.cfg.time {
+                if let Some(limit) = self.budget.time {
                     if start.elapsed() >= limit {
                         break Verdict::Unknown(StopReason::TimeLimit);
                     }
                 }
             }
             if self
-                .cfg
+                .budget
                 .max_decisions
                 .is_some_and(|mx| self.stats.decisions > mx)
             {
@@ -544,14 +480,37 @@ impl<'a> HeteroSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csp1::Csp1Engine;
+    use crate::csp2::Csp2Engine;
+    use crate::engine::{FeasibilitySolver, PlatformSpec};
     use crate::verify::check_heterogeneous;
     use rt_task::TaskSet;
+
+    fn solve(
+        ts: &TaskSet,
+        p: &Platform,
+        engine: &dyn FeasibilitySolver,
+        budget: &Budget,
+    ) -> SolveResult {
+        let spec = PlatformSpec::Heterogeneous(p.clone());
+        engine
+            .solve_on(ts, &spec, budget, &CancelToken::new())
+            .unwrap()
+    }
+
+    /// The heterogeneous `csp2-dc` route.
+    fn solve_dc(ts: &TaskSet, p: &Platform) -> SolveResult {
+        let dc = Csp2Engine {
+            order: TaskOrder::DeadlineMinusWcet,
+        };
+        solve(ts, p, &dc, &Budget::unlimited())
+    }
 
     #[test]
     fn identical_rates_reduce_to_base_case() {
         let ts = TaskSet::running_example();
         let platform = Platform::identical(3, 2).unwrap();
-        let res = solve_csp2_hetero(&ts, &platform, &Csp2HeteroConfig::default()).unwrap();
+        let res = solve_dc(&ts, &platform);
         let s = res.verdict.schedule().expect("feasible");
         check_heterogeneous(&ts, &platform, s).unwrap();
     }
@@ -563,10 +522,10 @@ mod tests {
         // job completes its exact 2 units in a single slot).
         let ts = TaskSet::from_ocdt(&[(0, 2, 2, 2), (0, 2, 2, 2)]);
         let slow = Platform::heterogeneous(vec![vec![1], vec![1]]).unwrap();
-        let res = solve_csp2_hetero(&ts, &slow, &Csp2HeteroConfig::default()).unwrap();
+        let res = solve_dc(&ts, &slow);
         assert!(res.verdict.is_infeasible());
         let fast = Platform::heterogeneous(vec![vec![2], vec![2]]).unwrap();
-        let res = solve_csp2_hetero(&ts, &fast, &Csp2HeteroConfig::default()).unwrap();
+        let res = solve_dc(&ts, &fast);
         let s = res.verdict.schedule().expect("rate 2 fits both");
         check_heterogeneous(&ts, &fast, s).unwrap();
     }
@@ -577,7 +536,7 @@ mod tests {
         // 2 — the exact total 3 is unreachable (constraint (12)).
         let ts = TaskSet::from_ocdt(&[(0, 3, 4, 4)]);
         let p = Platform::heterogeneous(vec![vec![2]]).unwrap();
-        let res = solve_csp2_hetero(&ts, &p, &Csp2HeteroConfig::default()).unwrap();
+        let res = solve_dc(&ts, &p);
         assert!(res.verdict.is_infeasible());
     }
 
@@ -587,7 +546,7 @@ mod tests {
         // different instants totals 3.
         let ts = TaskSet::from_ocdt(&[(0, 3, 4, 4)]);
         let p = Platform::heterogeneous(vec![vec![2, 1]]).unwrap();
-        let res = solve_csp2_hetero(&ts, &p, &Csp2HeteroConfig::default()).unwrap();
+        let res = solve_dc(&ts, &p);
         let s = res.verdict.schedule().expect("2 + 1 = 3");
         check_heterogeneous(&ts, &p, s).unwrap();
     }
@@ -598,41 +557,13 @@ mod tests {
         // window.
         let ts = TaskSet::from_ocdt(&[(0, 2, 2, 2), (0, 2, 2, 2)]);
         let p = Platform::heterogeneous(vec![vec![1, 0], vec![0, 1]]).unwrap();
-        let res = solve_csp2_hetero(&ts, &p, &Csp2HeteroConfig::default()).unwrap();
+        let res = solve_dc(&ts, &p);
         let s = res.verdict.schedule().expect("dedicated split works");
         check_heterogeneous(&ts, &p, s).unwrap();
         for t in 0..2 {
             assert_eq!(s.at(0, t), Some(0));
             assert_eq!(s.at(1, t), Some(1));
         }
-    }
-
-    #[test]
-    fn work_conserving_mode_can_miss_solutions() {
-        // The soundness caveat made concrete: C=2 over a 2-instant window;
-        // P0 (slow, rate 1) is the only processor eligible at both
-        // instants… construct: rates [1] at t0-only via a competing task is
-        // intricate — instead verify the two modes agree on an easy case
-        // and the aggressive mode never fabricates schedules.
-        let ts = TaskSet::running_example();
-        let p = Platform::identical(3, 2).unwrap();
-        let complete = solve_csp2_hetero(&ts, &p, &Csp2HeteroConfig::default()).unwrap();
-        let aggressive = solve_csp2_hetero(
-            &ts,
-            &p,
-            &Csp2HeteroConfig {
-                work_conserving: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(complete.verdict.is_feasible());
-        assert!(aggressive.verdict.is_feasible());
-        check_heterogeneous(&ts, &p, aggressive.verdict.schedule().unwrap()).unwrap();
-        // Aggressive mode explores no more than the complete search.
-        assert!(
-            aggressive.search.unwrap().decisions <= complete.search.unwrap().decisions.max(1) * 2
-        );
     }
 
     #[test]
@@ -645,12 +576,8 @@ mod tests {
             vec![vec![2, 2], vec![2, 2]],
         ] {
             let p = Platform::heterogeneous(rates.clone()).unwrap();
-            let cfg = Csp1Config {
-                seed: 3,
-                ..Csp1Config::default()
-            };
-            let a = solve_csp1_hetero(&ts, &p, &cfg).unwrap();
-            let b = solve_csp2_hetero(&ts, &p, &Csp2HeteroConfig::default()).unwrap();
+            let a = solve(&ts, &p, &Csp1Engine { seed: 3 }, &Budget::unlimited());
+            let b = solve_dc(&ts, &p);
             assert_eq!(
                 a.verdict.is_feasible(),
                 b.verdict.is_feasible(),
@@ -669,11 +596,11 @@ mod tests {
     fn csp1_hetero_size_guard_refuses_large_models() {
         let ts = TaskSet::running_example();
         let p = Platform::identical(3, 2).unwrap();
-        let cfg = Csp1Config {
-            max_cells: 5,
-            ..Csp1Config::default()
+        let budget = Budget {
+            max_cells: Some(5),
+            ..Budget::unlimited()
         };
-        let res = solve_csp1_hetero(&ts, &p, &cfg).unwrap();
+        let res = solve(&ts, &p, &Csp1Engine::default(), &budget);
         assert_eq!(res.verdict, Verdict::Unknown(StopReason::EncodingTooLarge));
     }
 
@@ -688,11 +615,11 @@ mod tests {
             (0, 1, 3, 3),
         ]);
         let p = Platform::identical(6, 2).unwrap();
-        let cfg = Csp1Config {
+        let budget = Budget {
             max_decisions: Some(1),
-            ..Csp1Config::default()
+            ..Budget::unlimited()
         };
-        let res = solve_csp1_hetero(&ts, &p, &cfg).unwrap();
+        let res = solve(&ts, &p, &Csp1Engine::default(), &budget);
         assert!(
             matches!(
                 res.verdict,
@@ -714,7 +641,7 @@ mod tests {
         // the slow group (lower quality).
         let ts = TaskSet::from_ocdt(&[(0, 1, 2, 2)]);
         let p = Platform::heterogeneous(vec![vec![1, 3, 1]]).unwrap();
-        let res = solve_csp2_hetero(&ts, &p, &Csp2HeteroConfig::default()).unwrap();
+        let res = solve_dc(&ts, &p);
         assert!(res.verdict.is_feasible());
     }
 }

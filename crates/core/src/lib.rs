@@ -7,8 +7,7 @@
 //! equivalent finite CSP over one hyperperiod.
 //!
 //! * [`csp1`] — encoding #1 (Section IV): `n·m·H` boolean variables on the
-//!   generic [`csp_engine`] solver, constraints (2)–(5), plus the
-//!   heterogeneous variant (11).
+//!   generic [`csp_engine`] solver, constraints (2)–(5).
 //! * [`csp1_sat`] — the same encoding lowered to CNF and solved by the
 //!   [`rt_sat`] CDCL solver, the "even SAT solvers could be used" route
 //!   Section IV motivates.
@@ -20,9 +19,9 @@
 //! * [`csp2_generic`] — encoding #2 posted on the generic engine
 //!   (constraints (7)–(10) verbatim), used to cross-validate the
 //!   specialized solver, mirroring the paper's own debugging methodology.
-//! * [`hetero`] — Section VI-A: both encodings on heterogeneous platforms
-//!   (rate-weighted constraint (11)/(12), quality-ordered processors,
-//!   group-restricted symmetry (13)).
+//! * [`hetero`] and [`csp1_sat_hetero`] — Section VI-A: both encodings on
+//!   heterogeneous platforms (rate-weighted constraint (11)/(12),
+//!   quality-ordered processors, group-restricted symmetry (13)).
 //! * [`clones`-driven arbitrary deadlines] — Section VI-B, via
 //!   [`solve::solve_arbitrary_deadline`].
 //! * [`schedule`] / [`verify`] — the periodic schedule object of Theorem 1
@@ -42,17 +41,29 @@
 //! * [`priority`] — the (D-C)-seeded priority-assignment viewpoint
 //!   (Section VIII, future work).
 //!
+//! ## One entry point per backend
+//!
+//! Each backend module defines one engine, its only way to solve:
+//! [`csp1::Csp1Engine`], [`csp1_sat::Csp1SatEngine`], [`csp2::Csp2Engine`],
+//! [`csp2_generic::Csp2GenericEngine`] and
+//! [`local_search::LocalSearchEngine`] (all re-exported from [`engine`]).
+//! Each reads the one [`Budget`] directly and reaches its heterogeneous
+//! variant, if it has one, through [`PlatformSpec::Heterogeneous`]. The
+//! encoders (`csp1::encode`, `csp1_sat::encode_cnf`,
+//! `csp2_generic::encode`, …) and the [`csp2::Csp2Solver`] builder stay
+//! public for callers that time encoding, set-up and search apart.
+//!
 //! ## Quickstart
 //!
 //! ```
 //! use rt_task::TaskSet;
-//! use mgrts_core::{csp2, heuristics::TaskOrder, verify};
+//! use mgrts_core::engine::{Budget, CancelToken, Csp2Engine, FeasibilitySolver};
+//! use mgrts_core::{heuristics::TaskOrder, verify};
 //!
 //! let ts = TaskSet::running_example(); // m = 2, H = 12
-//! let result = csp2::Csp2Solver::new(&ts, 2)
-//!     .unwrap()
-//!     .with_order(TaskOrder::DeadlineMinusWcet)
-//!     .solve();
+//! let dc = Csp2Engine { order: TaskOrder::DeadlineMinusWcet };
+//! let budget = Budget { max_decisions: Some(10_000), ..Budget::unlimited() };
+//! let result = dc.solve(&ts, 2, &budget, &CancelToken::new()).unwrap();
 //! let schedule = result.verdict.schedule().expect("the example is feasible");
 //! verify::check_identical(&ts, 2, schedule).expect("C1–C4 hold");
 //! ```

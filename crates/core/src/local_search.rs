@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 use mgrts_obs::SearchStats;
 use rt_task::{JobId, JobInstants, TaskError, TaskSet, Time};
 
-use crate::engine::CancelToken;
+use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
 use crate::schedule::Schedule;
 use crate::solve::{SolveResult, StopReason, Verdict};
 
@@ -58,31 +58,73 @@ pub enum LsStrategy {
     },
 }
 
-/// Configuration of a local-search run.
+/// Moves without improvement after which the state is re-randomized.
+const RESTART_AFTER: u64 = 5_000;
+
+/// The move budget when [`Budget::max_decisions`] sets none.
+const DEFAULT_MAX_MOVES: u64 = 200_000;
+
+/// Min-conflicts / tabu / annealing local search (Section VIII), identical
+/// processors only: a heterogeneous platform gets
+/// [`StopReason::Unsupported`]. Incomplete: it never proves
+/// infeasibility.
+///
+/// [`Budget::max_decisions`] caps the moves (200 000 when unset) and
+/// [`Budget::time`] the wall clock, checked every 512 moves; `cancel` is
+/// polled on every move.
 #[derive(Debug, Clone, Copy)]
-pub struct LocalSearchConfig {
-    /// Iteration budget (moves).
-    pub max_iters: u64,
-    /// Restart period: re-randomize the state every this many moves
-    /// without improvement.
-    pub restart_after: u64,
-    /// RNG seed.
-    pub seed: u64,
+pub struct LocalSearchEngine {
     /// Neighbourhood strategy.
     pub strategy: LsStrategy,
-    /// Wall-clock budget (`None` = unlimited).
-    pub time: Option<Duration>,
+    /// RNG seed.
+    pub seed: u64,
 }
 
-impl Default for LocalSearchConfig {
+impl Default for LocalSearchEngine {
     fn default() -> Self {
-        LocalSearchConfig {
-            max_iters: 200_000,
-            restart_after: 5_000,
-            seed: 1,
+        LocalSearchEngine {
             strategy: LsStrategy::MinConflicts,
-            time: None,
+            seed: 1,
         }
+    }
+}
+
+impl FeasibilitySolver for LocalSearchEngine {
+    fn name(&self) -> String {
+        match self.strategy {
+            LsStrategy::MinConflicts => "local".to_string(),
+            LsStrategy::Tabu { .. } => "local-tabu".to_string(),
+            LsStrategy::Annealing { .. } => "local-sa".to_string(),
+        }
+    }
+
+    fn solve_on(
+        &self,
+        ts: &TaskSet,
+        spec: &PlatformSpec,
+        budget: &Budget,
+        cancel: &CancelToken,
+    ) -> Result<SolveResult, TaskError> {
+        let PlatformSpec::Identical { m } = *spec else {
+            return Ok(SolveResult::stopped(
+                StopReason::Unsupported,
+                Duration::ZERO,
+            ));
+        };
+        let start = Instant::now();
+        let ji = JobInstants::new(ts)?;
+        if m == 0 {
+            // No processor slot to place a unit in.
+            return Ok(SolveResult::stopped(
+                StopReason::Unsupported,
+                start.elapsed(),
+            ));
+        }
+        Ok(search(self, ts, m, &ji, budget, cancel, start))
+    }
+
+    fn is_exact(&self) -> bool {
+        false
     }
 }
 
@@ -237,50 +279,42 @@ fn target_cost(state: &State, u: Unit, t: Time, proc: usize) -> u32 {
     cost
 }
 
-/// Run the configured local search. Returns `Feasible` (with a schedule
-/// satisfying C1–C4) or `Unknown` on budget exhaustion.
-pub fn solve_local_search(
+/// Run `engine`'s search from a random state. Returns `Feasible` (with a
+/// schedule satisfying C1–C4) or `Unknown` on budget exhaustion.
+fn search(
+    engine: &LocalSearchEngine,
     ts: &TaskSet,
     m: usize,
-    cfg: &LocalSearchConfig,
-) -> Result<SolveResult, TaskError> {
-    solve_local_search_cancellable(ts, m, cfg, &CancelToken::new())
-}
-
-/// [`solve_local_search`] with cooperative cancellation, polled on every
-/// move (the wall-clock budget is checked every 512 moves).
-pub fn solve_local_search_cancellable(
-    ts: &TaskSet,
-    m: usize,
-    cfg: &LocalSearchConfig,
+    ji: &JobInstants,
+    budget: &Budget,
     cancel: &CancelToken,
-) -> Result<SolveResult, TaskError> {
-    let start = Instant::now();
-    let ji = JobInstants::new(ts)?;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    start: Instant,
+) -> SolveResult {
+    let max_moves = budget.max_decisions.unwrap_or(DEFAULT_MAX_MOVES);
+    let mut rng = SmallRng::seed_from_u64(engine.seed);
     let mut search = SearchStats {
         solves: 1,
         ..SearchStats::default()
     };
-    let mut state = State::random(&ji, ts, m, &mut rng);
+    let mut state = State::random(ji, ts, m, &mut rng);
     let mut best = state.total_conflicts();
     let mut since_improvement: u64 = 0;
     // Tabu memory: slot → iteration when it stops being tabu.
     let mut tabu: std::collections::HashMap<(usize, Time, usize), u64> =
         std::collections::HashMap::new();
-    let mut temperature = match cfg.strategy {
+    let mut temperature = match engine.strategy {
         LsStrategy::Annealing { t0, .. } => t0,
         _ => 0.0,
     };
 
     let (verdict, iters) = 'search: {
-        for it in 0..cfg.max_iters {
+        for it in 0..max_moves {
             // The token is one relaxed load, so it is polled on every move;
             // the clock read is amortized over 512 moves.
             if cancel.is_cancelled() {
                 break 'search (Verdict::Unknown(StopReason::Cancelled), it);
             }
-            if it % 512 == 0 && cfg.time.is_some_and(|limit| start.elapsed() >= limit) {
+            if it % 512 == 0 && budget.time.is_some_and(|limit| start.elapsed() >= limit) {
                 break 'search (Verdict::Unknown(StopReason::TimeLimit), it);
             }
             let total = state.total_conflicts();
@@ -292,13 +326,13 @@ pub fn solve_local_search_cancellable(
                 since_improvement = 0;
             } else {
                 since_improvement += 1;
-                if since_improvement >= cfg.restart_after {
-                    state = State::random(&ji, ts, m, &mut rng);
+                if since_improvement >= RESTART_AFTER {
+                    state = State::random(ji, ts, m, &mut rng);
                     best = state.total_conflicts();
                     since_improvement = 0;
                     search.backtracks += 1; // count restarts as failures
                     tabu.clear();
-                    if let LsStrategy::Annealing { t0, .. } = cfg.strategy {
+                    if let LsStrategy::Annealing { t0, .. } = engine.strategy {
                         temperature = t0; // re-heat
                     }
                     continue;
@@ -311,9 +345,9 @@ pub fn solve_local_search_cancellable(
             let idx = conflicted[rng.gen_range(0..conflicted.len())];
             let u = state.units[idx];
 
-            match cfg.strategy {
+            match engine.strategy {
                 LsStrategy::MinConflicts | LsStrategy::Tabu { .. } => {
-                    let tenure = match cfg.strategy {
+                    let tenure = match engine.strategy {
                         LsStrategy::Tabu { tenure } => tenure,
                         _ => 0,
                     };
@@ -370,10 +404,10 @@ pub fn solve_local_search_cancellable(
                 }
             }
         }
-        (Verdict::Unknown(StopReason::DecisionLimit), cfg.max_iters)
+        (Verdict::Unknown(StopReason::DecisionLimit), max_moves)
     };
     search.decisions = iters;
-    Ok(SolveResult::searched(verdict, search, start))
+    SolveResult::searched(verdict, search, start)
 }
 
 #[cfg(test)]
@@ -381,10 +415,25 @@ mod tests {
     use super::*;
     use crate::verify::check_identical;
 
+    fn solve(ts: &TaskSet, m: usize, engine: LocalSearchEngine, moves: u64) -> SolveResult {
+        let budget = Budget {
+            max_decisions: Some(moves),
+            ..Budget::unlimited()
+        };
+        engine.solve(ts, m, &budget, &CancelToken::new()).unwrap()
+    }
+
+    fn with(strategy: LsStrategy) -> LocalSearchEngine {
+        LocalSearchEngine {
+            strategy,
+            ..LocalSearchEngine::default()
+        }
+    }
+
     #[test]
     fn solves_the_running_example() {
         let ts = TaskSet::running_example();
-        let res = solve_local_search(&ts, 2, &LocalSearchConfig::default()).unwrap();
+        let res = solve(&ts, 2, LocalSearchEngine::default(), DEFAULT_MAX_MOVES);
         let s = res.verdict.schedule().expect("min-conflicts finds it");
         check_identical(&ts, 2, s).unwrap();
     }
@@ -392,7 +441,7 @@ mod tests {
     #[test]
     fn trivial_instance_is_immediate() {
         let ts = TaskSet::from_ocdt(&[(0, 1, 2, 2)]);
-        let res = solve_local_search(&ts, 1, &LocalSearchConfig::default()).unwrap();
+        let res = solve(&ts, 1, LocalSearchEngine::default(), DEFAULT_MAX_MOVES);
         let s = res.verdict.schedule().unwrap();
         check_identical(&ts, 1, s).unwrap();
     }
@@ -401,20 +450,15 @@ mod tests {
     fn infeasible_instance_reports_unknown_not_infeasible() {
         // Incomplete search must never claim infeasibility.
         let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
-        let cfg = LocalSearchConfig {
-            max_iters: 3_000,
-            ..Default::default()
-        };
-        let res = solve_local_search(&ts, 2, &cfg).unwrap();
+        let res = solve(&ts, 2, LocalSearchEngine::default(), 3_000);
         assert_eq!(res.verdict, Verdict::Unknown(StopReason::DecisionLimit));
     }
 
     #[test]
     fn deterministic_per_seed() {
         let ts = TaskSet::running_example();
-        let cfg = LocalSearchConfig::default();
-        let a = solve_local_search(&ts, 2, &cfg).unwrap();
-        let b = solve_local_search(&ts, 2, &cfg).unwrap();
+        let a = solve(&ts, 2, LocalSearchEngine::default(), DEFAULT_MAX_MOVES);
+        let b = solve(&ts, 2, LocalSearchEngine::default(), DEFAULT_MAX_MOVES);
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.search, b.search);
     }
@@ -424,11 +468,11 @@ mod tests {
         let ts = TaskSet::running_example();
         let mut iters = Vec::new();
         for seed in 0..4 {
-            let cfg = LocalSearchConfig {
+            let engine = LocalSearchEngine {
                 seed,
-                ..Default::default()
+                ..LocalSearchEngine::default()
             };
-            let res = solve_local_search(&ts, 2, &cfg).unwrap();
+            let res = solve(&ts, 2, engine, DEFAULT_MAX_MOVES);
             assert!(res.verdict.is_feasible());
             iters.push(res.search.unwrap().decisions);
         }
@@ -439,11 +483,12 @@ mod tests {
     #[test]
     fn tabu_solves_the_running_example() {
         let ts = TaskSet::running_example();
-        let cfg = LocalSearchConfig {
-            strategy: LsStrategy::Tabu { tenure: 8 },
-            ..Default::default()
-        };
-        let res = solve_local_search(&ts, 2, &cfg).unwrap();
+        let res = solve(
+            &ts,
+            2,
+            with(LsStrategy::Tabu { tenure: 8 }),
+            DEFAULT_MAX_MOVES,
+        );
         let s = res.verdict.schedule().expect("tabu finds it");
         check_identical(&ts, 2, s).unwrap();
     }
@@ -451,15 +496,11 @@ mod tests {
     #[test]
     fn annealing_solves_the_running_example() {
         let ts = TaskSet::running_example();
-        let cfg = LocalSearchConfig {
-            strategy: LsStrategy::Annealing {
-                t0: 2.0,
-                cooling: 0.999,
-            },
-            max_iters: 500_000,
-            ..Default::default()
-        };
-        let res = solve_local_search(&ts, 2, &cfg).unwrap();
+        let annealing = with(LsStrategy::Annealing {
+            t0: 2.0,
+            cooling: 0.999,
+        });
+        let res = solve(&ts, 2, annealing, 500_000);
         let s = res.verdict.schedule().expect("annealing finds it");
         check_identical(&ts, 2, s).unwrap();
     }
@@ -490,12 +531,7 @@ mod tests {
                 .unwrap()
                 .solve();
             for strategy in strategies {
-                let cfg = LocalSearchConfig {
-                    strategy,
-                    max_iters: 30_000,
-                    ..Default::default()
-                };
-                let res = solve_local_search(&p.taskset, p.m, &cfg).unwrap();
+                let res = solve(&p.taskset, p.m, with(strategy), 30_000);
                 if let Some(s) = res.verdict.schedule() {
                     check_identical(&p.taskset, p.m, s).unwrap();
                     assert!(
@@ -518,12 +554,8 @@ mod tests {
                 cooling: 0.995,
             },
         ] {
-            let cfg = LocalSearchConfig {
-                strategy,
-                ..Default::default()
-            };
-            let a = solve_local_search(&ts, 2, &cfg).unwrap();
-            let b = solve_local_search(&ts, 2, &cfg).unwrap();
+            let a = solve(&ts, 2, with(strategy), DEFAULT_MAX_MOVES);
+            let b = solve(&ts, 2, with(strategy), DEFAULT_MAX_MOVES);
             assert_eq!(a.verdict, b.verdict, "{strategy:?}");
             assert_eq!(a.search, b.search, "{strategy:?}");
         }
@@ -534,11 +566,7 @@ mod tests {
         // Every slot of both processors must be busy: a stress test for the
         // move operator.
         let ts = TaskSet::from_ocdt(&[(0, 2, 2, 2), (0, 3, 3, 3)]);
-        let cfg = LocalSearchConfig {
-            max_iters: 500_000,
-            ..Default::default()
-        };
-        let res = solve_local_search(&ts, 2, &cfg).unwrap();
+        let res = solve(&ts, 2, LocalSearchEngine::default(), 500_000);
         let s = res.verdict.schedule().expect("feasible dense instance");
         check_identical(&ts, 2, s).unwrap();
     }

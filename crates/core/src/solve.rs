@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use csp_engine::{LimitReason, Model, Outcome, SolverConfig};
 use rt_task::{clone_transform, TaskError, TaskSet};
 
 use crate::engine::{Budget, CancelToken, FeasibilitySolver};
@@ -128,6 +129,46 @@ impl SolveResult {
             search: None,
         }
     }
+}
+
+/// The verdict of an exact backend on zero processors, reached without a
+/// search: every task needs `Ci ≥ 1` units of work and no processor can
+/// serve one.
+pub(crate) fn no_processors(start: Instant) -> SolveResult {
+    let search = mgrts_obs::SearchStats {
+        solves: 1,
+        ..mgrts_obs::SearchStats::default()
+    };
+    SolveResult::searched(Verdict::Infeasible, search, start)
+}
+
+/// Search an encoded model on the generic engine and decode its solution:
+/// the tail every model route (`csp1` on either platform, `csp2-generic`,
+/// `csp2-learn`) shares. `cancel` interrupts the engine's construction and
+/// its search; the time budget counts from `start`, the solve's entry, so
+/// encoding and construction draw on the same allowance as the search.
+pub(crate) fn search_model(
+    mut model: Model,
+    config: SolverConfig,
+    budget: &Budget,
+    start: Instant,
+    cancel: &CancelToken,
+    decode: impl FnOnce(&[i32]) -> Schedule,
+) -> SolveResult {
+    model.set_interrupt(cancel.as_flag());
+    let mut solver = model.into_solver(config);
+    solver.set_budget(csp_engine::Budget {
+        time: budget.time.map(|t| t.saturating_sub(start.elapsed())),
+        max_decisions: budget.max_decisions,
+    });
+    let verdict = match solver.solve() {
+        Outcome::Sat(sol) => Verdict::Feasible(decode(&sol)),
+        Outcome::Unsat => Verdict::Infeasible,
+        Outcome::Unknown(LimitReason::Time) => Verdict::Unknown(StopReason::TimeLimit),
+        Outcome::Unknown(LimitReason::Decisions) => Verdict::Unknown(StopReason::DecisionLimit),
+        Outcome::Unknown(LimitReason::Interrupted) => Verdict::Unknown(StopReason::Cancelled),
+    };
+    SolveResult::searched(verdict, solver.stats(), start)
 }
 
 /// Solve an *arbitrary-deadline* system on identical processors by clone

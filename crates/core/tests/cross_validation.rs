@@ -8,11 +8,11 @@
 //! pass the independent C1–C4 verifier, and the exact solvers must agree
 //! with the necessary-condition prechecks.
 
-use mgrts_core::csp1::{solve_csp1, Csp1Config};
 use mgrts_core::csp2::Csp2Solver;
-use mgrts_core::csp2_generic::{solve_csp2_generic, Csp2GenericConfig};
+use mgrts_core::engine::{
+    Budget, CancelToken, Csp1Engine, Csp2GenericEngine, FeasibilitySolver, LocalSearchEngine,
+};
 use mgrts_core::heuristics::TaskOrder;
-use mgrts_core::local_search::{solve_local_search, LocalSearchConfig};
 use mgrts_core::verify::check_identical;
 use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
 use rt_task::demand::{demand_precheck, Precheck};
@@ -44,9 +44,9 @@ const CSP1_DECIDED: usize = 195;
 /// every schedule must pass C1–C4. Returns how many instances CSP1 decided.
 fn exact_solvers_agree(csp1_decisions: Option<u64>) -> usize {
     let gen = ProblemGenerator::new(small_config(), 0xC5F1);
-    let csp1_cfg = Csp1Config {
+    let csp1_budget = Budget {
         max_decisions: csp1_decisions,
-        ..Csp1Config::default()
+        ..Budget::unlimited()
     };
     let mut feasible = 0;
     let mut infeasible = 0;
@@ -56,8 +56,12 @@ fn exact_solvers_agree(csp1_decisions: Option<u64>) -> usize {
             .unwrap()
             .with_order(TaskOrder::DeadlineMinusWcet)
             .solve();
-        let csp1 = solve_csp1(&p.taskset, p.m, &csp1_cfg).unwrap();
-        let generic = solve_csp2_generic(&p.taskset, p.m, &Csp2GenericConfig::default()).unwrap();
+        let csp1 = Csp1Engine::default()
+            .solve(&p.taskset, p.m, &csp1_budget, &CancelToken::new())
+            .unwrap();
+        let generic = Csp2GenericEngine::default()
+            .solve(&p.taskset, p.m, &Budget::unlimited(), &CancelToken::new())
+            .unwrap();
 
         let f2 = csp2.verdict.is_feasible();
         if !csp1.verdict.is_unknown() {
@@ -145,11 +149,13 @@ fn prechecks_never_contradict_the_exact_solver() {
 fn local_search_only_finds_genuinely_feasible_instances() {
     let gen = ProblemGenerator::new(small_config(), 0xAB);
     for p in gen.batch(40) {
-        let cfg = LocalSearchConfig {
-            max_iters: 20_000,
-            ..Default::default()
+        let budget = Budget {
+            max_decisions: Some(20_000),
+            ..Budget::unlimited()
         };
-        let ls = solve_local_search(&p.taskset, p.m, &cfg).unwrap();
+        let ls = LocalSearchEngine::default()
+            .solve(&p.taskset, p.m, &budget, &CancelToken::new())
+            .unwrap();
         if let Some(s) = ls.verdict.schedule() {
             check_identical(&p.taskset, p.m, s).unwrap();
             let exact = Csp2Solver::new(&p.taskset, p.m).unwrap().solve();
@@ -169,7 +175,6 @@ fn table1_sized_instances_solve_under_csp2_dc() {
     // demand a verdict (not Unknown) on a majority. A decision budget, not
     // a wall clock, so the outcome is the same on any machine and in any
     // build profile: the decided instances need at most ~45k decisions.
-    use mgrts_core::csp2::Csp2Budget;
     let gen = ProblemGenerator::new(GeneratorConfig::table1(), 0x2009);
     let mut decided = 0;
     let total = 30;
@@ -177,9 +182,9 @@ fn table1_sized_instances_solve_under_csp2_dc() {
         let res = Csp2Solver::new(&p.taskset, p.m)
             .unwrap()
             .with_order(TaskOrder::DeadlineMinusWcet)
-            .with_budget(Csp2Budget {
-                time: None,
+            .with_budget(Budget {
                 max_decisions: Some(100_000),
+                ..Budget::unlimited()
             })
             .solve();
         if !res.verdict.is_unknown() {

@@ -11,7 +11,8 @@
 //! <backtracks> <schedule>`, where `<schedule>` is the FNV-1a digest of
 //! the full `m × H` grid of a feasible verdict (`-` otherwise).
 
-use mgrts_core::csp2::{Csp2Budget, Csp2Solver};
+use mgrts_core::csp2::Csp2Solver;
+use mgrts_core::engine::Budget;
 use mgrts_core::heuristics::TaskOrder;
 use mgrts_core::schedule::Schedule;
 use mgrts_core::solve::Verdict;
@@ -55,9 +56,9 @@ fn table_of(stream: &str, gen: &ProblemGenerator) -> Vec<String> {
             let res = Csp2Solver::new(&p.taskset, p.m)
                 .unwrap()
                 .with_order(order)
-                .with_budget(Csp2Budget {
-                    time: None,
+                .with_budget(Budget {
                     max_decisions: Some(DECISIONS),
+                    ..Budget::unlimited()
                 })
                 .solve();
             let search = res.search.expect("csp2 reports its search");

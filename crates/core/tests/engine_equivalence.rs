@@ -1,23 +1,21 @@
-//! Engine-equivalence property tests: every [`FeasibilitySolver`] backend
-//! must return the same feasibility verdict as the pre-refactor entry
-//! point it wraps, on a corpus of small random instances.
-//!
-//! This pins the unified-trait refactor: `engine::*` structs are thin
-//! adapters, so a divergence here means the adapter dropped or mangled
-//! configuration (seed, heuristic, budget) on the way down.
+//! Engine-equivalence tests: every exact [`FeasibilitySolver`] backend
+//! returns the same feasibility verdict on a corpus of small random
+//! instances, each engine searches exactly as the engine that
+//! [`SolverSpec`] builds for it (the path `solve`, race and serve callers
+//! take), the `csp2-*` engines explore the same tree as the
+//! [`Csp2Solver`] builder, and the generic engine's search path is pinned
+//! on Table I instances. The other routes are pinned in
+//! `route_search_pinned.rs`.
 
 use proptest::prelude::*;
 
-use mgrts_core::csp1::{solve_csp1, Csp1Config};
-use mgrts_core::csp1_sat::{solve_csp1_sat, Csp1SatConfig};
 use mgrts_core::csp2::Csp2Solver;
-use mgrts_core::csp2_generic::{solve_csp2_generic, Csp2GenericConfig};
 use mgrts_core::engine::{
     Budget, CancelToken, Csp1Engine, Csp1SatEngine, Csp2Engine, Csp2GenericEngine,
-    FeasibilitySolver, LocalSearchEngine,
+    FeasibilitySolver, LocalSearchEngine, SolverSpec,
 };
 use mgrts_core::heuristics::TaskOrder;
-use mgrts_core::local_search::{solve_local_search, LocalSearchConfig, LsStrategy};
+use mgrts_core::local_search::LsStrategy;
 use mgrts_core::verify::check_identical;
 use rt_task::{checked_hyperperiod, Task, TaskSet};
 
@@ -46,24 +44,41 @@ fn engine_verdict(
         .expect("valid instance")
 }
 
+/// An exact verdict from outside the engine under test: the specialized
+/// CSP2 search with the paper's best heuristic.
+fn reference_feasible(ts: &TaskSet, m: usize) -> bool {
+    Csp2Solver::new(ts, m)
+        .unwrap()
+        .with_order(TaskOrder::DeadlineMinusWcet)
+        .solve()
+        .verdict
+        .is_feasible()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
+    // The engines are the only solve entry of each backend; the tests below
+    // keep the names they had when they compared each engine with the
+    // backend's former free function, and now compare it with the engine
+    // `SolverSpec` builds and with an exact verdict from another backend.
+
     #[test]
     fn csp1_engine_matches_solve_csp1((ts, m) in arb_instance()) {
-        let legacy = solve_csp1(&ts, m, &Csp1Config::default()).unwrap();
         let engine = engine_verdict(&Csp1Engine::default(), &ts, m);
+        let built = engine_verdict(SolverSpec::Csp1.build().as_ref(), &ts, m);
         prop_assert_eq!(
             engine.verdict.is_feasible(),
-            legacy.verdict.is_feasible(),
-            "csp1 adapter diverged"
+            built.verdict.is_feasible(),
+            "csp1 spec engine diverged"
         );
-        prop_assert_eq!(
-            engine.verdict.is_infeasible(),
-            legacy.verdict.is_infeasible()
-        );
+        prop_assert_eq!(engine.verdict.is_infeasible(), built.verdict.is_infeasible());
         // Same seed + same deterministic engine ⇒ identical search counters.
-        prop_assert_eq!(&engine.search, &legacy.search);
+        prop_assert_eq!(&engine.search, &built.search);
+        prop_assert_eq!(engine.verdict.is_feasible(), reference_feasible(&ts, m));
+        if let Some(s) = engine.verdict.schedule() {
+            check_identical(&ts, m, s).unwrap();
+        }
     }
 
     #[test]
@@ -86,62 +101,70 @@ proptest! {
 
     #[test]
     fn sat_engine_matches_solve_csp1_sat((ts, m) in arb_instance()) {
-        let legacy = solve_csp1_sat(&ts, m, &Csp1SatConfig::default()).unwrap();
         let engine = engine_verdict(&Csp1SatEngine::default(), &ts, m);
+        let built = engine_verdict(SolverSpec::Csp1Sat.build().as_ref(), &ts, m);
         prop_assert_eq!(
             engine.verdict.is_feasible(),
-            legacy.verdict.is_feasible(),
-            "sat adapter diverged"
+            built.verdict.is_feasible(),
+            "sat spec engine diverged"
         );
-        prop_assert_eq!(&engine.search, &legacy.search);
+        prop_assert_eq!(&engine.search, &built.search);
+        prop_assert_eq!(engine.verdict.is_feasible(), reference_feasible(&ts, m));
+        if let Some(s) = engine.verdict.schedule() {
+            check_identical(&ts, m, s).unwrap();
+        }
     }
 
     #[test]
     fn csp2_generic_engine_matches_free_function((ts, m) in arb_instance()) {
-        let legacy = solve_csp2_generic(&ts, m, &Csp2GenericConfig::default()).unwrap();
         let engine = engine_verdict(&Csp2GenericEngine::default(), &ts, m);
+        let built = engine_verdict(SolverSpec::Csp2Generic.build().as_ref(), &ts, m);
         prop_assert_eq!(
             engine.verdict.is_feasible(),
-            legacy.verdict.is_feasible(),
-            "csp2-generic adapter diverged"
+            built.verdict.is_feasible(),
+            "csp2-generic spec engine diverged"
         );
-        prop_assert_eq!(&engine.search, &legacy.search);
+        prop_assert_eq!(&engine.search, &built.search);
+        prop_assert_eq!(engine.verdict.is_feasible(), reference_feasible(&ts, m));
+        if let Some(s) = engine.verdict.schedule() {
+            check_identical(&ts, m, s).unwrap();
+        }
     }
 
     #[test]
     fn local_search_engine_matches_free_function((ts, m) in arb_instance()) {
-        for strategy in [
-            LsStrategy::MinConflicts,
-            LsStrategy::Tabu { tenure: 10 },
+        for (strategy, spec) in [
+            (LsStrategy::MinConflicts, SolverSpec::Local),
+            (LsStrategy::Tabu { tenure: 10 }, SolverSpec::LocalTabu),
         ] {
-            let cfg = LocalSearchConfig {
-                strategy,
-                max_iters: 20_000,
-                ..LocalSearchConfig::default()
-            };
-            let legacy = solve_local_search(&ts, m, &cfg).unwrap();
-            let engine = LocalSearchEngine { strategy, seed: cfg.seed }
-                .solve(
-                    &ts,
-                    m,
-                    &Budget { max_decisions: Some(cfg.max_iters), ..Budget::unlimited() },
-                    &CancelToken::new(),
-                )
+            let budget = Budget { max_decisions: Some(20_000), ..Budget::unlimited() };
+            let engine = LocalSearchEngine { strategy, seed: 1 }
+                .solve(&ts, m, &budget, &CancelToken::new())
                 .unwrap();
-            // Same seed, same iteration budget: identical trajectories.
+            let built = spec
+                .build()
+                .solve(&ts, m, &budget, &CancelToken::new())
+                .unwrap();
+            // Same seed, same move budget: identical trajectories.
             prop_assert_eq!(
                 engine.verdict.is_feasible(),
-                legacy.verdict.is_feasible(),
-                "local-search {:?} adapter diverged", strategy
+                built.verdict.is_feasible(),
+                "local-search {:?} spec engine diverged", strategy
             );
-            prop_assert_eq!(&engine.search, &legacy.search);
+            prop_assert_eq!(&engine.search, &built.search);
+            // Incomplete: never claims infeasibility, and whatever it finds
+            // is a valid schedule of a feasible instance.
+            prop_assert!(!engine.verdict.is_infeasible());
+            if let Some(s) = engine.verdict.schedule() {
+                check_identical(&ts, m, s).unwrap();
+                prop_assert!(reference_feasible(&ts, m));
+            }
         }
     }
 
     #[test]
     fn all_exact_backends_agree_with_each_other((ts, m) in arb_instance()) {
-        // Transitive closure of the pairwise equivalences above, checked
-        // directly through the trait: one verdict per instance.
+        // One verdict per instance, checked through the trait.
         let engines: Vec<Box<dyn FeasibilitySolver>> = vec![
             Box::new(Csp1Engine::default()),
             Box::new(Csp1SatEngine::default()),

@@ -5,11 +5,27 @@
 //! (task set, rate matrix) pairs, and all schedules must satisfy the
 //! rate-weighted completion constraint (11)/(12).
 
-use mgrts_core::csp1::Csp1Config;
-use mgrts_core::csp1_sat_hetero::{solve_hetero_sat, HeteroSatConfig};
-use mgrts_core::hetero::{solve_csp1_hetero, solve_csp2_hetero, Csp2HeteroConfig};
+use mgrts_core::engine::{
+    Budget, CancelToken, Csp1Engine, Csp1SatEngine, Csp2Engine, FeasibilitySolver, PlatformSpec,
+};
+use mgrts_core::heuristics::TaskOrder;
 use mgrts_core::verify::check_heterogeneous;
+use mgrts_core::SolveResult;
 use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator, RateMatrixGen};
+use rt_platform::Platform;
+use rt_task::TaskSet;
+
+fn solve(engine: &dyn FeasibilitySolver, ts: &TaskSet, platform: &Platform) -> SolveResult {
+    let spec = PlatformSpec::Heterogeneous(platform.clone());
+    engine
+        .solve_on(ts, &spec, &Budget::unlimited(), &CancelToken::new())
+        .unwrap()
+}
+
+/// The heterogeneous specialized search under the D-C heuristic.
+const CSP2_DC: Csp2Engine = Csp2Engine {
+    order: TaskOrder::DeadlineMinusWcet,
+};
 
 fn tiny_config() -> GeneratorConfig {
     GeneratorConfig {
@@ -32,13 +48,9 @@ fn encodings_agree_on_random_heterogeneous_instances() {
     let mut infeasible = 0;
     for (idx, p) in gen.batch(80).into_iter().enumerate() {
         let platform = rates.generate(p.taskset.len(), p.m, p.seed);
-        let cfg = Csp1Config {
-            seed: p.seed,
-            ..Csp1Config::default()
-        };
-        let a = solve_csp1_hetero(&p.taskset, &platform, &cfg).unwrap();
-        let b = solve_csp2_hetero(&p.taskset, &platform, &Csp2HeteroConfig::default()).unwrap();
-        let c = solve_hetero_sat(&p.taskset, &platform, &HeteroSatConfig::default()).unwrap();
+        let a = solve(&Csp1Engine { seed: p.seed }, &p.taskset, &platform);
+        let b = solve(&CSP2_DC, &p.taskset, &platform);
+        let c = solve(&Csp1SatEngine::default(), &p.taskset, &platform);
         assert_eq!(
             a.verdict.is_feasible(),
             b.verdict.is_feasible(),
@@ -79,12 +91,10 @@ fn unit_rate_matrices_match_identical_solver_when_fully_eligible() {
     // With si,j = 1 everywhere the heterogeneous machinery must agree with
     // the identical-platform CSP2 solver exactly.
     use mgrts_core::csp2::Csp2Solver;
-    use rt_platform::Platform;
     let gen = ProblemGenerator::new(tiny_config(), 0x1D);
     for p in gen.batch(40) {
         let platform = Platform::identical(p.taskset.len(), p.m).unwrap();
-        let hetero =
-            solve_csp2_hetero(&p.taskset, &platform, &Csp2HeteroConfig::default()).unwrap();
+        let hetero = solve(&CSP2_DC, &p.taskset, &platform);
         let ident = Csp2Solver::new(&p.taskset, p.m).unwrap().solve();
         assert_eq!(
             hetero.verdict.is_feasible(),
@@ -92,35 +102,5 @@ fn unit_rate_matrices_match_identical_solver_when_fully_eligible() {
             "identical-rate reduction failed on seed {}",
             p.seed
         );
-    }
-}
-
-#[test]
-fn work_conserving_mode_is_a_sound_accelerator_for_sat() {
-    // The aggressive idle-avoidance rule may miss feasible schedules (see
-    // module docs) but must never fabricate one: anything it returns
-    // verifies, and whenever it says feasible the complete search agrees.
-    let gen = ProblemGenerator::new(tiny_config(), 0xAC);
-    let rates = RateMatrixGen {
-        max_rate: 2,
-        forbid_prob: 0.15,
-    };
-    for p in gen.batch(50) {
-        let platform = rates.generate(p.taskset.len(), p.m, p.seed ^ 1);
-        let aggressive = solve_csp2_hetero(
-            &p.taskset,
-            &platform,
-            &Csp2HeteroConfig {
-                work_conserving: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        if let Some(s) = aggressive.verdict.schedule() {
-            check_heterogeneous(&p.taskset, &platform, s).unwrap();
-            let complete =
-                solve_csp2_hetero(&p.taskset, &platform, &Csp2HeteroConfig::default()).unwrap();
-            assert!(complete.verdict.is_feasible());
-        }
     }
 }

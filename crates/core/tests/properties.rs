@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 
-use mgrts_core::csp1::{solve_csp1, Csp1Config};
 use mgrts_core::csp2::Csp2Solver;
+use mgrts_core::engine::{Budget, CancelToken, Csp1Engine, FeasibilitySolver};
 use mgrts_core::heuristics::TaskOrder;
 use mgrts_core::verify::check_identical;
 use rt_task::{checked_hyperperiod, Task, TaskSet};
@@ -32,7 +32,9 @@ proptest! {
             .unwrap()
             .with_order(TaskOrder::DeadlineMinusWcet)
             .solve();
-        let csp1 = solve_csp1(&ts, m, &Csp1Config::default()).unwrap();
+        let csp1 = Csp1Engine::default()
+            .solve(&ts, m, &Budget::unlimited(), &CancelToken::new())
+            .unwrap();
         prop_assert_eq!(
             csp1.verdict.is_feasible(),
             csp2.verdict.is_feasible(),

@@ -3,12 +3,19 @@
 //! a third independent implementation: three solvers sharing no search code
 //! must agree on every random instance.
 
-use mgrts_core::csp1_sat::{solve_csp1_sat, Csp1SatConfig};
 use mgrts_core::csp2::Csp2Solver;
+use mgrts_core::engine::{Budget, CancelToken, Csp1SatEngine, FeasibilitySolver};
 use mgrts_core::heuristics::TaskOrder;
 use mgrts_core::verify::check_identical;
-use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
+use mgrts_core::SolveResult;
+use rt_gen::{GeneratorConfig, MSpec, ParamOrder, Problem, ProblemGenerator};
 use rt_sat::AmoEncoding;
+
+fn solve_sat(p: &Problem, amo: AmoEncoding, budget: &Budget) -> SolveResult {
+    Csp1SatEngine { amo }
+        .solve(&p.taskset, p.m, budget, &CancelToken::new())
+        .unwrap()
+}
 
 fn small_config() -> GeneratorConfig {
     GeneratorConfig {
@@ -29,7 +36,7 @@ fn sat_route_agrees_with_csp2_on_200_random_instances() {
             .unwrap()
             .with_order(TaskOrder::DeadlineMinusWcet)
             .solve();
-        let sat = solve_csp1_sat(&p.taskset, p.m, &Csp1SatConfig::default()).unwrap();
+        let sat = solve_sat(&p, AmoEncoding::Pairwise, &Budget::unlimited());
         assert_eq!(
             sat.verdict.is_feasible(),
             csp2.verdict.is_feasible(),
@@ -49,24 +56,8 @@ fn sat_route_agrees_with_csp2_on_200_random_instances() {
 fn both_amo_encodings_agree() {
     let gen = ProblemGenerator::new(small_config(), 0xA770);
     for p in gen.batch(80) {
-        let pairwise = solve_csp1_sat(
-            &p.taskset,
-            p.m,
-            &Csp1SatConfig {
-                amo: AmoEncoding::Pairwise,
-                ..Csp1SatConfig::default()
-            },
-        )
-        .unwrap();
-        let ladder = solve_csp1_sat(
-            &p.taskset,
-            p.m,
-            &Csp1SatConfig {
-                amo: AmoEncoding::Ladder,
-                ..Csp1SatConfig::default()
-            },
-        )
-        .unwrap();
+        let pairwise = solve_sat(&p, AmoEncoding::Pairwise, &Budget::unlimited());
+        let ladder = solve_sat(&p, AmoEncoding::Ladder, &Budget::unlimited());
         assert_eq!(
             pairwise.verdict.is_feasible(),
             ladder.verdict.is_feasible(),
@@ -89,11 +80,11 @@ fn sat_route_solves_paper_sized_instances() {
     let total = 20;
     let mut decided = 0;
     for p in gen.batch(total) {
-        let cfg = Csp1SatConfig {
+        let budget = Budget {
             max_conflicts: Some(200_000),
-            ..Csp1SatConfig::default()
+            ..Budget::unlimited()
         };
-        let res = solve_csp1_sat(&p.taskset, p.m, &cfg).unwrap();
+        let res = solve_sat(&p, AmoEncoding::Pairwise, &budget);
         if !res.verdict.is_unknown() {
             decided += 1;
             if let Some(s) = res.verdict.schedule() {

@@ -4,13 +4,16 @@
 //! Builds a platform where one processor is twice as fast for some tasks
 //! and another is forbidden for one task (`si,j = 0`), solves with the
 //! heterogeneous CSP2 search, cross-checks with the heterogeneous CSP1
-//! encoding, and verifies the rate-weighted completion constraint (12).
+//! encoding and the SAT route, and verifies the rate-weighted completion
+//! constraint (12). Every route is the identical-platform engine handed a
+//! heterogeneous `PlatformSpec`.
 //!
 //! Run with: `cargo run --example heterogeneous`
 
-use mgrts::mgrts_core::csp1::Csp1Config;
-use mgrts::mgrts_core::csp1_sat_hetero::{solve_hetero_sat, HeteroSatConfig};
-use mgrts::mgrts_core::hetero::{solve_csp1_hetero, solve_csp2_hetero, Csp2HeteroConfig};
+use mgrts::mgrts_core::engine::{
+    Budget, CancelToken, Csp1Engine, Csp1SatEngine, Csp2Engine, FeasibilitySolver, PlatformSpec,
+};
+use mgrts::mgrts_core::heuristics::TaskOrder;
 use mgrts::mgrts_core::verify::check_heterogeneous;
 use mgrts::rt_platform::Platform;
 use mgrts::rt_sim::render_schedule;
@@ -37,8 +40,17 @@ fn main() {
         platform.is_uniform()
     );
 
+    let spec = PlatformSpec::Heterogeneous(platform.clone());
+    let solve = |engine: &dyn FeasibilitySolver| {
+        engine
+            .solve_on(&ts, &spec, &Budget::unlimited(), &CancelToken::new())
+            .unwrap()
+    };
+
     println!("\n== specialized heterogeneous CSP2 search ==");
-    let res = solve_csp2_hetero(&ts, &platform, &Csp2HeteroConfig::default()).unwrap();
+    let res = solve(&Csp2Engine {
+        order: TaskOrder::DeadlineMinusWcet,
+    });
     match res.verdict.schedule() {
         Some(s) => {
             check_heterogeneous(&ts, &platform, s).expect("constraint (12) holds");
@@ -53,11 +65,7 @@ fn main() {
     }
 
     println!("== heterogeneous CSP1 on the generic solver (cross-check) ==");
-    let cfg = Csp1Config {
-        seed: 7,
-        ..Csp1Config::default()
-    };
-    let res1 = solve_csp1_hetero(&ts, &platform, &cfg).unwrap();
+    let res1 = solve(&Csp1Engine { seed: 7 });
     match res1.verdict.schedule() {
         Some(s) => {
             check_heterogeneous(&ts, &platform, s).expect("constraint (11) holds");
@@ -68,7 +76,7 @@ fn main() {
     }
 
     println!("== SAT route with the pseudo-boolean constraint (11) ==");
-    let res2 = solve_hetero_sat(&ts, &platform, &HeteroSatConfig::default()).unwrap();
+    let res2 = solve(&Csp1SatEngine::default());
     match res2.verdict.schedule() {
         Some(s) => {
             check_heterogeneous(&ts, &platform, s).expect("constraint (11) holds");

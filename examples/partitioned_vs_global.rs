@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --release --example partitioned_vs_global`
 
-use mgrts::mgrts_core::csp2::{Csp2Budget, Csp2Solver};
+use mgrts::mgrts_core::csp2::Csp2Solver;
+use mgrts::mgrts_core::engine::Budget;
 use mgrts::mgrts_core::heuristics::TaskOrder;
 use mgrts::rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
 use mgrts::rt_sim::{exhaustive_partition, partition, render_schedule, PackingStrategy};
@@ -59,10 +60,7 @@ fn main() {
         let g = Csp2Solver::new(&p.taskset, p.m)
             .unwrap()
             .with_order(TaskOrder::DeadlineMinusWcet)
-            .with_budget(Csp2Budget {
-                time: Some(Duration::from_millis(500)),
-                max_decisions: None,
-            })
+            .with_budget(Budget::time_limit(Duration::from_millis(500)))
             .solve()
             .verdict
             .is_feasible();

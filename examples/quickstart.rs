@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use mgrts::mgrts_core::csp1::{solve_csp1, Csp1Config};
 use mgrts::mgrts_core::csp2::Csp2Solver;
+use mgrts::mgrts_core::engine::{Budget, CancelToken, Csp1Engine, FeasibilitySolver};
 use mgrts::mgrts_core::heuristics::TaskOrder;
 use mgrts::mgrts_core::verify::check_identical;
 use mgrts::rt_sim::{render_intervals, render_schedule};
@@ -36,7 +36,9 @@ fn main() {
     println!("{}", render_schedule(schedule));
 
     println!("== CSP1: boolean encoding on the generic solver ==");
-    let res = solve_csp1(&ts, m, &Csp1Config::default()).unwrap();
+    let res = Csp1Engine::default()
+        .solve(&ts, m, &Budget::unlimited(), &CancelToken::new())
+        .unwrap();
     let schedule = res.verdict.schedule().expect("the example is feasible");
     check_identical(&ts, m, schedule).expect("C1–C4 hold");
     let search = res.search.unwrap_or_default();

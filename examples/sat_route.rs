@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --example sat_route`
 
-use mgrts::mgrts_core::csp1_sat::{encode_cnf, solve_csp1_sat, Csp1SatConfig};
+use mgrts::mgrts_core::csp1_sat::encode_cnf;
 use mgrts::mgrts_core::csp2::Csp2Solver;
+use mgrts::mgrts_core::engine::{Budget, CancelToken, Csp1SatEngine, FeasibilitySolver};
 use mgrts::mgrts_core::heuristics::TaskOrder;
 use mgrts::mgrts_core::verify::check_identical;
 use mgrts::rt_sat::AmoEncoding;
@@ -30,7 +31,9 @@ fn main() {
         );
     }
 
-    let res = solve_csp1_sat(&ts, m, &Csp1SatConfig::default()).expect("constrained task set");
+    let res = Csp1SatEngine::default()
+        .solve(&ts, m, &Budget::unlimited(), &CancelToken::new())
+        .expect("constrained task set");
     let schedule = res.verdict.schedule().expect("Example 1 is feasible");
     check_identical(&ts, m, schedule).expect("C1-C4 hold");
     let search = res.search.clone().unwrap_or_default();

@@ -1,8 +1,8 @@
 //! End-to-end pipeline tests through the `mgrts` facade: generate →
 //! encode → solve → verify → render, across crates.
 
-use mgrts::mgrts_core::csp1::{solve_csp1, Csp1Config};
 use mgrts::mgrts_core::csp2::Csp2Solver;
+use mgrts::mgrts_core::engine::{Budget, CancelToken, Csp1Engine, FeasibilitySolver};
 use mgrts::mgrts_core::heuristics::TaskOrder;
 use mgrts::mgrts_core::verify::check_identical;
 use mgrts::rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
@@ -43,15 +43,17 @@ fn both_encodings_agree(csp1_decisions: Option<u64>) -> usize {
         order: ParamOrder::DeadlineFirst,
         synchronous: false,
     };
-    let csp1_cfg = Csp1Config {
+    let csp1_budget = Budget {
         max_decisions: csp1_decisions,
-        ..Csp1Config::default()
+        ..Budget::unlimited()
     };
     let gen = ProblemGenerator::new(cfg, 424242);
     let mut csp1_decided = 0;
     for p in gen.batch(25) {
         let a = Csp2Solver::new(&p.taskset, p.m).unwrap().solve();
-        let b = solve_csp1(&p.taskset, p.m, &csp1_cfg).unwrap();
+        let b = Csp1Engine::default()
+            .solve(&p.taskset, p.m, &csp1_budget, &CancelToken::new())
+            .unwrap();
         if !b.verdict.is_unknown() {
             csp1_decided += 1;
             assert_eq!(

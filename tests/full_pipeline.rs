@@ -2,9 +2,10 @@
 //! exact solver → verify → probabilistic post-analysis. This is the
 //! downstream-user path end to end, across all crates through the facade.
 
-use mgrts::mgrts_core::csp1::{solve_csp1, Csp1Config};
-use mgrts::mgrts_core::csp1_sat::{solve_csp1_sat, Csp1SatConfig};
 use mgrts::mgrts_core::csp2::Csp2Solver;
+use mgrts::mgrts_core::engine::{
+    Budget, CancelToken, Csp1Engine, Csp1SatEngine, FeasibilitySolver,
+};
 use mgrts::mgrts_core::heuristics::TaskOrder;
 use mgrts::mgrts_core::verify::check_identical;
 use mgrts::rt_analysis::{analyze, TestOutcome};
@@ -34,8 +35,13 @@ fn generate_analyze_solve_verify_probabilize() {
             .unwrap()
             .with_order(TaskOrder::DeadlineMinusWcet)
             .solve();
-        let csp1 = solve_csp1(&p.taskset, p.m, &Csp1Config::default()).unwrap();
-        let sat = solve_csp1_sat(&p.taskset, p.m, &Csp1SatConfig::default()).unwrap();
+        let budget = Budget::unlimited();
+        let csp1 = Csp1Engine::default()
+            .solve(&p.taskset, p.m, &budget, &CancelToken::new())
+            .unwrap();
+        let sat = Csp1SatEngine::default()
+            .solve(&p.taskset, p.m, &budget, &CancelToken::new())
+            .unwrap();
         assert_eq!(
             csp1.verdict.is_feasible(),
             csp2.verdict.is_feasible(),
