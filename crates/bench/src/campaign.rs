@@ -9,10 +9,11 @@
 //! 1. a [`Manifest`] (TOML subset) declares the scenario grid and budgets;
 //! 2. [`crate::shard::plan_shards`] splits the grid into content-hashed
 //!    work units;
-//! 3. [`run_fresh`]/[`resume`] execute shards on a self-scheduling worker
-//!    pool (workers pull the next pending shard, so load balances without
-//!    a coordinator) with per-shard budgets and cooperative cancellation
-//!    via [`CancelGroup`];
+//! 3. [`run_fresh`]/[`resume`] drain the shards in this process through
+//!    the same lease-claiming loop as `campaign worker`
+//!    ([`crate::queue::run_worker`]): each thread claims the next pending
+//!    shard, so load balances without a coordinator, with per-shard
+//!    budgets and cooperative cancellation via [`CancelGroup`];
 //! 4. completed shards stream to the JSONL record store
 //!    ([`crate::sink`]); a killed campaign resumes exactly where it
 //!    stopped, deduping replayed shards by hash;
@@ -22,11 +23,9 @@
 //!    CI).
 
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use mgrts_core::engine::{CancelGroup, PlatformSpec, SolverSpec};
@@ -34,11 +33,12 @@ use mgrts_obs::flight;
 use rt_gen::{derive_stream_seed, ProblemGenerator, RateMatrixGen};
 
 use crate::policy::{AdaptiveSpec, ExecutionPolicy, PolicyMode, PolicySpec};
+use crate::queue::{ParkedShard, WorkerOptions};
 use crate::runner::InstanceOutcome;
 use crate::shard::{plan_shards, Cell, CellM, PlanShape, Shard};
 use crate::sink::{
     canonical_export, load_records, CampaignRecord, LocalStore, RecordStore, CANONICAL_FILE,
-    CHECKPOINT_FILE, RECORDS_FILE,
+    CHECKPOINT_FILE, LOCAL_WRITER, RECORDS_FILE,
 };
 use crate::tables;
 
@@ -672,231 +672,72 @@ impl Default for CampaignOptions {
     }
 }
 
-/// What one `run`/`resume` invocation accomplished.
+/// What one `run`, `resume` or `worker` invocation accomplished.
 #[derive(Debug)]
 pub struct CampaignOutcome {
-    /// The emitted summary (also written to `BENCH_<name>.json`).
+    /// Summary over the whole store at exit (also written to
+    /// `BENCH_<name>.json`).
     pub summary: Summary,
     /// Shards committed by this invocation.
     pub shards_committed: u64,
+    /// Shards parked as poison (repeated panics) at exit: the drain
+    /// finished everything *else*; these need operator attention. `run`
+    /// and `resume` turn a parked shard into an error instead.
+    pub parked: Vec<ParkedShard>,
 }
 
 /// Start a campaign from scratch in `out_dir`: clears any previous record
-/// store, writes the canonical manifest, executes every shard.
+/// store, writes the canonical manifest, executes every shard. This is a
+/// fresh [`dispatch`](crate::queue::dispatch) followed by [`resume`].
 pub fn run_fresh(
     manifest: &Manifest,
     out_dir: &Path,
     opts: &CampaignOptions,
     cancel: &CancelGroup,
 ) -> Result<CampaignOutcome, CampaignError> {
-    // The store must be self-contained: the canonical manifest it carries
-    // has to regenerate *this* campaign, or `resume`/`report` would
-    // operate on different work. A programmatic Manifest whose cells are
-    // not a full axis product cannot round-trip — reject it up front
-    // rather than strand the store.
-    let round_trip = Manifest::parse(&manifest.to_toml())?;
-    if round_trip != *manifest {
-        return Err(CampaignError::Manifest(
-            "manifest does not survive canonical re-serialization (the cell list \
-             must be the full cartesian product of its axis values)"
-                .into(),
-        ));
-    }
-    // Clearing unlinks segment files attached workers hold open.
-    crate::queue::ensure_quiesced(out_dir, "run fresh")?;
-    let store = LocalStore::open(out_dir)?;
-    store.clear()?;
-    store.write_manifest(&manifest.to_toml())?;
-    execute(manifest, &store, opts, cancel, HashSet::new())
+    // A killed predecessor's leases would otherwise hold the store
+    // "busy" for a lease TTL.
+    crate::queue::clear_leases(out_dir, Some(LOCAL_WRITER))?;
+    crate::queue::dispatch(manifest, out_dir, true)?;
+    resume(out_dir, opts, cancel)
 }
 
 /// Resume the campaign recorded in `out_dir`: reload its manifest, skip
-/// every checkpointed shard, run the rest.
+/// every checkpointed shard, run the rest in this process — as the
+/// worker [`LOCAL_WRITER`], which commits to the default segment.
+///
+/// Every unchecked shard gets [`PARK_AFTER`](crate::queue::PARK_AFTER)
+/// fresh attempts. A shard that panics that often fails the call, after
+/// every other shard has been drained.
 pub fn resume(
     out_dir: &Path,
     opts: &CampaignOptions,
     cancel: &CancelGroup,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let store = LocalStore::open(out_dir)?;
-    let manifest = Manifest::parse(&store.read_manifest()?)?;
-    let done = store.done_shards()?;
-    let planned: HashSet<String> = manifest.plan().into_iter().map(|s| s.hash).collect();
-    if let Some(stranger) = done.iter().find(|h| !planned.contains(*h)) {
+    let (store, manifest, shards) = crate::queue::open_plan(out_dir)?;
+    // One store has at most one in-process run: take over the leases a
+    // killed predecessor left instead of waiting out their TTL, and
+    // forget every strike.
+    crate::queue::clear_leases(out_dir, Some(LOCAL_WRITER))?;
+    let worker = WorkerOptions {
+        id: LOCAL_WRITER.to_string(),
+        threads: opts.threads,
+        max_shards: opts.max_shards,
+        progress: opts.progress,
+        ..WorkerOptions::default()
+    };
+    let outcome = crate::queue::drain(out_dir, &store, &manifest, &shards, &worker, cancel)?;
+    let poisoned = shards.iter().find_map(|shard| {
+        let p = outcome.parked.iter().find(|p| p.shard == shard.hash)?;
+        Some((shard, p))
+    });
+    if let Some((shard, p)) = poisoned {
         return Err(CampaignError::Store(format!(
-            "checkpointed shard {stranger} is not part of this manifest's plan \
-             (the store was produced by a different manifest); use `run` to start fresh"
+            "shard {} (index {}) panicked {} times, giving up: {}",
+            shard.hash, shard.index, p.fails, p.reason
         )));
     }
-    execute(&manifest, &store, opts, cancel, done)
-}
-
-/// The in-process executor, written against the [`RecordStore`] seam: the
-/// distributed queue ([`crate::queue`]) drives the very same
-/// [`run_shard`] + commit path, it only replaces the self-scheduling pool
-/// with lease claims.
-fn execute(
-    manifest: &Manifest,
-    store: &dyn RecordStore,
-    opts: &CampaignOptions,
-    cancel: &CancelGroup,
-    done: HashSet<String>,
-) -> Result<CampaignOutcome, CampaignError> {
-    let started = Instant::now();
-    // The policy snapshot: single/race need only the manifest; the
-    // adaptive wrapper additionally reads recorded solve times (empty
-    // after run_fresh's clear ⇒ manifest fallback; populated on resume ⇒
-    // quantile allowances engage).
-    let policy = manifest.build_policy(store)?;
-    let shards = manifest.plan();
-    let pending: Vec<&Shard> = shards.iter().filter(|s| !done.contains(&s.hash)).collect();
-    let todo: &[&Shard] = match opts.max_shards {
-        Some(k) => &pending[..(k as usize).min(pending.len())],
-        None => &pending,
-    };
-
-    let sink = Mutex::new(store.open_writer("")?);
-    let next = Mutex::new(0usize);
-    let committed = Mutex::new(0u64);
-    let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
-    let recorder = mgrts_obs::FlightRecorder::new(256);
-
-    crossbeam::scope(|scope| {
-        for w in 0..opts.threads.max(1) {
-            let recorder = &recorder;
-            let (next, sink, committed, failure) = (&next, &sink, &committed, &failure);
-            let (policy, shards, done) = (&policy, &shards, &done);
-            scope.spawn(move |_| {
-                let _ring = flight::install(recorder, &format!("campaign-worker-{w}"));
-                loop {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let idx = {
-                        let mut n = next.lock();
-                        if *n >= todo.len() {
-                            break;
-                        }
-                        let i = *n;
-                        *n += 1;
-                        i
-                    };
-                    let shard = todo[idx];
-                    flight::event(
-                        "shard.claim",
-                        &shard.hash,
-                        &format!("shard {} of {}", shard.index, todo.len()),
-                    );
-                    // Re-snapshot store-dependent policy state (adaptive
-                    // allowances) so this shard's budgets see every record
-                    // committed so far, not just the start-up snapshot.
-                    if let Err(e) = policy.refresh(store) {
-                        *failure.lock() = Some(e);
-                        cancel.cancel_all();
-                        break;
-                    }
-                    // Supervise the shard: a panicking solver is retried a
-                    // few times (transient chaos heals), then fails the
-                    // campaign with the shard named — never silently skips
-                    // units or takes the pool down mid-commit.
-                    let mut strikes = 0u32;
-                    let supervised = loop {
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            run_shard(manifest, &**policy, shard, cancel)
-                        })) {
-                            Ok(r) => break Ok(r),
-                            Err(payload) => {
-                                strikes += 1;
-                                let reason = panic_reason(payload.as_ref());
-                                mgrts_obs::global()
-                                    .counter(
-                                        "mgrts_worker_panics_total",
-                                        "Shard executions that panicked and were caught by \
-                                         the worker supervisor",
-                                    )
-                                    .inc();
-                                flight::event("shard.panic", &shard.hash, &reason);
-                                if strikes >= crate::queue::PARK_AFTER {
-                                    break Err(reason);
-                                }
-                            }
-                        }
-                    };
-                    let supervised = match supervised {
-                        Ok(r) => r,
-                        Err(reason) => {
-                            *failure.lock() = Some(CampaignError::Store(format!(
-                                "shard {} (index {}) panicked {strikes} times, giving up: \
-                                 {reason}",
-                                shard.hash, shard.index
-                            )));
-                            cancel.cancel_all();
-                            break;
-                        }
-                    };
-                    match supervised {
-                        Ok(Some(records)) => {
-                            if let Err(e) = sink.lock().commit_shard(shard, &records) {
-                                *failure.lock() = Some(CampaignError::Io(e));
-                                cancel.cancel_all();
-                                break;
-                            }
-                            let mut c = committed.lock();
-                            *c += 1;
-                            if opts.progress {
-                                eprintln!(
-                                    "  shard {}/{} committed ({} this run, {} units)",
-                                    done.len() as u64 + *c,
-                                    shards.len(),
-                                    *c,
-                                    records.len(),
-                                );
-                            }
-                        }
-                        Ok(None) => break, // cancelled mid-shard: leave it for resume
-                        Err(e) => {
-                            *failure.lock() = Some(e);
-                            cancel.cancel_all();
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("campaign worker panicked");
-
-    // A cancelled campaign leaves its merged timeline behind: which
-    // worker held which shard when the stop landed.
-    if cancel.is_cancelled() {
-        let dump = recorder.dump();
-        if !dump.is_empty() {
-            let _ = store.put_artifact("flight-campaign.jsonl", &dump);
-        }
-    }
-
-    if let Some(e) = failure.into_inner() {
-        return Err(e);
-    }
-
-    let shards_committed = committed.into_inner();
-    let done_after = store.done_shards()?;
-    let records = store.load_records()?;
-    let summary = summarize(
-        manifest,
-        &records,
-        shards.len() as u64,
-        done_after.len() as u64,
-        started.elapsed().as_millis() as u64,
-    );
-    store.put_artifact(
-        &format!("BENCH_{}.json", manifest.name),
-        &serde_json::to_string_pretty(&summary).map_err(std::io::Error::other)?,
-    )?;
-    check_verdicts(&records, &summary)?;
-    Ok(CampaignOutcome {
-        summary,
-        shards_committed,
-    })
+    Ok(outcome)
 }
 
 /// Human-readable reason from a caught panic payload (`&str` / `String`
@@ -913,9 +754,8 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run every unit of one shard through the campaign's execution policy.
 /// Returns `Ok(None)` when cancellation preempted the shard (nothing is
-/// committed; resume re-runs it whole). Shared verbatim by the in-process
-/// executor and the distributed queue workers — a shard's records depend
-/// only on the manifest + policy, never on who runs it.
+/// committed; resume re-runs it whole). A shard's records depend only on
+/// the manifest + policy, never on which worker runs it.
 pub(crate) fn run_shard(
     manifest: &Manifest,
     policy: &dyn ExecutionPolicy,

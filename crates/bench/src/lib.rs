@@ -3,8 +3,8 @@
 //!
 //! The heart of the crate is the **campaign engine** ([`campaign`]): a
 //! declarative manifest (scenario grid × budgets × solver roster) expands
-//! into content-hashed [`shard`]s, executed by a self-scheduling worker
-//! pool with per-shard budgets and cooperative cancellation, streaming
+//! into content-hashed [`shard`]s, drained by lease-claiming worker
+//! threads with per-shard budgets and cooperative cancellation, streaming
 //! JSONL records plus checkpoints to a record store ([`sink`]) so a killed
 //! campaign resumes exactly where it stopped. The paper's Tables I–IV are
 //! *reports* over that store; each run also emits a machine-readable
@@ -18,13 +18,14 @@
 //! the same manifest grid executes under any cell-execution strategy
 //! (`[policy]` manifest section / `--policy` CLI flag).
 //!
-//! On top of the single-process executor, the [`queue`] module turns one
+//! The one executor is the [`queue`] module's drain loop: `campaign
+//! run|resume` is simply its in-process worker. The same loop turns one
 //! campaign into a *distributed* job: the [`sink::RecordStore`] trait
 //! abstracts the store behind append-only per-writer segments (local
-//! directory today, the seam for an object store), and a lease-based work
-//! queue lets any number of worker processes — or machines sharing a
-//! mount — cooperatively drain one manifest with crash-safe reclaim of
-//! dead workers' shards (`mgrts bench campaign dispatch|worker|status`).
+//! directory today, the seam for an object store), and leases let any
+//! number of worker processes — or machines sharing a mount —
+//! cooperatively drain one manifest with crash-safe reclaim of dead
+//! workers' shards (`mgrts bench campaign dispatch|worker|status`).
 //!
 //! One binary per table/figure of Section VII, each a thin manifest +
 //! report pairing over the engine:

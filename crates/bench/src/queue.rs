@@ -32,11 +32,19 @@
 //! until the campaign completes, and [`status`] reports per-worker
 //! progress, in-flight and stale leases, and completion — surfaced as the
 //! `mgrts bench campaign dispatch|worker|status` CLI verbs.
+//!
+//! The drain loop is the only campaign executor. `campaign run` is a fresh
+//! [`dispatch`] plus `campaign resume`, and `resume` drains in process as
+//! the worker [`LOCAL_WRITER`], whose records go to the default
+//! `records.jsonl` / `checkpoint.jsonl` segment. Within one worker, a
+//! thread with nothing left to claim but its siblings' shards exits; only
+//! other workers' leases are polled for.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
@@ -44,13 +52,14 @@ use serde::{Deserialize, Serialize};
 
 use mgrts_core::engine::CancelGroup;
 use mgrts_fault::{backoff_delay, is_transient_io, FaultFs};
+use mgrts_obs::flight;
 
 use crate::campaign::{
-    check_verdicts, panic_reason, run_shard, summarize, CampaignError, Manifest, Summary,
+    check_verdicts, panic_reason, run_shard, summarize, CampaignError, CampaignOutcome, Manifest,
 };
 use crate::policy::ExecutionPolicy;
 use crate::shard::Shard;
-use crate::sink::{fnv64, validate_writer_id, LocalStore, RecordStore};
+use crate::sink::{fnv64, validate_writer_id, LocalStore, RecordStore, ShardWriter, LOCAL_WRITER};
 
 /// Lease subdirectory inside a record store.
 pub const LEASE_DIR: &str = "leases";
@@ -155,6 +164,12 @@ pub(crate) fn note_shard_failure(lease_dir: &Path, shard: &str, reason: &str) ->
         }
     }
     fails
+}
+
+/// A committed shard forgets its strikes.
+fn forget_strikes(lease_dir: &Path, shard: &str) {
+    let _ = remove_if_present(&fails_path(lease_dir, shard));
+    let _ = remove_if_present(&parked_path(lease_dir, shard));
 }
 
 /// Every parked shard of a store, sorted by hash.
@@ -510,25 +525,38 @@ pub(crate) fn ensure_quiesced(store_dir: &Path, then: &str) -> Result<(), Campai
     Ok(())
 }
 
-/// Remove every lease file, expired or not (only safe after
-/// [`ensure_quiesced`]).
-fn clear_leases(store_dir: &Path) -> std::io::Result<()> {
+/// Remove lease files (every one, or only those `holder` holds, expired
+/// or not) together with every strike marker, so each shard gets
+/// [`PARK_AFTER`] fresh attempts. Removing another worker's lease is only
+/// safe after [`ensure_quiesced`].
+pub(crate) fn clear_leases(store_dir: &Path, holder: Option<&str>) -> std::io::Result<()> {
     let lease_dir = store_dir.join(LEASE_DIR);
     if !lease_dir.exists() {
         return Ok(());
     }
     for entry in std::fs::read_dir(&lease_dir)? {
         let entry = entry?;
-        if entry.file_name().to_str().is_some_and(|n| {
-            n.ends_with(".lease")
-                || n.ends_with(".fails")
-                || n.ends_with(".parked")
-                || n.contains(".tmp-")
-        }) {
-            std::fs::remove_file(entry.path())?;
+        let Some(name) = entry.file_name().to_str().map(ToString::to_string) else {
+            continue;
+        };
+        let doomed = if name.ends_with(".lease") {
+            holder.is_none_or(|id| read_lease(&entry.path()).is_some_and(|l| l.worker == id))
+        } else {
+            name.ends_with(".fails") || name.ends_with(".parked") || name.contains(".tmp-")
+        };
+        if doomed {
+            remove_if_present(&entry.path())?;
         }
     }
     Ok(())
+}
+
+/// `remove_file` that treats an already-missing file as removed.
+fn remove_if_present(path: &Path) -> std::io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -549,15 +577,20 @@ pub struct DispatchReport {
 }
 
 /// Prepare a shared record store for workers: write the canonical
-/// manifest (validating round-trip stability, as `run` does), create the
-/// lease directory, and sweep expired leases. Joining an existing store
-/// with the *same* fingerprint is idempotent and keeps its records;
-/// a different fingerprint is an error unless `fresh` clears the store.
+/// manifest (validating round-trip stability), create the lease
+/// directory, and sweep expired leases. Joining an existing store with
+/// the *same* fingerprint is idempotent and keeps its records; a
+/// different fingerprint is an error unless `fresh` clears the store.
 pub fn dispatch(
     manifest: &Manifest,
     store_dir: &Path,
     fresh: bool,
 ) -> Result<DispatchReport, CampaignError> {
+    // The store must be self-contained: the canonical manifest it carries
+    // has to regenerate *this* campaign, or workers and `report` would
+    // operate on different work. A programmatic Manifest whose cells are
+    // not a full axis product cannot round-trip — reject it up front
+    // rather than strand the store.
     let round_trip = Manifest::parse(&manifest.to_toml())?;
     if round_trip != *manifest {
         return Err(CampaignError::Manifest(
@@ -567,30 +600,29 @@ pub fn dispatch(
         ));
     }
     let store = LocalStore::open(store_dir)?;
-    let mut initialized = true;
-    match store.read_manifest() {
-        Ok(existing) => {
-            let existing = Manifest::parse(&existing)?;
-            if fresh {
-                // Clearing unlinks segment files live workers hold open —
-                // refuse while any of them is present, then drop their
-                // stale leases along with the data.
-                ensure_quiesced(store_dir, "re-dispatch --fresh")?;
-                store.clear()?;
-                clear_leases(store_dir)?;
-            } else if existing.fingerprint() == manifest.fingerprint() {
-                initialized = false; // idempotent join
-            } else {
+    if fresh {
+        // Clearing unlinks segment files live workers hold open — refuse
+        // while any of them is present, then drop their stale leases
+        // along with the data.
+        ensure_quiesced(store_dir, "start it fresh")?;
+        store.clear()?;
+        clear_leases(store_dir, None)?;
+    }
+    let initialized = match store.read_manifest() {
+        Ok(existing) if !fresh => {
+            if Manifest::parse(&existing)?.fingerprint() != manifest.fingerprint() {
                 return Err(CampaignError::Store(format!(
                     "store {} holds a different campaign (fingerprint mismatch); \
                      pass --fresh to clear it",
                     store_dir.display()
                 )));
             }
+            false // idempotent join
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Ok(_) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
         Err(e) => return Err(CampaignError::Io(e)),
-    }
+    };
     if initialized {
         store.write_manifest(&manifest.to_toml())?;
     }
@@ -642,17 +674,31 @@ impl Default for WorkerOptions {
     }
 }
 
-/// What one worker invocation accomplished.
-#[derive(Debug)]
-pub struct WorkerOutcome {
-    /// Summary over the *shared* store at exit (also published as
-    /// `BENCH_<name>.json` when the campaign completed).
-    pub summary: Summary,
-    /// Shards this worker committed.
-    pub shards_committed: u64,
-    /// Shards parked as poison (repeated panics) at exit — the campaign
-    /// drained everything *else*; these need operator attention.
-    pub parked: Vec<ParkedShard>,
+/// Load a dispatched store's manifest and shard plan, refusing a store
+/// whose checkpoints name a shard outside that plan.
+pub(crate) fn open_plan(
+    store_dir: &Path,
+) -> Result<(LocalStore, Manifest, Vec<Shard>), CampaignError> {
+    let store = LocalStore::open(store_dir)?;
+    let manifest = Manifest::parse(&store.read_manifest().map_err(|e| {
+        CampaignError::Store(format!(
+            "store {} has no manifest — start it with `run` or `dispatch` ({e})",
+            store_dir.display()
+        ))
+    })?)?;
+    let shards = manifest.plan();
+    let planned: HashSet<&str> = shards.iter().map(|s| s.hash.as_str()).collect();
+    if let Some(stranger) = store
+        .done_shards()?
+        .into_iter()
+        .find(|h| !planned.contains(h.as_str()))
+    {
+        return Err(CampaignError::Store(format!(
+            "checkpointed shard {stranger} is not part of this manifest's plan \
+             (the store was produced by a different manifest); use `run` to start fresh"
+        )));
+    }
+    Ok((store, manifest, shards))
 }
 
 /// Drain shards from a dispatched store until the campaign completes (or
@@ -664,30 +710,29 @@ pub fn run_worker(
     store_dir: &Path,
     opts: &WorkerOptions,
     cancel: &CancelGroup,
-) -> Result<WorkerOutcome, CampaignError> {
+) -> Result<CampaignOutcome, CampaignError> {
+    let (store, manifest, shards) = open_plan(store_dir)?;
+    drain(store_dir, &store, &manifest, &shards, opts, cancel)
+}
+
+/// The one shard loop behind `run`, `resume` and `worker`: hold a
+/// presence lease, drain with `opts.threads` claimer threads while the
+/// calling thread heartbeats every held lease, then summarize the store.
+pub(crate) fn drain(
+    store_dir: &Path,
+    store: &LocalStore,
+    manifest: &Manifest,
+    shards: &[Shard],
+    opts: &WorkerOptions,
+    cancel: &CancelGroup,
+) -> Result<CampaignOutcome, CampaignError> {
     let started = Instant::now();
-    let store = LocalStore::open(store_dir)?;
-    let manifest = Manifest::parse(&store.read_manifest().map_err(|e| {
-        CampaignError::Store(format!(
-            "store {} has no manifest — run `dispatch` first ({e})",
-            store_dir.display()
-        ))
-    })?)?;
-    let shards = manifest.plan();
-    let done = store.done_shards()?;
-    let planned: HashSet<&str> = shards.iter().map(|s| s.hash.as_str()).collect();
-    if let Some(stranger) = done.iter().find(|h| !planned.contains(h.as_str())) {
-        return Err(CampaignError::Store(format!(
-            "checkpointed shard {stranger} is not part of this manifest's plan \
-             (the store was produced by a different manifest)"
-        )));
-    }
     // The worker's policy snapshot: a joining or restarted worker sees
     // whatever peers have committed so far, so an adaptive wrapper's
     // quantile allowances engage as the shared store fills up. Budgets are
     // measurement-domain — differing snapshots across workers never change
     // what the record store dedupes on.
-    let policy = manifest.build_policy(&store)?;
+    let policy = manifest.build_policy(store)?;
 
     let board = LeaseBoard::open(store_dir, &opts.id, opts.lease_ttl)?;
     // Presence lease: held for the worker's whole lifetime, not per shard.
@@ -709,58 +754,66 @@ pub fn run_worker(
         }
         std::thread::sleep(opts.poll);
     }
-    let writer = Mutex::new(store.open_writer(&opts.id)?);
-    let held: Mutex<HashSet<String>> = Mutex::new(HashSet::from([presence.clone()]));
-    let committed = Mutex::new(0u64);
-    let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
-    let stop_heartbeat = AtomicBool::new(false);
-    let threads = opts.threads.max(1);
-    let active = std::sync::atomic::AtomicUsize::new(threads);
+    let segment = if opts.id == LOCAL_WRITER {
+        ""
+    } else {
+        &opts.id
+    };
+    let worker = Drain {
+        manifest,
+        policy: &*policy,
+        shards,
+        store,
+        board: &board,
+        opts,
+        cancel,
+        writer: Mutex::new(store.open_writer(segment)?),
+        held: Mutex::new(HashSet::from([presence.clone()])),
+        slots: AtomicU64::new(0),
+        committed: AtomicU64::new(0),
+        failure: Mutex::new(None),
+    };
+    let recorder = mgrts_obs::FlightRecorder::new(256);
+    let (alive, all_exited) = mpsc::channel::<()>();
 
     crossbeam::scope(|scope| {
-        // Heartbeat thread: push every held lease's expiry forward at a
-        // quarter of the TTL, so a live worker never looks dead. The last
-        // solver thread to exit raises `stop_heartbeat`.
-        scope.spawn(|_| {
-            let tick = (opts.lease_ttl / 4).max(Duration::from_millis(20));
-            let mut last = Instant::now();
-            while !stop_heartbeat.load(Ordering::Relaxed) {
-                // Short sleeps between renewals keep shutdown prompt even
-                // with long TTLs.
-                std::thread::sleep(tick.min(Duration::from_millis(50)));
-                if last.elapsed() < tick {
-                    continue;
-                }
-                last = Instant::now();
-                // Snapshot outside the lock: renewals are file writes and
-                // must not stall the solver threads' claim scans.
-                let to_renew: Vec<String> = held.lock().iter().cloned().collect();
-                for shard in &to_renew {
-                    let _ = board.renew(shard);
-                }
-            }
-        });
-
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                worker_thread(
-                    &manifest, &*policy, &shards, &store, &board, &writer, &held, &committed,
-                    &failure, opts, cancel,
-                );
-                if active.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    stop_heartbeat.store(true, Ordering::Relaxed);
-                }
+        for t in 0..opts.threads.max(1) {
+            let (worker, recorder, alive) = (&worker, &recorder, alive.clone());
+            scope.spawn(move |_| {
+                let _ring = flight::install(recorder, &format!("campaign-worker-{t}"));
+                worker.claim_loop();
+                drop(alive);
             });
+        }
+        drop(alive);
+        // Heartbeat: push every held lease's expiry forward at a quarter
+        // of the TTL, so a live worker never looks dead. It stops the
+        // moment the last claimer thread drops its sender.
+        let tick = (opts.lease_ttl / 4).max(Duration::from_millis(20));
+        while let Err(RecvTimeoutError::Timeout) = all_exited.recv_timeout(tick) {
+            // Snapshot outside the lock: renewals are file writes and
+            // must not stall the claimer threads' scans.
+            let to_renew: Vec<String> = worker.held.lock().iter().cloned().collect();
+            for shard in &to_renew {
+                let _ = board.renew(shard);
+            }
         }
     })
     .expect("worker thread panicked");
     let _ = board.release(&presence);
 
-    if let Some(e) = failure.into_inner() {
+    // A cancelled drain leaves its merged timeline behind: which thread
+    // held which shard when the stop landed.
+    if cancel.is_cancelled() {
+        let dump = recorder.dump();
+        if !dump.is_empty() {
+            let _ = store.put_artifact("flight-campaign.jsonl", &dump);
+        }
+    }
+    if let Some(e) = worker.failure.into_inner() {
         return Err(e);
     }
 
-    let shards_committed = committed.into_inner();
     let parked = parked_shards(store_dir);
     if opts.progress {
         for p in &parked {
@@ -773,7 +826,7 @@ pub fn run_worker(
     let done_after = store.done_shards()?;
     let records = store.load_records()?;
     let summary = summarize(
-        &manifest,
+        manifest,
         &records,
         shards.len() as u64,
         done_after.len() as u64,
@@ -784,153 +837,175 @@ pub fn run_worker(
         &serde_json::to_string_pretty(&summary).map_err(std::io::Error::other)?,
     )?;
     check_verdicts(&records, &summary)?;
-    Ok(WorkerOutcome {
+    Ok(CampaignOutcome {
         summary,
-        shards_committed,
+        shards_committed: worker.committed.into_inner(),
         parked,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_thread(
-    manifest: &Manifest,
-    policy: &dyn ExecutionPolicy,
-    shards: &[Shard],
-    store: &LocalStore,
-    board: &LeaseBoard,
-    writer: &Mutex<Box<dyn crate::sink::ShardWriter + Send>>,
-    held: &Mutex<HashSet<String>>,
-    committed: &Mutex<u64>,
-    failure: &Mutex<Option<CampaignError>>,
-    opts: &WorkerOptions,
-    cancel: &CancelGroup,
-) {
-    loop {
-        if cancel.is_cancelled() || failure.lock().is_some() {
-            return;
-        }
-        if let Some(cap) = opts.max_shards {
-            if *committed.lock() >= cap {
+/// State the claimer threads of one drain share.
+struct Drain<'a> {
+    manifest: &'a Manifest,
+    policy: &'a dyn ExecutionPolicy,
+    shards: &'a [Shard],
+    store: &'a LocalStore,
+    board: &'a LeaseBoard,
+    opts: &'a WorkerOptions,
+    cancel: &'a CancelGroup,
+    writer: Mutex<Box<dyn ShardWriter + Send>>,
+    /// Leases this worker holds or is claiming: its presence and one
+    /// shard per busy thread.
+    held: Mutex<HashSet<String>>,
+    /// Shards committed plus shards in flight: claims reserve a slot so
+    /// `max_shards` holds at any thread count.
+    slots: AtomicU64,
+    committed: AtomicU64,
+    failure: Mutex<Option<CampaignError>>,
+}
+
+impl<'a> Drain<'a> {
+    fn fail(&self, e: CampaignError) {
+        self.failure.lock().get_or_insert(e);
+        self.cancel.cancel_all();
+    }
+
+    fn claim_loop(&self) {
+        let cap = self.opts.max_shards.unwrap_or(u64::MAX);
+        while !self.cancel.is_cancelled() {
+            if self
+                .slots
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < cap).then_some(n + 1)
+                })
+                .is_err()
+            {
                 return;
             }
-        }
-        // Refresh the done set from the shared store: peers commit
-        // concurrently, and their checkpoints are the ground truth. This
-        // re-read is deliberate, not cached — it costs one pass over the
-        // (small) checkpoint segments per *committed shard* (plus one per
-        // poll tick while blocked), and staleness here would be far more
-        // expensive: a shard a peer just committed looks pending, its
-        // lease is already released, and we would re-solve it whole.
-        let done = match store.done_shards() {
-            Ok(d) => d,
-            Err(e) => {
-                *failure.lock() = Some(CampaignError::Io(e));
-                cancel.cancel_all();
-                return;
-            }
-        };
-        // Parked (poison) shards are excluded from both the completion
-        // check and the claim scan: the campaign drains everything else
-        // and exits instead of crash-looping on one bad shard.
-        let parked: HashSet<String> = parked_in(board.lease_dir())
-            .into_iter()
-            .map(|p| p.shard)
-            .collect();
-        if shards
-            .iter()
-            .all(|s| done.contains(&s.hash) || parked.contains(&s.hash))
-        {
-            return; // campaign complete (modulo parked shards)
-        }
-        // Claim the first pending shard whose lease we can take. Workers
-        // scan in plan order, so contention clusters at the frontier and
-        // resolves by create_new exclusivity.
-        let mut claimed: Option<&Shard> = None;
-        for shard in shards
-            .iter()
-            .filter(|s| !done.contains(&s.hash) && !parked.contains(&s.hash))
-        {
-            if held.lock().contains(&shard.hash) {
-                continue; // a sibling thread of this worker has it
-            }
-            match retry_transient(fnv64(shard.hash.as_bytes()), || {
-                board.try_claim(&shard.hash)
-            }) {
-                Ok(true) => {
-                    held.lock().insert(shard.hash.clone());
-                    claimed = Some(shard);
-                    break;
-                }
-                Ok(false) => continue,
-                Err(e) => {
-                    *failure.lock() = Some(CampaignError::Io(e));
-                    cancel.cancel_all();
+            let shard = match self.claim() {
+                Ok(Some(shard)) => shard,
+                unclaimed => {
+                    self.slots.fetch_sub(1, Ordering::Relaxed);
+                    if let Err(e) = unclaimed {
+                        self.fail(e);
+                    }
                     return;
                 }
+            };
+            if !self.run(shard) {
+                self.slots.fetch_sub(1, Ordering::Relaxed);
             }
+            self.held.lock().remove(&shard.hash);
+            let _ = self.board.release(&shard.hash);
         }
-        let Some(shard) = claimed else {
-            // Everything pending is leased by live peers: wait for them to
-            // finish or for their leases to expire.
-            std::thread::sleep(opts.poll);
-            continue;
-        };
+    }
+
+    /// Lease the first pending shard in plan order (contention clusters
+    /// at the frontier and resolves by `create_new` exclusivity). `None`
+    /// once nothing is left for this thread: every pending shard is
+    /// done, parked, or held by a sibling thread. Shards leased by other
+    /// workers are polled for until they commit or their leases expire.
+    fn claim(&self) -> Result<Option<&'a Shard>, CampaignError> {
+        loop {
+            // Refresh the done set from the shared store: peers commit
+            // concurrently, and their checkpoints are the ground truth.
+            // This re-read is deliberate, not cached — it costs one pass
+            // over the (small) checkpoint segments per claim, and
+            // staleness here would be far more expensive: a shard a peer
+            // just committed looks pending, its lease is already
+            // released, and we would re-solve it whole.
+            let done = self.store.done_shards()?;
+            // Parked (poison) shards are skipped: the campaign drains
+            // everything else and exits instead of crash-looping on one
+            // bad shard.
+            let parked: HashSet<String> = parked_in(self.board.lease_dir())
+                .into_iter()
+                .map(|p| p.shard)
+                .collect();
+            let mut foreign = false;
+            for shard in self
+                .shards
+                .iter()
+                .filter(|s| !done.contains(&s.hash) && !parked.contains(&s.hash))
+            {
+                if !self.held.lock().insert(shard.hash.clone()) {
+                    continue; // a sibling thread has it
+                }
+                let claimed = retry_transient(fnv64(shard.hash.as_bytes()), || {
+                    self.board.try_claim(&shard.hash)
+                });
+                if !matches!(claimed, Ok(true)) {
+                    self.held.lock().remove(&shard.hash);
+                }
+                if claimed? {
+                    return Ok(Some(shard));
+                }
+                foreign = true;
+            }
+            if !foreign || self.cancel.is_cancelled() {
+                return Ok(None);
+            }
+            std::thread::sleep(self.opts.poll);
+        }
+    }
+
+    /// Run and commit one leased shard; `true` when it committed.
+    ///
+    /// A panicking solver must not take the worker (and its held leases)
+    /// down with it: the caught shard gets a durable strike and is parked
+    /// as poison after [`PARK_AFTER`] of them; the caller releases its
+    /// lease at once, not after a TTL.
+    fn run(&self, shard: &Shard) -> bool {
+        flight::event(
+            "shard.claim",
+            &shard.hash,
+            &format!("shard {} of {}", shard.index, self.shards.len()),
+        );
         // Re-derive store-dependent policy state (adaptive allowances) so
         // this shard's budgets reflect every record committed so far, not
         // the snapshot this worker started with.
-        if let Err(e) = policy.refresh(store) {
-            *failure.lock() = Some(e);
-            cancel.cancel_all();
-            return;
+        if let Err(e) = self.policy.refresh(self.store) {
+            self.fail(e);
+            return false;
         }
-        // Supervise the shard execution: a panicking solver must not take
-        // the worker (and its held leases) down with it. The caught shard
-        // gets a durable failure count and is parked as poison after
-        // `PARK_AFTER` strikes; its lease is released immediately below,
-        // not after a TTL.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard(manifest, policy, shard, cancel)
+            run_shard(self.manifest, self.policy, shard, self.cancel)
         }));
         match result {
             Ok(Ok(Some(records))) => {
-                let commit = writer.lock().commit_shard(shard, &records);
-                if let Err(e) = commit {
-                    *failure.lock() = Some(CampaignError::Io(e));
-                    cancel.cancel_all();
-                } else {
-                    let mut c = committed.lock();
-                    *c += 1;
-                    if opts.progress {
-                        eprintln!(
-                            "  [{}] shard {} committed ({} this worker, {} units)",
-                            opts.id,
-                            shard.index,
-                            *c,
-                            records.len(),
-                        );
-                    }
+                if let Err(e) = self.writer.lock().commit_shard(shard, &records) {
+                    self.fail(CampaignError::Io(e));
+                    return false;
                 }
+                forget_strikes(self.board.lease_dir(), &shard.hash);
+                let n = self.committed.fetch_add(1, Ordering::Relaxed) + 1;
+                if self.opts.progress {
+                    eprintln!(
+                        "  [{}] shard {} committed ({n} this run, {} units)",
+                        self.opts.id,
+                        shard.index,
+                        records.len(),
+                    );
+                }
+                true
             }
-            Ok(Ok(None)) => {} // cancelled mid-shard: lease released, shard re-runs later
+            Ok(Ok(None)) => false, // cancelled mid-shard: it re-runs later
             Ok(Err(e)) => {
-                *failure.lock() = Some(e);
-                cancel.cancel_all();
+                self.fail(e);
+                false
             }
             Err(payload) => {
                 let reason = panic_reason(payload.as_ref());
-                let fails = note_shard_failure(board.lease_dir(), &shard.hash, &reason);
-                if opts.progress {
+                flight::event("shard.panic", &shard.hash, &reason);
+                let fails = note_shard_failure(self.board.lease_dir(), &shard.hash, &reason);
+                if self.opts.progress {
                     eprintln!(
                         "  [{}] shard {} panicked (strike {fails}/{PARK_AFTER}): {reason}",
-                        opts.id, shard.index,
+                        self.opts.id, shard.index,
                     );
                 }
+                false
             }
-        }
-        held.lock().remove(&shard.hash);
-        let _ = board.release(&shard.hash);
-        if cancel.is_cancelled() {
-            return;
         }
     }
 }
@@ -1189,6 +1264,66 @@ mod tests {
         mgrts_fault::install_guarded(mgrts_fault::FaultPlan::empty())
     }
 
+    /// A dispatched one-shard store (one instance, one solver).
+    fn one_shard_store(name: &str) -> PathBuf {
+        let dir = tmp(name);
+        let manifest = Manifest::parse(
+            "[campaign]\nname = \"one\"\nseed = 3\ninstances_per_cell = 1\n\
+             [grid]\nn = [3]\nm = [2]\nt_max = [4]\nsolvers = [\"csp2-dc\"]\n",
+        )
+        .unwrap();
+        assert_eq!(manifest.plan().len(), 1);
+        dispatch(&manifest, &dir, false).unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_shard_that_panics_once_then_commits_leaves_no_lease_files() {
+        let dir = one_shard_store("strike");
+        let _panic_once = mgrts_fault::install_guarded(
+            mgrts_fault::FaultPlan::parse("seed=1;engine.solve:panic:n1").unwrap(),
+        );
+        let opts = WorkerOptions {
+            id: "w1".to_string(),
+            threads: 1,
+            ..WorkerOptions::default()
+        };
+        let outcome = run_worker(&dir, &opts, &CancelGroup::new()).unwrap();
+        assert!(outcome.summary.completed);
+        assert_eq!(outcome.shards_committed, 1);
+        assert!(outcome.parked.is_empty());
+        let left: Vec<_> = std::fs::read_dir(dir.join(LEASE_DIR))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "lease files left behind: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn idle_threads_exit_instead_of_polling_their_siblings() {
+        let _faults = no_faults();
+        let dir = one_shard_store("no-tail");
+        // Three of the four threads find the only shard held by a sibling;
+        // the heartbeat's tick is 15 s. Neither may hold the drain up.
+        let opts = WorkerOptions {
+            id: "w1".to_string(),
+            threads: 4,
+            lease_ttl: Duration::from_secs(60),
+            poll: Duration::from_secs(10),
+            ..WorkerOptions::default()
+        };
+        let started = Instant::now();
+        let outcome = run_worker(&dir, &opts, &CancelGroup::new()).unwrap();
+        assert!(outcome.summary.completed);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "drain took {:?}",
+            started.elapsed()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn claim_is_exclusive_until_released() {
         let _faults = no_faults();
@@ -1335,7 +1470,7 @@ mod tests {
         note_shard_failure(&lease_dir, "other", "meh");
         assert_eq!(parked_shards(&dir).len(), 1);
         // clear_leases sweeps fail counts and park markers with the leases.
-        clear_leases(&dir).unwrap();
+        clear_leases(&dir, None).unwrap();
         assert!(parked_shards(&dir).is_empty());
         assert!(std::fs::read_dir(&lease_dir).unwrap().next().is_none());
         std::fs::remove_dir_all(&dir).ok();

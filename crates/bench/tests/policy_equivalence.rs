@@ -271,9 +271,7 @@ fn racing_campaign_drains_distributed_with_a_partial_worker() {
     dispatch(&m, &shared, false).unwrap();
     let wopts = |id: &str, max: Option<u64>| WorkerOptions {
         id: id.to_string(),
-        // One claimer thread: with two, both could commit a shard before
-        // the max_shards cap is observed.
-        threads: 1,
+        threads: 2,
         lease_ttl: Duration::from_millis(300),
         poll: Duration::from_millis(20),
         max_shards: max,

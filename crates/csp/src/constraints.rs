@@ -386,7 +386,7 @@ pub(crate) fn propagate_linear(
         }
     }
     if sum_min > rhs || (equality && sum_max < rhs) {
-        return Err(EmptyDomain(vars[0]));
+        return Err(EmptyDomain(vars.first().copied().unwrap_or(0)));
     }
     // Fixpoint within this constraint: tighten each variable against the
     // residual slack, repeating while something moves.
@@ -493,7 +493,7 @@ pub(crate) fn propagate_bool_sum_eq(
         }
     }
     if fixed_true > rhs || fixed_true + unfixed < rhs {
-        return Err(EmptyDomain(vars[0]));
+        return Err(EmptyDomain(vars.first().copied().unwrap_or(0)));
     }
     if fixed_true == rhs {
         for &v in vars {
@@ -529,7 +529,7 @@ pub(crate) fn propagate_count_eq(
         }
     }
     if fixed_to > rhs || fixed_to + possible < rhs {
-        return Err(EmptyDomain(vars[0]));
+        return Err(EmptyDomain(vars.first().copied().unwrap_or(0)));
     }
     if fixed_to == rhs {
         for &v in vars {

@@ -441,7 +441,7 @@ impl LinearProp {
         if store.state(self.sum_lo) > self.rhs
             || (self.equality && store.state(self.sum_hi) < self.rhs)
         {
-            return Err(EmptyDomain(self.vars[0]));
+            return Err(EmptyDomain(self.vars.first().copied().unwrap_or(0)));
         }
         // Fixpoint within this constraint: tighten each variable against the
         // residual slack, repeating while something moves. The running sums
@@ -613,7 +613,7 @@ impl BoolSumProp {
         let unfixed = self.vars.len() as i64 - store.state(self.n_fixed);
         let rhs = i64::from(self.rhs);
         if fixed_true > rhs || fixed_true + unfixed < rhs {
-            return Err(EmptyDomain(self.vars[0]));
+            return Err(EmptyDomain(self.vars.first().copied().unwrap_or(0)));
         }
         if fixed_true == rhs {
             for &v in &self.vars {
@@ -797,7 +797,7 @@ impl CountProp {
         let possible = packed & 0xffff_ffff;
         let rhs = i64::from(self.rhs);
         if fixed_to > rhs || fixed_to + possible < rhs {
-            return Err(EmptyDomain(self.vars[0]));
+            return Err(EmptyDomain(self.vars.first().copied().unwrap_or(0)));
         }
         if fixed_to == rhs {
             for &v in &self.vars {

@@ -1713,6 +1713,35 @@ mod tests {
     }
 
     #[test]
+    fn empty_scope_constraints_decide_by_their_right_hand_side() {
+        // No variable can make an empty sum equal a nonzero constant; an
+        // empty scope with rhs = 0 is trivially satisfied.
+        for rhs in [1u32, 0] {
+            let empty: [Constraint; 3] = [
+                Constraint::BoolSumEq { vars: vec![], rhs },
+                Constraint::CountEq {
+                    vars: vec![],
+                    value: 1,
+                    rhs,
+                },
+                Constraint::linear_eq(vec![], vec![], i64::from(rhs)),
+            ];
+            for c in empty {
+                let mut m = Model::new();
+                m.new_bool();
+                m.post(c.clone());
+                let incremental = m.clone().into_solver(SolverConfig::default()).solve();
+                let reference =
+                    crate::reference::RefSolver::from_model(&m, SolverConfig::default()).solve();
+                for out in [incremental, reference] {
+                    assert_eq!(out.is_unsat(), rhs != 0, "{c:?}: {out:?}");
+                    assert_eq!(out.solution().is_some(), rhs == 0, "{c:?}: {out:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn unsat_under_every_heuristic() {
         for cfg in all_configs() {
             // Pigeonhole: 4 pigeons, 3 holes.

@@ -128,8 +128,9 @@ if [ "$quarantined" -lt 1 ]; then
 fi
 echo "chaos_smoke: quarantine ledger holds $quarantined line(s)"
 
-# Neither store may hold lease files once all processes have exited.
-# (A single-process campaign never creates leases/ at all — also fine.)
+# Neither store may hold lease files once all processes have exited:
+# `run` and `resume` drain through leases too, release each one after its
+# commit, and a committed shard forgets its panic strikes.
 for store in "$ref" "$chaos"; do
   leases=0
   if [ -d "$store/leases" ]; then
