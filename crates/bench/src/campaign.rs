@@ -32,10 +32,10 @@ use mgrts_core::engine::{CancelGroup, PlatformSpec, SolverSpec};
 use mgrts_obs::flight;
 use rt_gen::{derive_stream_seed, ProblemGenerator, RateMatrixGen};
 
-use crate::policy::{AdaptiveSpec, ExecutionPolicy, PolicyMode, PolicySpec};
+use crate::policy::{AdaptiveSpec, Policy, PolicyKind, PolicySpec};
 use crate::queue::{ParkedShard, WorkerOptions};
 use crate::runner::InstanceOutcome;
-use crate::shard::{plan_shards, Cell, CellM, PlanShape, Shard};
+use crate::shard::{plan_shards, Cell, CellM, Shard};
 use crate::sink::{
     canonical_export, load_records, CampaignRecord, LocalStore, RecordStore, CANONICAL_FILE,
     CHECKPOINT_FILE, LOCAL_WRITER, RECORDS_FILE,
@@ -344,8 +344,8 @@ impl Manifest {
         }
 
         let mode = match get("policy.mode") {
-            None => PolicyMode::Single,
-            Some(TomlVal::Str(s)) => s.parse::<PolicyMode>().map_err(err)?,
+            None => PolicyKind::Single,
+            Some(TomlVal::Str(s)) => s.parse::<PolicyKind>().map_err(err)?,
             Some(_) => return Err(err("policy.mode: expected a string".into())),
         };
         let adaptive = match get("policy.adaptive_quantile") {
@@ -604,15 +604,6 @@ impl Manifest {
         }
     }
 
-    /// The unit-stream shape of this campaign's policy.
-    #[must_use]
-    pub fn plan_shape(&self) -> PlanShape {
-        match self.policy.mode {
-            PolicyMode::Single => PlanShape::PerSolver,
-            PolicyMode::PortfolioRace => PlanShape::PerInstance,
-        }
-    }
-
     /// The campaign's deterministic shard plan.
     #[must_use]
     pub fn plan(&self) -> Vec<Shard> {
@@ -622,7 +613,7 @@ impl Manifest {
             &self.roster,
             self.shard_size,
             &self.fingerprint(),
-            self.plan_shape(),
+            self.policy.mode,
         )
     }
 
@@ -632,15 +623,12 @@ impl Manifest {
     pub fn total_runs(&self) -> u64 {
         self.cells.len() as u64
             * self.instances_per_cell
-            * self.policy.units_per_instance(self.roster.len()) as u64
+            * self.policy.mode.units_per_instance(self.roster.len()) as u64
     }
 
     /// Build this campaign's execution policy over a snapshot of `store`.
-    pub fn build_policy(
-        &self,
-        store: &dyn RecordStore,
-    ) -> Result<Box<dyn ExecutionPolicy>, CampaignError> {
-        self.policy.build(self, store)
+    pub fn build_policy(&self, store: &dyn RecordStore) -> Result<Policy, CampaignError> {
+        Policy::new(self, store)
     }
 }
 
@@ -758,7 +746,7 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// the manifest + policy, never on which worker runs it.
 pub(crate) fn run_shard(
     manifest: &Manifest,
-    policy: &dyn ExecutionPolicy,
+    policy: &Policy,
     shard: &Shard,
     cancel: &CancelGroup,
 ) -> Result<Option<Vec<CampaignRecord>>, CampaignError> {
@@ -836,7 +824,7 @@ pub(crate) fn run_shard(
             hetero: cell.hetero,
             hyperperiod: p.taskset.hyperperiod().unwrap_or(0),
             seed: p.seed,
-            policy: Some(policy.kind()),
+            policy: Some(policy.kind),
             winner: exec.winner,
             budget_source: Some(budget_source),
             cancel_latency_us: exec.cancel_latency_us,
@@ -932,7 +920,7 @@ pub fn summarize(
         }
     };
     let solvers = match manifest.policy.mode {
-        PolicyMode::Single => manifest
+        PolicyKind::Single => manifest
             .roster
             .iter()
             .map(|&spec| {
@@ -941,7 +929,7 @@ pub fn summarize(
                 (spec.name().to_string(), aggregate(&runs))
             })
             .collect(),
-        PolicyMode::PortfolioRace => {
+        PolicyKind::PortfolioRace => {
             let all: Vec<&CampaignRecord> = records.iter().collect();
             vec![("portfolio".to_string(), aggregate(&all))]
         }
@@ -1121,7 +1109,7 @@ pub fn report(out_dir: &Path, kind: ReportKind) -> Result<String, CampaignError>
 /// race-aware view.
 pub fn report_store(store: &dyn RecordStore, kind: ReportKind) -> Result<String, CampaignError> {
     let manifest = Manifest::parse(&store.read_manifest()?)?;
-    if manifest.policy.mode == PolicyMode::PortfolioRace
+    if manifest.policy.mode == PolicyKind::PortfolioRace
         && matches!(
             kind,
             ReportKind::Table1 | ReportKind::Table3 | ReportKind::Table4
@@ -1340,7 +1328,7 @@ pub fn report_winners(manifest: &Manifest, records: &[CampaignRecord]) -> String
         manifest.policy.tag(),
         tables::winners(&rows, &manifest.roster)
     );
-    if manifest.policy.mode != PolicyMode::PortfolioRace {
+    if manifest.policy.mode != PolicyKind::PortfolioRace {
         out.push_str(
             "\nnote: this store was produced by a non-racing policy; every unit \
              reports no winner\n",
@@ -1371,7 +1359,7 @@ pub fn parity(race_dir: &Path, single_dir: &Path) -> Result<GateReport, Campaign
             single_manifest.workload_fingerprint()
         )));
     }
-    if race_manifest.policy.mode != PolicyMode::PortfolioRace {
+    if race_manifest.policy.mode != PolicyKind::PortfolioRace {
         return Err(CampaignError::Store(format!(
             "parity: store {} was not produced by a portfolio-race policy",
             race_dir.display()
@@ -1861,7 +1849,7 @@ solvers = ["csp2-dc", "sat"]
     #[test]
     fn per_solver_tables_refuse_a_portfolio_race_store() {
         let mut manifest = Manifest::parse(SMOKE).unwrap();
-        manifest.policy.mode = PolicyMode::PortfolioRace;
+        manifest.policy.mode = PolicyKind::PortfolioRace;
         let dir = tmp("race-report");
         run_fresh(
             &manifest,

@@ -11,12 +11,13 @@
 //! `BENCH_<name>.json` summary that seeds the perf trajectory (and backs
 //! the CI perf gate).
 //!
-//! *What* each campaign unit runs is decided by a pluggable
-//! [`policy::ExecutionPolicy`] — the single roster solver per unit
-//! (historical default), a portfolio race of the whole roster per
-//! instance, or either wrapped in adaptive quantile-sized budgets — so
-//! the same manifest grid executes under any cell-execution strategy
-//! (`[policy]` manifest section / `--policy` CLI flag).
+//! *What* each campaign unit runs is decided by the campaign's
+//! [`policy::Policy`]: one roster solver per unit (the default) or a
+//! portfolio race of the whole roster per instance ([`PolicyKind`]),
+//! either on the manifest's budget or on adaptive quantile-sized budgets
+//! — so the same manifest grid executes under either shape (`[policy]`
+//! manifest section / `--policy` CLI flag). The resident server runs its
+//! requests through the same unit runner ([`policy::run_unit`]).
 //!
 //! The one executor is the [`queue`] module's drain loop: `campaign
 //! run|resume` is simply its in-process worker. The same loop turns one
@@ -63,5 +64,5 @@ pub mod tables;
 
 pub use cli::Args;
 pub use mgrts_core::engine::SolverSpec;
-pub use policy::{ExecutionPolicy, PolicyKind, PolicyMode, PolicySpec};
+pub use policy::{Policy, PolicyKind, PolicySpec};
 pub use runner::InstanceOutcome;

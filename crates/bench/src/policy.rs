@@ -1,37 +1,35 @@
 //! Execution policies: *what runs, and with what budget*, for one
 //! campaign unit.
 //!
-//! Before this module the campaign executor hard-wired one shape of work
-//! into [`crate::campaign`]: every `(cell, instance, solver)` unit ran one
-//! roster solver under the manifest's global `time_limit_ms`. The paper's
-//! headline comparison (Table I) and both ROADMAP follow-ups — racing the
-//! roster per instance, and sizing budgets from recorded solve times —
-//! need different answers to the same two questions, so the seam is one
-//! trait:
+//! A campaign runs its roster in one of two shapes ([`PolicyKind`]):
 //!
-//! * [`SingleSolver`] — the historical path: one unit per
-//!   `(cell, instance, solver)`, each running `roster[solver]`;
-//! * [`PortfolioRace`] — one unit per `(cell, instance)`, racing the whole
+//! * `single` — one unit per `(cell, instance, solver)`, each running one
+//!   roster solver through [`runner::run`];
+//! * `portfolio-race` — one unit per `(cell, instance)`, racing the whole
 //!   roster via [`mgrts_core::portfolio`] with cooperative cancellation;
 //!   the record keeps the winner label, every loser's serializable stats
-//!   and the cancellation latency;
-//! * [`AdaptiveBudget`] — a wrapper around either of the above that caps
-//!   each unit's wall-clock allowance at a configurable quantile of the
-//!   solve times already recorded in the [`RecordStore`], falling back to
-//!   the manifest's `time_limit_ms` until enough samples exist.
+//!   and the cancellation latency.
 //!
-//! Policies are declared in the manifest's `[policy]` section (see
-//! [`crate::campaign::Manifest`]), participate in the campaign fingerprint
-//! (changing the policy re-shards), and are **resumable and lease-safe**:
-//! a policy is built once per executor/worker process from the manifest
-//! plus a snapshot of the store, so any number of workers can drain the
-//! same plan. Adaptive allowances are re-derived per claimed shard via
-//! [`ExecutionPolicy::refresh`] (so long-running workers see records
-//! committed after they started) — a budget is a measurement-domain
-//! quantity (like the wall clock itself), so two workers with different
-//! snapshots still commit records that dedupe identically.
+//! Either shape may size its budgets adaptively ([`AdaptiveSpec`]): each
+//! unit's wall-clock allowance is capped at a quantile of the solve times
+//! already recorded in the [`RecordStore`], falling back to the manifest's
+//! `time_limit_ms` until enough samples exist.
+//!
+//! [`run_unit`] executes one unit in either shape; the campaign's
+//! [`Policy`] and the resident server both call it. Policies are declared
+//! in the manifest's `[policy]` section (see [`crate::campaign::Manifest`]),
+//! participate in the campaign fingerprint (changing the policy
+//! re-shards), and are **resumable and lease-safe**: a [`Policy`] is built
+//! once per executor/worker process from the manifest plus a snapshot of
+//! the store, so any number of workers can drain the same plan. Adaptive
+//! allowances are re-derived per claimed shard via [`Policy::refresh`] (so
+//! long-running workers see records committed after they started) — a
+//! budget is a measurement-domain quantity (like the wall clock itself),
+//! so two workers with different snapshots still commit records that
+//! dedupe identically.
 
 use std::str::FromStr;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -53,14 +51,60 @@ use crate::sink::RecordStore;
 // Declarative policy configuration (the manifest `[policy]` section)
 // ---------------------------------------------------------------------------
 
-/// Which executor shape produced a record (persisted per line; old
-/// pre-policy segments deserialize as `None` and default to `Single`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The executor shape: one roster solver per unit, or the whole roster
+/// raced per unit. Declared in the manifest and persisted on every record
+/// (old pre-policy segments deserialize as `None` and default to
+/// `Single`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PolicyKind {
-    /// One roster solver per unit.
+    /// One roster solver per unit (the historical default).
+    #[default]
     Single,
     /// The whole roster raced per unit.
     PortfolioRace,
+}
+
+impl PolicyKind {
+    /// Stable manifest / CLI / protocol name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            PolicyKind::Single => "single",
+            PolicyKind::PortfolioRace => "portfolio-race",
+        }
+    }
+
+    /// Units per `(cell, instance)`: the roster length under `Single`, one
+    /// racing unit under `PortfolioRace`.
+    #[must_use]
+    pub fn units_per_instance(&self, roster_len: usize) -> usize {
+        match self {
+            PolicyKind::Single => roster_len,
+            PolicyKind::PortfolioRace => 1,
+        }
+    }
+}
+
+impl std::fmt::Display for PolicyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl FromStr for PolicyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Ok(match s {
+            "single" => PolicyKind::Single,
+            "portfolio-race" | "portfolio" | "race" => PolicyKind::PortfolioRace,
+            other => {
+                return Err(format!(
+                    "unknown policy `{other}` (expected single|portfolio-race)"
+                ))
+            }
+        })
+    }
 }
 
 /// Where a unit's wall-clock allowance came from (persisted per line).
@@ -68,54 +112,11 @@ pub enum PolicyKind {
 pub enum BudgetSource {
     /// The manifest's global `time_limit_ms`.
     Manifest,
-    /// An [`AdaptiveBudget`] quantile over recorded solve times.
+    /// An adaptive quantile over recorded solve times.
     Adaptive,
 }
 
-/// The base executor shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyMode {
-    /// One roster solver per unit (the historical default).
-    #[default]
-    Single,
-    /// Race the roster per instance.
-    PortfolioRace,
-}
-
-impl PolicyMode {
-    /// Stable manifest / CLI name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            PolicyMode::Single => "single",
-            PolicyMode::PortfolioRace => "portfolio-race",
-        }
-    }
-}
-
-impl std::fmt::Display for PolicyMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for PolicyMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(match s {
-            "single" => PolicyMode::Single,
-            "portfolio-race" | "portfolio" | "race" => PolicyMode::PortfolioRace,
-            other => {
-                return Err(format!(
-                    "unknown policy mode `{other}` (expected single|portfolio-race)"
-                ))
-            }
-        })
-    }
-}
-
-/// Adaptive-budget wrapper configuration.
+/// Adaptive-budget configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSpec {
     /// Quantile of recorded decided solve times used as the per-cell
@@ -152,13 +153,13 @@ impl AdaptiveSpec {
     }
 }
 
-/// The manifest's declarative policy: base mode plus the optional
-/// adaptive-budget wrapper.
+/// The manifest's declarative policy: executor shape plus optional
+/// adaptive budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicySpec {
-    /// Base executor shape.
-    pub mode: PolicyMode,
-    /// Optional adaptive-budget wrapper.
+    /// Executor shape.
+    pub mode: PolicyKind,
+    /// Optional adaptive budgets.
     pub adaptive: Option<AdaptiveSpec>,
 }
 
@@ -184,60 +185,6 @@ impl PolicySpec {
             ));
         }
         out
-    }
-
-    /// The [`PolicyKind`] recorded on every unit this policy executes.
-    #[must_use]
-    pub fn kind(&self) -> PolicyKind {
-        match self.mode {
-            PolicyMode::Single => PolicyKind::Single,
-            PolicyMode::PortfolioRace => PolicyKind::PortfolioRace,
-        }
-    }
-
-    /// Units contributed per `(cell, instance)`: the roster length under
-    /// `Single`, one racing unit under `PortfolioRace`.
-    #[must_use]
-    pub fn units_per_instance(&self, roster_len: usize) -> usize {
-        match self.mode {
-            PolicyMode::Single => roster_len,
-            PolicyMode::PortfolioRace => 1,
-        }
-    }
-
-    /// Build the executable policy for `manifest` over a snapshot of
-    /// `store` (the adaptive wrapper reads recorded solve times; the other
-    /// policies ignore the store).
-    pub fn build(
-        &self,
-        manifest: &Manifest,
-        store: &dyn RecordStore,
-    ) -> Result<Box<dyn ExecutionPolicy>, CampaignError> {
-        let base: Box<dyn ExecutionPolicy> = match self.mode {
-            PolicyMode::Single => Box::new(SingleSolver {
-                roster: manifest.roster.clone(),
-                time_limit: manifest.time_limit,
-                pool: EnginePool::new(),
-            }),
-            PolicyMode::PortfolioRace => Box::new(PortfolioRace {
-                roster: manifest.roster.clone(),
-                time_limit: manifest.time_limit,
-                pool: EnginePool::new(),
-            }),
-        };
-        match &self.adaptive {
-            None => Ok(base),
-            Some(spec) => {
-                spec.validate().map_err(CampaignError::Manifest)?;
-                let budgets = adaptive_cell_budgets(manifest.cells.len(), store, spec)?;
-                Ok(Box::new(AdaptiveBudget {
-                    inner: base,
-                    spec: *spec,
-                    n_cells: manifest.cells.len(),
-                    per_cell: std::sync::Mutex::new(budgets),
-                }))
-            }
-        }
     }
 }
 
@@ -296,11 +243,11 @@ pub fn budget_from_samples(mut samples: Vec<u64>, spec: &AdaptiveSpec) -> Option
 }
 
 // ---------------------------------------------------------------------------
-// The ExecutionPolicy trait
+// The campaign policy and the shared unit runner
 // ---------------------------------------------------------------------------
 
-/// What executing one campaign unit produced (the policy-specific slice of
-/// a [`crate::sink::CampaignRecord`]).
+/// What executing one unit produced (the policy-specific slice of a
+/// [`crate::sink::CampaignRecord`]).
 #[derive(Debug, Clone)]
 pub struct UnitExecution {
     /// Classified outcome.
@@ -336,176 +283,122 @@ impl UnitExecution {
             search,
         }
     }
+}
 
-    /// A portfolio-race unit from its [`RaceRun`].
-    #[must_use]
-    pub fn race(run: RaceRun) -> Self {
-        UnitExecution {
-            outcome: classify(&run.verdict),
-            time_us: run.elapsed_us,
-            winner: run.winner,
-            cancel_latency_us: run.cancel_latency_us,
-            backends: Some(run.backends),
-            search: run.search,
+/// Execute one unit of instance `p` on the platform `spec` in the shape
+/// `kind`: `Single` runs `roster[0]` through [`runner::run`],
+/// `PortfolioRace` races the whole roster through [`race_roster`]. Engines
+/// come from `pool`, so a long-lived caller builds each `(spec, seed)`
+/// engine once. Produced schedules are verified against the independent
+/// C1–C4 checker; a verification failure is a solver bug and panics
+/// loudly, as does a task set every engine refuses (callers validate
+/// their inputs first).
+#[must_use]
+pub fn run_unit(
+    kind: PolicyKind,
+    roster: &[SolverSpec],
+    pool: &EnginePool,
+    p: &Problem,
+    spec: &PlatformSpec,
+    budget: &Budget,
+    cancel: &CancelToken,
+) -> UnitExecution {
+    match kind {
+        PolicyKind::Single => {
+            let engine = pool.get(roster[0], p.seed);
+            UnitExecution::single(runner::run(&p.taskset, spec, &*engine, budget, cancel))
+        }
+        PolicyKind::PortfolioRace => {
+            let engines = pool.roster(roster, p.seed);
+            race_roster(&engines, &p.taskset, spec, budget, cancel)
+                .expect("valid constrained instance")
+                .0
         }
     }
 }
 
-/// A pluggable cell executor: decides, per campaign unit, *what runs and
-/// with what budget*. One policy object serves a whole executor / worker
-/// process; implementations are immutable and shared across threads.
-pub trait ExecutionPolicy: Send + Sync {
-    /// The kind recorded on every unit.
-    fn kind(&self) -> PolicyKind;
+/// Per-cell adaptive allowances: the spec plus the latest snapshot.
+#[derive(Debug)]
+struct Allowances {
+    spec: AdaptiveSpec,
+    per_cell: Mutex<Vec<Option<Duration>>>,
+}
+
+/// A campaign's execution policy: decides, per unit, *what runs and with
+/// what budget*. One policy serves a whole executor / worker process and
+/// is shared across its threads.
+///
+/// The adaptive allowances are snapshotted at build time and *re-taken on
+/// every [`Policy::refresh`]* (executors call it per claimed shard), so a
+/// long-running worker's allowances track records committed after it
+/// started rather than freezing at its start-up snapshot. The quantile
+/// only ever *tightens* the manifest limit, and a budget is a
+/// measurement-domain quantity, so workers holding different snapshots
+/// still commit records that dedupe identically — refresh is an accuracy
+/// improvement, never a correctness requirement.
+#[derive(Debug)]
+pub struct Policy {
+    /// The executor shape, recorded on every unit.
+    pub kind: PolicyKind,
+    /// Manifest roster: indexed by a `single` unit's solver position,
+    /// raced whole by `portfolio-race`.
+    roster: Vec<SolverSpec>,
+    /// Manifest per-run wall-clock limit (bounds a whole race).
+    time_limit: Duration,
+    /// Engine cache shared across units.
+    pool: EnginePool,
+    /// Adaptive per-cell allowances; `None` runs on manifest budgets.
+    adaptive: Option<Allowances>,
+}
+
+impl Policy {
+    /// Build the policy of `manifest` over a snapshot of `store` (only
+    /// adaptive budgets read the store); see
+    /// [`Manifest::build_policy`].
+    pub(crate) fn new(
+        manifest: &Manifest,
+        store: &dyn RecordStore,
+    ) -> Result<Policy, CampaignError> {
+        let adaptive = match manifest.policy.adaptive {
+            None => None,
+            Some(spec) => {
+                spec.validate().map_err(CampaignError::Manifest)?;
+                let per_cell = adaptive_cell_budgets(manifest.cells.len(), store, &spec)?;
+                Some(Allowances {
+                    spec,
+                    per_cell: Mutex::new(per_cell),
+                })
+            }
+        };
+        Ok(Policy {
+            kind: manifest.policy.mode,
+            roster: manifest.roster.clone(),
+            time_limit: manifest.time_limit,
+            pool: EnginePool::new(),
+            adaptive,
+        })
+    }
 
     /// The wall-clock budget (and its provenance) for a unit of `cell`.
     /// The executor further caps it by the shard's remaining allowance.
-    fn unit_budget(&self, cell: usize) -> (Budget, BudgetSource);
-
-    /// Execute one unit of instance `p` on the platform `spec` (built once
-    /// per unit by the executor). `unit_solver` indexes the manifest roster
-    /// (always 0 for racing policies, whose plan collapses the solver axis).
-    /// Produced schedules are verified against the independent C1–C4
-    /// checker; a verification failure is a solver bug and panics loudly.
-    fn execute(
-        &self,
-        p: &Problem,
-        spec: &PlatformSpec,
-        unit_solver: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> UnitExecution;
-
-    /// Re-derive any store-dependent state (called by executors between
-    /// shards, so long-running workers see records committed after they
-    /// started). The default is a no-op: only [`AdaptiveBudget`]
-    /// re-snapshots its quantile allowances.
-    fn refresh(&self, store: &dyn RecordStore) -> Result<(), CampaignError> {
-        let _ = store;
-        Ok(())
-    }
-}
-
-/// The historical inline path, extracted: one roster solver per unit.
-///
-/// Engines are served from a shared [`EnginePool`], so a long-lived
-/// policy object (one per executor/worker process, or a resident server)
-/// builds each `(spec, seed)` engine once instead of once per unit.
-#[derive(Debug, Clone)]
-pub struct SingleSolver {
-    /// Manifest roster (indexed by the unit's solver position).
-    pub roster: Vec<SolverSpec>,
-    /// Manifest per-run wall-clock limit.
-    pub time_limit: Duration,
-    /// Engine cache shared across units (and across policy clones).
-    pub pool: EnginePool,
-}
-
-impl ExecutionPolicy for SingleSolver {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Single
-    }
-
-    fn unit_budget(&self, _cell: usize) -> (Budget, BudgetSource) {
-        (Budget::time_limit(self.time_limit), BudgetSource::Manifest)
-    }
-
-    fn execute(
-        &self,
-        p: &Problem,
-        spec: &PlatformSpec,
-        unit_solver: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> UnitExecution {
-        let engine = self.pool.get(self.roster[unit_solver], p.seed);
-        UnitExecution::single(runner::run(&p.taskset, spec, &*engine, budget, cancel))
-    }
-}
-
-/// Race the whole roster per `(cell, instance)` unit — the paper's Table I
-/// as a single racing campaign.
-#[derive(Debug, Clone)]
-pub struct PortfolioRace {
-    /// Manifest roster; every entry races on each unit.
-    pub roster: Vec<SolverSpec>,
-    /// Manifest per-run wall-clock limit (bounds the whole race).
-    pub time_limit: Duration,
-    /// Engine cache shared across units (and across policy clones).
-    pub pool: EnginePool,
-}
-
-impl ExecutionPolicy for PortfolioRace {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PortfolioRace
-    }
-
-    fn unit_budget(&self, _cell: usize) -> (Budget, BudgetSource) {
-        (Budget::time_limit(self.time_limit), BudgetSource::Manifest)
-    }
-
-    fn execute(
-        &self,
-        p: &Problem,
-        spec: &PlatformSpec,
-        _unit_solver: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> UnitExecution {
-        // Engines come from the shared pool — constructed once per
-        // (spec, seed), reused by every subsequent unit and request.
-        let roster = self.pool.roster(&self.roster, p.seed);
-        UnitExecution::race(
-            race_roster(&roster, &p.taskset, spec, budget, cancel)
-                .expect("valid constrained instance"),
-        )
-    }
-}
-
-/// Wrapper policy: delegate execution to `inner`, but cap each unit's
-/// allowance at the cell's recorded-solve-time quantile. The snapshot is
-/// taken at build time and *re-taken on every [`ExecutionPolicy::refresh`]*
-/// (executors call it per claimed shard), so a long-running worker's
-/// allowances track records committed after it started rather than
-/// freezing at its start-up snapshot. The quantile only ever *tightens*
-/// the manifest limit, and a budget is a measurement-domain quantity (like
-/// the wall clock itself), so workers holding different snapshots still
-/// commit records that dedupe identically — refresh is an accuracy
-/// improvement, never a correctness requirement.
-pub struct AdaptiveBudget {
-    inner: Box<dyn ExecutionPolicy>,
-    spec: AdaptiveSpec,
-    n_cells: usize,
-    per_cell: std::sync::Mutex<Vec<Option<Duration>>>,
-}
-
-impl AdaptiveBudget {
-    /// The adaptive allowance of `cell`, when enough samples existed.
     #[must_use]
-    pub fn cell_allowance(&self, cell: usize) -> Option<Duration> {
-        self.per_cell
-            .lock()
-            .expect("allowance lock")
-            .get(cell)
-            .copied()
-            .flatten()
-    }
-}
-
-impl ExecutionPolicy for AdaptiveBudget {
-    fn kind(&self) -> PolicyKind {
-        self.inner.kind()
-    }
-
-    fn unit_budget(&self, cell: usize) -> (Budget, BudgetSource) {
-        let (base, _) = self.inner.unit_budget(cell);
-        match self.cell_allowance(cell) {
+    pub fn unit_budget(&self, cell: usize) -> (Budget, BudgetSource) {
+        let base = Budget::time_limit(self.time_limit);
+        let allowance = self.adaptive.as_ref().and_then(|a| {
+            let per_cell = a.per_cell.lock().expect("allowance lock");
+            per_cell.get(cell).copied().flatten()
+        });
+        match allowance {
             Some(allowance) => (base.capped(Some(allowance)), BudgetSource::Adaptive),
             None => (base, BudgetSource::Manifest),
         }
     }
 
-    fn execute(
+    /// Execute one unit of instance `p` on the platform `spec` (built once
+    /// per unit by the executor). `unit_solver` indexes the roster; a
+    /// racing plan pins it to 0, so the race gets the whole roster.
+    #[must_use]
+    pub fn execute(
         &self,
         p: &Problem,
         spec: &PlatformSpec,
@@ -513,67 +406,50 @@ impl ExecutionPolicy for AdaptiveBudget {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> UnitExecution {
-        self.inner.execute(p, spec, unit_solver, budget, cancel)
+        let roster = &self.roster[unit_solver..];
+        run_unit(self.kind, roster, &self.pool, p, spec, budget, cancel)
     }
 
-    fn refresh(&self, store: &dyn RecordStore) -> Result<(), CampaignError> {
-        let budgets = adaptive_cell_budgets(self.n_cells, store, &self.spec)?;
-        *self.per_cell.lock().expect("allowance lock") = budgets;
-        self.inner.refresh(store)
+    /// Re-snapshot the adaptive allowances from `store` (called by
+    /// executors between shards); nothing to do without adaptive budgets.
+    pub fn refresh(&self, store: &dyn RecordStore) -> Result<(), CampaignError> {
+        if let Some(a) = &self.adaptive {
+            let n_cells = a.per_cell.lock().expect("allowance lock").len();
+            let per_cell = adaptive_cell_budgets(n_cells, store, &a.spec)?;
+            *a.per_cell.lock().expect("allowance lock") = per_cell;
+        }
+        Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
-// The shared race entry point (campaign policy + CLI `portfolio`)
+// The shared race entry point (run_unit + CLI `portfolio`)
 // ---------------------------------------------------------------------------
-
-/// One roster race, reduced to the serializable parts every consumer
-/// needs. The CLI `portfolio` subcommand and the [`PortfolioRace`] policy
-/// both reduce to [`race_roster`] — there is exactly one race loop in the
-/// repository ([`mgrts_core::portfolio::race_cancellable`]).
-#[derive(Debug, Clone)]
-pub struct RaceRun {
-    /// The race's overall verdict (winner's, or the first non-definitive).
-    pub verdict: Verdict,
-    /// Winning backend name, if any backend reached a definitive verdict.
-    pub winner: Option<String>,
-    /// Wall-clock of the whole race, microseconds.
-    pub elapsed_us: u64,
-    /// Wall-clock between the winner's verdict and the last loser
-    /// stopping, when there was a winner.
-    pub cancel_latency_us: Option<u64>,
-    /// Per-backend stats, in roster order.
-    pub backends: Vec<BackendStat>,
-    /// The winner's search telemetry, when its backend collects it.
-    pub search: Option<mgrts_obs::SearchStats>,
-}
 
 /// Race a prebuilt roster on one instance under an external cancellation
-/// token. Accepts any owning roster pointer (`Box` for one-shot callers,
-/// pooled `Arc`s for resident ones), like the underlying racer.
+/// token, returning the unit's record slice plus the race's overall
+/// verdict (the winner's, or the first non-definitive). The CLI
+/// `portfolio` subcommand and [`run_unit`] both reduce to this — there is
+/// exactly one race loop in the repository
+/// ([`mgrts_core::portfolio::race_cancellable`]). Accepts any owning
+/// roster pointer (`Box` for one-shot callers, pooled `Arc`s for resident
+/// ones), like the underlying racer.
 pub fn race_roster<S>(
     roster: &[S],
     ts: &TaskSet,
     spec: &PlatformSpec,
     budget: &Budget,
     cancel: &CancelToken,
-) -> Result<RaceRun, rt_task::TaskError>
+) -> Result<(UnitExecution, Verdict), rt_task::TaskError>
 where
     S: std::ops::Deref<Target = dyn FeasibilitySolver> + Sync,
 {
     let mut sp = flight::span("race", "");
     let race = portfolio::race_cancellable(roster, ts, spec, budget, cancel)?;
-    let run = RaceRun {
-        verdict: race.result.verdict.clone(),
-        winner: race.winner_name().map(ToString::to_string),
-        elapsed_us: race.elapsed_us,
-        cancel_latency_us: race.cancel_latency_us(),
-        backends: race.backend_stats(),
-        search: race.result.search.clone(),
-    };
+    let backends = race.backend_stats();
     // One lifecycle event per backend: how each contender ended (the
     // winner's verdict, cancelled losers, budget overruns).
-    for b in &run.backends {
+    for b in &backends {
         flight::event(
             "race.backend",
             "",
@@ -586,28 +462,36 @@ where
             ),
         );
     }
-    sp.set_detail(&match (&run.winner, run.cancel_latency_us) {
+    let exec = UnitExecution {
+        outcome: classify(&race.result.verdict),
+        time_us: race.elapsed_us,
+        winner: race.winner_name().map(ToString::to_string),
+        cancel_latency_us: race.cancel_latency_us(),
+        backends: Some(backends),
+        search: race.result.search.clone(),
+    };
+    sp.set_detail(&match (&exec.winner, exec.cancel_latency_us) {
         (Some(w), Some(lat)) => format!("winner={w} cancel_latency_us={lat}"),
         (Some(w), None) => format!("winner={w}"),
         (None, _) => "winner=none".to_string(),
     });
-    Ok(run)
+    Ok((exec, race.result.verdict))
 }
 
 /// Text rendering of a race: winner line, race wall-clock, per-backend
 /// stats table (the CLI `portfolio` output body).
 #[must_use]
-pub fn render_race(run: &RaceRun) -> String {
+pub fn render_race(race: &UnitExecution) -> String {
     let mut out = String::new();
-    match &run.winner {
+    match &race.winner {
         Some(name) => out.push_str(&format!("winner: {name}\n")),
         None => out.push_str("winner: none (no definitive verdict)\n"),
     }
     out.push_str(&format!(
         "race wall-clock: {:?}\n",
-        Duration::from_micros(run.elapsed_us)
+        Duration::from_micros(race.time_us)
     ));
-    if let Some(lat) = run.cancel_latency_us {
+    if let Some(lat) = race.cancel_latency_us {
         out.push_str(&format!(
             "cancellation latency: {:?}\n",
             Duration::from_micros(lat)
@@ -617,7 +501,7 @@ pub fn render_race(run: &RaceRun) -> String {
         "{:<14} {:<22} {:>10} {:>10} {:>12}\n",
         "backend", "outcome", "decisions", "failures", "elapsed"
     ));
-    for b in &run.backends {
+    for b in race.backends.iter().flatten() {
         out.push_str(&format!(
             "{:<14} {:<22} {:>10} {:>10} {:>12}\n",
             format!("{}{}", b.name, if b.winner { " *" } else { "" }),
@@ -762,16 +646,16 @@ adaptive_min_samples = 3
         let d = PolicySpec::default();
         assert!(d.is_default());
         assert_eq!(d.tag(), "single");
-        assert_eq!(d.units_per_instance(6), 6);
+        assert_eq!(d.mode.units_per_instance(6), 6);
         let race = PolicySpec {
-            mode: PolicyMode::PortfolioRace,
+            mode: PolicyKind::PortfolioRace,
             adaptive: None,
         };
         assert!(!race.is_default());
         assert_eq!(race.tag(), "portfolio-race");
-        assert_eq!(race.units_per_instance(6), 1);
+        assert_eq!(race.mode.units_per_instance(6), 1);
         let adaptive = PolicySpec {
-            mode: PolicyMode::Single,
+            mode: PolicyKind::Single,
             adaptive: Some(AdaptiveSpec {
                 quantile: 0.9,
                 min_samples: 8,
@@ -779,12 +663,17 @@ adaptive_min_samples = 3
         };
         assert!(!adaptive.is_default());
         assert_eq!(adaptive.tag(), "single+adaptive(q=0.9,min=8)");
-        assert_eq!(
-            "portfolio-race".parse::<PolicyMode>().unwrap(),
-            PolicyMode::PortfolioRace
-        );
-        assert_eq!("single".parse::<PolicyMode>().unwrap(), PolicyMode::Single);
-        assert!("nonsense".parse::<PolicyMode>().is_err());
+        for (name, kind) in [
+            ("single", PolicyKind::Single),
+            ("portfolio-race", PolicyKind::PortfolioRace),
+            ("portfolio", PolicyKind::PortfolioRace),
+            ("race", PolicyKind::PortfolioRace),
+        ] {
+            assert_eq!(name.parse::<PolicyKind>().unwrap(), kind);
+        }
+        assert!("nonsense".parse::<PolicyKind>().is_err());
+        assert_eq!(PolicyKind::default(), PolicyKind::Single);
+        assert_eq!(PolicyKind::PortfolioRace.to_string(), "portfolio-race");
     }
 
     #[test]

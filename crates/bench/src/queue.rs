@@ -57,7 +57,7 @@ use mgrts_obs::flight;
 use crate::campaign::{
     check_verdicts, panic_reason, run_shard, summarize, CampaignError, CampaignOutcome, Manifest,
 };
-use crate::policy::ExecutionPolicy;
+use crate::policy::Policy;
 use crate::shard::Shard;
 use crate::sink::{fnv64, validate_writer_id, LocalStore, RecordStore, ShardWriter, LOCAL_WRITER};
 
@@ -761,7 +761,7 @@ pub(crate) fn drain(
     };
     let worker = Drain {
         manifest,
-        policy: &*policy,
+        policy: &policy,
         shards,
         store,
         board: &board,
@@ -847,7 +847,7 @@ pub(crate) fn drain(
 /// State the claimer threads of one drain share.
 struct Drain<'a> {
     manifest: &'a Manifest,
-    policy: &'a dyn ExecutionPolicy,
+    policy: &'a Policy,
     shards: &'a [Shard],
     store: &'a LocalStore,
     board: &'a LeaseBoard,

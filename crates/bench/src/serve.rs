@@ -62,12 +62,13 @@ use serde_json::Value;
 
 use mgrts_core::engine::{Budget, CancelToken, EnginePool, PlatformSpec, SolverSpec};
 use mgrts_obs::{flight, render_sample, FlightRecorder, Histogram, Registry, SampleKind};
-use rt_task::TaskSet;
+use rt_gen::Problem;
+use rt_task::{JobInstants, TaskSet};
 
 use crate::campaign::panic_reason;
-use crate::policy::{race_roster, BudgetSource, PolicyKind, UnitExecution};
+use crate::policy::{run_unit, BudgetSource, PolicyKind, UnitExecution};
 use crate::queue::{list_leases, now_unix_ms, LeaseBoard, LEASE_DIR};
-use crate::runner::{self, InstanceOutcome};
+use crate::runner::InstanceOutcome;
 use crate::shard::{fnv1a, RunUnit, Shard};
 use crate::sink::{CampaignRecord, LocalStore, RecordStore, ShardWriter};
 
@@ -133,7 +134,7 @@ impl Default for ServeConfig {
 // Requests
 // ---------------------------------------------------------------------------
 
-/// How a solve request wants to be executed.
+/// The shape of a solve request: one named backend or the default race.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestMode {
     /// One named backend.
@@ -148,7 +149,15 @@ impl RequestMode {
     pub fn tag(&self) -> &'static str {
         match self {
             RequestMode::Single(spec) => spec.name(),
-            RequestMode::Race => "portfolio-race",
+            RequestMode::Race => PolicyKind::PortfolioRace.name(),
+        }
+    }
+
+    /// The executor shape and roster [`run_unit`] runs this request with.
+    fn unit(&self) -> (PolicyKind, &[SolverSpec]) {
+        match self {
+            RequestMode::Single(spec) => (PolicyKind::Single, std::slice::from_ref(spec)),
+            RequestMode::Race => (PolicyKind::PortfolioRace, &SolverSpec::DEFAULT_PORTFOLIO),
         }
     }
 }
@@ -191,7 +200,7 @@ impl SolveRequest {
             }
             RequestMode::Race => fields.push((
                 "policy".to_string(),
-                Value::String("portfolio-race".to_string()),
+                Value::String(PolicyKind::PortfolioRace.name().to_string()),
             )),
         }
         if let Some(ms) = self.budget_ms {
@@ -233,6 +242,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 Some(ts) => TaskSet::from_value(ts).map_err(|e| format!("bad `taskset`: {e}"))?,
                 None => return Err("solve request needs a `taskset`".to_string()),
             };
+            // Every engine builds this structure first: a task set it
+            // refuses (D > T, an overflowing hyperperiod) is the
+            // requester's error, not a worker panic.
+            JobInstants::new(&taskset).map_err(|e| format!("bad `taskset`: {e}"))?;
             let Some(m) = v["m"].as_u64() else {
                 return Err("solve request needs a processor count `m`".to_string());
             };
@@ -245,16 +258,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 Some(name) => Some(name.parse::<SolverSpec>()?),
                 None => None,
             };
-            let mode = match v["policy"].as_str() {
-                Some("single") => {
+            let mode = match v["policy"].as_str().map(str::parse::<PolicyKind>) {
+                Some(Ok(PolicyKind::Single)) => {
                     RequestMode::Single(solver.unwrap_or(SolverSpec::DEFAULT_PORTFOLIO[0]))
                 }
-                Some("portfolio-race" | "portfolio" | "race") => RequestMode::Race,
-                Some(other) => {
-                    return Err(format!(
-                        "unknown policy `{other}` (expected single|portfolio-race)"
-                    ))
-                }
+                Some(Ok(PolicyKind::PortfolioRace)) => RequestMode::Race,
+                Some(Err(e)) => return Err(e),
                 None => match solver {
                     Some(spec) => RequestMode::Single(spec),
                     None => RequestMode::Race,
@@ -359,11 +368,27 @@ pub struct CachedResult {
     /// Solve wall-clock, microseconds.
     pub time_us: u64,
     /// Backend that produced the verdict (race winner, or the single
-    /// solver; the mode tag when nobody concluded).
+    /// solver; `portfolio-race` when no racer concluded).
     pub solver: String,
 }
 
 impl CachedResult {
+    /// The served form of a stored record. The label is the race winner
+    /// or the single solver; a race without a winner reports its policy
+    /// name, not the roster head its record carries.
+    fn from_record(r: &CampaignRecord) -> Self {
+        let solver = match (&r.winner, r.policy_kind()) {
+            (Some(winner), _) => winner.clone(),
+            (None, PolicyKind::Single) => r.solver.name().to_string(),
+            (None, kind) => kind.name().to_string(),
+        };
+        CachedResult {
+            outcome: r.outcome,
+            time_us: r.time_us,
+            solver,
+        }
+    }
+
     fn response(&self, key: u64, cache: &str) -> Value {
         use serde::Serialize;
         obj(vec![
@@ -622,27 +647,22 @@ impl ServerState {
         let budget_ms = req.effective_budget_ms(self.cfg.default_budget_ms);
         let budget = Budget::time_limit(Duration::from_millis(budget_ms));
         let platform = PlatformSpec::identical(req.m);
-        let exec = match &req.mode {
-            RequestMode::Single(spec) => {
-                let engine = self.pool.get(*spec, req.seed);
-                self.count_engines();
-                UnitExecution::single(runner::run(
-                    &req.taskset,
-                    &platform,
-                    &*engine,
-                    &budget,
-                    &self.cancel,
-                ))
-            }
-            RequestMode::Race => {
-                let roster = self.pool.roster(&SolverSpec::DEFAULT_PORTFOLIO, req.seed);
-                self.count_engines();
-                UnitExecution::race(
-                    race_roster(&roster, &req.taskset, &platform, &budget, &self.cancel)
-                        .expect("valid constrained instance"),
-                )
-            }
+        let problem = Problem {
+            taskset: req.taskset.clone(),
+            m: req.m,
+            seed: req.seed,
         };
+        let (kind, roster) = req.mode.unit();
+        let exec = run_unit(
+            kind,
+            roster,
+            &self.pool,
+            &problem,
+            &platform,
+            &budget,
+            &self.cancel,
+        );
+        self.count_engines();
         let result = self.settle(key, self.record_for(key, req, exec));
         self.finish_execute(&ticket, req, &result, started, sp);
         result
@@ -705,16 +725,13 @@ impl ServerState {
     /// request's provenance, as [`crate::campaign`] records a unit. Race
     /// records carry the roster head as their solver, like race units.
     fn record_for(&self, key: u64, req: &SolveRequest, exec: UnitExecution) -> CampaignRecord {
-        let (kind, solver) = match req.mode {
-            RequestMode::Single(spec) => (PolicyKind::Single, spec),
-            RequestMode::Race => (PolicyKind::PortfolioRace, SolverSpec::DEFAULT_PORTFOLIO[0]),
-        };
+        let (kind, roster) = req.mode.unit();
         CampaignRecord {
             shard: ticket_of(key),
             cell: 0,
             instance: key,
             global_instance: key,
-            solver,
+            solver: roster[0],
             outcome: exec.outcome,
             time_us: exec.time_us,
             ratio: req.taskset.utilization_ratio(req.m),
@@ -739,14 +756,7 @@ impl ServerState {
     /// outcomes (a shutdown mid-solve) are returned to their waiters but
     /// never cached — a restarted server must re-decide them.
     fn settle(&self, key: u64, record: CampaignRecord) -> CachedResult {
-        let result = CachedResult {
-            outcome: record.outcome,
-            time_us: record.time_us,
-            solver: record
-                .winner
-                .clone()
-                .unwrap_or_else(|| record.solver.name().to_string()),
-        };
+        let result = CachedResult::from_record(&record);
         if record.outcome == InstanceOutcome::Cancelled {
             return result;
         }
@@ -1233,17 +1243,7 @@ impl Server {
         // servable response (`instance` is the request key).
         let mut cache = HashMap::new();
         for r in store.load_records()? {
-            cache.insert(
-                r.instance,
-                CachedResult {
-                    outcome: r.outcome,
-                    time_us: r.time_us,
-                    solver: r
-                        .winner
-                        .clone()
-                        .unwrap_or_else(|| r.solver.name().to_string()),
-                },
-            );
+            cache.insert(r.instance, CachedResult::from_record(&r));
         }
         let flight_rec = FlightRecorder::new(512);
         flight_rec.install_panic_hook();
@@ -1450,6 +1450,13 @@ mod tests {
             "{\"type\":\"solve\",\"m\":2}",
             "{\"type\":\"solve\",\"taskset\":{\"tasks\":[]},\"m\":0}",
             "{\"type\":\"poll\"}",
+            // D > T, and a hyperperiod lcm(2^63, 3) that overflows u64:
+            // every engine refuses both.
+            r#"{"type":"solve","taskset":{"tasks":[{"offset":0,"wcet":1,"deadline":5,"period":4}]},"m":1}"#,
+            concat!(
+                r#"{"type":"solve","taskset":{"tasks":[{"offset":0,"wcet":1,"deadline":1,"#,
+                r#""period":9223372036854775808},{"offset":0,"wcet":1,"deadline":1,"period":3}]},"m":2}"#
+            ),
         ] {
             let err = match parse_request(bad) {
                 Err(e) => e,
@@ -1460,7 +1467,50 @@ mod tests {
             let back: Value = serde_json::from_str(&text).unwrap();
             assert_eq!(back["type"].as_str(), Some("error"), "for `{bad}`");
             assert!(back["error"].as_str().is_some(), "for `{bad}`");
+            if bad.contains("\"period\":") {
+                // Refused by every engine, so refused at parse time.
+                assert!(err.starts_with("bad `taskset`: "), "{err}");
+            }
         }
+    }
+
+    #[test]
+    fn served_labels_name_the_winner_the_solver_or_the_policy() {
+        let record = |policy, winner: Option<&str>| CampaignRecord {
+            shard: ticket_of(1),
+            cell: 0,
+            instance: 1,
+            global_instance: 1,
+            solver: SolverSpec::DEFAULT_PORTFOLIO[0],
+            outcome: InstanceOutcome::Overrun,
+            time_us: 7,
+            ratio: 0.5,
+            filtered: false,
+            m: 2,
+            n: 3,
+            t_max: 4,
+            hetero: false,
+            hyperperiod: 12,
+            seed: 1,
+            policy,
+            winner: winner.map(ToString::to_string),
+            budget_source: Some(BudgetSource::Manifest),
+            cancel_latency_us: None,
+            backends: None,
+            search: None,
+        };
+        let label = |r: &CampaignRecord| CachedResult::from_record(r).solver;
+        let head = SolverSpec::DEFAULT_PORTFOLIO[0].name();
+        assert_eq!(label(&record(Some(PolicyKind::Single), None)), head);
+        assert_eq!(label(&record(None, None)), head, "pre-policy records");
+        assert_eq!(
+            label(&record(Some(PolicyKind::PortfolioRace), Some("sat"))),
+            "sat"
+        );
+        assert_eq!(
+            label(&record(Some(PolicyKind::PortfolioRace), None)),
+            "portfolio-race"
+        );
     }
 
     #[test]

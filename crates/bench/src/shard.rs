@@ -12,6 +12,8 @@
 use mgrts_core::engine::SolverSpec;
 use rt_gen::{GeneratorConfig, MSpec, ParamOrder};
 
+use crate::policy::PolicyKind;
+
 /// Processor-count rule of one grid cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellM {
@@ -75,17 +77,6 @@ impl Cell {
     }
 }
 
-/// How the unit stream enumerates the solver axis — decided by the
-/// campaign's execution policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanShape {
-    /// One unit per `(cell, instance, solver)` (the `single` policy).
-    PerSolver,
-    /// One unit per `(cell, instance)`, solver index pinned to 0 (racing
-    /// policies: the whole roster runs inside the unit).
-    PerInstance,
-}
-
 /// One (cell, instance, solver) run — the atom of campaign work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunUnit {
@@ -124,8 +115,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Split a campaign into shards: enumerate run units in (cell, instance,
 /// solver) order — or (cell, instance) order with the solver axis
-/// collapsed for racing policies — chunk into `shard_size` units, and hash
-/// each chunk together with the campaign `fingerprint`.
+/// collapsed (solver index pinned to 0) when `kind` races the roster —
+/// chunk into `shard_size` units, and hash each chunk together with the
+/// campaign `fingerprint`.
 #[must_use]
 pub fn plan_shards(
     cells: &[Cell],
@@ -133,12 +125,9 @@ pub fn plan_shards(
     roster: &[SolverSpec],
     shard_size: usize,
     fingerprint: &str,
-    shape: PlanShape,
+    kind: PolicyKind,
 ) -> Vec<Shard> {
-    let solver_slots = match shape {
-        PlanShape::PerSolver => roster.len(),
-        PlanShape::PerInstance => 1,
-    };
+    let solver_slots = kind.units_per_instance(roster.len());
     let mut units = Vec::new();
     for (ci, _) in cells.iter().enumerate() {
         for i in 0..instances_per_cell {
@@ -157,9 +146,9 @@ pub fn plan_shards(
         .map(|(index, chunk)| {
             let mut desc = format!("{fingerprint}\nshard {index}\n");
             for u in chunk {
-                let label = match shape {
-                    PlanShape::PerSolver => roster[u.solver].name(),
-                    PlanShape::PerInstance => "race",
+                let label = match kind {
+                    PolicyKind::Single => roster[u.solver].name(),
+                    PolicyKind::PortfolioRace => "race",
                 };
                 desc.push_str(&format!(
                     "{}|{}|{}\n",
@@ -203,8 +192,8 @@ mod tests {
     #[test]
     fn planning_is_deterministic_and_covers_every_unit() {
         let roster = [SolverSpec::Csp1, SolverSpec::Csp1Sat];
-        let a = plan_shards(&cells(), 3, &roster, 4, "fp", PlanShape::PerSolver);
-        let b = plan_shards(&cells(), 3, &roster, 4, "fp", PlanShape::PerSolver);
+        let a = plan_shards(&cells(), 3, &roster, 4, "fp", PolicyKind::Single);
+        let b = plan_shards(&cells(), 3, &roster, 4, "fp", PolicyKind::Single);
         assert_eq!(a, b);
         let total: usize = a.iter().map(|s| s.units.len()).sum();
         assert_eq!(total, 2 * 3 * 2);
@@ -220,8 +209,8 @@ mod tests {
     #[test]
     fn hash_depends_on_fingerprint_and_content() {
         let roster = [SolverSpec::Csp1];
-        let a = plan_shards(&cells(), 2, &roster, 2, "fp-a", PlanShape::PerSolver);
-        let b = plan_shards(&cells(), 2, &roster, 2, "fp-b", PlanShape::PerSolver);
+        let a = plan_shards(&cells(), 2, &roster, 2, "fp-a", PolicyKind::Single);
+        let b = plan_shards(&cells(), 2, &roster, 2, "fp-b", PolicyKind::Single);
         assert_ne!(a[0].hash, b[0].hash);
         let c = plan_shards(
             &cells(),
@@ -229,7 +218,7 @@ mod tests {
             &[SolverSpec::Csp1Sat],
             2,
             "fp-a",
-            PlanShape::PerSolver,
+            PolicyKind::Single,
         );
         assert_ne!(a[0].hash, c[0].hash);
     }
@@ -237,8 +226,8 @@ mod tests {
     #[test]
     fn per_instance_shape_collapses_the_solver_axis() {
         let roster = [SolverSpec::Csp1, SolverSpec::Csp1Sat];
-        let per_solver = plan_shards(&cells(), 3, &roster, 4, "fp", PlanShape::PerSolver);
-        let per_instance = plan_shards(&cells(), 3, &roster, 4, "fp", PlanShape::PerInstance);
+        let per_solver = plan_shards(&cells(), 3, &roster, 4, "fp", PolicyKind::Single);
+        let per_instance = plan_shards(&cells(), 3, &roster, 4, "fp", PolicyKind::PortfolioRace);
         let total = |plan: &[Shard]| plan.iter().map(|s| s.units.len()).sum::<usize>();
         assert_eq!(total(&per_solver), 2 * 3 * 2);
         assert_eq!(total(&per_instance), 2 * 3);

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use mgrts_bench::campaign::{
     parity, report, resume, run_fresh, CampaignOptions, Manifest, ReportKind,
 };
-use mgrts_bench::policy::{AdaptiveSpec, BudgetSource, PolicyKind, PolicyMode};
+use mgrts_bench::policy::{AdaptiveSpec, BudgetSource, PolicyKind};
 use mgrts_bench::queue::{dispatch, run_worker, status, WorkerOptions};
 use mgrts_bench::sink::{load_records, LocalStore, RecordStore};
 use mgrts_bench::InstanceOutcome;
@@ -140,7 +140,7 @@ fn adaptive_budgets_engage_on_resume_with_samples() {
         42,
         "[policy]\nadaptive_quantile = 0.9\nadaptive_min_samples = 1\n",
     );
-    assert_eq!(m.policy.mode, PolicyMode::Single);
+    assert_eq!(m.policy.mode, PolicyKind::Single);
     assert_eq!(
         m.policy.adaptive,
         Some(AdaptiveSpec {
@@ -375,5 +375,72 @@ fn policy_manifests_round_trip_and_reshard() {
              [grid]\nn = [2]\nm = [2]\nt_max = [3]\nsolvers = [\"csp1\"]\n{bad}"
         );
         assert!(Manifest::parse(&text).is_err(), "accepted: {bad}");
+    }
+    // Existing stores resume and dedupe on these bytes: the committed
+    // manifests' fingerprints and shard plans under each policy never move.
+    let manifests = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/manifests");
+    let single = "mode = \"single\"";
+    let race = "mode = \"portfolio-race\"";
+    let adaptive = "mode = \"portfolio-race\"\nadaptive_quantile = 0.9";
+    let smoke_fp = "seed=2009;limit_ms=1000;per_cell=24;shard=24;max_shard_ms=none;scan=200000;cells=[n=10/m=5/tmax=7/u=*/hetero=false];roster=[csp1,csp2,csp2-rm,csp2-dm,csp2-tc,csp2-dc]";
+    let hetero_fp = "seed=2009;limit_ms=1000;per_cell=8;shard=8;max_shard_ms=none;scan=200000;cells=[n=10/m=5/tmax=7/u=*/hetero=true];roster=[csp1,csp2,csp2-rm,csp2-dm,csp2-tc,csp2-dc]";
+    let pinned = [
+        (
+            "smoke.toml",
+            single,
+            smoke_fp.to_string(),
+            6,
+            "6acb171100bc82d3",
+            "519d6cac4479957e",
+        ),
+        (
+            "smoke.toml",
+            race,
+            format!("{smoke_fp};policy=portfolio-race"),
+            1,
+            "a2f0628332fab4a7",
+            "a2f0628332fab4a7",
+        ),
+        (
+            "smoke.toml",
+            adaptive,
+            format!("{smoke_fp};policy=portfolio-race+adaptive(q=0.9,min=8)"),
+            1,
+            "69e1fd81b1a90467",
+            "69e1fd81b1a90467",
+        ),
+        (
+            "hetero_smoke.toml",
+            single,
+            hetero_fp.to_string(),
+            6,
+            "9e90c9300b61b2fc",
+            "7865f93e2f7847aa",
+        ),
+        (
+            "hetero_smoke.toml",
+            race,
+            format!("{hetero_fp};policy=portfolio-race"),
+            1,
+            "deeb6babd37c55b0",
+            "deeb6babd37c55b0",
+        ),
+        (
+            "hetero_smoke.toml",
+            adaptive,
+            format!("{hetero_fp};policy=portfolio-race+adaptive(q=0.9,min=8)"),
+            1,
+            "30558733d1944118",
+            "30558733d1944118",
+        ),
+    ];
+    for (file, policy, fingerprint, shards, first, last) in pinned {
+        let text = std::fs::read_to_string(format!("{manifests}/{file}")).unwrap();
+        let m = Manifest::parse(&format!("{text}\n[policy]\n{policy}\n")).unwrap();
+        assert_eq!(m.fingerprint(), fingerprint, "{file} under {policy}");
+        let plan = m.plan();
+        assert_eq!(plan.len(), shards, "{file} under {policy}");
+        assert_eq!(plan[0].hash, first, "{file} under {policy}");
+        assert_eq!(plan[shards - 1].hash, last, "{file} under {policy}");
     }
 }

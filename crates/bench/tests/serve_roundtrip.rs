@@ -496,3 +496,38 @@ fn heavy_worker_panic_settles_ticket_failed_and_releases_lease() {
     assert_eq!(poll["status"].as_str(), Some("failed"), "{poll:?}");
     server.shutdown();
 }
+
+#[test]
+fn undecided_race_reports_its_policy_fresh_and_after_restart() {
+    let _serial = serial();
+    let mut cfg = config("undecided-race");
+    cfg.job_retries = 0;
+    let data_dir = cfg.data_dir.clone();
+    let race = format!(
+        "{{\"type\":\"solve\",\"taskset\":{},\"m\":2,\"policy\":\"portfolio-race\"}}",
+        taskset_json()
+    );
+    // Every racer panics, so the race settles `Failed` without a winner.
+    let plan = mgrts_fault::install_guarded(
+        mgrts_fault::FaultPlan::parse("seed=3;engine.solve:panic:always").unwrap(),
+    );
+    let server = Server::start(cfg).unwrap();
+    let fresh = exchange(server.addr(), &race);
+    assert_eq!(fresh["outcome"].as_str(), Some("Failed"), "{fresh:?}");
+    assert_eq!(
+        fresh["solver"].as_str(),
+        Some("portfolio-race"),
+        "{fresh:?}"
+    );
+    server.shutdown();
+    drop(plan);
+
+    // The reloaded record serves the same label.
+    let mut cfg2 = config("undecided-race2");
+    cfg2.data_dir = data_dir;
+    let server = Server::start(cfg2).unwrap();
+    let hit = exchange(server.addr(), &race);
+    assert_eq!(hit["cache"].as_str(), Some("hit"), "{hit:?}");
+    assert_eq!(hit["solver"].as_str(), Some("portfolio-race"), "{hit:?}");
+    server.shutdown();
+}

@@ -288,8 +288,8 @@ pub fn cmd_prob(args: &Args) -> Result<String, CliError> {
 /// cancellation; report the winner and per-backend stats.
 ///
 /// Routed through [`mgrts_bench::policy::race_roster`] — the same code
-/// path the campaign engine's `portfolio-race` execution policy runs, so
-/// this subcommand owns no race loop of its own.
+/// path the campaign engine's `portfolio-race` policy runs, so this
+/// subcommand owns no race loop of its own.
 pub fn cmd_portfolio(args: &Args) -> Result<String, CliError> {
     use mgrts_bench::policy::{race_roster, render_race};
     use mgrts_core::engine::PlatformSpec;
@@ -318,7 +318,7 @@ pub fn cmd_portfolio(args: &Args) -> Result<String, CliError> {
         time: time_budget(args)?,
         ..Budget::unlimited()
     };
-    let race = race_roster(
+    let (race, verdict) = race_roster(
         &roster,
         &inst.taskset,
         &PlatformSpec::identical(m),
@@ -327,7 +327,7 @@ pub fn cmd_portfolio(args: &Args) -> Result<String, CliError> {
     )?;
 
     let mut out = String::new();
-    match &race.verdict {
+    match &verdict {
         Verdict::Feasible(s) => {
             out.push_str("FEASIBLE\n");
             if args.switch("json") {
@@ -396,7 +396,7 @@ pub fn cmd_portfolio(args: &Args) -> Result<String, CliError> {
 ///   single-solver verdict of the same workload (budget straddles warn).
 pub fn cmd_bench(args: &Args) -> Result<String, CliError> {
     use mgrts_bench::campaign::{self, CampaignOptions, Manifest, ReportKind, Summary};
-    use mgrts_bench::policy::{AdaptiveSpec, PolicyMode};
+    use mgrts_bench::policy::{AdaptiveSpec, PolicyKind};
     use mgrts_bench::queue::{self, WorkerOptions};
     use mgrts_core::engine::CancelGroup;
     use std::path::PathBuf;
@@ -415,7 +415,7 @@ pub fn cmd_bench(args: &Args) -> Result<String, CliError> {
     // Apply the policy-selection flags on top of a loaded manifest.
     let apply_policy = |manifest: &mut Manifest| -> Result<(), CliError> {
         if let Some(mode) = args.opt_str("policy") {
-            manifest.policy.mode = mode.parse::<PolicyMode>().map_err(CliError::Other)?;
+            manifest.policy.mode = mode.parse::<PolicyKind>().map_err(CliError::Other)?;
         }
         match args.opt::<f64>("adaptive-quantile", "a quantile in (0, 1]")? {
             Some(q) => {
@@ -530,7 +530,7 @@ pub fn cmd_bench(args: &Args) -> Result<String, CliError> {
             // rather than silently run whatever the store declares.
             if let Some(expect) = args.opt_str("policy") {
                 use mgrts_bench::sink::{LocalStore, RecordStore};
-                let expect = expect.parse::<PolicyMode>().map_err(CliError::Other)?;
+                let expect = expect.parse::<PolicyKind>().map_err(CliError::Other)?;
                 let store = LocalStore::open(&dir)?;
                 let stored = Manifest::parse(
                     &store

@@ -9,7 +9,9 @@
 #      and `client poll` resolves it to a settled outcome;
 #   4. a `metrics` request answers with well-formed Prometheus text
 #      exposition reflecting the traffic above;
-#   5. SIGTERM shuts the server down cleanly: exit code 0 and no orphaned
+#   5. a task set every engine refuses (D > T) gets an `error` response
+#      at parse time: no failed job, no store record;
+#   6. SIGTERM shuts the server down cleanly: exit code 0 and no orphaned
 #      lease files in the store.
 #
 # Runs locally (`scripts/serve_smoke.sh`) and as the CI serve-smoke job.
@@ -86,6 +88,23 @@ EOF
 # The settled spill is now an ordinary cache hit.
 "$bin" client solve "$root/big.json" --addr "$addr" | grep -q '"hit"'
 
+# --- 5: a D > T task set is a protocol error, not a failed job ----------
+python3 - "$addr" "$store" <<'EOF'
+import glob, json, socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+def records():
+    return sum(1 for f in glob.glob(sys.argv[2] + "/records*.jsonl") for _ in open(f))
+before = records()
+line = ('{"type":"solve","m":1,"solver":"csp2-dc","taskset":{"tasks":'
+        '[{"offset":0,"wcet":1,"deadline":5,"period":4}]}}\n')
+with socket.create_connection((host, int(port)), timeout=30) as s:
+    s.sendall(line.encode())
+    r = json.loads(s.makefile().readline())
+assert r["type"] == "error" and "bad `taskset`" in r["error"], r
+assert records() == before, (before, records())
+print(f"serve_smoke: D > T rejected ({r['error']})")
+EOF
+
 # --- stats: the counters reflect everything above -----------------------
 "$bin" client stats --json --addr "$addr" > "$root/stats.json"
 cat "$root/stats.json"
@@ -97,6 +116,7 @@ assert s["inflight_hits"] >= 1, s
 assert s["cache_hits"] >= 2, s
 assert s["spilled"] == 1, s
 assert s["rejected"] == 0, s
+assert s["failed"] == 0, s
 print("serve_smoke: stats OK", {k: s[k] for k in
       ("requests", "solves", "cache_hits", "inflight_hits", "spilled")})
 EOF
@@ -133,7 +153,7 @@ print("serve_smoke: metrics OK "
       f"{len(types)} series)")
 EOF
 
-# --- 5: SIGTERM -> clean shutdown, no orphaned leases -------------------
+# --- 6: SIGTERM -> clean shutdown, no orphaned leases -------------------
 kill -TERM "$pid"
 wait "$pid"
 trap - EXIT
