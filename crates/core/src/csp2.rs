@@ -18,6 +18,21 @@
 //!   `remaining == slots_left` makes the task *mandatory* at the current
 //!   instant, pruning every branch that skips it.
 //!
+//! The same search runs on heterogeneous platforms (Section VI-A,
+//! [`crate::hetero`]), seen through a platform view that sets four rules
+//! (identical view / rate-matrix view):
+//!
+//! * **visit order** — processors by id / by ascending quality `Q(Pj)`,
+//!   and tasks with fewer eligible processors rank first;
+//! * **symmetry** — eq. (10) across all processors / eq. (13) between
+//!   adjacent visited processors of one identical group;
+//! * **completion** — unit rates / a slot completes `si,j` units: the
+//!   laxity bound scales by the task's largest rate, overshooting
+//!   candidates are skipped and each job's exact total (12) is checked
+//!   after its last instant;
+//! * **idling** — rule 1 and in-instant mandatory pruning / idle is the
+//!   last candidate of every slot (the soundness note of [`crate::hetero`]).
+//!
 //! The search is exact and fully deterministic (Section VII-B), and returns
 //! [`Verdict::Infeasible`] only after exhausting the (symmetry-reduced)
 //! space.
@@ -25,6 +40,7 @@
 use std::time::Instant;
 
 use mgrts_obs::SearchStats;
+use rt_platform::{identical_groups, quality_order, Platform};
 use rt_task::{JobInstants, TaskError, TaskId, TaskSet, Time};
 
 use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
@@ -34,8 +50,8 @@ use crate::solve::{no_processors, SolveResult, StopReason, Verdict};
 
 /// The specialized chronological CSP2 search under one value-ordering
 /// heuristic, on identical processors or, with the rate-weighted
-/// constraint (12), on a heterogeneous platform ([`crate::hetero`]). It
-/// reads [`Budget::time`] and [`Budget::max_decisions`].
+/// constraint (12), on a heterogeneous platform. It reads
+/// [`Budget::time`] and [`Budget::max_decisions`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Csp2Engine {
     /// Value-ordering heuristic (a paper Table I column).
@@ -61,16 +77,18 @@ impl FeasibilitySolver for Csp2Engine {
         cancel: &CancelToken,
     ) -> Result<SolveResult, TaskError> {
         let start = Instant::now();
-        match spec {
-            PlatformSpec::Identical { m } => Ok(Csp2Solver::new(ts, *m)?
-                .with_order(self.order)
-                .with_budget(*budget)
-                .with_cancel(cancel.clone())
-                .solve_since(start)),
+        let solver = Csp2Solver::new(ts, spec.num_processors())?
+            .with_order(self.order)
+            .with_budget(*budget)
+            .with_cancel(cancel.clone());
+        Ok(match spec {
+            PlatformSpec::Identical { .. } => solver.solve_since(start),
             PlatformSpec::Heterogeneous(p) => {
-                crate::hetero::solve_csp2(ts, p, self.order, budget, cancel, start)
+                assert_eq!(p.num_tasks(), ts.len(), "rate matrix row count");
+                let view = RateMatrix::new(ts, p, solver.ji.hyperperiod());
+                Search::new(&solver, view).run(start)
             }
-        }
+        })
     }
 }
 
@@ -136,7 +154,96 @@ impl<'a> Csp2Solver<'a> {
         if self.m == 0 {
             return no_processors(start);
         }
-        Search::new(self).run(start)
+        Search::new(self, Identical).run(start)
+    }
+}
+
+/// The platform as the search visits it, by visit position `j`.
+trait View {
+    /// Rule 1 and in-instant mandatory pruning; otherwise idle is the last
+    /// candidate of every slot and exact completion is checked.
+    const WORK_CONSERVING: bool;
+    /// Units a slot of `task` on the `j`-th visited processor completes
+    /// (0 = forbidden).
+    fn rate(&self, task: TaskId, j: usize) -> Time;
+    /// The largest rate of `task`, the constraint (9) bound's factor.
+    fn max_rate(&self, task: TaskId) -> Time;
+    /// Whether eq. (10)/(13) orders the `(j−1)`-th and `j`-th visited
+    /// processors' tasks by ascending rank.
+    fn same_group(&self, j: usize) -> bool;
+    /// Processor id of the `j`-th visited processor.
+    fn processor(&self, j: usize) -> usize;
+}
+
+/// Identical processors: unit rates, one group, visited in id order.
+struct Identical;
+
+impl View for Identical {
+    const WORK_CONSERVING: bool = true;
+    fn rate(&self, _: TaskId, _: usize) -> Time {
+        1
+    }
+    fn max_rate(&self, _: TaskId) -> Time {
+        1
+    }
+    fn same_group(&self, _: usize) -> bool {
+        true
+    }
+    fn processor(&self, j: usize) -> usize {
+        j
+    }
+}
+
+/// A heterogeneous rate matrix (Section VI-A), columns in visit order:
+/// ascending quality `Q(Pj)`, ties by id.
+struct RateMatrix {
+    m: usize,
+    visit: Vec<usize>,
+    /// `rates[task * m + j]`: the rate on the `j`-th visited processor.
+    rates: Vec<Time>,
+    max_rate: Vec<Time>,
+    /// Identical-processor group of each visit position.
+    group: Vec<usize>,
+}
+
+impl RateMatrix {
+    fn new(ts: &TaskSet, platform: &Platform, h: Time) -> Self {
+        let m = platform.num_processors();
+        let pairs: Vec<(u64, u64)> = ts.tasks().iter().map(|t| (t.wcet, t.period)).collect();
+        let visit = quality_order(platform, &pairs, h);
+        let groups = identical_groups(platform);
+        let rates: Vec<Time> = (0..ts.len())
+            .flat_map(|i| visit.iter().map(move |&p| platform.rate(i, p)))
+            .collect();
+        RateMatrix {
+            m,
+            max_rate: rates
+                .chunks(m)
+                .map(|r| r.iter().copied().max().unwrap_or(0))
+                .collect(),
+            group: visit
+                .iter()
+                .map(|p| groups.iter().position(|g| g.contains(p)).expect("grouped"))
+                .collect(),
+            visit,
+            rates,
+        }
+    }
+}
+
+impl View for RateMatrix {
+    const WORK_CONSERVING: bool = false;
+    fn rate(&self, task: TaskId, j: usize) -> Time {
+        self.rates[task * self.m + j]
+    }
+    fn max_rate(&self, task: TaskId) -> Time {
+        self.max_rate[task]
+    }
+    fn same_group(&self, j: usize) -> bool {
+        self.group[j] == self.group[j - 1]
+    }
+    fn processor(&self, j: usize) -> usize {
+        self.visit[j]
     }
 }
 
@@ -161,11 +268,19 @@ struct Active {
 }
 
 /// A candidate on the shared choice stack: the task and the flat `done`
-/// index of its job at the choice point's instant.
+/// index of its job at the choice point's instant, or [`Cand::IDLE`].
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     task: TaskId,
     job: usize,
+}
+
+impl Cand {
+    /// Leave the slot idle (a candidate of the rate-matrix view only).
+    const IDLE: Cand = Cand {
+        task: 0,
+        job: NO_JOB,
+    };
 }
 
 /// One choice point: slot `(t, j)`, its candidates `cands[start..end]`
@@ -178,11 +293,13 @@ struct ChoicePoint {
     end: usize,
 }
 
-struct Search<'s, 'a> {
+struct Search<'s, 'a, V> {
     solver: &'s Csp2Solver<'a>,
+    view: V,
     h: Time,
     m: usize,
-    /// `rank[task]` under the configured heuristic.
+    /// `rank[task]`: fewer eligible processors first (Section VI-A), then
+    /// the configured heuristic.
     rank: Vec<usize>,
     /// The tasks in rank order, their jobs at instant `at`.
     active: Vec<Active>,
@@ -191,7 +308,8 @@ struct Search<'s, 'a> {
     /// Executed units of each job, flat: task `i`'s job `k` at
     /// `active[rank[i]].base + k`.
     done: Vec<u32>,
-    /// Flat assignment grid, `grid[t*m + j]`, `-1` = idle/unassigned.
+    /// Flat assignment grid by visit position, `grid[t*m + j]`, `-1` =
+    /// idle/unassigned.
     grid: Vec<i32>,
     /// Candidates of every open choice point, one range each.
     cands: Vec<Cand>,
@@ -202,21 +320,26 @@ struct Search<'s, 'a> {
     stats: SearchStats,
 }
 
-impl<'s, 'a> Search<'s, 'a> {
-    fn new(solver: &'s Csp2Solver<'a>) -> Self {
+impl<'s, 'a, V: View> Search<'s, 'a, V> {
+    fn new(solver: &'s Csp2Solver<'a>, view: V) -> Self {
         let ji = &solver.ji;
         let h = ji.hyperperiod();
         let m = solver.m;
-        let rank = solver.order.ranks(solver.ts);
+        let base_rank = solver.order.ranks(solver.ts);
+        let mut priorities: Vec<TaskId> = (0..base_rank.len()).collect();
+        let eligible = |i| (0..m).filter(|&j| view.rate(i, j) > 0).count();
+        priorities.sort_by_key(|&i| (eligible(i), base_rank[i]));
+        let mut rank = vec![0; priorities.len()];
+        for (r, &i) in priorities.iter().enumerate() {
+            rank[i] = r;
+        }
         let mut base = vec![0; rank.len()];
         let mut jobs = 0;
         for (i, b) in base.iter_mut().enumerate() {
             *b = jobs;
             jobs += ji.jobs_of(i) as usize;
         }
-        let active = solver
-            .order
-            .priorities(solver.ts)
+        let active = priorities
             .into_iter()
             .map(|task| Active {
                 task,
@@ -229,6 +352,7 @@ impl<'s, 'a> Search<'s, 'a> {
             .collect();
         Search {
             solver,
+            view,
             h,
             m,
             rank,
@@ -281,32 +405,44 @@ impl<'s, 'a> Search<'s, 'a> {
         (rem > 0).then_some(rem)
     }
 
+    fn is_idle(c: Cand) -> bool {
+        !V::WORK_CONSERVING && c.job == NO_JOB
+    }
+
     fn assign(&mut self, t: Time, j: usize, c: Cand) {
+        if Self::is_idle(c) {
+            return;
+        }
         self.grid[t as usize * self.m + j] = c.task as i32;
-        self.done[c.job] += 1;
+        self.done[c.job] += self.view.rate(c.task, j) as u32;
         if t == self.at {
             self.active[self.rank[c.task]].running = true;
         }
     }
 
     fn unassign(&mut self, t: Time, j: usize, c: Cand) {
+        if Self::is_idle(c) {
+            return;
+        }
         self.grid[t as usize * self.m + j] = -1;
-        self.done[c.job] -= 1;
+        self.done[c.job] -= self.view.rate(c.task, j) as u32;
         if t == self.at {
             self.active[self.rank[c.task]].running = false;
         }
     }
 
     /// Constraint (9) propagation at the start of the cached instant:
-    /// every active job must satisfy `remaining ≤ slots_left`.
+    /// every active job must satisfy `remaining ≤ max_rate · slots_left`;
+    /// it is mandatory at the instant when it must run now to keep that.
     fn laxity_ok(&self) -> bool {
         let mut mandatory = 0usize;
         for a in &self.active {
             if let Some(rem) = self.remaining(a) {
-                if rem > a.left {
+                let rate = self.view.max_rate(a.task);
+                if rem > rate * a.left {
                     return false;
                 }
-                if rem == a.left {
+                if rem > rate * a.left.saturating_sub(1) {
                     mandatory += 1;
                 }
             }
@@ -314,72 +450,109 @@ impl<'s, 'a> Search<'s, 'a> {
         mandatory <= self.m
     }
 
-    /// Push the candidates for the cursor slot under rules 1–2 and
-    /// mandatory pruning onto `cands`, in ascending rank. `None` means
-    /// "fail this branch" (nothing pushed); `Some(0)` means "auto-idle the
-    /// rest of the instant" (no available unscheduled work).
+    /// Whether every job whose last instant is `t − 1` received exactly
+    /// its WCET (12). With idle a candidate and rates above 1 the laxity
+    /// bound cannot guarantee it; under rule 1 it always holds.
+    fn completed_before(&self, t: Time) -> bool {
+        if V::WORK_CONSERVING || t == 0 {
+            return true;
+        }
+        let ji = &self.solver.ji;
+        self.active.iter().all(|a| match ji.job_at(a.task, t - 1) {
+            Some(job) if ji.slots_at_or_after(job, t - 1) == 1 => {
+                Time::from(self.done[a.base + job.k as usize]) == a.wcet
+            }
+            _ => true,
+        })
+    }
+
+    /// Push the candidates for the cursor slot onto `cands`, in ascending
+    /// rank and, in the rate-matrix view, idle last. `None` means "fail
+    /// this branch" (nothing pushed); `Some(0)` means "auto-idle the rest
+    /// of the instant" (rule 1: no available unscheduled work).
     fn candidates(&mut self) -> Option<usize> {
         let j = self.j;
-        let prev_rank: Option<usize> = if j == 0 {
-            None
-        } else {
+        // eq. (10)/(13): ascending rank across consecutive processors of
+        // one group.
+        let prev_rank: Option<usize> = if j > 0 && self.view.same_group(j) {
             let prev = self.grid[self.t as usize * self.m + j - 1];
-            debug_assert!(prev >= 0, "idle slots auto-fill to the step end");
+            if prev < 0 {
+                // The previous identical processor idles, so this one
+                // does too.
+                debug_assert!(!V::WORK_CONSERVING, "idle slots auto-fill to the step end");
+                self.cands.push(Cand::IDLE);
+                return Some(1);
+            }
             Some(self.rank[prev as usize])
+        } else {
+            None
         };
+        let mut lo = prev_rank.map_or(0, |pr| pr + 1);
+        let mut end = self.active.len();
 
-        // Available tasks not yet running at t, and the mandatory subset;
-        // the scan runs in rank order, so the first mandatory rank is the
-        // lowest.
-        let mut available = false;
-        let mut min_mand_rank: Option<usize> = None;
-        let mut mand_count = 0usize;
-        for (r, a) in self.active.iter().enumerate() {
-            if a.running {
-                continue; // already running at t (C3)
+        if V::WORK_CONSERVING {
+            // Available tasks not yet running at t, and the mandatory
+            // subset; the scan runs in rank order, so the first mandatory
+            // rank is the lowest.
+            let mut available = false;
+            let mut min_mand_rank: Option<usize> = None;
+            let mut mand_count = 0usize;
+            for (r, a) in self.active.iter().enumerate() {
+                if a.running {
+                    continue; // already running at t (C3)
+                }
+                let Some(rem) = self.remaining(a) else {
+                    continue;
+                };
+                available = true;
+                if rem == a.left {
+                    mand_count += 1;
+                    min_mand_rank.get_or_insert(r);
+                }
             }
-            let Some(rem) = self.remaining(a) else {
-                continue;
-            };
-            available = true;
-            if rem == a.left {
-                mand_count += 1;
-                min_mand_rank.get_or_insert(r);
+
+            let slots_left_in_step = self.m - j;
+            if mand_count > slots_left_in_step {
+                return None; // some mandatory job must miss its deadline
+            }
+            if let (Some(mr), Some(pr)) = (min_mand_rank, prev_rank) {
+                if mr <= pr {
+                    return None; // ascending order already skipped a mandatory task
+                }
+            }
+            if !available {
+                return Some(0); // genuine idle: rule 1 satisfied
+            }
+            // Candidate ranks stop at the lowest mandatory rank (skipping
+            // mandatory work is a guaranteed dead end), and start there
+            // once mandatory jobs fill the remaining slots.
+            if let Some(mr) = min_mand_rank {
+                if mand_count == slots_left_in_step {
+                    lo = mr;
+                }
+                end = mr + 1;
             }
         }
 
-        let slots_left_in_step = self.m - j;
-        if mand_count > slots_left_in_step {
-            return None; // some mandatory job must miss its deadline
-        }
-        if let (Some(mr), Some(pr)) = (min_mand_rank, prev_rank) {
-            if mr <= pr {
-                return None; // ascending order already skipped a mandatory task
-            }
-        }
-
-        if !available {
-            return Some(0); // genuine idle: rule 1 satisfied
-        }
-
-        // Candidate ranks: above the previous processor's rank (rule 2),
-        // at most the lowest mandatory rank (skipping mandatory work is a
-        // guaranteed dead end), and non-mandatory choices only while slots
-        // outnumber mandatory jobs.
-        let lo = match min_mand_rank {
-            Some(mr) if mand_count == slots_left_in_step => mr,
-            _ => prev_rank.map_or(0, |pr| pr + 1),
-        };
-        let hi = min_mand_rank.unwrap_or(self.active.len() - 1);
         let start = self.cands.len();
-        for r in lo..=hi {
+        for r in lo..end {
             let a = self.active[r];
-            if !a.running && self.remaining(&a).is_some() {
+            // Not running yet (C3), with work left that a slot here
+            // neither is forbidden for nor overshoots (12).
+            let rate = self.view.rate(a.task, j);
+            if !a.running
+                && self
+                    .remaining(&a)
+                    .is_some_and(|rem| (1..=rem).contains(&rate))
+            {
                 self.cands.push(Cand {
                     task: a.task,
                     job: a.job,
                 });
             }
+        }
+        if !V::WORK_CONSERVING {
+            self.cands.push(Cand::IDLE);
         }
         let count = self.cands.len() - start;
         // Available work may exist with none of it admissible here. If
@@ -447,19 +620,18 @@ impl<'s, 'a> Search<'s, 'a> {
                 break Verdict::Unknown(StopReason::DecisionLimit);
             }
 
-            if self.t == self.h {
-                break Verdict::Feasible(self.extract());
-            }
-            if self.t != self.at {
+            if self.t < self.h && self.t != self.at {
                 self.enter(self.t);
             }
-            if self.j == 0 && !self.laxity_ok() {
-                if self.backtrack() {
-                    continue;
-                }
-                break Verdict::Infeasible;
+            // At an instant's first slot: the jobs that ended before it
+            // are complete, and constraint (9) holds for the instant.
+            let consistent = self.j > 0
+                || (self.completed_before(self.t) && (self.t == self.h || self.laxity_ok()));
+            if consistent && self.t == self.h {
+                break Verdict::Feasible(self.extract());
             }
-            match self.candidates() {
+            let count = if consistent { self.candidates() } else { None };
+            match count {
                 None => {
                     if self.backtrack() {
                         continue;
@@ -484,7 +656,11 @@ impl<'s, 'a> Search<'s, 'a> {
                     });
                     self.assign(t, j, self.cands[first]);
                     self.advance();
-                    self.stats.decisions += 1;
+                    // Idle comes last: a choice point is a decision iff
+                    // it has a non-idle candidate.
+                    if !Self::is_idle(self.cands[first]) {
+                        self.stats.decisions += 1;
+                    }
                 }
             }
         };
@@ -493,18 +669,19 @@ impl<'s, 'a> Search<'s, 'a> {
 
     fn extract(&self) -> Schedule {
         // Every job must have received exactly its WCET — guaranteed by the
-        // laxity propagation; the debug assertion documents the invariant.
+        // laxity propagation and the completion check; the debug assertion
+        // documents the invariant.
         debug_assert!(self.active.iter().all(|a| {
             let jobs = self.solver.ji.jobs_of(a.task) as usize;
             self.done[a.base..a.base + jobs]
                 .iter()
                 .all(|&d| Time::from(d) == a.wcet)
         }));
-        let grid = self
-            .grid
-            .iter()
-            .map(|&e| (e >= 0).then_some(e as TaskId))
-            .collect();
+        let mut grid = vec![None; self.grid.len()];
+        for (slot, &e) in self.grid.iter().enumerate() {
+            let (t, j) = (slot / self.m, slot % self.m);
+            grid[t * self.m + self.view.processor(j)] = (e >= 0).then_some(e as TaskId);
+        }
         Schedule::from_grid(self.m, self.h, grid)
     }
 }

@@ -12,12 +12,20 @@
 //!   `Q(Pj) = Σ_i si,j·Ci/Ti` (least capable first, to prune early);
 //!   eligibility-poor tasks get higher value priority; the eq. (10)
 //!   permutation symmetry is restricted to *identical* processors
-//!   (eq. (13)), which the quality ordering conveniently groups together.
+//!   (eq. (13)).
 //!
-//! Callers reach these routes through the engines, handing them a
-//! [`PlatformSpec::Heterogeneous`] spec: `csp1` ([`Csp1Engine`]), every
-//! specialized CSP2 heuristic ([`Csp2Engine`]) and `sat`
-//! ([`Csp1SatEngine`]).
+//! Equal columns have equal quality, but two distinct columns may tie in
+//! quality too, and `quality_order` breaks ties by processor id. The
+//! groups of identical processors can then interleave in the visit order,
+//! and eq. (13) applies only between *adjacent* visited processors of one
+//! group: the search prunes less there, and stays sound.
+//!
+//! This module holds the heterogeneous CSP1 encoding ([`encode_csp1`]); the
+//! CSP2 search is [`crate::csp2`]'s, which reads the rate matrix through
+//! its rate-matrix view. Callers reach these routes through the engines,
+//! handing them a [`PlatformSpec::Heterogeneous`] spec: `csp1`
+//! ([`Csp1Engine`]), every specialized CSP2 heuristic ([`Csp2Engine`]) and
+//! `sat` ([`Csp1SatEngine`]).
 //!
 //! [`PlatformSpec::Heterogeneous`]: crate::engine::PlatformSpec::Heterogeneous
 //! [`Csp1Engine`]: crate::csp1::Csp1Engine
@@ -31,21 +39,15 @@
 //! rates with exact completion: forcing a task onto a slow processor now can
 //! make the exact total `Ci` unreachable, while idling and using a faster
 //! processor later succeeds. The paper carries the rule over without
-//! comment; the search here keeps idling as a real alternative in every
-//! slot, so it stays complete.
-
-use std::time::Instant;
+//! comment; the CSP2 search keeps idling as a real alternative in every
+//! slot of a heterogeneous platform, so it stays complete.
 
 use csp_engine::{Constraint, Model};
-use mgrts_obs::SearchStats;
-use rt_platform::{identical_groups, quality_order, Platform};
-use rt_task::{JobId, JobInstants, TaskError, TaskId, TaskSet, Time};
+use rt_platform::Platform;
+use rt_task::{JobId, JobInstants, TaskError, TaskSet};
 
 use crate::csp1::{Csp1Layout, NEVER_RAISED};
-use crate::engine::{Budget, CancelToken};
-use crate::heuristics::TaskOrder;
-use crate::schedule::Schedule;
-use crate::solve::{SolveResult, StopReason, Verdict};
+use crate::engine::CancelToken;
 
 // ---------------------------------------------------------------------------
 // CSP1 on heterogeneous platforms (constraint (11)).
@@ -133,357 +135,18 @@ pub(crate) fn encode_csp1_polled(
     Ok(Some((model, layout)))
 }
 
-// ---------------------------------------------------------------------------
-// CSP2 specialized search on heterogeneous platforms.
-// ---------------------------------------------------------------------------
-
-/// The specialized chronological search on `platform` under the base
-/// heuristic `order`, within `budget`'s time (counted from `start`, the
-/// solve's entry) and decisions: the heterogeneous route of
-/// [`crate::csp2::Csp2Engine`].
-pub(crate) fn solve_csp2(
-    ts: &TaskSet,
-    platform: &Platform,
-    order: TaskOrder,
-    budget: &Budget,
-    cancel: &CancelToken,
-    start: Instant,
-) -> Result<SolveResult, TaskError> {
-    assert_eq!(platform.num_tasks(), ts.len(), "rate matrix row count");
-    let ji = JobInstants::new(ts)?;
-    Ok(HeteroSearch::new(ts, platform, ji, order, budget, cancel.clone()).run(start))
-}
-
-struct HeteroSearch<'a> {
-    ji: JobInstants,
-    platform: &'a Platform,
-    budget: Budget,
-    n: usize,
-    m: usize,
-    h: Time,
-    /// Processor visit order: ascending quality (Section VI-A).
-    proc_order: Vec<usize>,
-    /// `group_id[slot_j]`: identical-processor group of the j-th *visited*
-    /// processor; eq. (13) applies between consecutive visited processors of
-    /// equal group.
-    group_of_visit: Vec<usize>,
-    /// Task priority rank (eligibility-poor first, then the base heuristic).
-    rank: Vec<usize>,
-    /// Max rate per task (for the laxity bound).
-    max_rate: Vec<Time>,
-    /// Remaining (unserved) execution per job.
-    done: Vec<Vec<Time>>,
-    /// `grid[t*m + visit_j]` = task or -1 (note: indexed by *visit position*).
-    grid: Vec<i32>,
-    stack: Vec<HChoice>,
-    cur_slot: usize,
-    stats: SearchStats,
-    cancel: CancelToken,
-}
-
-struct HChoice {
-    slot: usize,
-    /// Candidates: task id, or `IDLE_CAND` for an explicit idle decision.
-    cands: Vec<usize>,
-    next: usize,
-}
-
-const IDLE_CAND: usize = usize::MAX;
-
-impl<'a> HeteroSearch<'a> {
-    fn new(
-        ts: &TaskSet,
-        platform: &'a Platform,
-        ji: JobInstants,
-        order: TaskOrder,
-        budget: &Budget,
-        cancel: CancelToken,
-    ) -> Self {
-        let n = ts.len();
-        let m = platform.num_processors();
-        let h = ji.hyperperiod();
-        let pairs: Vec<(u64, u64)> = ts.tasks().iter().map(|t| (t.wcet, t.period)).collect();
-        let proc_order = quality_order(platform, &pairs, h);
-        // Group ids in visit order.
-        let groups = identical_groups(platform);
-        let mut group_id = vec![0usize; m];
-        for (gid, g) in groups.iter().enumerate() {
-            for &p in g {
-                group_id[p] = gid;
-            }
-        }
-        let group_of_visit = proc_order.iter().map(|&p| group_id[p]).collect();
-        // Value priority: fewer eligible processors first (Section VI-A),
-        // then the base heuristic key, then id.
-        let base = order.ranks(ts);
-        let mut order: Vec<TaskId> = (0..n).collect();
-        order.sort_by_key(|&i| (platform.eligibility_count(i), base[i], i));
-        let mut rank = vec![0usize; n];
-        for (r, &i) in order.iter().enumerate() {
-            rank[i] = r;
-        }
-        let max_rate = (0..n)
-            .map(|i| (0..m).map(|j| platform.rate(i, j)).max().unwrap_or(0))
-            .collect();
-        let done = (0..n).map(|i| vec![0; ji.jobs_of(i) as usize]).collect();
-        HeteroSearch {
-            platform,
-            budget: *budget,
-            n,
-            m,
-            h,
-            proc_order,
-            group_of_visit,
-            rank,
-            max_rate,
-            done,
-            grid: vec![-1; m * h as usize],
-            stack: Vec::new(),
-            cur_slot: 0,
-            stats: SearchStats {
-                solves: 1,
-                ..SearchStats::default()
-            },
-            cancel,
-            ji,
-        }
-    }
-
-    fn wcet(&self, i: TaskId) -> Time {
-        self.ji.wcet(i)
-    }
-
-    fn active_job(&self, i: TaskId, t: Time) -> Option<(JobId, Time)> {
-        let job = self.ji.job_at(i, t)?;
-        let rem = self.wcet(i) - self.done[i][job.k as usize];
-        (rem > 0).then_some((job, rem))
-    }
-
-    fn laxity_ok(&self, t: Time) -> bool {
-        let mut mandatory = 0usize;
-        for i in 0..self.n {
-            if let Some((job, rem)) = self.active_job(i, t) {
-                let left = self.ji.slots_at_or_after(job, t);
-                if rem > self.max_rate[i] * left {
-                    return false;
-                }
-                if rem > self.max_rate[i] * left.saturating_sub(1) {
-                    mandatory += 1;
-                }
-            }
-        }
-        mandatory <= self.m
-    }
-
-    fn candidates(&self, slot: usize) -> Option<Vec<usize>> {
-        let t = (slot / self.m) as Time;
-        let visit_j = slot % self.m;
-        let proc = self.proc_order[visit_j];
-        let step_base = (slot / self.m) * self.m;
-
-        // eq. (13): lower bound on rank within an identical group.
-        let group_floor: Option<usize> = (visit_j > 0
-            && self.group_of_visit[visit_j] == self.group_of_visit[visit_j - 1])
-            .then(|| {
-                let prev = self.grid[slot - 1];
-                if prev < 0 {
-                    usize::MAX // previous identical processor idles → so do we
-                } else {
-                    self.rank[prev as usize]
-                }
-            });
-        if group_floor == Some(usize::MAX) {
-            return Some(vec![IDLE_CAND]);
-        }
-
-        let mut cands: Vec<(usize, usize)> = Vec::new();
-        for i in 0..self.n {
-            let Some((_job, rem)) = self.active_job(i, t) else {
-                continue;
-            };
-            if self.grid[step_base..slot].contains(&(i as i32)) {
-                continue; // C3
-            }
-            let rate = self.platform.rate(i, proc);
-            if rate == 0 {
-                continue;
-            }
-            if rate > rem {
-                continue; // would overshoot the exact total (12)
-            }
-            if group_floor.is_some_and(|f| self.rank[i] <= f) {
-                continue;
-            }
-            cands.push((self.rank[i], i));
-        }
-        cands.sort_unstable();
-        let mut out: Vec<usize> = cands.into_iter().map(|(_, i)| i).collect();
-        // Idle is always a real alternative (see the module docs).
-        out.push(IDLE_CAND);
-        Some(out)
-    }
-
-    fn assign(&mut self, slot: usize, cand: usize) {
-        if cand == IDLE_CAND {
-            self.grid[slot] = -1;
-            return;
-        }
-        let t = (slot / self.m) as Time;
-        let proc = self.proc_order[slot % self.m];
-        let job = self.ji.job_at(cand, t).expect("candidate is active");
-        self.grid[slot] = cand as i32;
-        self.done[cand][job.k as usize] += self.platform.rate(cand, proc);
-    }
-
-    fn unassign(&mut self, slot: usize, cand: usize) {
-        if cand == IDLE_CAND {
-            return;
-        }
-        let t = (slot / self.m) as Time;
-        let proc = self.proc_order[slot % self.m];
-        let job = self.ji.job_at(cand, t).expect("was active");
-        self.grid[slot] = -1;
-        self.done[cand][job.k as usize] -= self.platform.rate(cand, proc);
-    }
-
-    fn backtrack(&mut self) -> bool {
-        loop {
-            let Some(cp) = self.stack.last_mut() else {
-                return false;
-            };
-            let slot = cp.slot;
-            let prev = cp.cands[cp.next - 1];
-            let has_more = cp.next < cp.cands.len();
-            let next_cand = has_more.then(|| cp.cands[cp.next]);
-            if has_more {
-                cp.next += 1;
-            } else {
-                self.stack.pop();
-            }
-            self.unassign(slot, prev);
-            self.stats.backtracks += 1;
-            if let Some(c) = next_cand {
-                self.assign(slot, c);
-                self.cur_slot = slot + 1;
-                return true;
-            }
-        }
-    }
-
-    /// End-of-instant completion check: jobs whose *last* instant is `t`
-    /// must be exactly complete (the laxity bound alone cannot guarantee
-    /// exactness under rates > 1).
-    fn completion_ok_at_end_of(&self, t: Time) -> bool {
-        for i in 0..self.n {
-            if let Some(job) = self.ji.job_at(i, t) {
-                if self.ji.slots_at_or_after(job, t) == 1 {
-                    let rem = self.wcet(i) - self.done[i][job.k as usize];
-                    if rem != 0 {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn run(mut self, start: Instant) -> SolveResult {
-        let total = self.m * self.h as usize;
-        let mut iter: u64 = 0;
-        let verdict = loop {
-            iter += 1;
-            if iter % 1024 == 1 {
-                if self.cancel.is_cancelled() {
-                    break Verdict::Unknown(StopReason::Cancelled);
-                }
-                if let Some(limit) = self.budget.time {
-                    if start.elapsed() >= limit {
-                        break Verdict::Unknown(StopReason::TimeLimit);
-                    }
-                }
-            }
-            if self
-                .budget
-                .max_decisions
-                .is_some_and(|mx| self.stats.decisions > mx)
-            {
-                break Verdict::Unknown(StopReason::DecisionLimit);
-            }
-            if self.cur_slot == total {
-                // Jobs whose last instant is H-1 get their completion
-                // audited here (all earlier instants are audited on entry
-                // to their successor).
-                if self.completion_ok_at_end_of(self.h - 1) {
-                    break Verdict::Feasible(self.extract());
-                }
-                if self.backtrack() {
-                    continue;
-                }
-                break Verdict::Infeasible;
-            }
-            let t = (self.cur_slot / self.m) as Time;
-            let j = self.cur_slot % self.m;
-            let fail = if j == 0 {
-                !self.laxity_ok(t) || (t > 0 && !self.completion_ok_at_end_of(t - 1))
-            } else {
-                false
-            };
-            if fail {
-                if self.backtrack() {
-                    continue;
-                }
-                break Verdict::Infeasible;
-            }
-            match self.candidates(self.cur_slot) {
-                None => {
-                    if self.backtrack() {
-                        continue;
-                    }
-                    break Verdict::Infeasible;
-                }
-                Some(cands) => {
-                    debug_assert!(!cands.is_empty(), "idle is always representable");
-                    let slot = self.cur_slot;
-                    let first = cands[0];
-                    let single = cands.len() == 1;
-                    self.stack.push(HChoice {
-                        slot,
-                        cands,
-                        next: 1,
-                    });
-                    self.assign(slot, first);
-                    self.cur_slot = slot + 1;
-                    if !single {
-                        self.stats.decisions += 1;
-                    }
-                }
-            }
-        };
-        SolveResult::searched(verdict, self.stats, start)
-    }
-
-    fn extract(&self) -> Schedule {
-        debug_assert!(self.completion_ok_at_end_of(self.h - 1));
-        let mut s = Schedule::idle(self.m, self.h);
-        for t in 0..self.h {
-            for vj in 0..self.m {
-                let e = self.grid[t as usize * self.m + vj];
-                if e >= 0 {
-                    s.set(self.proc_order[vj], t, Some(e as TaskId));
-                }
-            }
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csp1::Csp1Engine;
+    use crate::csp1_sat::Csp1SatEngine;
     use crate::csp2::Csp2Engine;
-    use crate::engine::{FeasibilitySolver, PlatformSpec};
+    use crate::engine::{Budget, FeasibilitySolver, PlatformSpec};
+    use crate::heuristics::TaskOrder;
+    use crate::solve::{SolveResult, StopReason, Verdict};
     use crate::verify::check_heterogeneous;
+    use rt_platform::quality::qualities;
+    use rt_platform::{identical_groups, quality_order};
     use rt_task::TaskSet;
 
     fn solve(
@@ -633,6 +296,57 @@ mod tests {
         // The engine stops at the first decision past the limit.
         let decisions = res.search.unwrap().decisions;
         assert!(decisions <= 2, "{decisions} decisions");
+    }
+
+    #[test]
+    fn quality_ties_interleave_identical_groups_soundly() {
+        // Tasks 0 and 1 weigh the same in Q (equal C/T) and task 2 runs at
+        // rate 2 everywhere, so the columns (2,1,2), (1,2,2), (2,1,2) all
+        // have quality 3w + 2u: P0 and P2 are identical, P1 is not, and
+        // the tie break by id visits P0, P1, P2 — P0's group is split by
+        // P1. An odd C2 is unreachable at rate 2 (12).
+        let p = Platform::heterogeneous(vec![vec![2, 1, 2], vec![1, 2, 1], vec![2, 2, 2]]).unwrap();
+        assert_eq!(identical_groups(&p), vec![vec![0, 2], vec![1]]);
+        let (mut feasible, mut infeasible) = (0, 0);
+        for tasks in [
+            [(0, 2, 2, 2), (0, 2, 2, 2), (0, 2, 2, 2)],
+            [(0, 1, 1, 1), (0, 1, 1, 1), (0, 1, 1, 1)],
+            [(0, 2, 3, 4), (1, 2, 4, 4), (0, 1, 2, 2)],
+            [(0, 4, 4, 4), (0, 4, 4, 4), (0, 2, 2, 2)],
+            [(0, 3, 3, 3), (1, 3, 3, 3), (0, 2, 3, 3)],
+            [(0, 2, 2, 2), (0, 2, 2, 2), (0, 3, 4, 4)],
+        ] {
+            let ts = TaskSet::from_ocdt(&tasks);
+            let pairs: Vec<(u64, u64)> = ts.tasks().iter().map(|t| (t.wcet, t.period)).collect();
+            let h = JobInstants::new(&ts).unwrap().hyperperiod();
+            let q = qualities(&p, &pairs, h);
+            assert!(q[0] == q[1] && q[1] == q[2], "{tasks:?}: qualities {q:?}");
+            assert_eq!(quality_order(&p, &pairs, h), vec![0, 1, 2]);
+
+            let dc = solve_dc(&ts, &p);
+            let csp1 = solve(&ts, &p, &Csp1Engine::default(), &Budget::unlimited());
+            let sat = solve(&ts, &p, &Csp1SatEngine::default(), &Budget::unlimited());
+            for (name, res) in [("csp2-dc", &dc), ("csp1", &csp1), ("sat", &sat)] {
+                assert!(!res.verdict.is_unknown(), "{name} on {tasks:?}");
+                assert_eq!(
+                    res.verdict.is_feasible(),
+                    dc.verdict.is_feasible(),
+                    "{name} and csp2-dc disagree on {tasks:?}"
+                );
+                if let Some(s) = res.verdict.schedule() {
+                    check_heterogeneous(&ts, &p, s).unwrap();
+                }
+            }
+            if dc.verdict.is_feasible() {
+                feasible += 1;
+            } else {
+                infeasible += 1;
+            }
+        }
+        assert!(
+            feasible > 0 && infeasible > 0,
+            "{feasible} feasible, {infeasible} infeasible"
+        );
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //!   solver with value-ordering heuristics (RM / DM / T-C / D-C), the
 //!   "no idle while work is available" rule and the ascending-permutation
 //!   symmetry breaking (eq. 10), plus laxity-based propagation of
-//!   constraint (9).
+//!   constraint (9); one search for both platforms, reading a
+//!   heterogeneous rate matrix through its Section VI-A rules.
 //! * [`csp2_generic`] — encoding #2 posted on the generic engine
 //!   (constraints (7)–(10) verbatim), used to cross-validate the
 //!   specialized solver, mirroring the paper's own debugging methodology.
-//! * [`hetero`] and [`csp1_sat_hetero`] — Section VI-A: both encodings on
-//!   heterogeneous platforms (rate-weighted constraint (11)/(12),
-//!   quality-ordered processors, group-restricted symmetry (13)).
+//! * [`hetero`] and [`csp1_sat_hetero`] — Section VI-A: the CSP1 encoding
+//!   and its CNF lowering on heterogeneous platforms (rate-weighted
+//!   constraint (11)); [`hetero`] also documents the CSP2 search's
+//!   heterogeneous rules (quality-ordered processors, group-restricted
+//!   symmetry (13), rate-weighted completion (12)).
 //! * [`clones`-driven arbitrary deadlines] — Section VI-B, via
 //!   [`solve::solve_arbitrary_deadline`].
 //! * [`schedule`] / [`verify`] — the periodic schedule object of Theorem 1

@@ -1,6 +1,6 @@
 //! Randomized cross-validation of the heterogeneous extension
 //! (Section VI-A): the heterogeneous CSP1 encoding on the generic engine,
-//! the specialized heterogeneous CSP2 search, and the SAT route with the
+//! the specialized CSP2 search on rate matrices, and the SAT route with the
 //! pseudo-boolean constraint (11) must all agree on random
 //! (task set, rate matrix) pairs, and all schedules must satisfy the
 //! rate-weighted completion constraint (11)/(12).
@@ -88,19 +88,33 @@ fn encodings_agree_on_random_heterogeneous_instances() {
 
 #[test]
 fn unit_rate_matrices_match_identical_solver_when_fully_eligible() {
-    // With si,j = 1 everywhere the heterogeneous machinery must agree with
-    // the identical-platform CSP2 solver exactly.
+    // With si,j = 1 everywhere the heterogeneous search must reach the
+    // identical-platform verdict under every heuristic. The trees differ:
+    // the rate-matrix view keeps idle as an alternative in every slot,
+    // where rule 1 auto-idles only an instant with no work left.
     use mgrts_core::csp2::Csp2Solver;
+    use mgrts_core::verify::check_identical;
     let gen = ProblemGenerator::new(tiny_config(), 0x1D);
     for p in gen.batch(40) {
         let platform = Platform::identical(p.taskset.len(), p.m).unwrap();
-        let hetero = solve(&CSP2_DC, &p.taskset, &platform);
-        let ident = Csp2Solver::new(&p.taskset, p.m).unwrap().solve();
-        assert_eq!(
-            hetero.verdict.is_feasible(),
-            ident.verdict.is_feasible(),
-            "identical-rate reduction failed on seed {}",
-            p.seed
-        );
+        for order in TaskOrder::ALL {
+            let hetero = solve(&Csp2Engine { order }, &p.taskset, &platform);
+            let ident = Csp2Solver::new(&p.taskset, p.m)
+                .unwrap()
+                .with_order(order)
+                .solve();
+            assert_eq!(
+                hetero.verdict.is_feasible(),
+                ident.verdict.is_feasible(),
+                "identical-rate reduction failed on seed {} under {order:?}",
+                p.seed
+            );
+            if let Some(s) = hetero.verdict.schedule() {
+                check_heterogeneous(&p.taskset, &platform, s).unwrap();
+            }
+            if let Some(s) = ident.verdict.schedule() {
+                check_identical(&p.taskset, p.m, s).unwrap();
+            }
+        }
     }
 }

@@ -4,8 +4,11 @@
 //! variables* so that less capable processors come first, measuring
 //! processor quality as `Q(Pj) = Σ_i si,j · Ci/Ti`, and restricting the
 //! permutation-symmetry constraint (eq. 10) to pairs of *identical*
-//! processors (eq. 13) — which is sound exactly because quality ordering
-//! groups identical processors together (equal columns ⇒ equal quality).
+//! processors (eq. 13). Equal columns have equal quality, but distinct
+//! columns can tie with them, and ties break by processor id: a group of
+//! identical processors need not be contiguous in the quality order, so a
+//! search that applies eq. 13 between adjacent visited processors only
+//! prunes less there.
 
 use crate::platform::{Platform, ProcId};
 

@@ -3,7 +3,7 @@
 //!
 //! Builds a platform where one processor is twice as fast for some tasks
 //! and another is forbidden for one task (`si,j = 0`), solves with the
-//! heterogeneous CSP2 search, cross-checks with the heterogeneous CSP1
+//! CSP2 search on the rate matrix, cross-checks with the heterogeneous CSP1
 //! encoding and the SAT route, and verifies the rate-weighted completion
 //! constraint (12). Every route is the identical-platform engine handed a
 //! heterogeneous `PlatformSpec`.
