@@ -4,14 +4,17 @@
 //! portfolio races them on scoped threads with cooperative cancellation.
 //! This bench quantifies what the race buys (and what thread overhead
 //! costs on trivially easy instances) on a fixed mini-corpus drawn from
-//! the Table I generator settings.
+//! the Table I generator settings. The `portfolio-race` rows race the
+//! roster alone; the `flow-then-roster` rows time the race as it is
+//! deployed, where `flow` decides each identical instance before any
+//! roster thread starts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, SolverSpec};
-use mgrts_core::portfolio::race;
+use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec, SolverSpec};
+use mgrts_core::portfolio::{race, race_cancellable, PortfolioResult};
 use rt_gen::{GeneratorConfig, Problem, ProblemGenerator};
 use rt_task::TaskSet;
 
@@ -38,6 +41,19 @@ fn table1_roster() -> Vec<Box<dyn FeasibilitySolver>> {
 
 fn budget() -> Budget {
     Budget::time_limit(Duration::from_secs(5))
+}
+
+/// Race `roster` alone on `m` identical processors (no flow first).
+fn race_alone(roster: &[Box<dyn FeasibilitySolver>], ts: &TaskSet, m: usize) -> PortfolioResult {
+    race_cancellable(
+        None,
+        roster,
+        ts,
+        &PlatformSpec::identical(m),
+        &budget(),
+        &CancelToken::new(),
+    )
+    .expect("valid instance")
 }
 
 /// Every roster member sequentially — the paper's evaluation shape.
@@ -80,13 +96,22 @@ fn bench_best_single(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full roster raced in parallel with cancellation.
+/// The full roster raced in parallel with cancellation, alone and after
+/// flow.
 fn bench_portfolio_race(c: &mut Criterion) {
     let problems = corpus();
     let roster = table1_roster();
     let mut group = c.benchmark_group("table1");
     group.sample_size(10);
     group.bench_function("portfolio-race", |b| {
+        b.iter(|| {
+            for p in &problems {
+                let r = race_alone(&roster, &p.taskset, p.m);
+                black_box(r.result.verdict.is_feasible());
+            }
+        })
+    });
+    group.bench_function("flow-then-roster", |b| {
         b.iter(|| {
             for p in &problems {
                 let r = race(&roster, &p.taskset, p.m, &budget()).expect("valid instance");
@@ -110,6 +135,12 @@ fn bench_portfolio_hard_instance(c: &mut Criterion) {
     let mut group = c.benchmark_group("hard-instance");
     group.sample_size(10);
     group.bench_function("portfolio-race", |b| {
+        b.iter(|| {
+            let r = race_alone(&roster, &ts, 3);
+            black_box(r.winner);
+        })
+    });
+    group.bench_function("flow-then-roster", |b| {
         b.iter(|| {
             let r = race(&roster, &ts, 3, &budget()).expect("valid instance");
             black_box(r.winner);

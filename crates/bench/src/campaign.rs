@@ -1299,14 +1299,24 @@ pub fn report_hetero(manifest: &Manifest, records: &[CampaignRecord]) -> String 
 /// a tally of whose verdict arrived first.
 #[must_use]
 pub fn report_winners(manifest: &Manifest, records: &[CampaignRecord]) -> String {
+    // Flow settles identical races ahead of the roster, so it gets a
+    // column of its own whenever it won a unit.
+    let flow = SolverSpec::Flow;
+    let mut columns = manifest.roster.clone();
+    if !columns.contains(&flow)
+        && records
+            .iter()
+            .any(|r| r.winner.as_deref() == Some(flow.name()))
+    {
+        columns.insert(0, flow);
+    }
     let mut rows = Vec::new();
     for (ci, cell) in manifest.cells.iter().enumerate() {
         let cell_records: Vec<&CampaignRecord> = records.iter().filter(|r| r.cell == ci).collect();
         if cell_records.is_empty() {
             continue;
         }
-        let wins = manifest
-            .roster
+        let wins = columns
             .iter()
             .map(|s| {
                 cell_records
@@ -1326,7 +1336,7 @@ pub fn report_winners(manifest: &Manifest, records: &[CampaignRecord]) -> String
     let mut out = format!(
         "\nWINNERS — per-cell race winners ({} campaign)\n\n{}",
         manifest.policy.tag(),
-        tables::winners(&rows, &manifest.roster)
+        tables::winners(&rows, &columns)
     );
     if manifest.policy.mode != PolicyKind::PortfolioRace {
         out.push_str(

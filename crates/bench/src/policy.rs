@@ -8,7 +8,10 @@
 //! * `portfolio-race` — one unit per `(cell, instance)`, racing the whole
 //!   roster via [`mgrts_core::portfolio`] with cooperative cancellation;
 //!   the record keeps the winner label, every loser's serializable stats
-//!   and the cancellation latency.
+//!   and the cancellation latency. On identical cells the pool's `flow`
+//!   engine decides the unit before the roster starts, so such records
+//!   name `flow` as the winner and only backend; `single` compares the
+//!   roster's backends there.
 //!
 //! Either shape may size its budgets adaptively ([`AdaptiveSpec`]): each
 //! unit's wall-clock allowance is capped at a quantile of the solve times
@@ -287,9 +290,10 @@ impl UnitExecution {
 
 /// Execute one unit of instance `p` on the platform `spec` in the shape
 /// `kind`: `Single` runs `roster[0]` through [`runner::run`],
-/// `PortfolioRace` races the whole roster through [`race_roster`]. Engines
-/// come from `pool`, so a long-lived caller builds each `(spec, seed)`
-/// engine once. Produced schedules are verified against the independent
+/// `PortfolioRace` races the whole roster through [`race_roster`], after
+/// the pool's `flow` engine on identical platforms. Engines come from
+/// `pool`, so a long-lived caller builds each `(spec, seed)` engine once
+/// and its counters see every unit. Produced schedules are verified against the independent
 /// C1–C4 checker; a verification failure is a solver bug and panics
 /// loudly, as does a task set every engine refuses (callers validate
 /// their inputs first).
@@ -309,8 +313,9 @@ pub fn run_unit(
             UnitExecution::single(runner::run(&p.taskset, spec, &*engine, budget, cancel))
         }
         PolicyKind::PortfolioRace => {
+            let flow = pool.get(SolverSpec::Flow, p.seed);
             let engines = pool.roster(roster, p.seed);
-            race_roster(&engines, &p.taskset, spec, budget, cancel)
+            race_roster(Some(&*flow), &engines, &p.taskset, spec, budget, cancel)
                 .expect("valid constrained instance")
                 .0
         }
@@ -427,14 +432,15 @@ impl Policy {
 // ---------------------------------------------------------------------------
 
 /// Race a prebuilt roster on one instance under an external cancellation
-/// token, returning the unit's record slice plus the race's overall
-/// verdict (the winner's, or the first non-definitive). The CLI
-/// `portfolio` subcommand and [`run_unit`] both reduce to this — there is
-/// exactly one race loop in the repository
-/// ([`mgrts_core::portfolio::race_cancellable`]). Accepts any owning
-/// roster pointer (`Box` for one-shot callers, pooled `Arc`s for resident
-/// ones), like the underlying racer.
+/// token, after `flow` on an identical platform when one is given,
+/// returning the unit's record slice plus the race's overall verdict (the
+/// winner's, or the first non-definitive). The CLI `portfolio` subcommand
+/// and [`run_unit`] both reduce to this — there is exactly one race loop
+/// in the repository ([`mgrts_core::portfolio::race_cancellable`]).
+/// Accepts any owning roster pointer (`Box` for one-shot callers, pooled
+/// `Arc`s for resident ones), like the underlying racer.
 pub fn race_roster<S>(
+    flow: Option<&dyn FeasibilitySolver>,
     roster: &[S],
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -445,7 +451,7 @@ where
     S: std::ops::Deref<Target = dyn FeasibilitySolver> + Sync,
 {
     let mut sp = flight::span("race", "");
-    let race = portfolio::race_cancellable(roster, ts, spec, budget, cancel)?;
+    let race = portfolio::race_cancellable(flow, roster, ts, spec, budget, cancel)?;
     let backends = race.backend_stats();
     // One lifecycle event per backend: how each contender ended (the
     // winner's verdict, cancelled losers, budget overruns).

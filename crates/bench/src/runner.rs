@@ -183,7 +183,9 @@ mod tests {
 
     fn race_liar(spec: &PlatformSpec) {
         let roster: [Box<dyn FeasibilitySolver>; 1] = [Box::new(Liar)];
+        // No flow engine: the liar races alone, on either platform.
         let _ = race_cancellable(
+            None,
             &roster,
             &TaskSet::running_example(),
             spec,

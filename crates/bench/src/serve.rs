@@ -139,7 +139,8 @@ impl Default for ServeConfig {
 pub enum RequestMode {
     /// One named backend.
     Single(SolverSpec),
-    /// Race [`SolverSpec::DEFAULT_PORTFOLIO`].
+    /// Race [`SolverSpec::DEFAULT_PORTFOLIO`] (after `flow` on identical
+    /// platforms, see [`mgrts_core::portfolio`]).
     Race,
 }
 

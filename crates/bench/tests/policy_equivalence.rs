@@ -105,7 +105,12 @@ proptest! {
         let single_records = load_records(&single_dir).unwrap();
         for rr in &race_records {
             prop_assert_eq!(rr.policy_kind(), PolicyKind::PortfolioRace);
-            prop_assert!(rr.backends.as_ref().is_some_and(|b| b.len() == 3));
+            // Flow settles every identical race alone.
+            prop_assert!(rr
+                .backends
+                .as_ref()
+                .is_some_and(|b| b.len() == 1 && b[0].name == "flow" && b[0].winner));
+            prop_assert_eq!(rr.winner.as_deref(), Some("flow"));
             let decided = |o: InstanceOutcome| {
                 matches!(o, InstanceOutcome::Solved | InstanceOutcome::ProvedInfeasible)
             };
@@ -127,6 +132,7 @@ proptest! {
         let winners = report(&race_dir, ReportKind::Winners).unwrap();
         prop_assert!(winners.contains("WINNERS"), "{}", winners);
         prop_assert!(winners.contains("n=3/m=2/tmax=4"), "{}", winners);
+        prop_assert!(winners.contains("flow"), "{}", winners);
 
         std::fs::remove_dir_all(&single_dir).ok();
         std::fs::remove_dir_all(&race_dir).ok();

@@ -285,7 +285,10 @@ pub fn cmd_prob(args: &Args) -> Result<String, CliError> {
 
 /// `mgrts portfolio <instance> [--m N] [--solvers a,b,c] [--time-ms T]
 /// [--gantt] [--json]` — race a roster of engines with cooperative
-/// cancellation; report the winner and per-backend stats.
+/// cancellation; report the winner and per-backend stats. Without
+/// `--solvers` the instance goes to `flow` first and the default roster
+/// races only what flow leaves undecided; `--solvers` races exactly the
+/// listed engines.
 ///
 /// Routed through [`mgrts_bench::policy::race_roster`] — the same code
 /// path the campaign engine's `portfolio-race` policy runs, so this
@@ -297,11 +300,15 @@ pub fn cmd_portfolio(args: &Args) -> Result<String, CliError> {
     let inst = load_instance(args.positional(0, "instance")?)?;
     let m = resolve_m(args, inst.file_m)?;
     let order = parse_order(args)?;
-    let roster: Vec<Box<dyn FeasibilitySolver>> = match args.opt_str("solvers") {
-        None => SolverSpec::DEFAULT_PORTFOLIO
-            .iter()
-            .map(|s| s.build())
-            .collect(),
+    let flow = SolverSpec::Flow.build();
+    let (flow, roster): (_, Vec<Box<dyn FeasibilitySolver>>) = match args.opt_str("solvers") {
+        None => (
+            Some(flow.as_ref()),
+            SolverSpec::DEFAULT_PORTFOLIO
+                .iter()
+                .map(|s| s.build())
+                .collect(),
+        ),
         Some(list) => {
             let mut roster = Vec::new();
             for name in list.split(',').filter(|s| !s.is_empty()) {
@@ -311,7 +318,7 @@ pub fn cmd_portfolio(args: &Args) -> Result<String, CliError> {
             if roster.is_empty() {
                 return Err(CliError::Other("--solvers lists no solver".into()));
             }
-            roster
+            (None, roster)
         }
     };
     let budget = Budget {
@@ -319,6 +326,7 @@ pub fn cmd_portfolio(args: &Args) -> Result<String, CliError> {
         ..Budget::unlimited()
     };
     let (race, verdict) = race_roster(
+        flow,
         &roster,
         &inst.taskset,
         &PlatformSpec::identical(m),

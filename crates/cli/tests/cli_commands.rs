@@ -268,10 +268,20 @@ fn portfolio_races_default_roster() {
     let out = run_command("portfolio", &args(&[path, "--m", "2"])).unwrap();
     assert!(out.starts_with("FEASIBLE"), "{out}");
     assert!(out.contains("winner: "), "{out}");
-    // Per-backend stats table lists the whole default roster.
-    for name in ["csp2-dc", "csp1", "sat", "csp2-generic", "local"] {
-        assert!(out.contains(name), "missing backend {name} in:\n{out}");
-    }
+    // Flow settles an identical race before the default roster starts:
+    // it is the winner and the only row of the per-backend table.
+    assert!(out.contains("winner: flow\n"), "{out}");
+    let rows = backend_rows(&out);
+    assert_eq!(rows.len(), 1, "{out}");
+    assert!(rows[0].starts_with("flow *"), "{out}");
+}
+
+/// The rows of `portfolio`'s per-backend table.
+fn backend_rows(out: &str) -> Vec<&str> {
+    out.lines()
+        .skip_while(|l| !l.starts_with("backend"))
+        .skip(1)
+        .collect()
 }
 
 #[test]
@@ -300,7 +310,14 @@ fn portfolio_with_explicit_roster_and_infeasible_instance() {
     .unwrap();
     assert!(out.starts_with("INFEASIBLE"), "{out}");
     assert!(out.contains("winner: "), "{out}");
-    assert!(out.contains("csp2-dc"), "{out}");
+    // An explicit roster races alone: its three engines are the table,
+    // and flow does not run.
+    let rows = backend_rows(&out);
+    assert_eq!(rows.len(), 3, "{out}");
+    for name in ["csp1", "csp2-dc", "sat"] {
+        assert!(rows.iter().any(|r| r.starts_with(name)), "{out}");
+    }
+    assert!(!out.contains("flow"), "{out}");
 }
 
 /// A tiny campaign manifest for the bench-command tests.

@@ -23,10 +23,11 @@
 //! ([`Csp1Engine`]), CSP1 lowered to CNF on the CDCL solver
 //! ([`Csp1SatEngine`]), the specialized CSP2 search under each
 //! value-ordering heuristic ([`Csp2Engine`]), CSP2 posted on the generic
-//! engine ([`Csp2GenericEngine`]), and the incomplete local searches
-//! ([`LocalSearchEngine`]). Each reads the [`Budget`] fields it has a
-//! counter for and reaches its heterogeneous variant, if it has one, from
-//! the same `solve_on`.
+//! engine ([`Csp2GenericEngine`]), the incomplete local searches
+//! ([`LocalSearchEngine`]) and the maximum-flow decision procedure for
+//! identical platforms ([`FlowEngine`]). Each reads the [`Budget`] fields
+//! it has a counter for and reaches its heterogeneous variant, if it has
+//! one, from the same `solve_on`.
 
 use std::fmt;
 use std::str::FromStr;
@@ -43,6 +44,7 @@ pub use crate::csp1::Csp1Engine;
 pub use crate::csp1_sat::Csp1SatEngine;
 pub use crate::csp2::Csp2Engine;
 pub use crate::csp2_generic::Csp2GenericEngine;
+pub use crate::flow::FlowEngine;
 pub use crate::local_search::LocalSearchEngine;
 
 use crate::heuristics::TaskOrder;
@@ -485,6 +487,9 @@ pub enum SolverSpec {
     LocalTabu,
     /// Simulated-annealing local search.
     LocalSa,
+    /// The exact maximum-flow decision procedure for identical platforms
+    /// ([`crate::flow`]).
+    Flow,
 }
 
 impl SolverSpec {
@@ -543,6 +548,7 @@ impl SolverSpec {
                 },
                 seed,
             }),
+            SolverSpec::Flow => Box::new(FlowEngine),
         }
     }
 
@@ -577,7 +583,8 @@ impl SolverSpec {
             SolverSpec::Csp1Sat
             | SolverSpec::Csp2(_)
             | SolverSpec::Csp2Generic
-            | SolverSpec::Csp2Learn => false,
+            | SolverSpec::Csp2Learn
+            | SolverSpec::Flow => false,
         }
     }
 
@@ -597,6 +604,7 @@ impl SolverSpec {
             SolverSpec::Local => "local",
             SolverSpec::LocalTabu => "local-tabu",
             SolverSpec::LocalSa => "local-sa",
+            SolverSpec::Flow => "flow",
         }
     }
 
@@ -636,10 +644,11 @@ impl FromStr for SolverSpec {
             "local" => SolverSpec::Local,
             "local-tabu" => SolverSpec::LocalTabu,
             "local-sa" => SolverSpec::LocalSa,
+            "flow" => SolverSpec::Flow,
             other => {
                 return Err(format!(
                     "unknown solver `{other}` (expected csp1|sat|csp2|csp2-rm|csp2-dm|\
-                     csp2-tc|csp2-dc|csp2-generic|csp2-learn|local|local-tabu|local-sa)"
+                     csp2-tc|csp2-dc|csp2-generic|csp2-learn|local|local-tabu|local-sa|flow)"
                 ))
             }
         })
@@ -747,7 +756,7 @@ mod tests {
     use crate::solve::{StopReason, Verdict};
     use crate::verify::check_identical;
 
-    const ALL_SPECS: [SolverSpec; 12] = [
+    const ALL_SPECS: [SolverSpec; 13] = [
         SolverSpec::Csp1,
         SolverSpec::Csp1Sat,
         SolverSpec::Csp2(TaskOrder::Lexicographic),
@@ -760,6 +769,7 @@ mod tests {
         SolverSpec::Local,
         SolverSpec::LocalTabu,
         SolverSpec::LocalSa,
+        SolverSpec::Flow,
     ];
 
     #[test]
@@ -827,7 +837,10 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         for (ts, m) in [(&dense, 2), (&table1, 5)] {
-            for spec in SolverSpec::DEFAULT_PORTFOLIO {
+            for spec in SolverSpec::DEFAULT_PORTFOLIO
+                .into_iter()
+                .chain([SolverSpec::Flow])
+            {
                 let res = spec
                     .build()
                     .solve(ts, m, &Budget::unlimited(), &cancel)
@@ -844,15 +857,21 @@ mod tests {
                     assert_eq!(search.conflicts, 0, "{spec}: conflicts");
                 }
                 // The backends that encode a model stop while encoding, so
-                // no solver is ever built and no search is reported.
-                let encodes = matches!(
+                // no solver is ever built and no search is reported; flow
+                // stops at entry, before it lays out its network.
+                let stops_before_search = matches!(
                     spec,
                     SolverSpec::Csp1
                         | SolverSpec::Csp1Sat
                         | SolverSpec::Csp2Generic
                         | SolverSpec::Csp2Learn
+                        | SolverSpec::Flow
                 );
-                assert_eq!(res.search.is_none(), encodes, "{spec}: search telemetry");
+                assert_eq!(
+                    res.search.is_none(),
+                    stops_before_search,
+                    "{spec}: search telemetry"
+                );
             }
         }
         // The heterogeneous routes, on the Table I instance's size: the

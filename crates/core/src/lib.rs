@@ -32,8 +32,13 @@
 //! * [`engine`] — the [`FeasibilitySolver`] trait unifying every backend
 //!   behind one `solve_on(ts, &platform_spec, budget, cancel)` shape, with
 //!   [`engine::SolverSpec`] as the parseable factory.
+//! * [`flow`] — the exact polynomial decision procedure for identical
+//!   processors: the problem as a job–instant maximum flow (Horn, 1974),
+//!   with a schedule or a cut ([`verify::check_cut`]) as its certificate.
 //! * [`portfolio`] — parallel racing of any solver roster with cooperative
-//!   cancellation: first definitive verdict wins, the rest are preempted.
+//!   cancellation: first definitive verdict wins, the rest are preempted;
+//!   given a [`flow`] engine, the racer settles identical instances with
+//!   it before the roster starts.
 //! * [`minimal_m`] — the incremental minimum-processor search suggested in
 //!   Section VII-E.
 //! * [`minimal_m_sat`] — the same search made *incremental in the CDCL
@@ -48,8 +53,8 @@
 //!
 //! Each backend module defines one engine, its only way to solve:
 //! [`csp1::Csp1Engine`], [`csp1_sat::Csp1SatEngine`], [`csp2::Csp2Engine`],
-//! [`csp2_generic::Csp2GenericEngine`] and
-//! [`local_search::LocalSearchEngine`] (all re-exported from [`engine`]).
+//! [`csp2_generic::Csp2GenericEngine`], [`local_search::LocalSearchEngine`]
+//! and [`flow::FlowEngine`] (all re-exported from [`engine`]).
 //! Each reads the one [`Budget`] directly and reaches its heterogeneous
 //! variant, if it has one, through [`PlatformSpec::Heterogeneous`]. The
 //! encoders (`csp1::encode`, `csp1_sat::encode_cnf`,
@@ -77,6 +82,7 @@ pub mod csp1_sat_hetero;
 pub mod csp2;
 pub mod csp2_generic;
 pub mod engine;
+pub mod flow;
 pub mod hetero;
 pub mod heuristics;
 pub mod local_search;

@@ -3,8 +3,21 @@
 //! The paper's Table I compares six solver configurations *sequentially*;
 //! on a multicore host the natural production shape is to race them. This
 //! module runs any roster of [`FeasibilitySolver`]s on scoped threads over
-//! the same instance:
+//! the same instance. On identical processors the race can be settled
+//! before any thread starts:
 //!
+//! * [`race`], and [`race_cancellable`] when the caller passes a `flow`
+//!   engine (normally one built from [`SolverSpec::Flow`]; pooled callers
+//!   pass theirs, so its counters are kept), first run that engine on the
+//!   calling thread for a [`PlatformSpec::Identical`] spec. A definitive
+//!   verdict from it is the race's result, its only [`BackendReport`] and
+//!   its winner, and no roster thread is spawned. The roster races only
+//!   what flow leaves unknown: a heterogeneous platform, a network too
+//!   large for its indices, an exhausted time budget (the roster gets what
+//!   is left of it) or a raised external token. A caller that passes no
+//!   `flow` engine races exactly its roster, which is how the roster's
+//!   backends are compared on identical instances (`mgrts portfolio
+//!   --solvers`);
 //! * every backend polls one shared [`CancelToken`]; the first thread to
 //!   deliver a **definitive** verdict (`Feasible` or `Infeasible`) raises
 //!   it, and the others stop at their next poll with
@@ -15,9 +28,10 @@
 //!   search loop, so the race returns about when its winner does instead
 //!   of waiting for the losers to finish building models whose result is
 //!   never used;
-//! * any feasible schedule is re-verified against the independent C1–C4
-//!   checker before it can win — an invalid schedule is a solver bug and
-//!   panics loudly, exactly like the bench runner;
+//! * any feasible schedule, flow's included, is re-verified against the
+//!   independent C1–C4 checker before it can win — an invalid schedule is
+//!   a solver bug and panics loudly, exactly like the bench runner (flow's
+//!   `Infeasible` has already passed [`crate::verify::check_cut`]);
 //! * definitive verdicts are cross-checked: one backend proving `Feasible`
 //!   while another proves `Infeasible` is unsound and panics;
 //! * the reported winner is the backend whose verdict was *accepted
@@ -25,8 +39,8 @@
 //!   itself is deterministic for exact backends because they must agree.
 //!
 //! Per-backend stats survive in [`PortfolioResult::backends`], so the racer
-//! doubles as a comparative measurement harness (`mgrts portfolio`,
-//! `benches/portfolio.rs`).
+//! doubles as a comparative measurement harness when it races the roster
+//! alone (`mgrts portfolio --solvers`, `benches/portfolio.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -36,7 +50,7 @@ use serde::{Deserialize, Serialize};
 
 use rt_task::{TaskError, TaskSet};
 
-use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec};
+use crate::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec, SolverSpec};
 use crate::solve::{SolveResult, SolveStats, StopReason, Verdict};
 use crate::verify;
 
@@ -154,8 +168,10 @@ impl PortfolioResult {
     }
 }
 
-/// Race `roster` on `m` identical processors. See the module docs for the
-/// winning/cancellation semantics.
+/// Race `roster` on `m` identical processors after a `flow` engine built
+/// from [`SolverSpec::Flow`] (see the module docs for the
+/// winning/cancellation semantics): the portfolio race as `mgrts
+/// portfolio`, campaigns and the service run it.
 ///
 /// The roster is any slice of owning solver pointers — `Box<dyn
 /// FeasibilitySolver>` for one-shot rosters, `Arc<dyn FeasibilitySolver>`
@@ -169,16 +185,28 @@ pub fn race<S>(
 where
     S: std::ops::Deref<Target = dyn FeasibilitySolver> + Sync,
 {
-    race_inner(roster, ts, &PlatformSpec::identical(m), budget, None)
+    let flow = SolverSpec::Flow.build();
+    race_inner(
+        Some(flow.as_ref()),
+        roster,
+        ts,
+        &PlatformSpec::identical(m),
+        budget,
+        None,
+    )
 }
 
 /// Race `roster` under an *external* cancellation token — the entry point
-/// execution policies build on. The race keeps its own internal token
-/// (raised by the first definitive verdict), and a monitor propagates the
-/// external token into it, so a campaign-level cancellation preempts every
-/// backend at its next checkpoint; the overall verdict then comes back
-/// `Unknown(Cancelled)` and the caller can requeue the unit.
+/// execution policies build on. On an identical platform `flow`, when
+/// given, runs first on the calling thread and settles the race with a
+/// definitive verdict; `None` races the roster alone. The race keeps its
+/// own internal token (raised by the first definitive verdict), and a
+/// monitor propagates the external token into it, so a campaign-level
+/// cancellation preempts every backend at its next checkpoint; the overall
+/// verdict then comes back `Unknown(Cancelled)` and the caller can requeue
+/// the unit.
 pub fn race_cancellable<S>(
+    flow: Option<&dyn FeasibilitySolver>,
     roster: &[S],
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -188,7 +216,7 @@ pub fn race_cancellable<S>(
 where
     S: std::ops::Deref<Target = dyn FeasibilitySolver> + Sync,
 {
-    race_inner(roster, ts, spec, budget, Some(external))
+    race_inner(flow, roster, ts, spec, budget, Some(external))
 }
 
 /// Decrement the race's running-backend count when dropped and wake the
@@ -217,7 +245,31 @@ impl Drop for RunningGuard<'_> {
     }
 }
 
+/// Is `res` definitive? A `Feasible` schedule must pass the C1–C4
+/// checker first; an invalid one panics.
+fn accept(
+    ts: &TaskSet,
+    spec: &PlatformSpec,
+    solver: &dyn FeasibilitySolver,
+    res: &SolveResult,
+) -> bool {
+    match &res.verdict {
+        Verdict::Feasible(s) => {
+            verify::check(ts, spec, s).unwrap_or_else(|e| {
+                panic!(
+                    "portfolio backend {} returned invalid schedule: {e}",
+                    solver.name()
+                )
+            });
+            true
+        }
+        Verdict::Infeasible => true,
+        Verdict::Unknown(_) => false,
+    }
+}
+
 fn race_inner<S>(
+    flow: Option<&dyn FeasibilitySolver>,
     roster: &[S],
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -230,6 +282,26 @@ where
     assert!(!roster.is_empty(), "portfolio roster must not be empty");
     let start = Instant::now();
     let cancel = CancelToken::new();
+    if let (Some(flow), PlatformSpec::Identical { .. }) = (flow, spec) {
+        // An error (a task-model error, an injected fault) falls through:
+        // the roster meets it too and the race reports it as before.
+        if let Ok(res) = flow.solve_on(ts, spec, budget, external.unwrap_or(&cancel)) {
+            if accept(ts, spec, flow, &res) {
+                return Ok(PortfolioResult {
+                    winner: Some(0),
+                    result: res.clone(),
+                    backends: vec![BackendReport {
+                        name: flow.name(),
+                        result: Ok(res),
+                        winner: true,
+                    }],
+                    elapsed_us: start.elapsed().as_micros() as u64,
+                });
+            }
+        }
+    }
+    // The roster draws on what flow left of the wall-clock budget.
+    let budget = &budget.capped(budget.time.map(|t| t.saturating_sub(start.elapsed())));
     // Winner slot: first definitive verdict to arrive claims it under the
     // lock and raises the shared token.
     let winner: Mutex<Option<usize>> = Mutex::new(None);
@@ -281,27 +353,12 @@ where
             handles.push(scope.spawn(move || {
                 let _running_guard = RunningGuard { running, wake };
                 let res = solver.solve_on(ts, spec, budget, &cancel);
-                if let Ok(r) = &res {
-                    let definitive = match &r.verdict {
-                        Verdict::Feasible(s) => {
-                            // Verify before the verdict may cancel others.
-                            verify::check(ts, spec, s).unwrap_or_else(|e| {
-                                panic!(
-                                    "portfolio backend {} returned invalid schedule: {e}",
-                                    solver.name()
-                                )
-                            });
-                            true
-                        }
-                        Verdict::Infeasible => true,
-                        Verdict::Unknown(_) => false,
-                    };
-                    if definitive {
-                        let mut w = winner.lock().unwrap_or_else(|e| e.into_inner());
-                        if w.is_none() {
-                            *w = Some(i);
-                            cancel.cancel();
-                        }
+                // Verify before the verdict may cancel others.
+                if res.as_ref().is_ok_and(|r| accept(ts, spec, &**solver, r)) {
+                    let mut w = winner.lock().unwrap_or_else(|e| e.into_inner());
+                    if w.is_none() {
+                        *w = Some(i);
+                        cancel.cancel();
                     }
                 }
                 *slot = Some(res);
@@ -391,6 +448,27 @@ mod tests {
         specs.iter().map(|s| s.build()).collect()
     }
 
+    /// Race `roster` alone on `m` identical processors: no flow engine
+    /// settles the race first, so every roster thread runs.
+    fn race_roster<S>(
+        roster: &[S],
+        ts: &TaskSet,
+        m: usize,
+        budget: &Budget,
+    ) -> Result<PortfolioResult, TaskError>
+    where
+        S: std::ops::Deref<Target = dyn FeasibilitySolver> + Sync,
+    {
+        race_cancellable(
+            None,
+            roster,
+            ts,
+            &PlatformSpec::identical(m),
+            budget,
+            &CancelToken::new(),
+        )
+    }
+
     #[test]
     fn arc_roster_races_like_boxed() {
         // The race entry points are generic over the roster pointer type:
@@ -403,8 +481,8 @@ mod tests {
         )];
         let shared = pool.roster(&specs, 1);
         let budget = Budget::time_limit(Duration::from_secs(5));
-        let from_arc = race(&shared, &ts, 2, &budget).unwrap();
-        let from_box = race(&roster(&specs), &ts, 2, &budget).unwrap();
+        let from_arc = race_roster(&shared, &ts, 2, &budget).unwrap();
+        let from_box = race_roster(&roster(&specs), &ts, 2, &budget).unwrap();
         assert!(from_arc.result.verdict.is_feasible());
         assert_eq!(
             from_arc.result.verdict.is_feasible(),
@@ -428,14 +506,16 @@ mod tests {
         let w = r.winner.expect("someone wins");
         assert!(r.backends[w].winner);
         assert_eq!(r.winner_name().unwrap(), r.backends[w].name);
-        assert_eq!(r.backends.len(), SolverSpec::DEFAULT_PORTFOLIO.len());
+        // Flow settles an identical race alone: the roster never starts.
+        assert_eq!(r.backends.len(), 1);
+        assert_eq!(r.winner_name(), Some("flow"));
     }
 
     #[test]
     fn race_proves_infeasibility() {
-        // Local search cannot prove it; the exact backends must.
+        // Local search cannot prove it; the roster's exact backends must.
         let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
-        let r = race(
+        let r = race_roster(
             &roster(&SolverSpec::DEFAULT_PORTFOLIO),
             &ts,
             2,
@@ -462,7 +542,7 @@ mod tests {
             (0, 1, 3, 4),
             (2, 1, 2, 6),
         ]);
-        let r = race(
+        let r = race_roster(
             &roster(&SolverSpec::DEFAULT_PORTFOLIO),
             &ts,
             3,
@@ -470,6 +550,7 @@ mod tests {
         )
         .unwrap();
         assert!(r.winner.is_some());
+        assert_eq!(r.backends.len(), SolverSpec::DEFAULT_PORTFOLIO.len());
         for b in &r.backends {
             let res = b.result.as_ref().unwrap();
             match &res.verdict {
@@ -488,7 +569,7 @@ mod tests {
     #[test]
     fn single_backend_roster_degenerates_to_plain_solve() {
         let ts = TaskSet::running_example();
-        let r = race(
+        let r = race_roster(
             &roster(&[SolverSpec::Csp2(
                 crate::heuristics::TaskOrder::DeadlineMinusWcet,
             )]),
@@ -508,7 +589,9 @@ mod tests {
         let spec = PlatformSpec::Heterogeneous(platform);
         // Roster mixes hetero-capable and non-capable backends; the latter
         // report Unsupported and cannot win.
+        let flow = SolverSpec::Flow.build();
         let r = race_cancellable(
+            Some(flow.as_ref()),
             &roster(&[
                 SolverSpec::Csp2(crate::heuristics::TaskOrder::DeadlineMinusWcet),
                 SolverSpec::Csp1,
@@ -522,6 +605,8 @@ mod tests {
         )
         .unwrap();
         assert!(r.result.verdict.is_feasible());
+        // Flow does not take part on a heterogeneous platform.
+        assert_eq!(r.backends.len(), 4);
         assert_ne!(r.winner_name().unwrap(), "csp2-generic");
         let generic = r
             .backends
@@ -550,7 +635,11 @@ mod tests {
         ]);
         let external = CancelToken::new();
         external.cancel();
+        // Flow polls the raised token at entry and declines, so the roster
+        // still races.
+        let flow = SolverSpec::Flow.build();
         let r = race_cancellable(
+            Some(flow.as_ref()),
             &roster(&[
                 SolverSpec::Csp2(crate::heuristics::TaskOrder::DeadlineMinusWcet),
                 SolverSpec::Csp1,
@@ -577,7 +666,7 @@ mod tests {
     #[test]
     fn cancel_latency_is_race_minus_winner_time() {
         let ts = TaskSet::running_example();
-        let r = race(
+        let r = race_roster(
             &roster(&SolverSpec::DEFAULT_PORTFOLIO),
             &ts,
             2,
@@ -604,8 +693,30 @@ mod tests {
             max_decisions: Some(2_000),
             ..Budget::unlimited()
         };
-        let r = race(&roster(&[SolverSpec::Local]), &ts, 2, &budget).unwrap();
+        let r = race_roster(&roster(&[SolverSpec::Local]), &ts, 2, &budget).unwrap();
         assert_eq!(r.winner, None);
         assert!(r.result.verdict.is_unknown());
+    }
+
+    #[test]
+    fn a_pooled_flow_engine_settles_the_race_and_keeps_its_counters() {
+        // The caller's flow engine is the one that runs: its telemetry
+        // (what serve's per-solver metrics read) counts the race.
+        let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
+        let pool = crate::engine::EnginePool::new();
+        let flow = pool.get(SolverSpec::Flow, 0);
+        let r = race_cancellable(
+            Some(&*flow),
+            &roster(&SolverSpec::DEFAULT_PORTFOLIO),
+            &ts,
+            &PlatformSpec::identical(2),
+            &Budget::unlimited(),
+            &CancelToken::new(),
+        )
+        .unwrap();
+        assert!(r.result.verdict.is_infeasible());
+        assert_eq!(r.winner_name(), Some("flow"));
+        assert_eq!(r.backends.len(), 1);
+        assert_eq!(flow.stats().expect("pooled engines count").solves, 1);
     }
 }

@@ -63,6 +63,14 @@ pub enum VerifyError {
     },
     /// The task set itself is invalid (empty / overflow / unconstrained).
     BadTaskSet(rt_task::TaskError),
+    /// An infeasibility cut does not need more work than its instants
+    /// offer.
+    WeakCut {
+        /// Units the jobs must run inside the cut.
+        forced: u64,
+        /// Processor slots the cut offers (`m·|S|`).
+        capacity: u64,
+    },
 }
 
 impl std::fmt::Display for VerifyError {
@@ -90,6 +98,10 @@ impl std::fmt::Display for VerifyError {
                 "task {task} placed on forbidden processor {proc} at {t} (rate 0)"
             ),
             VerifyError::BadTaskSet(e) => write!(f, "invalid task set: {e}"),
+            VerifyError::WeakCut { forced, capacity } => write!(
+                f,
+                "cut rejected: it forces {forced} units into {capacity} processor slots"
+            ),
         }
     }
 }
@@ -110,27 +122,48 @@ pub fn check(ts: &TaskSet, spec: &PlatformSpec, s: &Schedule) -> Result<(), Veri
 pub fn check_identical(ts: &TaskSet, m: usize, s: &Schedule) -> Result<(), VerifyError> {
     let ji = JobInstants::new(ts).map_err(VerifyError::BadTaskSet)?;
     check_shape(ts, m, &ji, s)?;
-    check_c1_c3(ts, &ji, s)?;
+    check_c1_c3(&ji, s)?;
     // C4: exactly Ci slots per job (unit rates).
+    check_c4(ts, &ji, s, |_, _| 1)
+}
+
+/// Check an infeasibility certificate on `m` identical processors: a set
+/// `S` of mod-H instants (`cut`; repeats count once) that must absorb more
+/// work than it has processor slots. Job `j` runs `Cj` units inside its
+/// window `Wj`, so at least `max(0, Cj − |Wj \ S|)` of them fall in `S`;
+/// the cut is accepted iff `Σj max(0, Cj − |Wj \ S|) > m·|S|`, which
+/// proves that no schedule exists. Instants outside `[0, H)` are a
+/// [`VerifyError::ShapeMismatch`].
+pub fn check_cut(ts: &TaskSet, m: usize, cut: &[Time]) -> Result<(), VerifyError> {
+    let ji = JobInstants::new(ts).map_err(VerifyError::BadTaskSet)?;
+    let h = ji.hyperperiod();
+    let mut in_cut = vec![false; h as usize];
+    for &t in cut {
+        if t >= h {
+            return Err(VerifyError::ShapeMismatch {
+                expected: format!("cut instants below the hyperperiod {h}, got {t}"),
+            });
+        }
+        in_cut[t as usize] = true;
+    }
+    let size = in_cut.iter().filter(|&&inside| inside).count() as u64;
+    let mut forced: u64 = 0;
     for (i, task) in ts.iter() {
         for k in 0..ji.jobs_of(i) {
-            let job = rt_task::JobId { task: i, k };
-            let got = ji
-                .instants_mod(job)
+            let outside = ji
+                .instants_mod(rt_task::JobId { task: i, k })
                 .into_iter()
-                .filter(|&t| s.processor_of(i, t).is_some())
+                .filter(|&t| !in_cut[t as usize])
                 .count() as Time;
-            if got != task.wcet {
-                return Err(VerifyError::WrongExecution {
-                    task: i,
-                    job: k,
-                    got,
-                    want: task.wcet,
-                });
-            }
+            forced = forced.saturating_add(task.wcet.saturating_sub(outside));
         }
     }
-    Ok(())
+    let capacity = (m as u64).saturating_mul(size);
+    if forced > capacity {
+        Ok(())
+    } else {
+        Err(VerifyError::WeakCut { forced, capacity })
+    }
 }
 
 /// Check the heterogeneous variant: C1–C3 as before; C4 becomes
@@ -152,7 +185,7 @@ pub fn check_heterogeneous(
             ),
         });
     }
-    check_c1_c3(ts, &ji, s)?;
+    check_c1_c3(&ji, s)?;
     for t in 0..ji.hyperperiod() {
         for (j, entry) in s.row(t).into_iter().enumerate() {
             if let Some(i) = entry {
@@ -166,25 +199,7 @@ pub fn check_heterogeneous(
             }
         }
     }
-    for (i, task) in ts.iter() {
-        for k in 0..ji.jobs_of(i) {
-            let job = rt_task::JobId { task: i, k };
-            let got: Time = ji
-                .instants_mod(job)
-                .into_iter()
-                .filter_map(|t| s.processor_of(i, t).map(|j| platform.rate(i, j)))
-                .sum();
-            if got != task.wcet {
-                return Err(VerifyError::WrongExecution {
-                    task: i,
-                    job: k,
-                    got,
-                    want: task.wcet,
-                });
-            }
-        }
-    }
-    Ok(())
+    check_c4(ts, &ji, s, |i, j| platform.rate(i, j))
 }
 
 fn check_shape(ts: &TaskSet, m: usize, ji: &JobInstants, s: &Schedule) -> Result<(), VerifyError> {
@@ -208,16 +223,59 @@ fn check_shape(ts: &TaskSet, m: usize, ji: &JobInstants, s: &Schedule) -> Result
 }
 
 /// C1 (inside an availability interval) and C3 (no intra-task parallelism).
-fn check_c1_c3(ts: &TaskSet, ji: &JobInstants, s: &Schedule) -> Result<(), VerifyError> {
+/// Violations are reported for the earliest instant and, within it, the
+/// lowest task id; C3 before C1 for one task.
+fn check_c1_c3(ji: &JobInstants, s: &Schedule) -> Result<(), VerifyError> {
+    let mut running: Vec<TaskId> = Vec::with_capacity(s.num_processors());
     for t in 0..ji.hyperperiod() {
-        let row = s.row(t);
-        for i in 0..ts.len() {
-            let count = row.iter().filter(|&&e| e == Some(i)).count();
-            if count > 1 {
+        running.clear();
+        running.extend((0..s.num_processors()).filter_map(|j| s.at(j, t)));
+        running.sort_unstable();
+        for (idx, &i) in running.iter().enumerate() {
+            if idx > 0 && running[idx - 1] == i {
+                continue;
+            }
+            if running.get(idx + 1) == Some(&i) {
                 return Err(VerifyError::Parallelism { task: i, t });
             }
-            if count == 1 && ji.job_at(i, t).is_none() {
+            if ji.job_at(i, t).is_none() {
                 return Err(VerifyError::OutsideInterval { task: i, t });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// C4: every job receives exactly `Ci` units, where a slot of task `i` on
+/// processor `j` completes `rate(i, j)` of them. Needs C1 (every busy slot
+/// lies in some job's window). Reports the first job in (task, job) order.
+fn check_c4(
+    ts: &TaskSet,
+    ji: &JobInstants,
+    s: &Schedule,
+    rate: impl Fn(TaskId, usize) -> Time,
+) -> Result<(), VerifyError> {
+    let mut first_job = Vec::with_capacity(ts.len());
+    let mut jobs = 0;
+    for i in 0..ts.len() {
+        first_job.push(jobs);
+        jobs += ji.jobs_of(i) as usize;
+    }
+    let mut got: Vec<Time> = vec![0; jobs];
+    for (j, t, i) in s.busy_iter() {
+        let job = ji.job_at(i, t).expect("C1 holds");
+        got[first_job[i] + job.k as usize] += rate(i, j);
+    }
+    for (i, task) in ts.iter() {
+        for k in 0..ji.jobs_of(i) {
+            let got = got[first_job[i] + k as usize];
+            if got != task.wcet {
+                return Err(VerifyError::WrongExecution {
+                    task: i,
+                    job: k,
+                    got,
+                    want: task.wcet,
+                });
             }
         }
     }
@@ -385,6 +443,49 @@ mod tests {
                 t: 0
             })
         ));
+    }
+
+    #[test]
+    fn cut_check_accepts_a_real_cut_and_rejects_its_neighbours() {
+        // Three unit jobs share instant 0 of H = 2 on two processors: {0}
+        // forces 3 units into 2 slots.
+        let ts = TaskSet::from_ocdt(&[(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 2)]);
+        check_cut(&ts, 2, &[0]).unwrap();
+        // Adding instant 1 adds two slots and no forced work; removing 0
+        // leaves nothing forced.
+        assert_eq!(
+            check_cut(&ts, 2, &[0, 1]),
+            Err(VerifyError::WeakCut {
+                forced: 3,
+                capacity: 4
+            })
+        );
+        assert_eq!(
+            check_cut(&ts, 2, &[]),
+            Err(VerifyError::WeakCut {
+                forced: 0,
+                capacity: 0
+            })
+        );
+        // The same jobs fit on three processors.
+        assert!(check_cut(&ts, 3, &[0]).is_err());
+        assert!(matches!(
+            check_cut(&ts, 2, &[2]),
+            Err(VerifyError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn cut_check_counts_wrapped_windows() {
+        // τ0 = (2, 2, 2, 3) wraps to instants {2, 0}; τ1 = (0, 2, 2, 3)
+        // needs {0, 1}. On one processor, {0} forces 1 unit of each (their
+        // windows keep one instant outside): 2 > 1. {1} forces only τ1's
+        // 1, and {1, 2} forces 2 into 2 slots.
+        let ts = TaskSet::from_ocdt(&[(2, 2, 2, 3), (0, 2, 2, 3)]);
+        check_cut(&ts, 1, &[0]).unwrap();
+        check_cut(&ts, 1, &[0, 1, 2]).unwrap();
+        assert!(check_cut(&ts, 1, &[1]).is_err());
+        assert!(check_cut(&ts, 1, &[1, 2]).is_err());
     }
 
     #[test]

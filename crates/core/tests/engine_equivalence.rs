@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use mgrts_core::csp2::Csp2Solver;
 use mgrts_core::engine::{
     Budget, CancelToken, Csp1Engine, Csp1SatEngine, Csp2Engine, Csp2GenericEngine,
-    FeasibilitySolver, LocalSearchEngine, SolverSpec,
+    FeasibilitySolver, FlowEngine, LocalSearchEngine, SolverSpec,
 };
 use mgrts_core::heuristics::TaskOrder;
 use mgrts_core::local_search::LsStrategy;
@@ -170,10 +170,15 @@ proptest! {
             Box::new(Csp1SatEngine::default()),
             Box::new(Csp2Engine { order: TaskOrder::DeadlineMinusWcet }),
             Box::new(Csp2GenericEngine::default()),
+            Box::new(FlowEngine),
         ];
         let reference = engine_verdict(engines[0].as_ref(), &ts, m);
         for engine in &engines[1..] {
             let res = engine_verdict(engine.as_ref(), &ts, m);
+            prop_assert!(!res.verdict.is_unknown(), "{} gave no verdict", engine.name());
+            if let Some(s) = res.verdict.schedule() {
+                check_identical(&ts, m, s).unwrap();
+            }
             prop_assert_eq!(
                 res.verdict.is_feasible(),
                 reference.verdict.is_feasible(),

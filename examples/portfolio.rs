@@ -6,12 +6,20 @@
 //! `Feasible`/`Infeasible` verdict cancels the rest cooperatively, and the
 //! per-backend statistics survive for inspection.
 //!
+//! On identical processors the exact `flow` backend, when the caller
+//! passes one, decides the instance on the calling thread before any
+//! roster thread starts, so the three identical instances below show
+//! `flow` as the only backend. The heterogeneous instance, which flow does
+//! not support, races the roster, and the last race passes no flow engine
+//! so the roster's backends compete on an identical instance.
+//!
 //! Run with: `cargo run --release --example portfolio`
 
 use std::time::Duration;
 
-use mgrts::mgrts_core::engine::{Budget, FeasibilitySolver, SolverSpec};
-use mgrts::mgrts_core::portfolio::race;
+use mgrts::mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, PlatformSpec, SolverSpec};
+use mgrts::mgrts_core::portfolio::{race_cancellable, PortfolioResult};
+use mgrts::rt_platform::Platform;
 use mgrts::rt_sim::render_schedule;
 use mgrts::rt_task::TaskSet;
 
@@ -55,29 +63,60 @@ fn main() {
     );
 
     let budget = Budget::time_limit(Duration::from_secs(10));
-    for (label, ts, m) in &instances {
-        println!("\n=== {label} (m = {m}) ===");
-        let outcome = race(&roster, ts, *m, &budget).expect("valid instance");
-        match outcome.winner_name() {
-            Some(winner) => println!(
-                "verdict: {:?} — won by `{winner}` in {:?}",
-                verdict_word(&outcome.result),
-                Duration::from_micros(outcome.elapsed_us),
-            ),
-            None => println!("no backend reached a definitive verdict"),
-        }
-        for report in &outcome.backends {
-            println!(
-                "  {:<14} {:<22} decisions={:<8} elapsed={:?}",
-                format!("{}{}", report.name, if report.winner { " *" } else { "" }),
-                report.outcome_label(),
-                report.stat().decisions,
-                report.stats().elapsed(),
-            );
-        }
-        if let Some(schedule) = outcome.result.verdict.schedule() {
-            println!("{}", render_schedule(schedule));
-        }
+    let mut races: Vec<(&str, TaskSet, PlatformSpec)> = instances
+        .into_iter()
+        .map(|(label, ts, m)| (label, ts, PlatformSpec::identical(m)))
+        .collect();
+    // Two tasks on a fast and a slow processor (rates per task and
+    // processor): only the heterogeneous backends can answer.
+    races.push((
+        "heterogeneous 2-task instance",
+        TaskSet::from_ocdt(&[(0, 2, 3, 3), (0, 2, 3, 3)]),
+        PlatformSpec::Heterogeneous(
+            Platform::heterogeneous(vec![vec![2, 1], vec![1, 1]]).expect("valid rates"),
+        ),
+    ));
+    let flow = SolverSpec::Flow.build();
+    for (label, ts, spec) in &races {
+        println!("\n=== {label} (m = {}) ===", spec.num_processors());
+        let outcome = race_cancellable(
+            Some(flow.as_ref()),
+            &roster,
+            ts,
+            spec,
+            &budget,
+            &CancelToken::new(),
+        )
+        .expect("valid instance");
+        report(&outcome);
+    }
+    let (label, ts, spec) = &races[1];
+    println!("\n=== {label}, roster alone ===");
+    let outcome = race_cancellable(None, &roster, ts, spec, &budget, &CancelToken::new())
+        .expect("valid instance");
+    report(&outcome);
+}
+
+fn report(outcome: &PortfolioResult) {
+    match outcome.winner_name() {
+        Some(winner) => println!(
+            "verdict: {:?} — won by `{winner}` in {:?}",
+            verdict_word(&outcome.result),
+            Duration::from_micros(outcome.elapsed_us),
+        ),
+        None => println!("no backend reached a definitive verdict"),
+    }
+    for report in &outcome.backends {
+        println!(
+            "  {:<14} {:<22} decisions={:<8} elapsed={:?}",
+            format!("{}{}", report.name, if report.winner { " *" } else { "" }),
+            report.outcome_label(),
+            report.stat().decisions,
+            report.stats().elapsed(),
+        );
+    }
+    if let Some(schedule) = outcome.result.verdict.schedule() {
+        println!("{}", render_schedule(schedule));
     }
 }
 
