@@ -1341,21 +1341,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Move the last heartbeat of the lease on `shard` `ms` into the
+    /// past, as if its holder had stopped renewing that long ago. Expiry
+    /// is then decided by heartbeat timestamps minutes apart, not by how
+    /// long a test thread slept.
+    fn age_lease(dir: &Path, shard: &str, ms: u64) {
+        let path = dir.join(LEASE_DIR).join(format!("{shard}.lease"));
+        let mut lease = read_lease(&path).expect("a lease to age");
+        lease.heartbeat_unix_ms -= ms;
+        std::fs::write(&path, serde_json::to_string(&lease).unwrap()).unwrap();
+    }
+
     #[test]
     fn expired_leases_are_reclaimable_and_renew_extends() {
         let _faults = no_faults();
         let dir = tmp("expiry");
-        let fast = LeaseBoard::open(&dir, "fast", Duration::from_millis(40)).unwrap();
-        let other = LeaseBoard::open(&dir, "other", Duration::from_millis(40)).unwrap();
+        let ttl = Duration::from_secs(60);
+        let fast = LeaseBoard::open(&dir, "fast", ttl).unwrap();
+        let other = LeaseBoard::open(&dir, "other", ttl).unwrap();
         assert!(fast.try_claim("s1").unwrap());
         assert!(fast.try_claim("s2").unwrap());
-        // Keep s1 alive across several TTLs with renewals; let s2 die.
-        for _ in 0..4 {
-            std::thread::sleep(Duration::from_millis(25));
-            assert!(fast.renew("s1").unwrap());
-        }
+        // Both leases go two TTLs without a heartbeat; then s1's holder
+        // renews and s2's does not.
+        age_lease(&dir, "s1", 120_000);
+        age_lease(&dir, "s2", 120_000);
+        let now = now_unix_ms();
+        assert!(fast.list().unwrap().iter().all(|l| l.is_expired(now)));
+        assert!(fast.renew("s1").unwrap());
+        let s1 = fast.list().unwrap().remove(0);
+        assert_eq!(s1.shard, "s1");
+        assert!(!s1.is_expired(now_unix_ms()), "renew did not extend");
+        assert!(!s1.is_expired(s1.heartbeat_unix_ms + 60_000));
+        assert!(s1.is_expired(s1.heartbeat_unix_ms + 60_001));
         assert!(!other.try_claim("s1").unwrap(), "renewed lease stolen");
-        std::thread::sleep(Duration::from_millis(90));
         assert!(
             other.try_claim("s2").unwrap(),
             "expired lease not reclaimed"
@@ -1369,11 +1387,13 @@ mod tests {
     fn reclaim_sweep_frees_only_expired() {
         let _faults = no_faults();
         let dir = tmp("sweep");
-        let a = LeaseBoard::open(&dir, "a", Duration::from_millis(30)).unwrap();
+        let a = LeaseBoard::open(&dir, "a", Duration::from_secs(1)).unwrap();
         let b = LeaseBoard::open(&dir, "b", Duration::from_secs(60)).unwrap();
         a.try_claim("dead").unwrap();
         b.try_claim("live").unwrap();
-        std::thread::sleep(Duration::from_millis(80));
+        // Both are older than a's TTL; only `dead` is older than its own.
+        age_lease(&dir, "dead", 120_000);
+        age_lease(&dir, "live", 30_000);
         let freed = reclaim_expired(&dir).unwrap();
         assert_eq!(freed, vec!["dead".to_string()]);
         let left = list_leases(&dir.join(LEASE_DIR)).unwrap();

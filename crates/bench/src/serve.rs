@@ -49,7 +49,24 @@
 //! the server's counters, queue gauges, solve-latency histograms and
 //! per-backend search telemetry in Prometheus text exposition format
 //! (in the `body` field).
+//!
+//! ## Codec
+//!
+//! [`parse_request`] reads a line with the vendored serde's pull
+//! tokenizer ([`serde_json::Reader`]) straight into a [`Request`]: the
+//! first member of each name wins, unknown members are checked and
+//! skipped, and the task set goes through its own typed reader, so no
+//! `Value` tree is built. [`request_key`] streams the canonical task-set
+//! text into FNV-1a through a hashing sink; that text is byte for byte
+//! the rendering earlier builds hashed, so stored records and issued
+//! tickets keep their keys. `result` lines (`hit`, `miss`, `inflight`)
+//! are written directly from the cached answer
+//! ([`CachedResult::render`]). On a cache hit, nothing between reading
+//! the line and writing its response builds a `Value`; the other
+//! responses (errors, stats, poll, metrics, overload) are small trees
+//! rendered by [`render_response`].
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -58,7 +75,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use serde_json::Value;
+use serde::{DeError, Serialize};
+use serde_json::{Reader, SyntaxError, Value};
 
 use mgrts_core::engine::{Budget, CancelToken, EnginePool, PlatformSpec, SolverSpec};
 use mgrts_obs::{flight, render_sample, FlightRecorder, Histogram, Registry, SampleKind};
@@ -69,7 +87,7 @@ use crate::campaign::panic_reason;
 use crate::policy::{run_unit, BudgetSource, PolicyKind, UnitExecution};
 use crate::queue::{list_leases, now_unix_ms, LeaseBoard, LEASE_DIR};
 use crate::runner::InstanceOutcome;
-use crate::shard::{fnv1a, RunUnit, Shard};
+use crate::shard::{Fnv1a, RunUnit, Shard};
 use crate::sink::{CampaignRecord, LocalStore, RecordStore, ShardWriter};
 
 // ---------------------------------------------------------------------------
@@ -164,7 +182,7 @@ impl RequestMode {
 }
 
 /// One parsed `solve` request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveRequest {
     /// The instance to decide.
     pub taskset: TaskSet,
@@ -188,7 +206,6 @@ impl SolveRequest {
     /// Serialize back to the wire shape (the spill artifact format).
     #[must_use]
     pub fn to_value(&self) -> Value {
-        use serde::Serialize;
         let mut fields = vec![
             ("type".to_string(), Value::String("solve".to_string())),
             ("taskset".to_string(), self.taskset.to_value()),
@@ -212,7 +229,7 @@ impl SolveRequest {
 }
 
 /// One parsed request line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Decide an instance.
     Solve(SolveRequest),
@@ -229,37 +246,106 @@ pub enum Request {
     Shutdown,
 }
 
+/// The members of a request line that [`parse_request`] looks at, each
+/// the first of its name in the line (where `Value::get` would find it).
+/// `Some(None)` is a member of the wrong JSON type, which the request
+/// rules treat as absent.
+#[derive(Default)]
+struct Members<'a> {
+    kind: Option<Option<Cow<'a, str>>>,
+    taskset: Option<Result<TaskSet, DeError>>,
+    m: Option<Option<u64>>,
+    seed: Option<Option<u64>>,
+    budget_ms: Option<Option<u64>>,
+    solver: Option<Option<Cow<'a, str>>>,
+    policy: Option<Option<Cow<'a, str>>>,
+    ticket: Option<Option<Cow<'a, str>>>,
+}
+
+/// The next value when it is a string; any other value is checked and
+/// skipped.
+fn string_member<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, SyntaxError> {
+    let s = r.string()?;
+    if s.is_none() {
+        r.skip_value()?;
+    }
+    Ok(s)
+}
+
+/// The next value when it is a `u64`; any other value is checked and
+/// skipped.
+fn u64_member(r: &mut Reader<'_>) -> Result<Option<u64>, SyntaxError> {
+    match r.number()? {
+        Some(n) => Ok(n.as_u64()),
+        None => r.skip_value().map(|()| None),
+    }
+}
+
+/// Read a whole line: its members, every other value checked and
+/// skipped, then the end of the text. Nothing but the task set is built.
+fn read_members<'a>(r: &mut Reader<'a>) -> Result<Members<'a>, SyntaxError> {
+    let mut m = Members::default();
+    if !r.begin_object()? {
+        // Valid JSON that is not an object has no `type`.
+        r.skip_value()?;
+        r.end()?;
+        return Ok(m);
+    }
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "type" if m.kind.is_none() => m.kind = Some(string_member(r)?),
+            "taskset" if m.taskset.is_none() => m.taskset = Some(r.read::<TaskSet>()?),
+            "m" if m.m.is_none() => m.m = Some(u64_member(r)?),
+            "seed" if m.seed.is_none() => m.seed = Some(u64_member(r)?),
+            "budget_ms" if m.budget_ms.is_none() => m.budget_ms = Some(u64_member(r)?),
+            "solver" if m.solver.is_none() => m.solver = Some(string_member(r)?),
+            "policy" if m.policy.is_none() => m.policy = Some(string_member(r)?),
+            "ticket" if m.ticket.is_none() => m.ticket = Some(string_member(r)?),
+            _ => r.skip_value()?,
+        }
+    }
+    r.end()?;
+    Ok(m)
+}
+
 /// Parse one request line. Errors are protocol errors to send back as
 /// structured `error` responses — never a reason to drop the connection.
+///
+/// The line is read straight from the tokenizer into the request: no
+/// [`Value`] tree is built unless the task set is invalid (its error is
+/// then the tree path's, see [`Reader::read`]). Text that is not JSON
+/// anywhere in the line is a `malformed JSON` error before any rule
+/// below applies, duplicate members resolve to the first, and unknown
+/// members are ignored.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    use serde::Deserialize;
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
-    let Some(kind) = v["type"].as_str() else {
+    let mut r = Reader::new(line);
+    let v = read_members(&mut r).map_err(|e| format!("malformed JSON: {e}"))?;
+    let Some(kind) = v.kind.flatten() else {
         return Err("missing request field `type`".to_string());
     };
-    match kind {
+    match &*kind {
         "solve" => {
-            let taskset = match v.get("taskset") {
-                Some(ts) => TaskSet::from_value(ts).map_err(|e| format!("bad `taskset`: {e}"))?,
+            let taskset = match v.taskset {
+                Some(ts) => ts.map_err(|e| format!("bad `taskset`: {e}"))?,
                 None => return Err("solve request needs a `taskset`".to_string()),
             };
             // Every engine builds this structure first: a task set it
             // refuses (D > T, an overflowing hyperperiod) is the
             // requester's error, not a worker panic.
             JobInstants::new(&taskset).map_err(|e| format!("bad `taskset`: {e}"))?;
-            let Some(m) = v["m"].as_u64() else {
+            let Some(m) = v.m.flatten() else {
                 return Err("solve request needs a processor count `m`".to_string());
             };
             if m == 0 {
                 return Err("`m` must be positive".to_string());
             }
-            let seed = v["seed"].as_u64().unwrap_or(1);
-            let budget_ms = v["budget_ms"].as_u64();
-            let solver = match v["solver"].as_str() {
+            let seed = v.seed.flatten().unwrap_or(1);
+            let budget_ms = v.budget_ms.flatten();
+            let solver = match v.solver.flatten() {
                 Some(name) => Some(name.parse::<SolverSpec>()?),
                 None => None,
             };
-            let mode = match v["policy"].as_str().map(str::parse::<PolicyKind>) {
+            let mode = match v.policy.flatten().map(|p| p.parse::<PolicyKind>()) {
                 Some(Ok(PolicyKind::Single)) => {
                     RequestMode::Single(solver.unwrap_or(SolverSpec::DEFAULT_PORTFOLIO[0]))
                 }
@@ -278,9 +364,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 budget_ms,
             }))
         }
-        "poll" => match v["ticket"].as_str() {
+        "poll" => match v.ticket.flatten() {
             Some(t) => Ok(Request::Poll {
-                ticket: t.to_string(),
+                ticket: t.into_owned(),
             }),
             None => Err("poll request needs a `ticket`".to_string()),
         },
@@ -297,27 +383,37 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// every field that changes the answer (platform size, execution mode,
 /// effective budget, seed). Doubles as the cache key, the spill ticket
 /// and the stored record's instance id.
+///
+/// The hashed text is `serde_json::to_string(&taskset)` followed by
+/// `|m=…|mode=…|budget_ms=…|seed=…`. It is fed to [`Fnv1a`] as it is
+/// written and never built, and it is the same text every earlier build
+/// hashed, so stored records and issued tickets keep their keys.
 #[must_use]
 pub fn request_key(req: &SolveRequest, default_budget_ms: u64) -> u64 {
     use std::fmt::Write;
-    let mut text = serde_json::to_string(&req.taskset).unwrap_or_default();
+    let mut h = Fnv1a::default();
+    req.taskset.write_json(&mut h);
     write!(
-        text,
+        h,
         "|m={}|mode={}|budget_ms={}|seed={}",
         req.m,
         req.mode.tag(),
         req.effective_budget_ms(default_budget_ms),
         req.seed
     )
-    .expect("writing to a String cannot fail");
-    fnv1a(text.as_bytes())
+    .expect("hashing cannot fail");
+    h.finish()
 }
 
 /// Render a request key as the wire ticket (16 hex digits — the same
 /// shape as a shard content hash).
 #[must_use]
 pub fn ticket_of(key: u64) -> String {
-    format!("{key:016x}")
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    (0..16)
+        .rev()
+        .map(|nibble| char::from(HEX[(key >> (4 * nibble) & 0xF) as usize]))
+        .collect()
 }
 
 /// Parse a wire ticket back to the request key.
@@ -351,10 +447,22 @@ pub fn error_response(msg: &str) -> Value {
     obj(vec![("type", s("error")), ("error", s(msg))])
 }
 
-/// Render a response [`Value`] as one wire line (no trailing newline).
+/// Render a response as one wire line (no trailing newline).
 #[must_use]
-pub fn render_response(v: &Value) -> String {
+pub fn render_response<T: Serialize + ?Sized>(v: &T) -> String {
     serde_json::to_string(v).unwrap_or_else(|_| "{\"type\":\"error\"}".to_string())
+}
+
+/// A `result` response: the answer to a solve, written straight to its
+/// line (the members and bytes of the tree it replaces).
+#[derive(Serialize)]
+struct ResultLine<'a> {
+    r#type: &'a str,
+    ticket: &'a str,
+    outcome: InstanceOutcome,
+    time_us: u64,
+    solver: &'a str,
+    cache: &'a str,
 }
 
 // ---------------------------------------------------------------------------
@@ -390,16 +498,21 @@ impl CachedResult {
         }
     }
 
-    fn response(&self, key: u64, cache: &str) -> Value {
-        use serde::Serialize;
-        obj(vec![
-            ("type", s("result")),
-            ("ticket", s(ticket_of(key))),
-            ("outcome", self.outcome.to_value()),
-            ("time_us", Value::UInt(self.time_us)),
-            ("solver", s(self.solver.clone())),
-            ("cache", s(cache)),
-        ])
+    /// The `result` response line answering request `key`, tagged with
+    /// how it was answered (`hit`, `miss` or `inflight`).
+    #[must_use]
+    pub fn render(&self, key: u64, cache: &str) -> String {
+        let mut line = String::with_capacity(128);
+        ResultLine {
+            r#type: "result",
+            ticket: &ticket_of(key),
+            outcome: self.outcome,
+            time_us: self.time_us,
+            solver: &self.solver,
+            cache,
+        }
+        .write_json(&mut line);
+        line
     }
 }
 
@@ -517,6 +630,7 @@ struct ServeMetrics {
     registry: Registry,
     solve_duration_us: Arc<Histogram>,
     request_duration_us: Arc<Histogram>,
+    hit_duration_us: Arc<Histogram>,
 }
 
 impl ServeMetrics {
@@ -530,6 +644,11 @@ impl ServeMetrics {
             request_duration_us: registry.histogram(
                 "mgrts_serve_request_duration_us",
                 "Wall-clock of request handling, microseconds",
+            ),
+            hit_duration_us: registry.histogram(
+                "mgrts_serve_hit_duration_us",
+                "Server-side time of solve requests answered from the cache, from the \
+                 request line to its rendered response, microseconds",
             ),
             registry,
         }
@@ -692,7 +811,7 @@ impl ServerState {
         // Wall clock of the whole execution, not the engine's own
         // measurement: queueing artifacts and artificial delays count
         // toward the user-visible latency this threshold guards.
-        let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let elapsed_us = elapsed_us(started);
         let slow = self.cfg.slow_ms > 0 && elapsed_us >= self.cfg.slow_ms.saturating_mul(1_000);
         let cancelled = result.outcome == InstanceOutcome::Cancelled;
         if slow {
@@ -847,17 +966,21 @@ impl ServerState {
 // Request handling
 // ---------------------------------------------------------------------------
 
-fn handle_solve(state: &ServerState, req: SolveRequest) -> Value {
+/// Answer a solve request; `started` is when its line arrived. A cache
+/// hit is parsed, keyed, looked up and rendered without a [`Value`].
+fn handle_solve(state: &ServerState, req: SolveRequest, started: Instant) -> String {
     let key = request_key(&req, state.cfg.default_budget_ms);
     // 1. Response cache (the record store).
     if let Some(cached) = state.cached(key) {
         state.stats.with(|c| c.cache_hits += 1);
-        return cached.response(key, "hit");
+        let line = cached.render(key, "hit");
+        state.metrics.hit_duration_us.observe(elapsed_us(started));
+        return line;
     }
     // 2. Heavy requests spill to the lease queue and get a ticket.
     let budget_ms = req.effective_budget_ms(state.cfg.default_budget_ms);
     if req.taskset.len() > state.cfg.spill_tasks || budget_ms > state.cfg.spill_budget_ms {
-        return handle_spill(state, key, req);
+        return render_response(&handle_spill(state, key, req));
     }
     // 3. Coalesce onto an in-flight solve, or admit a new one.
     let (flight, creator) = {
@@ -868,11 +991,11 @@ fn handle_solve(state: &ServerState, req: SolveRequest) -> Value {
                 let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
                 if jobs.len() >= state.cfg.queue_cap {
                     state.stats.with(|c| c.rejected += 1);
-                    return obj(vec![
+                    return render_response(&obj(vec![
                         ("type", s("overloaded")),
                         ("queue_depth", Value::UInt(jobs.len() as u64)),
                         ("queue_cap", Value::UInt(state.cfg.queue_cap as u64)),
-                    ]);
+                    ]));
                 }
                 let f = Arc::new(Flight {
                     done: Mutex::new(None),
@@ -904,19 +1027,19 @@ fn handle_solve(state: &ServerState, req: SolveRequest) -> Value {
             break;
         }
         if timeout.timed_out() {
-            return error_response("solve timed out server-side");
+            return render_response(&error_response("solve timed out server-side"));
         }
         if state.cancel.is_cancelled() {
-            return error_response("server shutting down");
+            return render_response(&error_response("server shutting down"));
         }
     }
     let result = done.clone().expect("loop exits only with a result");
     if creator {
         state.stats.with(|c| c.cache_misses += 1);
-        result.response(key, "miss")
+        result.render(key, "miss")
     } else {
         state.stats.with(|c| c.inflight_hits += 1);
-        result.response(key, "inflight")
+        result.render(key, "inflight")
     }
 }
 
@@ -1015,28 +1138,29 @@ fn handle_poll(state: &ServerState, ticket: &str) -> Value {
 /// Handle one request line and produce the response line's [`Value`] —
 /// shared by the TCP handler and the protocol unit tests. `None` means
 /// "shutdown acknowledged": the caller sends the returned ack first.
-fn handle_line(state: &ServerState, line: &str) -> (Value, bool) {
-    let start = std::time::Instant::now();
+fn handle_line(state: &ServerState, line: &str) -> (String, bool) {
+    let start = Instant::now();
     state.stats.with(|c| c.requests += 1);
     let out = match parse_request(line) {
-        Ok(Request::Solve(req)) => (handle_solve(state, req), false),
-        Ok(Request::Poll { ticket }) => (handle_poll(state, &ticket), false),
-        Ok(Request::Stats) => (state.stats.response(), false),
-        Ok(Request::Metrics) => (handle_metrics(state), false),
+        Ok(Request::Solve(req)) => (handle_solve(state, req, start), false),
+        Ok(Request::Poll { ticket }) => (render_response(&handle_poll(state, &ticket)), false),
+        Ok(Request::Stats) => (render_response(&state.stats.response()), false),
+        Ok(Request::Metrics) => (render_response(&handle_metrics(state)), false),
         Ok(Request::Shutdown) => (
-            obj(vec![("type", s("ok")), ("msg", s("shutting down"))]),
+            render_response(&obj(vec![("type", s("ok")), ("msg", s("shutting down"))])),
             true,
         ),
         Err(e) => {
             state.stats.with(|c| c.errors += 1);
-            (error_response(&e), false)
+            (render_response(&error_response(&e)), false)
         }
     };
-    state
-        .metrics
-        .request_duration_us
-        .observe(start.elapsed().as_micros() as u64);
+    state.metrics.request_duration_us.observe(elapsed_us(start));
     out
+}
+
+fn elapsed_us(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// The `metrics` request: Prometheus text exposition of the counters
@@ -1200,8 +1324,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
             if line.is_empty() {
                 continue;
             }
-            let (response, shutdown) = handle_line(state, &line);
-            let mut text = render_response(&response);
+            let (mut text, shutdown) = handle_line(state, &line);
             text.push('\n');
             if stream.write_all(text.as_bytes()).is_err() {
                 return;
@@ -1627,5 +1750,487 @@ mod tests {
         assert_eq!(request_key(&req, 1_000), request_key(&back, 1_000));
         assert_eq!(back.budget_ms, Some(123));
         assert_eq!(back.mode, req.mode);
+    }
+
+    /// The request rules as they read a parsed tree: the reference the
+    /// streaming [`parse_request`] must agree with.
+    fn reference_parse(line: &str) -> Result<Request, String> {
+        use serde::Deserialize;
+        let v: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
+        let Some(kind) = v["type"].as_str() else {
+            return Err("missing request field `type`".to_string());
+        };
+        match kind {
+            "solve" => {
+                let taskset = match v.get("taskset") {
+                    Some(ts) => {
+                        TaskSet::from_value(ts).map_err(|e| format!("bad `taskset`: {e}"))?
+                    }
+                    None => return Err("solve request needs a `taskset`".to_string()),
+                };
+                JobInstants::new(&taskset).map_err(|e| format!("bad `taskset`: {e}"))?;
+                let Some(m) = v["m"].as_u64() else {
+                    return Err("solve request needs a processor count `m`".to_string());
+                };
+                if m == 0 {
+                    return Err("`m` must be positive".to_string());
+                }
+                let seed = v["seed"].as_u64().unwrap_or(1);
+                let budget_ms = v["budget_ms"].as_u64();
+                let solver = match v["solver"].as_str() {
+                    Some(name) => Some(name.parse::<SolverSpec>()?),
+                    None => None,
+                };
+                let mode = match v["policy"].as_str().map(str::parse::<PolicyKind>) {
+                    Some(Ok(PolicyKind::Single)) => {
+                        RequestMode::Single(solver.unwrap_or(SolverSpec::DEFAULT_PORTFOLIO[0]))
+                    }
+                    Some(Ok(PolicyKind::PortfolioRace)) => RequestMode::Race,
+                    Some(Err(e)) => return Err(e),
+                    None => match solver {
+                        Some(spec) => RequestMode::Single(spec),
+                        None => RequestMode::Race,
+                    },
+                };
+                Ok(Request::Solve(SolveRequest {
+                    taskset,
+                    m: m as usize,
+                    seed,
+                    mode,
+                    budget_ms,
+                }))
+            }
+            "poll" => match v["ticket"].as_str() {
+                Some(t) => Ok(Request::Poll {
+                    ticket: t.to_string(),
+                }),
+                None => Err("poll request needs a `ticket`".to_string()),
+            },
+            "stats" => Ok(Request::Stats),
+            "metrics" => Ok(Request::Metrics),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(format!(
+                "unknown request type `{other}` (expected solve|poll|stats|metrics|shutdown)"
+            )),
+        }
+    }
+
+    mod corpus {
+        //! Random request lines: every member shape the rules read, in
+        //! any order and spacing, with duplicates, unknown members, string
+        //! escapes and malformed text.
+
+        use proptest::TestRng;
+        use rand::Rng;
+        use serde_json::Value;
+
+        fn pick<T: Clone>(rng: &mut TestRng, items: &[T]) -> T {
+            items[rng.gen_range(0..items.len())].clone()
+        }
+
+        fn ws(rng: &mut TestRng) -> &'static str {
+            pick(rng, &["", "", "", " ", "\n", "\t", "\r\n ", "  "])
+        }
+
+        /// A string literal for `text`, some characters as `\u` escapes.
+        fn string(rng: &mut TestRng, text: &str) -> String {
+            let mut out = String::from("\"");
+            for c in text.chars() {
+                if rng.gen_bool(0.15) && u32::from(c) < 0xD800 {
+                    out.push_str(&format!("\\u{:04x}", u32::from(c)));
+                } else {
+                    let lit = serde_json::to_string(&c.to_string()).unwrap();
+                    out.push_str(&lit[1..lit.len() - 1]);
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        /// `v` as JSON text with random spacing and escapes.
+        pub fn render(rng: &mut TestRng, v: &Value) -> String {
+            match v {
+                Value::String(text) => string(rng, text),
+                Value::Array(items) => {
+                    let parts: Vec<String> = items
+                        .iter()
+                        .map(|x| format!("{}{}{}", ws(rng), render(rng, x), ws(rng)))
+                        .collect();
+                    format!("[{}{}]", parts.join(","), ws(rng))
+                }
+                Value::Object(pairs) => {
+                    let members: Vec<(String, String)> = pairs
+                        .iter()
+                        .map(|(k, x)| (k.clone(), render(rng, x)))
+                        .collect();
+                    object(rng, &members)
+                }
+                scalar => serde_json::to_string(scalar).unwrap(),
+            }
+        }
+
+        /// An object of already rendered member values.
+        pub fn object(rng: &mut TestRng, members: &[(String, String)]) -> String {
+            let parts: Vec<String> = members
+                .iter()
+                .map(|(k, x)| {
+                    let (a, b, c, d) = (ws(rng), ws(rng), ws(rng), ws(rng));
+                    format!("{a}{}{b}:{c}{x}{d}", string(rng, k))
+                })
+                .collect();
+            format!("{{{}{}}}", parts.join(","), ws(rng))
+        }
+
+        fn uint(rng: &mut TestRng) -> Value {
+            Value::UInt(pick(rng, &[0, 1, 2, 3, 5, 7, 1_000, u64::MAX, 1 << 63]))
+        }
+
+        /// A value of the wrong type for a `u64` or string member.
+        fn odd(rng: &mut TestRng) -> Value {
+            pick(
+                rng,
+                &[
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::Int(-1),
+                    Value::Int(0),
+                    Value::Float(2.0),
+                    Value::Float(1.5),
+                    Value::Float(18_446_744_073_709_551_616.0),
+                    Value::String("2".to_string()),
+                    Value::Array(vec![Value::UInt(2)]),
+                    Value::Object(vec![]),
+                ],
+            )
+        }
+
+        fn task(rng: &mut TestRng) -> Value {
+            let period = rng.gen_range(1..8u64);
+            let deadline = if rng.gen_bool(0.03) {
+                period + 1
+            } else {
+                rng.gen_range(1..=period)
+            };
+            let wcet = if rng.gen_bool(0.02) {
+                0
+            } else {
+                rng.gen_range(1..=deadline)
+            };
+            let mut fields: Vec<(String, Value)> = [
+                ("offset", rng.gen_range(0..period)),
+                ("wcet", wcet),
+                ("deadline", deadline),
+                ("period", period),
+            ]
+            .into_iter()
+            .map(|(k, n)| (k.to_string(), Value::UInt(n)))
+            .collect();
+            if rng.gen_bool(0.02) {
+                let i = rng.gen_range(0..fields.len());
+                fields[i].1 = odd(rng);
+            }
+            if rng.gen_bool(0.02) {
+                fields.remove(rng.gen_range(0..fields.len()));
+            }
+            if rng.gen_bool(0.1) {
+                let i = rng.gen_range(0..fields.len());
+                let dup = (fields[i].0.clone(), uint(rng));
+                fields.push(dup);
+            }
+            if rng.gen_bool(0.1) {
+                fields.push(("note".to_string(), odd(rng)));
+            }
+            shuffle(rng, &mut fields);
+            Value::Object(fields)
+        }
+
+        fn taskset(rng: &mut TestRng) -> Value {
+            if rng.gen_bool(0.03) {
+                return odd(rng);
+            }
+            let tasks = if rng.gen_bool(0.03) {
+                odd(rng)
+            } else {
+                let n = if rng.gen_bool(0.03) {
+                    0
+                } else {
+                    rng.gen_range(1..4)
+                };
+                Value::Array((0..n).map(|_| task(rng)).collect())
+            };
+            let mut fields = vec![("tasks".to_string(), tasks)];
+            if rng.gen_bool(0.1) {
+                fields.push(("tasks".to_string(), Value::Array(vec![])));
+            }
+            if rng.gen_bool(0.1) {
+                fields.insert(0, ("m".to_string(), uint(rng)));
+            }
+            Value::Object(fields)
+        }
+
+        fn shuffle<T>(rng: &mut TestRng, items: &mut [T]) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, rng.gen_range(0..=i));
+            }
+        }
+
+        /// A member value for `key`: mostly well formed, sometimes of the
+        /// wrong type.
+        fn member(rng: &mut TestRng, key: &str) -> Value {
+            if rng.gen_bool(0.05) {
+                return odd(rng);
+            }
+            let names: &[&str] = match key {
+                "taskset" => return taskset(rng),
+                "m" => return Value::UInt(rng.gen_range(0..9u64) / 2),
+                "seed" | "budget_ms" => return uint(rng),
+                "type" => &[
+                    "solve", "solve", "solve", "solve", "solve", "solve", "solve", "poll", "stats",
+                    "metrics", "shutdown", "conquer",
+                ],
+                "solver" => &["csp2-dc", "sat", "csp1", "flow", "bogus"],
+                "policy" => &["single", "portfolio-race", "race", "bogus"],
+                "ticket" => &["00f3ab0000000001", "t"],
+                _ => return odd(rng),
+            };
+            Value::String(pick(rng, names).to_string())
+        }
+
+        /// Malformed member values: the line is not JSON whatever else it
+        /// holds.
+        const BROKEN: [&str; 9] = [
+            "[1,}",
+            "\"abc",
+            "01",
+            "tru",
+            "{\"a\" 1}",
+            "1.",
+            "\"\\q\"",
+            "-",
+            "{,}",
+        ];
+
+        /// One request line.
+        pub fn line(rng: &mut TestRng) -> String {
+            if rng.gen_bool(0.02) {
+                let v = odd(rng);
+                return render(rng, &v);
+            }
+            let mut members: Vec<(String, String)> = Vec::new();
+            for key in [
+                "type",
+                "taskset",
+                "m",
+                "seed",
+                "budget_ms",
+                "solver",
+                "policy",
+                "ticket",
+            ] {
+                let keep = match key {
+                    "type" | "taskset" | "m" => 0.97,
+                    "ticket" => 0.3,
+                    _ => 0.5,
+                };
+                if rng.gen_bool(keep) {
+                    let v = member(rng, key);
+                    members.push((key.to_string(), render(rng, &v)));
+                }
+                if rng.gen_bool(0.05) {
+                    let v = member(rng, key);
+                    members.push((key.to_string(), render(rng, &v)));
+                }
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let key = pick(rng, &["x", "extra", "tasks", "Type", ""]).to_string();
+                let v = if rng.gen_bool(0.5) {
+                    taskset(rng)
+                } else {
+                    odd(rng)
+                };
+                members.push((key, render(rng, &v)));
+            }
+            if rng.gen_bool(0.05) {
+                members.push(("junk".to_string(), pick(rng, &BROKEN).to_string()));
+            }
+            shuffle(rng, &mut members);
+            let mut text = object(rng, &members);
+            if rng.gen_bool(0.15) {
+                let cuts: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+                let at = pick(rng, &cuts);
+                match rng.gen_range(0..4) {
+                    0 => text.truncate(at),
+                    1 => text.insert(
+                        at,
+                        pick(
+                            rng,
+                            &['{', '}', '[', ']', ',', ':', '"', 'x', '0', '-', '\\'],
+                        ),
+                    ),
+                    2 => {
+                        text.remove(at);
+                    }
+                    _ => text.push_str(pick(rng, &[" x", "}", ",", " {}", "\n"])),
+                }
+            }
+            text
+        }
+    }
+
+    #[test]
+    fn streamed_parse_agrees_with_the_tree_rules() {
+        let mut rng = proptest::test_rng("streamed_parse_agrees_with_the_tree_rules");
+        let (mut solves, mut others, mut errors) = (0, 0, std::collections::BTreeMap::new());
+        for _ in 0..4000 {
+            let line = corpus::line(&mut rng);
+            let got = parse_request(&line);
+            assert_eq!(got, reference_parse(&line), "for {line:?}");
+            match got {
+                Ok(Request::Solve(_)) => solves += 1,
+                Ok(_) => others += 1,
+                Err(e) => {
+                    let prefix = e.split([':', '`']).next().unwrap_or_default().to_string();
+                    *errors.entry(prefix).or_insert(0) += 1;
+                }
+            }
+        }
+        // The corpus reaches every outcome of the rules.
+        assert!(
+            solves >= 400 && others >= 100,
+            "{solves} solves, {others} others {errors:?}"
+        );
+        for prefix in [
+            "malformed JSON",
+            "bad ",
+            "missing request field ",
+            "solve request needs a ",
+            "",
+            "unknown request type ",
+            "poll request needs a ",
+        ] {
+            assert!(
+                errors.contains_key(prefix),
+                "no `{prefix}` error in {errors:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_members_resolve_to_the_first() {
+        let ts = running_example_json();
+        for (line, want) in [
+            (
+                format!(r#"{{"type":"solve","taskset":{ts},"m":2,"m":"x","seed":4,"seed":5}}"#),
+                Ok((2, 4)),
+            ),
+            (
+                format!(r#"{{"type":"solve","taskset":{ts},"m":"x","m":2}}"#),
+                Err("solve request needs a processor count `m`"),
+            ),
+            (
+                format!(r#"{{"type":"solve","type":"poll","taskset":{ts},"taskset":[],"m":3}}"#),
+                Ok((3, 1)),
+            ),
+        ] {
+            let got = parse_request(&line).map(|r| match r {
+                Request::Solve(req) => (req.m, req.seed),
+                other => panic!("{other:?}"),
+            });
+            assert_eq!(got, want.map_err(str::to_string), "{line}");
+            assert_eq!(parse_request(&line), reference_parse(&line));
+        }
+    }
+
+    /// Random task sets, including fields at the ends of `u64`.
+    #[derive(Clone)]
+    struct Requests;
+
+    impl proptest::Strategy for Requests {
+        type Value = (SolveRequest, u64);
+
+        fn sample(&self, rng: &mut proptest::TestRng) -> (SolveRequest, u64) {
+            use rand::Rng;
+            let big = |rng: &mut proptest::TestRng| match rng.gen_range(0..4) {
+                0 => rng.gen_range(1..10u64),
+                1 => u64::MAX - rng.gen_range(0..3u64),
+                2 => 1u64 << rng.gen_range(0..64u32),
+                _ => rng.gen_range(1..=u64::MAX),
+            };
+            let tasks: Vec<rt_task::Task> = (0..rng.gen_range(1..12))
+                .map(|_| {
+                    let (a, b) = (big(rng), big(rng));
+                    let (wcet, deadline) = (a.min(b), a.max(b));
+                    rt_task::Task::new(big(rng) - 1, wcet, deadline, big(rng)).unwrap()
+                })
+                .collect();
+            let mode = if rng.gen_bool(0.5) {
+                RequestMode::Race
+            } else {
+                RequestMode::Single(SolverSpec::DEFAULT_PORTFOLIO[rng.gen_range(0..6usize)])
+            };
+            let req = SolveRequest {
+                taskset: TaskSet::new(tasks).unwrap(),
+                m: usize::try_from(big(rng)).unwrap_or(usize::MAX),
+                seed: big(rng) - 1,
+                mode,
+                budget_ms: rng.gen_bool(0.5).then(|| big(rng)),
+            };
+            (req, big(rng))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        /// The key hashes the bytes it always did: the task set rendered
+        /// through its tree, then the request's tail.
+        #[test]
+        fn streamed_keys_hash_the_rendered_text((req, default_ms) in Requests) {
+            let tree = serde_json::to_string(&req.taskset.to_value()).unwrap();
+            proptest::prop_assert_eq!(&serde_json::to_string(&req.taskset).unwrap(), &tree);
+            let text = format!(
+                "{tree}|m={}|mode={}|budget_ms={}|seed={}",
+                req.m,
+                req.mode.tag(),
+                req.effective_budget_ms(default_ms),
+                req.seed
+            );
+            proptest::prop_assert_eq!(
+                request_key(&req, default_ms),
+                crate::shard::fnv1a(text.as_bytes())
+            );
+        }
+    }
+
+    #[test]
+    fn result_lines_keep_the_bytes_of_their_trees() {
+        use InstanceOutcome::*;
+        for outcome in [
+            Solved,
+            ProvedInfeasible,
+            Overrun,
+            TooLarge,
+            Cancelled,
+            Unsupported,
+            Failed,
+        ] {
+            for cache in ["hit", "miss", "inflight"] {
+                let result = CachedResult {
+                    outcome,
+                    time_us: 1234,
+                    solver: "csp2-dc \"q\"".to_string(),
+                };
+                let key = 0x0123_4567_89ab_cdef;
+                let tree = obj(vec![
+                    ("type", s("result")),
+                    ("ticket", s(ticket_of(key))),
+                    ("outcome", outcome.to_value()),
+                    ("time_us", Value::UInt(result.time_us)),
+                    ("solver", s(result.solver.clone())),
+                    ("cache", s(cache)),
+                ]);
+                assert_eq!(result.render(key, cache), render_response(&tree));
+            }
+        }
     }
 }

@@ -105,12 +105,49 @@ pub struct Shard {
 /// behind shard identities.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] over text fed in pieces, so the hashed text is never built:
+/// a JSON [`Sink`](serde::json::Sink) and a [`std::fmt::Write`] target.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Hash `bytes` after everything fed so far.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of everything fed.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl serde::json::Sink for Fnv1a {
+    fn push_str(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Split a campaign into shards: enumerate run units in (cell, instance,

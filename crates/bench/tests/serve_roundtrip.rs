@@ -300,6 +300,17 @@ fn metrics_request_returns_parseable_exposition() {
         "{body}"
     );
 
+    // Cache hits have their own server-side latency histogram.
+    assert!(
+        body.contains("# TYPE mgrts_serve_hit_duration_us histogram"),
+        "{body}"
+    );
+    assert!(
+        body.lines()
+            .any(|l| l.starts_with("mgrts_serve_hit_duration_us_bucket{le=\"+Inf\"}")),
+        "{body}"
+    );
+
     // Per-solver search telemetry appears once an engine has run.
     assert!(body.contains("mgrts_solver_solves_total{solver="), "{body}");
     server.shutdown();

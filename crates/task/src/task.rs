@@ -1,5 +1,6 @@
 //! A single periodic task `τi = (Oi, Ci, Di, Ti)`.
 
+use serde::json::{ReadError, Reader};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::TaskError;
@@ -38,6 +39,37 @@ impl Deserialize for Task {
             field(v, "period")?,
         )
         .map_err(|e| DeError::new(e.to_string()))
+    }
+
+    /// The same rules read straight from the tokenizer: the first of
+    /// duplicate members wins and unknown members are skipped, as
+    /// [`Task::from_value`] finds its fields in the tree.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, ReadError> {
+        if !r.begin_object()? {
+            return Err(ReadError::Invalid);
+        }
+        let mut fields: [Option<Time>; 4] = [None; 4];
+        while let Some(key) = r.next_key()? {
+            let slot = match &*key {
+                "offset" => 0,
+                "wcet" => 1,
+                "deadline" => 2,
+                "period" => 3,
+                _ => {
+                    r.skip_value()?;
+                    continue;
+                }
+            };
+            if fields[slot].is_some() {
+                r.skip_value()?;
+            } else {
+                fields[slot] = Some(Time::read_json(r)?);
+            }
+        }
+        let [Some(offset), Some(wcet), Some(deadline), Some(period)] = fields else {
+            return Err(ReadError::Invalid);
+        };
+        Task::new(offset, wcet, deadline, period).map_err(|_| ReadError::Invalid)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Task sets: validated collections of periodic tasks.
 
+use serde::json::{ReadError, Reader};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::TaskError;
@@ -20,6 +21,24 @@ pub struct TaskSet {
 impl Deserialize for TaskSet {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         TaskSet::new(serde::__private::field(v, "tasks")?).map_err(|e| DeError::new(e.to_string()))
+    }
+
+    /// The same rules read straight from the tokenizer, each task through
+    /// [`Task`]'s reader: a served request's task set is built without a
+    /// tree.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, ReadError> {
+        if !r.begin_object()? {
+            return Err(ReadError::Invalid);
+        }
+        let mut tasks = None;
+        while let Some(key) = r.next_key()? {
+            if key == "tasks" && tasks.is_none() {
+                tasks = Some(Vec::<Task>::read_json(r)?);
+            } else {
+                r.skip_value()?;
+            }
+        }
+        TaskSet::new(tasks.ok_or(ReadError::Invalid)?).map_err(|_| ReadError::Invalid)
     }
 }
 

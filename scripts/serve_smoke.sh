@@ -148,6 +148,11 @@ assert types.get("mgrts_serve_queue_depth") == "gauge", types
 assert types.get("mgrts_serve_request_duration_us") == "histogram", types
 assert "mgrts_serve_request_duration_us_bucket" in samples, sorted(samples)
 assert samples["mgrts_serve_request_duration_us_count"] > 0, samples
+assert types.get("mgrts_serve_hit_duration_us") == "histogram", types
+assert "mgrts_serve_hit_duration_us_bucket" in samples, sorted(samples)
+assert samples["mgrts_serve_hit_duration_us_count"] > 0, samples
+assert (samples["mgrts_serve_hit_duration_us_count"]
+        == samples["mgrts_serve_cache_hits_total"]), samples
 print("serve_smoke: metrics OK "
       f"({int(samples['mgrts_serve_requests_total'])} requests scraped, "
       f"{len(types)} series)")
