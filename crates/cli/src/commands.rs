@@ -5,9 +5,9 @@
 use std::time::Duration;
 
 use mgrts_core::csp2::Csp2Solver;
-use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, SolverSpec};
+use mgrts_core::engine::{Budget, CancelToken, FeasibilitySolver, FlowEngine, SolverSpec};
 use mgrts_core::heuristics::TaskOrder;
-use mgrts_core::minimal_m::minimal_processors;
+use mgrts_core::minimal_m::minimal_processors_with;
 use mgrts_core::verify::check_identical;
 use mgrts_core::{SolveResult, Verdict};
 use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
@@ -172,14 +172,11 @@ pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mgrts min-m <instance> [--time-ms T]`
+/// `mgrts min-m <instance> [--time-ms T]` — the upward scan on the exact
+/// flow backend; every `infeasible` line has passed its cut check.
 pub fn cmd_min_m(args: &Args) -> Result<String, CliError> {
     let inst = load_instance(args.positional(0, "instance")?)?;
-    let result = minimal_processors(
-        &inst.taskset,
-        TaskOrder::DeadlineMinusWcet,
-        time_budget(args)?,
-    )?;
+    let result = minimal_processors_with(&inst.taskset, &FlowEngine, time_budget(args)?)?;
     let mut out = String::new();
     for (m, res) in &result.probes {
         out.push_str(&format!(
@@ -949,7 +946,8 @@ pub fn usage() -> String {
        analyze <instance>   run the polynomial schedulability battery [--m N]\n\
        generate             emit random instances (JSON, one per line)\n\
                             --n N --tmax T [--m M|auto] [--count K] [--seed S] [--synchronous]\n\
-       min-m <instance>     incremental search for the smallest feasible m\n\
+       min-m <instance>     smallest feasible m, scanned with the exact flow backend\n\
+                            [--time-ms T]\n\
        gantt <instance>     render availability intervals (and schedule with --m)\n\
        prob <instance>      probabilistic execution-time analysis [--m N]\n\
                             [--overrun-p P] [--overrun-factor F] [--rounds R]\n\

@@ -154,6 +154,18 @@ fn min_m_finds_two_for_the_example() {
 }
 
 #[test]
+fn min_m_walks_past_the_utilization_bound() {
+    // Three (0,1,1,2) tasks: U = 3/2, so the scan starts at m = 2, but all
+    // three jobs need instant 0.
+    let dir = tmpdir("minm-strict");
+    let file = dir.join("strict.json");
+    let task = r#"{"offset":0,"wcet":1,"deadline":1,"period":2}"#;
+    std::fs::write(&file, format!(r#"{{"tasks":[{task},{task},{task}]}}"#)).unwrap();
+    let out = run_command("min-m", &args(&[file.to_str().unwrap()])).unwrap();
+    assert_eq!(out, "m=2: infeasible\nm=3: feasible\nminimal m = 3\n");
+}
+
+#[test]
 fn gantt_shows_intervals() {
     let dir = tmpdir("gantt");
     let file = example_file(&dir);

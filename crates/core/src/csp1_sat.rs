@@ -158,7 +158,7 @@ fn encode_cnf_polled(
 
 /// Decode a SAT model into a [`Schedule`] via the shared layout.
 #[must_use]
-pub fn decode_model(layout: &Csp1Layout, model: &[bool]) -> Schedule {
+fn decode_model(layout: &Csp1Layout, model: &[bool]) -> Schedule {
     let mut s = Schedule::idle(layout.m, layout.h);
     for i in 0..layout.n {
         for j in 0..layout.m {

@@ -40,10 +40,8 @@
 //!   given a [`flow`] engine, the racer settles identical instances with
 //!   it before the roster starts.
 //! * [`minimal_m`] — the incremental minimum-processor search suggested in
-//!   Section VII-E.
-//! * [`minimal_m_sat`] — the same search made *incremental in the CDCL
-//!   sense*: one solver instance, processor-switch variables, learned
-//!   clauses shared across probes.
+//!   Section VII-E: one upward scan over any engine, exact and certified
+//!   on [`flow`].
 //! * [`local_search`] — min-conflicts local search over the CSP2 state
 //!   space (Section VIII, future work).
 //! * [`priority`] — the (D-C)-seeded priority-assignment viewpoint
@@ -87,7 +85,6 @@ pub mod hetero;
 pub mod heuristics;
 pub mod local_search;
 pub mod minimal_m;
-pub mod minimal_m_sat;
 pub mod portfolio;
 pub mod priority;
 pub mod schedule;

@@ -4,17 +4,20 @@
 //! respective results: some bugs are rare and hardly noticeable"
 //! (Section VII).
 //!
-//! Every solver must agree on feasibility, every produced schedule must
-//! pass the independent C1–C4 verifier, and the exact solvers must agree
-//! with the necessary-condition prechecks.
+//! Every solver must agree on feasibility, every definitive verdict must
+//! match the exact max-flow oracle, every produced schedule must pass the
+//! independent C1–C4 verifier, and the exact solvers must agree with the
+//! necessary-condition prechecks.
 
 use mgrts_core::csp2::Csp2Solver;
 use mgrts_core::engine::{
     Budget, CancelToken, Csp1Engine, Csp2GenericEngine, FeasibilitySolver, LocalSearchEngine,
 };
+use mgrts_core::flow::FlowEngine;
 use mgrts_core::heuristics::TaskOrder;
 use mgrts_core::verify::check_identical;
-use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
+use mgrts_core::SolveResult;
+use rt_gen::{GeneratorConfig, MSpec, ParamOrder, Problem, ProblemGenerator};
 use rt_task::demand::{demand_precheck, Precheck};
 
 fn small_config() -> GeneratorConfig {
@@ -38,10 +41,37 @@ const CSP1_DECISIONS: u64 = 20_000;
 /// but the five that need more decisions.
 const CSP1_DECIDED: usize = 195;
 
+/// The exact verdict on `p`, from the max-flow backend: always definitive
+/// on identical platforms, and its `Infeasible` carries a checked cut.
+fn flow_verdict(p: &Problem) -> bool {
+    let exact = FlowEngine
+        .solve(&p.taskset, p.m, &Budget::unlimited(), &CancelToken::new())
+        .unwrap();
+    assert!(
+        !exact.verdict.is_unknown(),
+        "flow undecided on seed {}",
+        p.seed
+    );
+    exact.verdict.is_feasible()
+}
+
+/// Assert that `res`, when definitive, matches the flow verdict `exact`.
+fn agrees_with_flow(name: &str, res: &SolveResult, exact: bool, p: &Problem) {
+    if !res.verdict.is_unknown() {
+        assert_eq!(
+            res.verdict.is_feasible(),
+            exact,
+            "{name} vs flow disagree on seed {}",
+            p.seed
+        );
+    }
+}
+
 /// Solve the 200-instance stream with specialized CSP2, CSP1 (under
 /// `csp1_decisions`, when given) and CSP2 on the generic engine. Every
-/// verdict CSP1 reaches, and every generic verdict, must match CSP2's, and
-/// every schedule must pass C1–C4. Returns how many instances CSP1 decided.
+/// verdict CSP1 reaches, and every generic verdict, must match CSP2's and
+/// flow's, and every schedule must pass C1–C4. Returns how many instances
+/// CSP1 decided.
 fn exact_solvers_agree(csp1_decisions: Option<u64>) -> usize {
     let gen = ProblemGenerator::new(small_config(), 0xC5F1);
     let csp1_budget = Budget {
@@ -72,7 +102,9 @@ fn exact_solvers_agree(csp1_decisions: Option<u64>) -> usize {
         let fg = generic.verdict.is_feasible();
         assert_eq!(fg, f2, "generic CSP2 vs CSP2 disagree on seed {}", p.seed);
 
+        let exact = flow_verdict(&p);
         for (name, res) in [("csp1", &csp1), ("csp2", &csp2), ("generic", &generic)] {
+            agrees_with_flow(name, res, exact, &p);
             if let Some(s) = res.verdict.schedule() {
                 check_identical(&p.taskset, p.m, s)
                     .unwrap_or_else(|e| panic!("{name} schedule invalid on seed {}: {e}", p.seed));
@@ -175,6 +207,7 @@ fn table1_sized_instances_solve_under_csp2_dc() {
     // demand a verdict (not Unknown) on a majority. A decision budget, not
     // a wall clock, so the outcome is the same on any machine and in any
     // build profile: the decided instances need at most ~45k decisions.
+    // Every verdict it gives must match the exact max-flow oracle.
     let gen = ProblemGenerator::new(GeneratorConfig::table1(), 0x2009);
     let mut decided = 0;
     let total = 30;
@@ -187,6 +220,7 @@ fn table1_sized_instances_solve_under_csp2_dc() {
                 ..Budget::unlimited()
             })
             .solve();
+        agrees_with_flow("csp2-dc", &res, flow_verdict(&p), &p);
         if !res.verdict.is_unknown() {
             decided += 1;
             if let Some(s) = res.verdict.schedule() {

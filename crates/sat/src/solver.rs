@@ -708,24 +708,15 @@ impl SatSolver {
 
     /// Run the CDCL loop to a verdict or budget exhaustion.
     pub fn solve(&mut self) -> SatOutcome {
-        self.solve_with_assumptions(&[])
-    }
-
-    /// Solve under temporary assumptions: the given literals are forced as
-    /// pseudo-decisions for this call only. `Unsat` then means
-    /// *unsatisfiable under the assumptions* (the formula itself may be
-    /// satisfiable). The solver backtracks to the root afterwards and
-    /// keeps its learned clauses, so repeated calls are incremental.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatOutcome {
         let start = Instant::now();
         self.budget_ticks = 0;
         self.stats.solves += 1;
-        let result = self.search(start, assumptions);
+        let result = self.search(start);
         self.backtrack_to(0);
         result
     }
 
-    fn search(&mut self, start: Instant, assumptions: &[Lit]) -> SatOutcome {
+    fn search(&mut self, start: Instant) -> SatOutcome {
         if !self.loaded || self.interrupted() {
             return SatOutcome::Unknown(SatLimit::Interrupted);
         }
@@ -793,26 +784,6 @@ impl SatSolver {
                     // decisions, so the wall clock is polled here too.
                     if self.time_exhausted(start) {
                         return SatOutcome::Unknown(SatLimit::Time);
-                    }
-                    // Re-establish assumptions as pseudo-decisions; one
-                    // decision level per assumption keeps the mapping
-                    // stable across restarts.
-                    let mut pending: Option<Lit> = None;
-                    while (self.decision_level() as usize) < assumptions.len() {
-                        let a = assumptions[self.decision_level() as usize];
-                        match self.value(a) {
-                            LBool::True => self.trail_lim.push(self.trail.len()),
-                            LBool::False => return SatOutcome::Unsat,
-                            LBool::Undef => {
-                                pending = Some(a);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(a) = pending {
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(a, NO_REASON);
-                        continue; // propagate the assumption first
                     }
                     match self.decide() {
                         None => {
@@ -946,10 +917,6 @@ mod tests {
         // searchable.
         flag.store(false, Ordering::Relaxed);
         assert_eq!(s.solve(), SatOutcome::Unknown(SatLimit::Interrupted));
-        assert_eq!(
-            s.solve_with_assumptions(&[l(1)]),
-            SatOutcome::Unknown(SatLimit::Interrupted)
-        );
         assert_eq!((s.stats().decisions, s.stats().conflicts), (0, 0));
 
         // Raised during construction: a satisfiable padding of several
@@ -1099,77 +1066,6 @@ mod tests {
             SatOutcome::Sat(m) => assert!(cnf.eval(&m)),
             other => panic!("expected sat, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn assumptions_restrict_without_committing() {
-        // x1 ∨ x2; assuming ¬x1 forces x2, assuming ¬x1 ∧ ¬x2 is UNSAT,
-        // and the formula itself stays satisfiable afterwards.
-        let mut cnf = Cnf::new();
-        cnf.add_clause(&[l(1), l(2)]);
-        let mut s = SatSolver::new(&cnf, SatConfig::default());
-        match s.solve_with_assumptions(&[l(-1)]) {
-            SatOutcome::Sat(m) => {
-                assert!(!m[0]);
-                assert!(m[1]);
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        assert_eq!(s.solve_with_assumptions(&[l(-1), l(-2)]), SatOutcome::Unsat);
-        // Incremental reuse: plain solve still succeeds.
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
-        // And the opposite assumption also works.
-        match s.solve_with_assumptions(&[l(1), l(-2)]) {
-            SatOutcome::Sat(m) => {
-                assert!(m[0]);
-                assert!(!m[1]);
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn assumptions_vs_unit_conflict() {
-        // Formula forces x1; assuming ¬x1 must be UNSAT, assuming x1 SAT.
-        let mut cnf = Cnf::new();
-        cnf.add_clause(&[l(1)]);
-        cnf.add_clause(&[l(2), l(3)]);
-        let mut s = SatSolver::new(&cnf, SatConfig::default());
-        assert_eq!(s.solve_with_assumptions(&[l(-1)]), SatOutcome::Unsat);
-        assert!(matches!(
-            s.solve_with_assumptions(&[l(1)]),
-            SatOutcome::Sat(_)
-        ));
-    }
-
-    #[test]
-    fn incremental_scan_over_switches() {
-        // Pigeonhole with "hole enabled" switches: PHP(3 pigeons) needs 3
-        // enabled holes; scan k = 1, 2, 3 with one solver instance.
-        // Variables: p_{h,pigeon} = hole*3+pigeon+1 (h<3), switch e_h = 10+h.
-        let var = |h: i64, p: i64| h * 3 + p + 1;
-        let e = |h: i64| 10 + h;
-        let mut cnf = Cnf::new();
-        for p in 0..3 {
-            cnf.add_clause(&(0..3).map(|h| l(var(h, p))).collect::<Vec<_>>());
-        }
-        for h in 0..3 {
-            for p1 in 0..3 {
-                for p2 in p1 + 1..3 {
-                    cnf.add_clause(&[l(-var(h, p1)), l(-var(h, p2))]);
-                }
-                // Using hole h requires its switch.
-                cnf.add_clause(&[l(-var(h, p1)), l(e(h))]);
-            }
-        }
-        let mut s = SatSolver::new(&cnf, SatConfig::default());
-        let disabled = |k: i64| -> Vec<Lit> { (k..3).map(|h| l(-e(h))).collect() };
-        assert_eq!(s.solve_with_assumptions(&disabled(1)), SatOutcome::Unsat);
-        assert_eq!(s.solve_with_assumptions(&disabled(2)), SatOutcome::Unsat);
-        assert!(matches!(
-            s.solve_with_assumptions(&disabled(3)),
-            SatOutcome::Sat(_)
-        ));
     }
 
     #[test]

@@ -2,21 +2,19 @@
 //!
 //! Generates random task sets with the paper's sampler and reports, for
 //! each, the utilization lower bound `mmin = ⌈U⌉` and the true minimum
-//! processor count found by the incremental CSP2 scan — quantifying how
-//! often the utilization bound is tight. A second pass runs the
-//! CDCL-incremental scan (`minimal_m_sat`: one solver instance, processor
-//! switch variables, learned clauses shared across probes) and checks the
-//! two scans agree.
+//! processor count found by the upward scan on the exact flow backend —
+//! quantifying how often the utilization bound is tight. A second pass
+//! runs the same scan on the paper's CSP2 solver (500 ms per probe) and
+//! checks that it agrees with flow wherever it concludes.
 //!
 //! Run with: `cargo run --release --example minimal_processors`
 
 use std::time::Duration;
 
+use mgrts::mgrts_core::engine::{Csp2Engine, FlowEngine};
 use mgrts::mgrts_core::heuristics::TaskOrder;
-use mgrts::mgrts_core::minimal_m::minimal_processors;
-use mgrts::mgrts_core::minimal_m_sat::minimal_m_sat;
+use mgrts::mgrts_core::minimal_m::minimal_processors_with;
 use mgrts::rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
-use mgrts::rt_sat::SatConfig;
 
 fn main() {
     let cfg = GeneratorConfig {
@@ -29,65 +27,47 @@ fn main() {
     let gen = ProblemGenerator::new(cfg, 2009);
     let count = 40;
 
+    let csp2 = Csp2Engine {
+        order: TaskOrder::DeadlineMinusWcet,
+    };
+
     println!("instance |  U    | mmin | minimal m | probes");
     println!("---------+-------+------+-----------+-------");
     let mut tight = 0;
-    let mut decided = 0;
-    for idx in 0..count {
-        let p = gen.nth(idx);
-        let mmin = p.taskset.min_processors();
-        let result = minimal_processors(
-            &p.taskset,
-            TaskOrder::DeadlineMinusWcet,
-            Some(Duration::from_millis(500)),
-        )
-        .unwrap();
-        match result.minimal_m {
-            Some(m) => {
-                decided += 1;
-                if m == mmin {
-                    tight += 1;
-                }
-                println!(
-                    "{idx:8} | {:5.2} | {mmin:4} | {m:9} | {:?}",
-                    p.taskset.utilization(),
-                    result
-                        .probes
-                        .iter()
-                        .map(|(pm, r)| format!(
-                            "m={pm}:{}",
-                            if r.verdict.is_feasible() { "F" } else { "I" }
-                        ))
-                        .collect::<Vec<_>>()
-                );
-            }
-            None => println!(
-                "{idx:8} | {:5.2} | {mmin:4} |   timeout |",
-                p.taskset.utilization()
-            ),
-        }
-    }
-    println!("\nutilization bound ⌈U⌉ was exact on {tight}/{decided} decided instances");
-
-    // Cross-check the CDCL-incremental scan on the same instances.
     let mut agreements = 0;
     let mut compared = 0;
     for idx in 0..count {
         let p = gen.nth(idx);
-        let csp2 = minimal_processors(
-            &p.taskset,
-            TaskOrder::DeadlineMinusWcet,
-            Some(Duration::from_millis(500)),
-        )
-        .unwrap();
-        let sat = minimal_m_sat(&p.taskset, SatConfig::default()).unwrap();
-        if let (Some(a), Some(b)) = (csp2.minimal_m, sat.minimal_m) {
+        let mmin = p.taskset.min_processors();
+        let result = minimal_processors_with(&p.taskset, &FlowEngine, None).unwrap();
+        let m = result.minimal_m.expect("flow decides every probe");
+        if m == mmin {
+            tight += 1;
+        }
+        println!(
+            "{idx:8} | {:5.2} | {mmin:4} | {m:9} | {:?}",
+            p.taskset.utilization(),
+            result
+                .probes
+                .iter()
+                .map(|(pm, r)| format!(
+                    "m={pm}:{}",
+                    if r.verdict.is_feasible() { "F" } else { "I" }
+                ))
+                .collect::<Vec<_>>()
+        );
+
+        // Cross-check the paper's CSP2 scan on the same instance.
+        let by_csp2 =
+            minimal_processors_with(&p.taskset, &csp2, Some(Duration::from_millis(500))).unwrap();
+        if let Some(csp2_m) = by_csp2.minimal_m {
             compared += 1;
-            if a == b {
+            if csp2_m == m {
                 agreements += 1;
             }
         }
     }
-    println!("incremental SAT scan agreed with CSP2 on {agreements}/{compared} instances");
+    println!("\nutilization bound ⌈U⌉ was exact on {tight}/{count} instances");
+    println!("CSP2 scan agreed with flow on {agreements}/{compared} concluded instances");
     assert_eq!(agreements, compared, "the scans must agree");
 }
