@@ -1,130 +1,144 @@
-//! Criterion benches for the SAT route: CNF encoding cost, CDCL solve
-//! time vs the specialized CSP2 search, the at-most-one encoding
-//! ablation (pairwise vs ladder), and encoding vs solver construction on
-//! the paper's Table I cell, where the hyperperiod makes set-up dominate.
+//! The SAT route (`sat`: CSP1 → CNF → CDCL, pairwise at-most-one) on the
+//! paper's cell: the first 120 Table I instances of seed 2009 (n = 10,
+//! m = 5, Tmax = 7) under 20 conflicts each, the `sat` stream of
+//! perfbench's `paper-cell` workload. At this size (about 23 000
+//! variables and 92 000 clauses per instance) set-up, not search, sets the
+//! cost, so every solve is also taken apart into four phases: encode
+//! (`encode_cnf`), load (`SatSolver::new`), search (`solve`) and drop (the
+//! solver, then the formula).
+//!
+//! The search is deterministic, so the conflict, decision and propagation
+//! totals of a pass are fixed; the bench fails when the totals of
+//! `Csp1SatEngine` or of the phase-by-phase route move, which means the
+//! search tree changed. Speed is reported, not gated: for each phase and
+//! for the whole engine solve, the mean time per instance of each pass, as
+//! the median, minimum, 90th percentile and median absolute deviation
+//! over the passes, written to `bench/baselines/BENCH_sat_route.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 use mgrts_core::csp1_sat::encode_cnf;
-use mgrts_core::csp2::Csp2Solver;
 use mgrts_core::engine::{Budget, CancelToken, Csp1SatEngine, FeasibilitySolver};
-use mgrts_core::heuristics::TaskOrder;
-use rt_gen::{GeneratorConfig, MSpec, ParamOrder, ProblemGenerator};
+use mgrts_obs::SearchStats;
+use rt_gen::{GeneratorConfig, ProblemGenerator};
 use rt_sat::{AmoEncoding, SatConfig, SatSolver};
-use rt_task::TaskSet;
 
-fn feasible_corpus(n: usize, count: usize) -> Vec<(TaskSet, usize)> {
-    let cfg = GeneratorConfig {
-        n,
-        m: MSpec::MinUtilization,
-        t_max: 5,
-        order: ParamOrder::DeadlineFirst,
-        synchronous: false,
+const SEED: u64 = 2009;
+const INSTANCES: u64 = 120;
+const CONFLICTS: u64 = 20;
+const PASSES: usize = 15;
+/// The totals of one pass: the search tree of the stream.
+const TOTAL_CONFLICTS: u64 = 2_400;
+const TOTAL_DECISIONS: u64 = 548_212;
+const TOTAL_PROPAGATIONS: u64 = 4_561_292;
+
+/// Phases of one solve, in order, then the whole engine solve.
+const PHASES: [&str; 5] = ["encode", "load", "search", "drop", "engine"];
+
+/// Add `s`'s (conflicts, decisions, propagations) to `totals`.
+fn tally(totals: &mut (u64, u64, u64), s: &SearchStats) {
+    totals.0 += s.conflicts;
+    totals.1 += s.decisions;
+    totals.2 += s.propagations;
+}
+
+/// Median, minimum, nearest-rank 90th percentile and median absolute
+/// deviation of `xs`.
+fn summary(mut xs: Vec<f64>) -> [f64; 4] {
+    xs.sort_by(f64::total_cmp);
+    let median = xs[xs.len() / 2];
+    let p90 = xs[(xs.len() * 9).div_ceil(10) - 1];
+    let mut dev: Vec<f64> = xs.iter().map(|x| (x - median).abs()).collect();
+    dev.sort_by(f64::total_cmp);
+    [median, xs[0], p90, dev[dev.len() / 2]]
+}
+
+fn main() {
+    let problems = ProblemGenerator::new(GeneratorConfig::table1(), SEED).batch(INSTANCES);
+    let engine = Csp1SatEngine::default();
+    let budget = Budget {
+        max_conflicts: Some(CONFLICTS),
+        ..Budget::unlimited()
     };
-    let gen = ProblemGenerator::new(cfg, 77);
-    let mut out = Vec::new();
-    let mut idx = 0;
-    while out.len() < count {
-        let p = gen.nth(idx);
-        idx += 1;
-        let feasible = Csp2Solver::new(&p.taskset, p.m)
-            .unwrap()
-            .with_order(TaskOrder::DeadlineMinusWcet)
-            .solve()
-            .verdict
-            .is_feasible();
-        if feasible {
-            out.push((p.taskset, p.m));
+    let cfg = SatConfig {
+        max_conflicts: Some(CONFLICTS),
+        ..SatConfig::default()
+    };
+    let cancel = CancelToken::new();
+    let expected = (TOTAL_CONFLICTS, TOTAL_DECISIONS, TOTAL_PROPAGATIONS);
+    let per_instance = |secs: f64| secs * 1e6 / INSTANCES as f64;
+    // Per phase, the mean microseconds per instance of each pass.
+    let mut samples: [Vec<f64>; 5] = Default::default();
+    for _ in 0..PASSES {
+        let mut phase_s = [0.0f64; 4];
+        let mut split = (0, 0, 0);
+        for p in &problems {
+            let t0 = Instant::now();
+            let (cnf, _layout) = encode_cnf(&p.taskset, p.m, AmoEncoding::Pairwise)
+                .expect("Table I instances are constrained-deadline");
+            let t1 = Instant::now();
+            let mut solver = SatSolver::new(&cnf, cfg);
+            let t2 = Instant::now();
+            black_box(solver.solve());
+            let t3 = Instant::now();
+            tally(&mut split, &solver.stats());
+            drop(solver);
+            drop(cnf);
+            let t4 = Instant::now();
+            for (k, (a, b)) in [(t0, t1), (t1, t2), (t2, t3), (t3, t4)].iter().enumerate() {
+                phase_s[k] += (*b - *a).as_secs_f64();
+            }
+        }
+        assert_eq!(split, expected, "the phase-split SAT search tree changed");
+
+        let mut whole = (0, 0, 0);
+        let start = Instant::now();
+        for p in &problems {
+            let res = engine
+                .solve(&p.taskset, p.m, &budget, &cancel)
+                .expect("Table I instances are constrained-deadline");
+            tally(&mut whole, &black_box(res).search.unwrap_or_default());
+        }
+        let engine_s = start.elapsed().as_secs_f64();
+        assert_eq!(whole, expected, "the sat engine's search tree changed");
+
+        for (k, s) in phase_s.into_iter().chain([engine_s]).enumerate() {
+            samples[k].push(per_instance(s));
         }
     }
-    out
-}
 
-fn bench_encode(c: &mut Criterion) {
-    let corpus = feasible_corpus(6, 4);
-    let mut group = c.benchmark_group("cnf_encode_n6");
-    for (i, (ts, m)) in corpus.iter().enumerate() {
-        for (label, amo) in [
-            ("pairwise", AmoEncoding::Pairwise),
-            ("ladder", AmoEncoding::Ladder),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, i), ts, |b, ts| {
-                b.iter(|| black_box(encode_cnf(ts, *m, amo).unwrap()));
-            });
-        }
+    let mut rows = Vec::new();
+    for (name, xs) in PHASES.iter().zip(samples) {
+        let [median, min, p90, mad] = summary(xs);
+        println!(
+            "sat_route {name:>6}: median {median:8.1} us/instance, min {min:8.1}, \
+             p90 {p90:8.1}, MAD {mad:6.1} over {PASSES} passes"
+        );
+        rows.push(format!(
+            "  \"{name}_us\": {{\"median\": {median:.1}, \"min\": {min:.1}, \
+             \"p90\": {p90:.1}, \"mad\": {mad:.1}}}"
+        ));
     }
-    group.finish();
-}
-
-fn bench_sat_vs_csp2(c: &mut Criterion) {
-    let corpus = feasible_corpus(6, 4);
-    let mut group = c.benchmark_group("sat_vs_csp2_n6");
-    group.sample_size(20);
-    for (i, (ts, m)) in corpus.iter().enumerate() {
-        group.bench_with_input(BenchmarkId::new("sat_cdcl", i), ts, |b, ts| {
-            b.iter(|| {
-                let res = Csp1SatEngine::default()
-                    .solve(ts, *m, &Budget::unlimited(), &CancelToken::new())
-                    .unwrap();
-                assert!(black_box(res).verdict.is_feasible());
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("csp2_dc", i), ts, |b, ts| {
-            b.iter(|| {
-                let res = Csp2Solver::new(ts, *m)
-                    .unwrap()
-                    .with_order(TaskOrder::DeadlineMinusWcet)
-                    .solve();
-                assert!(black_box(res).verdict.is_feasible());
-            });
-        });
+    println!(
+        "sat_route: {TOTAL_CONFLICTS} conflicts, {TOTAL_DECISIONS} decisions, \
+         {TOTAL_PROPAGATIONS} propagations per pass"
+    );
+    let json = format!(
+        "{{\n  \"bench\": \"sat_route\",\n  \
+         \"stream\": \"first {INSTANCES} Table I instances, seed {SEED}, sat (pairwise AMO), \
+         {CONFLICTS} conflicts each\",\n  \
+         \"conflicts\": {TOTAL_CONFLICTS},\n  \"decisions\": {TOTAL_DECISIONS},\n  \
+         \"propagations\": {TOTAL_PROPAGATIONS},\n  \"passes\": {PASSES},\n  \
+         \"unit\": \"microseconds per instance, per pass\",\n{}\n}}\n",
+        rows.join(",\n")
+    );
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../bench/baselines/BENCH_sat_route.json"
+    );
+    match std::fs::write(path, &json) {
+        Ok(()) => println!("wrote {path}:\n{json}"),
+        Err(e) => eprintln!("could not write {path}: {e}\n{json}"),
     }
-    group.finish();
 }
-
-/// `encode_cnf` and `SatSolver::new` timed apart on Table I instances
-/// (n = 10, m = 5, Tmax = 7): about 23k variables and 92k clauses each,
-/// so clause storage, not search, sets the cost.
-fn bench_build_table1(c: &mut Criterion) {
-    let gen = ProblemGenerator::new(GeneratorConfig::table1(), 2009);
-    let mut group = c.benchmark_group("sat_build_table1");
-    group.sample_size(10);
-    for i in 0..3 {
-        let p = gen.nth(i);
-        group.bench_with_input(BenchmarkId::new("encode_cnf", i), &p, |b, p| {
-            b.iter(|| black_box(encode_cnf(&p.taskset, p.m, AmoEncoding::Pairwise).unwrap()));
-        });
-        let (cnf, _layout) = encode_cnf(&p.taskset, p.m, AmoEncoding::Pairwise).unwrap();
-        group.bench_function(BenchmarkId::new("solver_new", i), |b| {
-            b.iter(|| black_box(SatSolver::new(&cnf, SatConfig::default())));
-        });
-    }
-    group.finish();
-}
-
-fn bench_raw_cdcl(c: &mut Criterion) {
-    // Solver-only cost on a pre-built formula (excludes encoding).
-    let corpus = feasible_corpus(8, 2);
-    let mut group = c.benchmark_group("cdcl_solve_only_n8");
-    group.sample_size(20);
-    for (i, (ts, m)) in corpus.iter().enumerate() {
-        let (cnf, _layout) = encode_cnf(ts, *m, AmoEncoding::Pairwise).unwrap();
-        group.bench_function(BenchmarkId::new("cdcl", i), |b| {
-            b.iter(|| {
-                let mut solver = SatSolver::new(&cnf, SatConfig::default());
-                black_box(solver.solve())
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_encode,
-    bench_sat_vs_csp2,
-    bench_build_table1,
-    bench_raw_cdcl
-);
-criterion_main!(benches);

@@ -23,11 +23,11 @@
 //! the cell-level encoding produced 465 k variables where this aggregate
 //! form needs ~60 k.
 //!
-//! The at-most-one groups can use either the pairwise or the ladder
-//! encoding ([`rt_sat::AmoEncoding`]); both are exposed so the benches can
-//! ablate the choice. Aggregate and cardinality auxiliaries live *above*
-//! the `n·m·H` layout block, so [`crate::csp1::Csp1Layout`] decodes a SAT
-//! model exactly like a CSP solution.
+//! The at-most-one groups can use either the pairwise (the default) or
+//! the ladder encoding ([`rt_sat::AmoEncoding`]), selected per engine.
+//! Aggregate and cardinality auxiliaries live *above* the `n·m·H` layout
+//! block, so [`crate::csp1::Csp1Layout`] decodes a SAT model exactly like
+//! a CSP solution.
 
 use std::time::Instant;
 
@@ -139,7 +139,7 @@ fn encode_cnf_polled(
         let ci = u32::try_from(ts.task(i).wcet).expect("WCET fits u32");
         for k in 0..ji.jobs_of(i) {
             ys.clear();
-            for t in ji.instants_mod(JobId { task: i, k }) {
+            for t in ji.instants_mod_iter(JobId { task: i, k }) {
                 let y = Lit::pos(cnf.new_var());
                 group.clear();
                 group.push(!y);

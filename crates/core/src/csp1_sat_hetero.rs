@@ -115,7 +115,7 @@ pub(crate) fn encode_cnf_hetero_polled(
         for k in 0..ji.jobs_of(i) {
             cells.clear();
             weights.clear();
-            for t in ji.instants_mod(JobId { task: i, k }) {
+            for t in ji.instants_mod_iter(JobId { task: i, k }) {
                 for j in 0..m {
                     if platform.can_run(i, j) {
                         cells.push(lit(i, j, t));

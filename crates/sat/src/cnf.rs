@@ -5,17 +5,29 @@
 //! Clauses are stored flat: one literal vector holding every clause back
 //! to back, plus the end offset of each clause. Adding a clause appends
 //! to that vector and normalizes the new tail in place, so building a
-//! formula makes no heap allocation per clause.
+//! formula makes no heap allocation per clause; units and binaries, most
+//! of an encoding, skip the general sort. The two vectors are recycled
+//! per thread (up to [`crate::MAX_RECYCLED_BYTES`]): a formula dropped on
+//! a thread lends its capacity to the next one built there.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 
+use crate::recycle;
 use crate::types::{Lit, Var};
+
+/// The literal and end vectors of a dropped formula.
+pub(crate) type CnfBuffers = (Vec<Lit>, Vec<usize>);
+
+thread_local! {
+    pub(crate) static CNF_BUFFERS: Cell<Option<CnfBuffers>> = const { Cell::new(None) };
+}
 
 /// A formula in conjunctive normal form.
 ///
 /// Every stored clause is sorted, duplicate-free and not a tautology
 /// ([`Cnf::add_clause`] normalizes on entry); the solver relies on it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Cnf {
     num_vars: u32,
     /// The literals of every clause, back to back.
@@ -57,11 +69,35 @@ impl std::fmt::Display for DimacsError {
 
 impl std::error::Error for DimacsError {}
 
+impl Default for Cnf {
+    fn default() -> Cnf {
+        Cnf::new()
+    }
+}
+
+impl Drop for Cnf {
+    fn drop(&mut self) {
+        let (lits, ends) = (
+            std::mem::take(&mut self.lits),
+            std::mem::take(&mut self.ends),
+        );
+        let bytes = recycle::bytes(&lits) + recycle::bytes(&ends);
+        recycle::put(&CNF_BUFFERS, (lits, ends), bytes);
+    }
+}
+
 impl Cnf {
     /// An empty formula over zero variables.
     #[must_use]
     pub fn new() -> Cnf {
-        Cnf::default()
+        let (mut lits, mut ends) = recycle::take(&CNF_BUFFERS).unwrap_or_default();
+        lits.clear();
+        ends.clear();
+        Cnf {
+            num_vars: 0,
+            lits,
+            ends,
+        }
     }
 
     /// Allocate a fresh variable and return it.
@@ -88,6 +124,11 @@ impl Cnf {
     #[must_use]
     pub fn num_clauses(&self) -> usize {
         self.ends.len()
+    }
+
+    /// Number of literals over all clauses.
+    pub(crate) fn num_lits(&self) -> usize {
+        self.lits.len()
     }
 
     /// The clauses in insertion order, each as its sorted literals.
@@ -124,20 +165,39 @@ impl Cnf {
             self.lits.truncate(start);
             return;
         }
-        if let Some(last) = clause.last() {
-            self.num_vars = self.num_vars.max(last.var() + 1);
+        if let Some(&last) = clause.last() {
+            self.close_clause(last);
+        } else {
+            self.ends.push(self.lits.len());
         }
+    }
+
+    /// End the clause just appended to `lits`, whose largest literal is
+    /// `last`.
+    fn close_clause(&mut self, last: Lit) {
+        self.num_vars = self.num_vars.max(last.var() + 1);
         self.ends.push(self.lits.len());
     }
 
     /// Add a unit clause.
     pub fn add_unit(&mut self, lit: Lit) {
-        self.add_clause(&[lit]);
+        self.lits.push(lit);
+        self.close_clause(lit);
     }
 
-    /// Add the binary clause `a ∨ b`.
+    /// Add the binary clause `a ∨ b`, stored as [`Cnf::add_clause`] would
+    /// store it: a unit when `a == b`, nothing when `a == ¬b`, else the
+    /// two literals in order.
     pub fn add_binary(&mut self, a: Lit, b: Lit) {
-        self.add_clause(&[a, b]);
+        if a == !b {
+            return;
+        }
+        if a == b {
+            return self.add_unit(a);
+        }
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        self.lits.extend_from_slice(&[lo, hi]);
+        self.close_clause(hi);
     }
 
     /// Evaluate under a total assignment (`assignment[v]` is the value of
@@ -324,6 +384,30 @@ mod tests {
             prop_assert_eq!(&reparsed, &expected);
             prop_assert_eq!(g.num_vars(), f.num_vars());
             prop_assert_eq!(g.to_dimacs(), text);
+        }
+    }
+
+    proptest! {
+        /// `add_unit` and `add_binary` store what `add_clause` stores for
+        /// the same literals, tautologies and repeated literals included.
+        #[test]
+        fn unit_and_binary_fast_paths_match_add_clause(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0u32..4, any::<bool>()), 1..=2),
+                0..=16,
+            )
+        ) {
+            let (mut fast, mut general) = (Cnf::new(), Cnf::new());
+            for c in &raw {
+                let lits: Vec<Lit> = c.iter().map(|&(v, neg)| Lit::new(v, neg)).collect();
+                match lits[..] {
+                    [a] => fast.add_unit(a),
+                    [a, b] => fast.add_binary(a, b),
+                    _ => unreachable!(),
+                }
+                general.add_clause(&lits);
+            }
+            prop_assert_eq!(fast.to_dimacs(), general.to_dimacs());
         }
     }
 

@@ -18,10 +18,21 @@ impl VarHeap {
     /// An empty heap sized for `n` variables.
     #[must_use]
     pub fn new(n: usize) -> VarHeap {
-        VarHeap {
-            heap: Vec::with_capacity(n),
-            index: vec![ABSENT; n],
-        }
+        let mut h = VarHeap::default();
+        h.reset(n);
+        h
+    }
+
+    /// Empty the heap and size it for `n` variables, keeping its capacity.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.heap.clear();
+        self.heap.reserve(n);
+        crate::recycle::refill(&mut self.index, n, ABSENT);
+    }
+
+    /// Bytes of capacity held.
+    pub(crate) fn bytes(&self) -> usize {
+        crate::recycle::bytes(&self.heap) + crate::recycle::bytes(&self.index)
     }
 
     /// Number of queued variables.

@@ -20,7 +20,13 @@
 //!   activity-driven clause deletion, and conflict/time budgets reported as
 //!   a three-way outcome matching the scheduling experiments' overruns.
 //!   Its clause database is a MiniSat-style literal arena with a small
-//!   header per clause, compacted when learned clauses are deleted.
+//!   header per clause, compacted when learned clauses are deleted, and
+//!   its watch lists share one slab.
+//!
+//! A formula and a solver dropped on a thread leave their buffers to the
+//! next ones built on it (up to [`MAX_RECYCLED_BYTES`] each), so a thread
+//! that solves formula after formula stops allocating once it has seen
+//! its largest.
 //!
 //! ## Example
 //!
@@ -41,12 +47,15 @@
 pub mod cnf;
 pub mod encodings;
 pub mod heap;
+mod recycle;
 pub mod solver;
 pub mod types;
+mod watch;
 
 pub use cnf::{Cnf, DimacsError};
 pub use encodings::{
     at_least_k, at_most_k, at_most_one, exactly_k, exactly_one, pb_exactly, AmoEncoding,
 };
+pub use recycle::MAX_RECYCLED_BYTES;
 pub use solver::{SatConfig, SatLimit, SatOutcome, SatSolver};
 pub use types::{LBool, Lit, Var};

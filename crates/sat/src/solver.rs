@@ -14,14 +14,32 @@
 //! flags) indexed by its `ClauseRef`. Loading a formula appends each
 //! clause's undecided literals to the arena tail and keeps them unless the
 //! clause is satisfied or unit at the root; learned clauses are appended
-//! the same way. Before loading, one counting pass over the formula sizes
-//! every watch list and the arena, so neither regrows while clauses load.
+//! the same way.
+//!
+//! Every literal's watch list is a span of one slab (`watch::WatchSlab`).
+//! Before loading, one counting pass over the formula gives each list
+//! exactly the capacity its clauses need and sizes the arena, so loading
+//! moves no list and regrows nothing; a list that fills up later (root
+//! filtering can shift a watch to a later literal, and learned clauses add
+//! watchers) moves to the slab's tail at double capacity. The header table
+//! is reserved for the problem clauses only (units never get a header);
+//! learned clauses past that regrow it by doubling.
 //!
 //! Database reduction marks learned clauses deleted and then compacts the
 //! arena: live clauses slide down in header order, and only their headers'
 //! `start` changes. Headers never move, so clause references in watch
-//! lists and in `reason[]` stay valid without remapping.
+//! lists and in `reason[]` stay valid without remapping. The watch lists
+//! are then recounted and laid out afresh, which also drops the garbage
+//! left by moved lists.
+//!
+//! All of these buffers, and the per-variable arrays, are recycled per
+//! thread ([`crate::MAX_RECYCLED_BYTES`]): a dropped solver leaves them to
+//! the next one built on its thread, which takes them back cleared, so a
+//! thread solving formula after formula neither allocates nor page-faults
+//! per solve once it has seen its largest formula. Capacity a recycled
+//! buffer brings along changes nothing but the allocations.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,20 +48,11 @@ use mgrts_obs::SearchStats;
 
 use crate::cnf::Cnf;
 use crate::heap::VarHeap;
+use crate::recycle::{self, refill};
 use crate::types::{LBool, Lit, Var};
-
-/// Reference to a clause in the solver's arena.
-type ClauseRef = u32;
+use crate::watch::{ClauseRef, WatchSlab, Watcher};
 
 const NO_REASON: ClauseRef = ClauseRef::MAX;
-
-/// A watcher: clause reference plus a *blocker* literal whose satisfaction
-/// lets propagation skip the clause without touching its memory.
-#[derive(Debug, Clone, Copy)]
-struct Watcher {
-    cref: ClauseRef,
-    blocker: Lit,
-}
 
 /// Where a clause's literals sit in the arena, plus its bookkeeping.
 #[derive(Debug, Clone, Copy)]
@@ -137,7 +146,7 @@ pub struct SatSolver {
     clauses: Vec<ClauseHeader>,
     /// The literals of every live clause, back to back.
     arena: Vec<Lit>,
-    watches: Vec<Vec<Watcher>>,
+    watches: WatchSlab,
     assigns: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<ClauseRef>,
@@ -161,6 +170,66 @@ pub struct SatSolver {
     /// Counter gating wall-clock polls (`Instant::now()` once per ~1024
     /// budget checks, SAT-solver style — same scheme as the CSP engine).
     budget_ticks: u64,
+}
+
+/// The buffers of a dropped solver, for the next one built on the same
+/// thread, which empties and refills each of them.
+#[derive(Default)]
+pub(crate) struct SolverBuffers {
+    clauses: Vec<ClauseHeader>,
+    arena: Vec<Lit>,
+    watches: WatchSlab,
+    assigns: Vec<LBool>,
+    level: Vec<u32>,
+    reason: Vec<ClauseRef>,
+    trail: Vec<Lit>,
+    trail_lim: Vec<usize>,
+    activity: Vec<f64>,
+    order: VarHeap,
+    phase: Vec<bool>,
+    seen: Vec<bool>,
+}
+
+impl SolverBuffers {
+    fn bytes(&self) -> usize {
+        recycle::bytes(&self.clauses)
+            + recycle::bytes(&self.arena)
+            + self.watches.bytes()
+            + recycle::bytes(&self.assigns)
+            + recycle::bytes(&self.level)
+            + recycle::bytes(&self.reason)
+            + recycle::bytes(&self.trail)
+            + recycle::bytes(&self.trail_lim)
+            + recycle::bytes(&self.activity)
+            + self.order.bytes()
+            + recycle::bytes(&self.phase)
+            + recycle::bytes(&self.seen)
+    }
+}
+
+thread_local! {
+    pub(crate) static SOLVER_BUFFERS: Cell<Option<SolverBuffers>> = const { Cell::new(None) };
+}
+
+impl Drop for SatSolver {
+    fn drop(&mut self) {
+        let set = SolverBuffers {
+            clauses: std::mem::take(&mut self.clauses),
+            arena: std::mem::take(&mut self.arena),
+            watches: std::mem::take(&mut self.watches),
+            assigns: std::mem::take(&mut self.assigns),
+            level: std::mem::take(&mut self.level),
+            reason: std::mem::take(&mut self.reason),
+            trail: std::mem::take(&mut self.trail),
+            trail_lim: std::mem::take(&mut self.trail_lim),
+            activity: std::mem::take(&mut self.activity),
+            order: std::mem::take(&mut self.order),
+            phase: std::mem::take(&mut self.phase),
+            seen: std::mem::take(&mut self.seen),
+        };
+        let bytes = set.bytes();
+        recycle::put(&SOLVER_BUFFERS, set, bytes);
+    }
 }
 
 /// Clauses loaded between two interrupt polls while a solver is built.
@@ -192,28 +261,52 @@ impl SatSolver {
         interrupt: Option<Arc<AtomicBool>>,
     ) -> SatSolver {
         let n = cnf.num_vars() as usize;
+        let SolverBuffers {
+            mut clauses,
+            mut arena,
+            mut watches,
+            mut assigns,
+            mut level,
+            mut reason,
+            mut trail,
+            mut trail_lim,
+            mut activity,
+            mut order,
+            mut phase,
+            mut seen,
+        } = recycle::take(&SOLVER_BUFFERS).unwrap_or_default();
+        clauses.clear();
+        clauses.reserve(cnf.num_clauses());
+        arena.clear();
+        arena.reserve(cnf.num_lits());
+        watches.reset(2 * n);
+        refill(&mut assigns, n, LBool::Undef);
+        refill(&mut level, n, 0);
+        refill(&mut reason, n, NO_REASON);
+        trail.clear();
+        trail.reserve(n);
+        trail_lim.clear();
+        refill(&mut activity, n, 0.0);
+        order.reset(n);
+        refill(&mut phase, n, cfg.default_phase);
+        refill(&mut seen, n, false);
         let mut s = SatSolver {
             cfg,
-            // Headers are never removed (references must hold), so each
-            // learned clause adds one: leave room for as many learned
-            // clauses as problem clauses. Capacity the search never fills
-            // is address space only, while a table regrown mid-search
-            // copies every header.
-            clauses: Vec::with_capacity(2 * cnf.num_clauses()),
-            arena: Vec::new(),
-            watches: vec![Vec::new(); 2 * n],
-            assigns: vec![LBool::Undef; n],
-            level: vec![0; n],
-            reason: vec![NO_REASON; n],
-            trail: Vec::with_capacity(n),
-            trail_lim: Vec::new(),
+            clauses,
+            arena,
+            watches,
+            assigns,
+            level,
+            reason,
+            trail,
+            trail_lim,
             qhead: 0,
-            activity: vec![0.0; n],
+            activity,
             var_inc: 1.0,
             cla_inc: 1.0,
-            order: VarHeap::new(n),
-            phase: vec![cfg.default_phase; n],
-            seen: vec![false; n],
+            order,
+            phase,
+            seen,
             ok: true,
             stats: SearchStats::default(),
             interrupt,
@@ -221,7 +314,7 @@ impl SatSolver {
             budget_ticks: 0,
         };
         s.order.rebuild(0..cnf.num_vars(), &s.activity);
-        s.loaded = s.reserve_for(cnf);
+        s.loaded = s.lay_out_watches(cnf);
         if !s.loaded {
             return s;
         }
@@ -238,28 +331,22 @@ impl SatSolver {
         s
     }
 
-    /// Size each watch list for the clauses whose first two literals watch
-    /// it, and the arena for every literal of `cnf`, so loading rarely
-    /// regrows either: root-level filtering only drops literals (though it
-    /// can shift a clause's watches to later ones). Returns false when the
-    /// interrupt cut the pass.
-    fn reserve_for(&mut self, cnf: &Cnf) -> bool {
-        let mut watchers = vec![0usize; self.watches.len()];
-        let mut lits = 0;
+    /// Give each watch list the capacity for the clauses whose first two
+    /// literals watch it, so loading rarely moves one: root-level
+    /// filtering only drops literals (though it can shift a clause's
+    /// watches to later ones). Returns false when the interrupt cut the
+    /// pass.
+    fn lay_out_watches(&mut self, cnf: &Cnf) -> bool {
         for (k, c) in cnf.clauses().enumerate() {
             if k % LOAD_POLL_INTERVAL == 0 && self.interrupted() {
                 return false;
             }
             if let [a, b, ..] = *c {
-                watchers[(!a).code()] += 1;
-                watchers[(!b).code()] += 1;
+                self.watches.count((!a).code());
+                self.watches.count((!b).code());
             }
-            lits += c.len();
         }
-        for (ws, count) in self.watches.iter_mut().zip(watchers) {
-            ws.reserve_exact(count);
-        }
-        self.arena.reserve_exact(lits);
+        self.watches.lay_out();
         true
     }
 
@@ -363,8 +450,8 @@ impl SatSolver {
         debug_assert!(end - start >= 2);
         let cref = ClauseRef::try_from(self.clauses.len()).expect("clause count fits u32");
         let (a, b) = (self.arena[start as usize], self.arena[start as usize + 1]);
-        self.watches[(!a).code()].push(Watcher { cref, blocker: b });
-        self.watches[(!b).code()].push(Watcher { cref, blocker: a });
+        self.watches.push((!a).code(), Watcher { cref, blocker: b });
+        self.watches.push((!b).code(), Watcher { cref, blocker: a });
         self.clauses.push(ClauseHeader {
             start,
             len: end - start,
@@ -395,21 +482,24 @@ impl SatSolver {
 
     /// Two-watched-literal unit propagation. Returns the conflicting clause
     /// when one arises.
+    ///
+    /// The watchers of `p`'s list are compacted in place; a clause that
+    /// finds a new watch moves to another literal's list, which never is
+    /// `p`'s (the new watch is not false, `¬p` is), so `p`'s span stays
+    /// put while other lists may move to the slab's tail.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let mut i = 0;
-            // Take the watch list; re-insert survivors in place.
-            let mut ws = std::mem::take(&mut self.watches[p.code()]);
-            let mut j = 0;
-            while i < ws.len() {
-                let w = ws[i];
+            let std::ops::Range { start, end } = self.watches.spans[p.code()].range();
+            let (mut i, mut j) = (start, start);
+            while i < end {
+                let w = self.watches.slab[i];
                 i += 1;
                 // Fast path: blocker already true.
                 if self.value(w.blocker) == LBool::True {
-                    ws[j] = w;
+                    self.watches.slab[j] = w;
                     j += 1;
                     continue;
                 }
@@ -427,7 +517,7 @@ impl SatSolver {
                 // Direct field access: `c` keeps `self.arena` borrowed.
                 let first_val = self.assigns[first.var() as usize].under(first);
                 if first != w.blocker && first_val == LBool::True {
-                    ws[j] = Watcher {
+                    self.watches.slab[j] = Watcher {
                         cref: w.cref,
                         blocker: first,
                     };
@@ -440,10 +530,14 @@ impl SatSolver {
                     if self.assigns[c[k].var() as usize].under(c[k]) != LBool::False {
                         c.swap(1, k);
                         let new_watch = c[1];
-                        self.watches[(!new_watch).code()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
+                        debug_assert_ne!((!new_watch).code(), p.code());
+                        self.watches.push(
+                            (!new_watch).code(),
+                            Watcher {
+                                cref: w.cref,
+                                blocker: first,
+                            },
+                        );
                         moved = true;
                         break;
                     }
@@ -452,27 +546,22 @@ impl SatSolver {
                     continue;
                 }
                 // Clause is unit or conflicting under the first literal.
-                ws[j] = Watcher {
+                self.watches.slab[j] = Watcher {
                     cref: w.cref,
                     blocker: first,
                 };
                 j += 1;
                 if self.value(first) == LBool::False {
-                    // Conflict: restore remaining watchers and bail out.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
-                    ws.truncate(j);
-                    self.watches[p.code()] = ws;
+                    // Conflict: keep the remaining watchers and bail out.
+                    self.watches.slab.copy_within(i..end, j);
+                    j += end - i;
+                    self.watches.spans[p.code()].len = (j - start) as u32;
                     self.qhead = self.trail.len();
                     return Some(w.cref);
                 }
                 self.enqueue(first, w.cref);
             }
-            ws.truncate(j);
-            self.watches[p.code()] = ws;
+            self.watches.spans[p.code()].len = (j - start) as u32;
         }
         None
     }
@@ -616,13 +705,12 @@ impl SatSolver {
     /// Delete the least active half of the learned clauses (reason clauses
     /// and binaries are kept), compact the arena, then rebuild the watch
     /// lists.
+    ///
+    /// A clause is a reason exactly when it implied its own first literal
+    /// (`reason[var(c[0])] == cref`, MiniSat's `locked`): propagation and
+    /// learning put the implied literal at position 0, nothing moves it
+    /// while the clause stays a reason, and compaction keeps literal order.
     fn reduce_db(&mut self) {
-        let locked: std::collections::HashSet<ClauseRef> = self
-            .trail
-            .iter()
-            .map(|l| self.reason[l.var() as usize])
-            .filter(|&r| r != NO_REASON)
-            .collect();
         let mut acts: Vec<f32> = self
             .clauses
             .iter()
@@ -636,12 +724,8 @@ impl SatSolver {
         let threshold = acts[acts.len() / 2];
         for (i, c) in self.clauses.iter_mut().enumerate() {
             let cref = ClauseRef::try_from(i).expect("index fits");
-            if c.learnt
-                && !c.deleted
-                && c.len > 2
-                && c.activity < threshold
-                && !locked.contains(&cref)
-            {
+            let locked = || self.reason[self.arena[c.start as usize].var() as usize] == cref;
+            if c.learnt && !c.deleted && c.len > 2 && c.activity < threshold && !locked() {
                 c.deleted = true;
                 self.stats.learnt_clauses -= 1;
             }
@@ -656,10 +740,16 @@ impl SatSolver {
         }
         self.arena.truncate(end as usize);
         debug_assert!(self.arena_is_compact());
-        // Rebuild watches from surviving clauses.
-        for w in &mut self.watches {
-            w.clear();
+        // Recount and lay out the watch lists, then refill them from the
+        // surviving clauses in header order.
+        self.watches.reset(2 * self.assigns.len());
+        for c in self.clauses.iter().filter(|c| !c.deleted) {
+            let a = self.arena[c.start as usize];
+            let b = self.arena[c.start as usize + 1];
+            self.watches.count((!a).code());
+            self.watches.count((!b).code());
         }
+        self.watches.lay_out();
         for (i, c) in self.clauses.iter().enumerate() {
             if c.deleted {
                 continue;
@@ -669,8 +759,8 @@ impl SatSolver {
                 self.arena[c.start as usize],
                 self.arena[c.start as usize + 1],
             );
-            self.watches[(!a).code()].push(Watcher { cref, blocker: b });
-            self.watches[(!b).code()].push(Watcher { cref, blocker: a });
+            self.watches.push((!a).code(), Watcher { cref, blocker: b });
+            self.watches.push((!b).code(), Watcher { cref, blocker: a });
         }
     }
 
@@ -1001,7 +1091,7 @@ mod tests {
             }
             assert_eq!(s.arena.len(), live_lits);
             let live = s.clauses.iter().filter(|c| !c.deleted).count();
-            let watchers: Vec<&Watcher> = s.watches.iter().flatten().collect();
+            let watchers: Vec<&Watcher> = s.watches.iter().collect();
             assert_eq!(watchers.len(), 2 * live);
             assert!(watchers.iter().all(|w| !s.clauses[w.cref as usize].deleted));
         }

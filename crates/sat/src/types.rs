@@ -19,7 +19,7 @@ pub struct Lit(u32);
 impl Lit {
     /// The positive literal of `v`.
     #[must_use]
-    pub fn pos(v: Var) -> Lit {
+    pub const fn pos(v: Var) -> Lit {
         Lit(v << 1)
     }
 

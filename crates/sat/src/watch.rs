@@ -1,0 +1,158 @@
+//! The solver's watch lists, all in one slab.
+//!
+//! Every literal's list is a span of one `Vec<Watcher>`: a start, a length
+//! and a capacity. Construction counts the watchers of each list first
+//! ([`WatchSlab::count`]) and lays the spans out back to back with exactly
+//! that capacity ([`WatchSlab::lay_out`]), so loading a formula allocates
+//! nothing per literal. A push onto a full list moves the list to the
+//! slab's tail at double capacity; its old span becomes garbage until the
+//! next lay-out. Moves copy a list in order, so each list keeps the order
+//! of its pushes, exactly as a `Vec` per literal would.
+
+use crate::types::Lit;
+
+/// Index of a clause in the solver's header table.
+pub(crate) type ClauseRef = u32;
+
+/// A watcher: clause reference plus a *blocker* literal whose satisfaction
+/// lets propagation skip the clause without touching its memory.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Watcher {
+    pub(crate) cref: ClauseRef,
+    pub(crate) blocker: Lit,
+}
+
+/// Fills slab slots no list owns.
+const VACANT: Watcher = Watcher {
+    cref: ClauseRef::MAX,
+    blocker: Lit::pos(0),
+};
+
+/// Where one literal's list sits in the slab.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) len: u32,
+    cap: u32,
+}
+
+impl Span {
+    /// Slab indices of the list's watchers.
+    pub(crate) fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Every literal's watch list, indexed by [`Lit::code`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WatchSlab {
+    pub(crate) slab: Vec<Watcher>,
+    pub(crate) spans: Vec<Span>,
+}
+
+impl WatchSlab {
+    /// Empty every list and forget every count, keeping `num_lits` lists,
+    /// for a count and a lay-out.
+    pub(crate) fn reset(&mut self, num_lits: usize) {
+        self.slab.clear();
+        self.spans.clear();
+        self.spans.resize(num_lits, Span::default());
+    }
+
+    /// Count one more watcher for `code`'s list in the coming lay-out.
+    pub(crate) fn count(&mut self, code: usize) {
+        self.spans[code].cap += 1;
+    }
+
+    /// Empty every list and place them back to back, each with the
+    /// capacity counted for it since the last reset.
+    pub(crate) fn lay_out(&mut self) {
+        let mut start = 0u32;
+        for s in &mut self.spans {
+            s.start = start;
+            s.len = 0;
+            start = start.checked_add(s.cap).expect("watchers fit u32");
+        }
+        self.slab.clear();
+        self.slab.resize(start as usize, VACANT);
+    }
+
+    /// Append `w` to `code`'s list, moving the list to the slab's tail at
+    /// double capacity when it is full.
+    pub(crate) fn push(&mut self, code: usize, w: Watcher) {
+        let mut s = self.spans[code];
+        if s.len == s.cap {
+            let new_start = self.slab.len();
+            s.cap = (2 * s.cap).max(4);
+            self.slab.extend_from_within(s.range());
+            self.slab.resize(new_start + s.cap as usize, VACANT);
+            s.start = u32::try_from(new_start).expect("watch slab fits u32");
+        }
+        self.slab[(s.start + s.len) as usize] = w;
+        s.len += 1;
+        self.spans[code] = s;
+    }
+
+    /// Bytes of capacity held.
+    pub(crate) fn bytes(&self) -> usize {
+        crate::recycle::bytes(&self.slab) + crate::recycle::bytes(&self.spans)
+    }
+
+    /// Every live watcher, list by list.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Watcher> + '_ {
+        self.spans.iter().flat_map(|s| &self.slab[s.range()])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn w(cref: ClauseRef) -> Watcher {
+        Watcher {
+            cref,
+            blocker: Lit::pos(cref),
+        }
+    }
+
+    fn list(ws: &WatchSlab, code: usize) -> Vec<ClauseRef> {
+        ws.slab[ws.spans[code].range()]
+            .iter()
+            .map(|w| w.cref)
+            .collect()
+    }
+
+    /// Lists keep their push order through moves to the tail, as one
+    /// `Vec` per literal would, and the counted lay-out moves nothing.
+    #[test]
+    fn lists_behave_like_one_vec_per_literal() {
+        let mut ws = WatchSlab::default();
+        ws.reset(3);
+        ws.count(0);
+        ws.count(2);
+        ws.count(2);
+        ws.lay_out();
+        assert_eq!(ws.slab.len(), 3);
+        let mut naive: Vec<Vec<ClauseRef>> = vec![Vec::new(); 3];
+        for (k, code) in [2, 0, 2, 1, 1, 0, 2, 2, 2, 0, 1, 2, 2, 2, 2]
+            .into_iter()
+            .enumerate()
+        {
+            let cref = ClauseRef::try_from(k).unwrap();
+            ws.push(code, w(cref));
+            naive[code].push(cref);
+            if k == 2 {
+                assert_eq!(ws.slab.len(), 3, "counted pushes never move a list");
+            }
+            for (c, expected) in naive.iter().enumerate() {
+                assert_eq!(&list(&ws, c), expected);
+            }
+        }
+        ws.reset(3);
+        ws.count(1);
+        ws.lay_out();
+        assert_eq!(ws.slab.len(), 1);
+        assert!(ws.iter().next().is_none());
+    }
+}

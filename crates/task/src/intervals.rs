@@ -206,17 +206,21 @@ impl JobInstants {
     /// hot path uses [`Self::job_at`] / [`Self::slots_at_or_after`].
     #[must_use]
     pub fn instants_mod(&self, job: JobId) -> Vec<Time> {
+        self.instants_mod_iter(job).collect()
+    }
+
+    /// [`Self::instants_mod`] without the allocation: the same instants in
+    /// the same order.
+    pub fn instants_mod_iter(&self, job: JobId) -> impl Iterator<Item = Time> {
         let g = &self.geo[job.task];
         let release = self.release_mod(job);
         let end = release + g.deadline;
-        let mut v = Vec::with_capacity(g.deadline as usize);
-        if end <= self.hyperperiod {
-            v.extend(release..end);
+        let (head, tail) = if end <= self.hyperperiod {
+            (0..0, release..end)
         } else {
-            v.extend(0..end - self.hyperperiod);
-            v.extend(release..self.hyperperiod);
-        }
-        v
+            (0..end - self.hyperperiod, release..self.hyperperiod)
+        };
+        head.chain(tail)
     }
 
     /// Absolute-time availability intervals of task `i` in one hyperperiod
