@@ -10,7 +10,10 @@
 //! The search is deterministic, so the conflict, decision and propagation
 //! totals of a pass are fixed; the bench fails when the totals of
 //! `Csp1SatEngine` or of the phase-by-phase route move, which means the
-//! search tree changed. Speed is reported, not gated: for each phase and
+//! search tree changed. It fails too when the pass's totals of
+//! `Cnf::num_vars` and `Cnf::num_clauses` move: the formula's meaning
+//! (each pairwise at-most-one group counted as its pairs, though stored as
+//! one group) must not drift. Speed is reported, not gated: for each phase and
 //! for the whole engine solve, the mean time per instance of each pass, as
 //! the median, minimum, 90th percentile and median absolute deviation
 //! over the passes, written to `bench/baselines/BENCH_sat_route.json`.
@@ -32,6 +35,9 @@ const PASSES: usize = 15;
 const TOTAL_CONFLICTS: u64 = 2_400;
 const TOTAL_DECISIONS: u64 = 548_212;
 const TOTAL_PROPAGATIONS: u64 = 4_561_292;
+/// The formulas of one pass: variables and (pairwise) clauses.
+const TOTAL_VARS: u64 = 2_761_901;
+const TOTAL_CLAUSES: u64 = 11_051_990;
 
 /// Phases of one solve, in order, then the whole engine solve.
 const PHASES: [&str; 5] = ["encode", "load", "search", "drop", "engine"];
@@ -73,11 +79,14 @@ fn main() {
     for _ in 0..PASSES {
         let mut phase_s = [0.0f64; 4];
         let mut split = (0, 0, 0);
+        let mut formulas = (0, 0);
         for p in &problems {
             let t0 = Instant::now();
             let (cnf, _layout) = encode_cnf(&p.taskset, p.m, AmoEncoding::Pairwise)
                 .expect("Table I instances are constrained-deadline");
             let t1 = Instant::now();
+            formulas.0 += u64::from(cnf.num_vars());
+            formulas.1 += cnf.num_clauses() as u64;
             let mut solver = SatSolver::new(&cnf, cfg);
             let t2 = Instant::now();
             black_box(solver.solve());
@@ -91,6 +100,11 @@ fn main() {
             }
         }
         assert_eq!(split, expected, "the phase-split SAT search tree changed");
+        assert_eq!(
+            formulas,
+            (TOTAL_VARS, TOTAL_CLAUSES),
+            "the formulas' variable or clause totals changed"
+        );
 
         let mut whole = (0, 0, 0);
         let start = Instant::now();
@@ -122,14 +136,16 @@ fn main() {
     }
     println!(
         "sat_route: {TOTAL_CONFLICTS} conflicts, {TOTAL_DECISIONS} decisions, \
-         {TOTAL_PROPAGATIONS} propagations per pass"
+         {TOTAL_PROPAGATIONS} propagations, {TOTAL_VARS} variables and \
+         {TOTAL_CLAUSES} clauses per pass"
     );
     let json = format!(
         "{{\n  \"bench\": \"sat_route\",\n  \
          \"stream\": \"first {INSTANCES} Table I instances, seed {SEED}, sat (pairwise AMO), \
          {CONFLICTS} conflicts each\",\n  \
          \"conflicts\": {TOTAL_CONFLICTS},\n  \"decisions\": {TOTAL_DECISIONS},\n  \
-         \"propagations\": {TOTAL_PROPAGATIONS},\n  \"passes\": {PASSES},\n  \
+         \"propagations\": {TOTAL_PROPAGATIONS},\n  \"variables\": {TOTAL_VARS},\n  \
+         \"clauses\": {TOTAL_CLAUSES},\n  \"passes\": {PASSES},\n  \
          \"unit\": \"microseconds per instance, per pass\",\n{}\n}}\n",
         rows.join(",\n")
     );

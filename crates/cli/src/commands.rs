@@ -941,7 +941,7 @@ pub fn usage() -> String {
      COMMANDS\n\
        solve <instance>     decide feasibility and print a schedule\n\
                             [--m N] [--solver csp1|csp2|csp2-generic|csp2-learn|sat|\n\
-                            local|local-tabu|local-sa]\n\
+                            flow|local|local-tabu|local-sa]\n\
                             [--order input|rm|dm|tc|dc] [--time-ms T] [--gantt] [--json]\n\
        analyze <instance>   run the polynomial schedulability battery [--m N]\n\
        generate             emit random instances (JSON, one per line)\n\

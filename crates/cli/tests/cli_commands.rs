@@ -234,6 +234,17 @@ fn unknown_command_and_usage() {
     let usage = run_command("help", &args(&[])).unwrap();
     assert!(usage.contains("solve"));
     assert!(usage.contains("generate"));
+    // `solve --solver` accepts every single-engine backend, flow included.
+    for name in [
+        "csp1",
+        "csp2-generic",
+        "csp2-learn",
+        "sat",
+        "flow",
+        "local-sa",
+    ] {
+        assert!(usage.contains(&format!("{name}|")) || usage.contains(&format!("|{name}]")));
+    }
 }
 
 #[test]

@@ -9,6 +9,18 @@
 //! of an encoding, skip the general sort. The two vectors are recycled
 //! per thread (up to [`crate::MAX_RECYCLED_BYTES`]): a formula dropped on
 //! a thread lends its capacity to the next one built there.
+//!
+//! A pairwise at-most-one ([`crate::at_most_one`] with
+//! [`crate::AmoEncoding::Pairwise`]) over `g ≥ 3` literals of distinct
+//! variables is stored as one *group*: its members, in the order given,
+//! in the same two vectors, with the end offset marked. The group means
+//! its `g·(g−1)/2` clauses `¬a ∨ ¬b`, and everything that reads the
+//! formula as CNF sees them: [`Cnf::num_clauses`], [`Cnf::clauses`],
+//! [`Cnf::to_dimacs`], [`Cnf::eval`] and the brute-force oracles expand
+//! it in place, pair by pair in member order, each pair stored as
+//! [`Cnf::add_binary`] would store it. Only the solver loads the group as
+//! it is (see [`crate::solver`]). Smaller groups, and groups with a
+//! repeated variable, are stored as their clauses.
 
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -23,17 +35,73 @@ thread_local! {
     pub(crate) static CNF_BUFFERS: Cell<Option<CnfBuffers>> = const { Cell::new(None) };
 }
 
+/// Marks an end offset that closes an at-most-one group.
+const GROUP: usize = 1 << (usize::BITS - 1);
+
 /// A formula in conjunctive normal form.
 ///
 /// Every stored clause is sorted, duplicate-free and not a tautology
-/// ([`Cnf::add_clause`] normalizes on entry); the solver relies on it.
+/// ([`Cnf::add_clause`] normalizes on entry); every stored at-most-one
+/// group has at least three members, of distinct variables. The solver
+/// relies on both.
 #[derive(Debug, Clone)]
 pub struct Cnf {
     num_vars: u32,
-    /// The literals of every clause, back to back.
+    /// The literals of every clause and group, back to back.
     lits: Vec<Lit>,
-    /// `ends[k]` is one past the last literal of clause `k` in `lits`.
+    /// `ends[k]` is one past the last literal of item `k` in `lits`; it
+    /// carries [`GROUP`] when the item is an at-most-one group.
     ends: Vec<usize>,
+    /// Clauses of the pairwise meaning: one per clause, `g·(g−1)/2` per
+    /// group of `g` members.
+    num_clauses: usize,
+}
+
+/// One stored item of a formula, in insertion order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Item<'a> {
+    /// A clause, as its sorted literals.
+    Clause(&'a [Lit]),
+    /// At most one of these literals is true: the pairwise clauses over
+    /// them, in member order.
+    AtMostOne(&'a [Lit]),
+}
+
+/// A clause of a formula's CNF meaning: a stored clause, or one pair
+/// `¬a ∨ ¬b` of an at-most-one group. Dereferences to its sorted
+/// literals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clause<'a> {
+    /// A clause stored as it is.
+    Stored(&'a [Lit]),
+    /// A pair of an at-most-one group.
+    Pair([Lit; 2]),
+}
+
+impl std::ops::Deref for Clause<'_> {
+    type Target = [Lit];
+
+    fn deref(&self) -> &[Lit] {
+        match self {
+            Clause::Stored(lits) => lits,
+            Clause::Pair(pair) => pair,
+        }
+    }
+}
+
+/// The pairwise clauses `¬a ∨ ¬b` over `lits`: `a` before `b` in `lits`,
+/// pair by pair in order, each as its two literals in order.
+pub(crate) fn pairs(lits: &[Lit]) -> impl Iterator<Item = [Lit; 2]> + '_ {
+    lits.iter().enumerate().flat_map(move |(k, &a)| {
+        lits[k + 1..].iter().map(move |&b| {
+            let (x, y) = (!a, !b);
+            if x < y {
+                [x, y]
+            } else {
+                [y, x]
+            }
+        })
+    })
 }
 
 /// Errors from DIMACS parsing.
@@ -97,6 +165,7 @@ impl Cnf {
             num_vars: 0,
             lits,
             ends,
+            num_clauses: 0,
         }
     }
 
@@ -120,24 +189,46 @@ impl Cnf {
         self.num_vars
     }
 
-    /// Number of clauses.
+    /// Number of clauses, counting each at-most-one group as its pairs.
     #[must_use]
     pub fn num_clauses(&self) -> usize {
+        self.num_clauses
+    }
+
+    /// Number of stored items: clauses, and groups counted once each.
+    pub(crate) fn num_items(&self) -> usize {
         self.ends.len()
     }
 
-    /// Number of literals over all clauses.
+    /// Number of stored literals over all clauses and groups.
     pub(crate) fn num_lits(&self) -> usize {
         self.lits.len()
     }
 
-    /// The clauses in insertion order, each as its sorted literals.
-    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+    /// The stored clauses and groups in insertion order.
+    pub(crate) fn items(&self) -> impl Iterator<Item = Item<'_>> + '_ {
         let mut begin = 0;
         self.ends.iter().map(move |&end| {
-            let clause = &self.lits[begin..end];
-            begin = end;
-            clause
+            let lits = &self.lits[begin..end & !GROUP];
+            begin = end & !GROUP;
+            if end & GROUP == 0 {
+                Item::Clause(lits)
+            } else {
+                Item::AtMostOne(lits)
+            }
+        })
+    }
+
+    /// The clauses in insertion order, each as its sorted literals, with
+    /// every at-most-one group expanded in place into its pairs.
+    pub fn clauses(&self) -> impl Iterator<Item = Clause<'_>> + '_ {
+        self.items().flat_map(|item| {
+            let (stored, members) = match item {
+                Item::Clause(lits) => (Some(lits), &[][..]),
+                Item::AtMostOne(members) => (None, members),
+            };
+            let pairs = pairs(members).map(Clause::Pair);
+            stored.map(Clause::Stored).into_iter().chain(pairs)
         })
     }
 
@@ -169,6 +260,7 @@ impl Cnf {
             self.close_clause(last);
         } else {
             self.ends.push(self.lits.len());
+            self.num_clauses += 1;
         }
     }
 
@@ -177,6 +269,7 @@ impl Cnf {
     fn close_clause(&mut self, last: Lit) {
         self.num_vars = self.num_vars.max(last.var() + 1);
         self.ends.push(self.lits.len());
+        self.num_clauses += 1;
     }
 
     /// Add a unit clause.
@@ -200,6 +293,35 @@ impl Cnf {
         self.close_clause(hi);
     }
 
+    /// Add the pairwise clauses `¬a ∨ ¬b` over `lits` ([`pairs`]), each
+    /// through [`Cnf::add_binary`].
+    pub(crate) fn add_pairs(&mut self, lits: &[Lit]) {
+        for [a, b] in pairs(lits) {
+            self.add_binary(a, b);
+        }
+    }
+
+    /// Add "at most one of `lits` is true", meaning the clauses
+    /// [`Cnf::add_pairs`] adds. Three or more literals of distinct
+    /// variables are stored as one group, in the order given; anything
+    /// else is stored as those clauses.
+    pub(crate) fn add_at_most_one(&mut self, lits: &[Lit]) {
+        let mut last = 0;
+        for (k, a) in lits.iter().enumerate() {
+            if lits[..k].iter().any(|b| b.var() == a.var()) {
+                return self.add_pairs(lits);
+            }
+            last = last.max(a.var());
+        }
+        if lits.len() < 3 {
+            return self.add_pairs(lits);
+        }
+        self.lits.extend_from_slice(lits);
+        self.num_vars = self.num_vars.max(last + 1);
+        self.ends.push(self.lits.len() | GROUP);
+        self.num_clauses += lits.len() * (lits.len() - 1) / 2;
+    }
+
     /// Evaluate under a total assignment (`assignment[v]` is the value of
     /// variable `v`). Returns true when every clause is satisfied.
     ///
@@ -208,8 +330,11 @@ impl Cnf {
     #[must_use]
     pub fn eval(&self, assignment: &[bool]) -> bool {
         assert!(assignment.len() >= self.num_vars as usize);
-        self.clauses()
-            .all(|c| c.iter().any(|l| assignment[l.var() as usize] != l.is_neg()))
+        let holds = |l: &Lit| assignment[l.var() as usize] != l.is_neg();
+        self.items().all(|item| match item {
+            Item::Clause(c) => c.iter().any(holds),
+            Item::AtMostOne(members) => members.iter().filter(|l| holds(l)).count() <= 1,
+        })
     }
 
     /// Exhaustive satisfiability check — the test oracle. Returns a model
@@ -258,7 +383,7 @@ impl Cnf {
         let mut out = String::new();
         let _ = writeln!(out, "p cnf {} {}", self.num_vars, self.num_clauses());
         for c in self.clauses() {
-            for l in c {
+            for l in c.iter() {
                 let _ = write!(out, "{} ", l.to_dimacs());
             }
             let _ = writeln!(out, "0");
@@ -338,8 +463,8 @@ mod tests {
         f.add_clause(&[Lit::pos(1), Lit::pos(0), Lit::pos(1)]);
         f.add_clause(&[Lit::pos(0), Lit::neg(0)]);
         f.add_clause(&[]);
-        let clauses: Vec<&[Lit]> = f.clauses().collect();
-        assert_eq!(clauses, [&[Lit::pos(0), Lit::pos(1)][..], &[][..]]);
+        let clauses: Vec<Vec<Lit>> = f.clauses().map(|c| c.to_vec()).collect();
+        assert_eq!(clauses, [vec![Lit::pos(0), Lit::pos(1)], vec![]]);
         assert_eq!(f.num_vars(), 2);
     }
 
@@ -373,14 +498,14 @@ mod tests {
                 }
                 expected.push(naive);
             }
-            let stored: Vec<Vec<Lit>> = f.clauses().map(<[Lit]>::to_vec).collect();
+            let stored: Vec<Vec<Lit>> = f.clauses().map(|c| c.to_vec()).collect();
             prop_assert_eq!(&stored, &expected);
             prop_assert_eq!(f.num_clauses(), expected.len());
             prop_assert_eq!(f.num_vars(), expected_vars);
 
             let text = f.to_dimacs();
             let g = Cnf::from_dimacs(&text).unwrap();
-            let reparsed: Vec<Vec<Lit>> = g.clauses().map(<[Lit]>::to_vec).collect();
+            let reparsed: Vec<Vec<Lit>> = g.clauses().map(|c| c.to_vec()).collect();
             prop_assert_eq!(&reparsed, &expected);
             prop_assert_eq!(g.num_vars(), f.num_vars());
             prop_assert_eq!(g.to_dimacs(), text);
@@ -409,6 +534,64 @@ mod tests {
             }
             prop_assert_eq!(fast.to_dimacs(), general.to_dimacs());
         }
+    }
+
+    proptest! {
+        /// A formula holding at-most-one groups reads as its pairwise
+        /// expansion everywhere: clauses, clause and variable counts,
+        /// evaluation under every assignment, and DIMACS, which parses
+        /// back into a clause-only formula that prints the same text.
+        #[test]
+        fn groups_read_and_round_trip_as_their_pairs(
+            raw in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec((0u32..6, any::<bool>()), 0..=5)),
+                0..=10,
+            )
+        ) {
+            let (mut native, mut pairs) = (Cnf::new(), Cnf::new());
+            for (amo, c) in &raw {
+                let lits: Vec<Lit> = c.iter().map(|&(v, neg)| Lit::new(v, neg)).collect();
+                if *amo {
+                    native.add_at_most_one(&lits);
+                    pairs.add_pairs(&lits);
+                } else {
+                    native.add_clause(&lits);
+                    pairs.add_clause(&lits);
+                }
+            }
+            prop_assert!(native.num_items() <= pairs.num_items());
+            let clauses = |f: &Cnf| f.clauses().map(|c| c.to_vec()).collect::<Vec<_>>();
+            prop_assert_eq!(clauses(&native), clauses(&pairs));
+            prop_assert_eq!(native.num_clauses(), pairs.num_clauses());
+            prop_assert_eq!(native.num_vars(), pairs.num_vars());
+            let n = native.num_vars() as usize;
+            for bits in 0u32..1 << n {
+                let assignment: Vec<bool> = (0..n).map(|v| bits >> v & 1 == 1).collect();
+                prop_assert_eq!(native.eval(&assignment), pairs.eval(&assignment));
+            }
+
+            let text = native.to_dimacs();
+            prop_assert_eq!(&text, &pairs.to_dimacs());
+            let reparsed = Cnf::from_dimacs(&text).unwrap();
+            prop_assert_eq!(reparsed.num_items(), reparsed.num_clauses());
+            prop_assert_eq!(clauses(&reparsed), clauses(&native));
+            prop_assert_eq!(reparsed.to_dimacs(), text);
+        }
+    }
+
+    #[test]
+    fn groups_are_stored_once() {
+        let mut f = Cnf::new();
+        let members = [l(1), l(-2), l(3), l(4)];
+        f.add_at_most_one(&members);
+        f.add_at_most_one(&[l(5), l(6)]);
+        f.add_at_most_one(&[l(1), l(2), l(-1)]);
+        // A group of four members; a pair; and, for a repeated variable,
+        // two pairs (the third is a tautology).
+        assert_eq!(f.num_items(), 1 + 1 + 2);
+        assert_eq!(f.num_clauses(), 6 + 1 + 2);
+        assert_eq!(f.num_lits(), 4 + 2 + 4);
+        assert_eq!(f.items().next(), Some(Item::AtMostOne(&members[..])));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! standard encodings:
 //!
 //! * pairwise at-most-one — `O(n²)` binary clauses, no auxiliaries, best
-//!   for small groups;
+//!   for small groups. The formula stores such a group as one item (its
+//!   members) and the solver propagates it natively, while every CNF view
+//!   of the formula (clause count, DIMACS, evaluation) still sees the
+//!   binary clauses;
 //! * ladder (sequential) at-most-one — `O(n)` clauses and auxiliaries,
 //!   best for large groups;
 //! * Sinz's sequential-counter at-most-k / at-least-k / exactly-k —
@@ -22,7 +25,8 @@ use crate::types::Lit;
 /// Which at-most-one encoding to emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AmoEncoding {
-    /// Pairwise `¬a ∨ ¬b` clauses; no auxiliary variables.
+    /// Pairwise `¬a ∨ ¬b` clauses; no auxiliary variables. Stored as one
+    /// group of the formula (see [`crate::cnf`]).
     #[default]
     Pairwise,
     /// Ladder/sequential encoding; `n-1` auxiliary variables, `3n-4`
@@ -33,16 +37,8 @@ pub enum AmoEncoding {
 /// Post "at most one of `lits` is true".
 pub fn at_most_one(cnf: &mut Cnf, lits: &[Lit], enc: AmoEncoding) {
     match enc {
-        AmoEncoding::Pairwise => at_most_one_pairwise(cnf, lits),
+        AmoEncoding::Pairwise => cnf.add_at_most_one(lits),
         AmoEncoding::Ladder => at_most_one_ladder(cnf, lits),
-    }
-}
-
-fn at_most_one_pairwise(cnf: &mut Cnf, lits: &[Lit]) {
-    for (a_idx, &a) in lits.iter().enumerate() {
-        for &b in &lits[a_idx + 1..] {
-            cnf.add_binary(!a, !b);
-        }
     }
 }
 
@@ -52,8 +48,9 @@ fn at_most_one_pairwise(cnf: &mut Cnf, lits: &[Lit]) {
 fn at_most_one_ladder(cnf: &mut Cnf, lits: &[Lit]) {
     let n = lits.len();
     if n <= 4 {
-        // Auxiliaries don't pay for themselves below this size.
-        at_most_one_pairwise(cnf, lits);
+        // Auxiliaries don't pay for themselves below this size. The
+        // ladder stays all clauses, so these pairs are clauses too.
+        cnf.add_pairs(lits);
         return;
     }
     let first = cnf.new_vars(u32::try_from(n - 1).expect("group fits u32"));

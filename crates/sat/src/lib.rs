@@ -11,7 +11,9 @@
 //!   oracle the solver is validated against. Clauses are stored flat, all
 //!   literals in one vector plus each clause's end offset, and
 //!   [`Cnf::add_clause`] takes a slice, so encoding allocates nothing per
-//!   clause;
+//!   clause. A pairwise at-most-one is stored once, as a group of its
+//!   members, and read back as its pairs by every CNF view
+//!   ([`Cnf::num_clauses`], [`Cnf::clauses`], DIMACS, evaluation);
 //! * [`encodings`] — cardinality encodings (pairwise / ladder at-most-one,
 //!   Sinz sequential counter for at-most-k / exactly-k) used by the CSP1 →
 //!   CNF translation in `mgrts-core`;
@@ -21,7 +23,9 @@
 //!   a three-way outcome matching the scheduling experiments' overruns.
 //!   Its clause database is a MiniSat-style literal arena with a small
 //!   header per clause, compacted when learned clauses are deleted, and
-//!   its watch lists share one slab.
+//!   its watch lists share one slab. Binary clauses propagate from their
+//!   watchers alone and at-most-one groups natively, on the same search
+//!   tree as the pairwise clauses they stand for.
 //!
 //! A formula and a solver dropped on a thread leave their buffers to the
 //! next ones built on it (up to [`MAX_RECYCLED_BYTES`] each), so a thread
@@ -52,7 +56,7 @@ pub mod solver;
 pub mod types;
 mod watch;
 
-pub use cnf::{Cnf, DimacsError};
+pub use cnf::{Clause, Cnf, DimacsError};
 pub use encodings::{
     at_least_k, at_most_k, at_most_one, exactly_k, exactly_one, pb_exactly, AmoEncoding,
 };

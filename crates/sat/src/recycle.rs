@@ -63,7 +63,7 @@ mod tests {
     use super::*;
     use crate::cnf::CNF_BUFFERS;
     use crate::solver::SOLVER_BUFFERS;
-    use crate::{Cnf, Lit, SatConfig, SatLimit, SatOutcome, SatSolver};
+    use crate::{at_most_one, AmoEncoding, Cnf, Lit, SatConfig, SatLimit, SatOutcome, SatSolver};
 
     /// One solve of the sequence.
     #[derive(Debug, Clone, Copy)]
@@ -82,12 +82,17 @@ mod tests {
         /// Contradictory units: unsatisfiable while loading.
         RootUnsat,
         Empty,
+        /// Pigeonhole with at-most-one groups, under the conflict budget.
+        Pigeonhole {
+            pigeons: u32,
+            holes: u32,
+        },
     }
 
     /// Larger, smaller, larger again, the interrupted loads, a root-UNSAT
-    /// formula and the empty one, each followed by a solve that must not
-    /// see what it left behind.
-    const SEQUENCE: [Case; 10] = [
+    /// formula, the empty one and formulas with groups, each followed by a
+    /// solve that must not see what it left behind.
+    const SEQUENCE: [Case; 13] = [
         Case::Random {
             vars: 200,
             clauses: 850,
@@ -122,6 +127,19 @@ mod tests {
             clauses: 770,
             seed: 6,
         },
+        Case::Pigeonhole {
+            pigeons: 8,
+            holes: 7,
+        },
+        Case::Pigeonhole {
+            pigeons: 6,
+            holes: 5,
+        },
+        Case::Random {
+            vars: 200,
+            clauses: 850,
+            seed: 1,
+        },
     ];
 
     fn random_3sat(vars: u32, clauses: u32, mut seed: u64) -> Cnf {
@@ -139,6 +157,22 @@ mod tests {
         cnf
     }
 
+    /// `pigeons` pigeons in `holes` holes, each hole an at-most-one group:
+    /// the pairs of the groups keep their activities in a solver buffer
+    /// of their own.
+    fn pigeonhole(pigeons: u32, holes: u32) -> Cnf {
+        let x = |h: u32, p: u32| Lit::pos(h * pigeons + p);
+        let mut cnf = Cnf::new();
+        for p in 0..pigeons {
+            cnf.add_clause(&(0..holes).map(|h| x(h, p)).collect::<Vec<_>>());
+        }
+        for h in 0..holes {
+            let hole: Vec<Lit> = (0..pigeons).map(|p| x(h, p)).collect();
+            at_most_one(&mut cnf, &hole, AmoEncoding::Pairwise);
+        }
+        cnf
+    }
+
     /// The outcome, counters and stored clauses of one solve.
     type Run = (SatOutcome, SearchStats, Vec<Vec<Lit>>);
 
@@ -147,7 +181,7 @@ mod tests {
             max_conflicts: Some(3_000),
             ..SatConfig::default()
         };
-        let clauses = |cnf: &Cnf| cnf.clauses().map(<[Lit]>::to_vec).collect();
+        let clauses = |cnf: &Cnf| cnf.clauses().map(|c| c.to_vec()).collect();
         match case {
             Case::Random {
                 vars,
@@ -185,6 +219,11 @@ mod tests {
             }
             Case::Empty => {
                 let cnf = Cnf::new();
+                let mut s = SatSolver::new(&cnf, cfg);
+                (s.solve(), s.stats(), clauses(&cnf))
+            }
+            Case::Pigeonhole { pigeons, holes } => {
+                let cnf = pigeonhole(pigeons, holes);
                 let mut s = SatSolver::new(&cnf, cfg);
                 (s.solve(), s.stats(), clauses(&cnf))
             }
@@ -241,6 +280,9 @@ mod tests {
         assert_eq!(*outcomes[5], SatOutcome::Unknown(SatLimit::Interrupted));
         assert_eq!(*outcomes[7], SatOutcome::Unsat);
         assert_eq!(*outcomes[8], SatOutcome::Sat(Vec::new()));
+        assert_eq!(*outcomes[10], SatOutcome::Unknown(SatLimit::Conflicts));
+        assert_eq!(*outcomes[11], SatOutcome::Unsat);
+        assert_eq!(fresh[12], fresh[0]);
     }
 
     /// A set above the cap is freed, not parked.

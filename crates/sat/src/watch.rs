@@ -11,11 +11,54 @@
 
 use crate::types::Lit;
 
-/// Index of a clause in the solver's header table.
-pub(crate) type ClauseRef = u32;
+/// What a clause reference points at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A clause of three or more literals, in the solver's arena.
+    Long,
+    /// A clause of two literals, kept in its header and its watchers.
+    Binary,
+    /// A pairwise at-most-one group, its members in the arena.
+    Group,
+}
+
+/// A clause's index in the solver's header table, with its [`Kind`] in
+/// the top two bits, so that propagation tells a binary clause or a group
+/// from a long clause by the watcher alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClauseRef(u32);
+
+impl ClauseRef {
+    /// Refers to no clause: the reason of a decision or a root unit.
+    pub(crate) const NONE: ClauseRef = ClauseRef(u32::MAX);
+    const INDEX: u32 = (1 << 30) - 1;
+
+    pub(crate) fn new(index: usize, kind: Kind) -> ClauseRef {
+        let index = u32::try_from(index)
+            .ok()
+            .filter(|&i| i <= ClauseRef::INDEX)
+            .expect("clause count fits 30 bits");
+        ClauseRef(index | (kind as u32) << 30)
+    }
+
+    /// The header's index.
+    pub(crate) fn index(self) -> usize {
+        (self.0 & ClauseRef::INDEX) as usize
+    }
+
+    pub(crate) fn kind(self) -> Kind {
+        match self.0 >> 30 {
+            0 => Kind::Long,
+            1 => Kind::Binary,
+            _ => Kind::Group,
+        }
+    }
+}
 
 /// A watcher: clause reference plus a *blocker* literal whose satisfaction
-/// lets propagation skip the clause without touching its memory.
+/// lets propagation skip the clause without touching its memory. A binary
+/// clause's blocker is its other literal; a group's is the watched member
+/// itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Watcher {
     pub(crate) cref: ClauseRef,
@@ -24,7 +67,7 @@ pub(crate) struct Watcher {
 
 /// Fills slab slots no list owns.
 const VACANT: Watcher = Watcher {
-    cref: ClauseRef::MAX,
+    cref: ClauseRef::NONE,
     blocker: Lit::pos(0),
 };
 
@@ -109,17 +152,28 @@ impl WatchSlab {
 mod tests {
     use super::*;
 
-    fn w(cref: ClauseRef) -> Watcher {
-        Watcher {
-            cref,
-            blocker: Lit::pos(cref),
+    #[test]
+    fn clause_refs_carry_their_kind() {
+        for kind in [Kind::Long, Kind::Binary, Kind::Group] {
+            for index in [0, 1, 12_345, (1 << 30) - 1] {
+                let cref = ClauseRef::new(index, kind);
+                assert_eq!((cref.index(), cref.kind()), (index, kind));
+                assert_ne!(cref, ClauseRef::NONE);
+            }
         }
     }
 
-    fn list(ws: &WatchSlab, code: usize) -> Vec<ClauseRef> {
+    fn w(index: usize) -> Watcher {
+        Watcher {
+            cref: ClauseRef::new(index, Kind::Long),
+            blocker: Lit::pos(0),
+        }
+    }
+
+    fn list(ws: &WatchSlab, code: usize) -> Vec<usize> {
         ws.slab[ws.spans[code].range()]
             .iter()
-            .map(|w| w.cref)
+            .map(|w| w.cref.index())
             .collect()
     }
 
@@ -134,14 +188,13 @@ mod tests {
         ws.count(2);
         ws.lay_out();
         assert_eq!(ws.slab.len(), 3);
-        let mut naive: Vec<Vec<ClauseRef>> = vec![Vec::new(); 3];
+        let mut naive: Vec<Vec<usize>> = vec![Vec::new(); 3];
         for (k, code) in [2, 0, 2, 1, 1, 0, 2, 2, 2, 0, 1, 2, 2, 2, 2]
             .into_iter()
             .enumerate()
         {
-            let cref = ClauseRef::try_from(k).unwrap();
-            ws.push(code, w(cref));
-            naive[code].push(cref);
+            ws.push(code, w(k));
+            naive[code].push(k);
             if k == 2 {
                 assert_eq!(ws.slab.len(), 3, "counted pushes never move a list");
             }
