@@ -90,8 +90,10 @@ fn encode_polled(
     let layout = Csp1Layout { n, m, h };
     // Arity hints: n·m·H boolean cells, one (3) row per processor-instant,
     // at most one (4) row per task-instant plus one (5) sum per job.
-    let mut model =
-        Model::with_capacity(layout.cells() as usize, (m + n) * h as usize + ts.len() * 2);
+    let mut model = Model::with_capacity(
+        layout.cells() as usize,
+        (m + n) * h as usize + ji.total_jobs() as usize,
+    );
 
     // Variables with constraint (2) folded into the domains.
     for i in 0..n {
@@ -136,9 +138,10 @@ fn encode_polled(
         if cancel.is_cancelled() {
             return Ok(None);
         }
+        let window = ts.task(i).deadline as usize;
         for k in 0..ji.jobs_of(i) {
-            let mut vars = Vec::new();
-            for t in ji.instants_mod(JobId { task: i, k }) {
+            let mut vars = Vec::with_capacity(window * m);
+            for t in ji.instants_mod_iter(JobId { task: i, k }) {
                 for j in 0..m {
                     vars.push(layout.var(i, j, t));
                 }

@@ -75,8 +75,8 @@ fn encode_polled(
     let n = ts.len() as i32;
     let layout = Csp2Layout { m, h };
     // Arity hints: m·H processor-instant variables; one (8) all-different
-    // per instant, at most one (9) count per job, H·(m−1) (10) orderings.
-    let mut model = Model::with_capacity(m * h as usize, h as usize * m + ts.len() * h as usize);
+    // per instant, one (9) count per job, H·(m−1) (10) orderings.
+    let mut model = Model::with_capacity(m * h as usize, h as usize * m + ji.total_jobs() as usize);
 
     // Variables x_j(t) ∈ {-1 .. n-1}, time-major.
     for _t in 0..h {
@@ -115,9 +115,10 @@ fn encode_polled(
         if cancel.is_cancelled() {
             return Ok(None);
         }
+        let window = ts.task(i).deadline as usize;
         for k in 0..ji.jobs_of(i) {
-            let mut vars = Vec::new();
-            for t in ji.instants_mod(JobId { task: i, k }) {
+            let mut vars = Vec::with_capacity(window * m);
+            for t in ji.instants_mod_iter(JobId { task: i, k }) {
                 for j in 0..m {
                     vars.push(layout.var(j, t));
                 }

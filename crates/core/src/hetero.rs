@@ -115,10 +115,12 @@ pub(crate) fn encode_csp1_polled(
         if cancel.is_cancelled() {
             return Ok(None);
         }
+        let runs_on = (0..m).filter(|&j| platform.can_run(i, j)).count();
+        let len = ts.task(i).deadline as usize * runs_on;
         for k in 0..ji.jobs_of(i) {
-            let mut vars = Vec::new();
-            let mut coeffs = Vec::new();
-            for t in ji.instants_mod(JobId { task: i, k }) {
+            let mut vars = Vec::with_capacity(len);
+            let mut coeffs = Vec::with_capacity(len);
+            for t in ji.instants_mod_iter(JobId { task: i, k }) {
                 for j in 0..m {
                     if platform.can_run(i, j) {
                         vars.push(layout.var(i, j, t));

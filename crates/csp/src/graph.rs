@@ -59,6 +59,21 @@ impl Scc {
         Self::default()
     }
 
+    /// Bytes of capacity held by the graph and its scratch.
+    pub(crate) fn bytes(&self) -> usize {
+        use mgrts_obs::recycle::bytes;
+        bytes(&self.arcs)
+            + bytes(&self.heads)
+            + bytes(&self.targets)
+            + bytes(&self.cursor)
+            + bytes(&self.index)
+            + bytes(&self.lowlink)
+            + bytes(&self.on_stack)
+            + bytes(&self.stack)
+            + bytes(&self.frames)
+            + bytes(&self.comp)
+    }
+
     /// Clear the graph and size it for `n` nodes. Keeps allocations.
     pub fn reset(&mut self, n: usize) {
         self.n = n;

@@ -11,8 +11,8 @@
 //! * **incremental** constraint propagation to fixpoint through an
 //!   event-filtered watcher queue: each posted [`constraints::Constraint`]
 //!   (linear (in)equalities, boolean cardinality, occurrence counting,
-//!   pairwise difference, ordering) is compiled into a
-//!   [`propagators::Propagator`] that subscribes to the event kinds
+//!   pairwise difference, ordering) is compiled into a propagator (see
+//!   [`propagators`]) that subscribes to the event kinds
 //!   ([`store::EventMask`]) it can react to and keeps running sums /
 //!   counters in trailed cells, updated by per-variable deltas instead of
 //!   rescanning its scope on every wake (the pre-incremental engine is
@@ -35,6 +35,48 @@
 //!
 //! The engine is problem-agnostic and tested on classic CSPs independently of
 //! the scheduling encodings built on top of it in `mgrts-core`.
+//!
+//! ## Construction and buffer reuse
+//!
+//! A Table I model posts thousands of constraints (about 3 100 for CSP2
+//! and 7 000 for CSP1), and a solve under a decision budget searches for
+//! about a millisecond, so building and dropping the solver must not cost
+//! per constraint. [`Model::into_solver`] therefore makes no heap
+//! allocation per constraint, and dropping the [`Solver`] frees nothing
+//! but the model's own constraints:
+//!
+//! * **flat**: each propagator is a small `Copy` value in one vector. It
+//!   reads its scope, coefficients and constants from the posted
+//!   [`Constraint`], which the solver keeps anyway to check every
+//!   solution, so each scope is stored once. Its per-position trailed
+//!   cells are one consecutive block of store cells. Derived tables
+//!   (position indexes of scopes that are not one contiguous run,
+//!   deduplicated all-different scopes, element and table supports and
+//!   residues) are slices of a few shared vectors, and run-time scratch
+//!   (the GAC residual graph and matching search, domain snapshots) is
+//!   one set per solver. The watch lists, the per-propagator pending
+//!   lists, stale flags, queue flags and weights are flat vectors too;
+//! * **recycled**: a dropped solver parks every one of those vectors, and
+//!   the store's (domains, stamps, trail, state cells, unfixed set,
+//!   implication log), in a slot of the current thread. The next
+//!   `into_solver` on that thread takes them back, empties or refills each
+//!   one, sizes them from the model and builds in place, so a thread that
+//!   solves one model after another allocates only when a model outgrows
+//!   every earlier one. Only learned nogoods, which search creates, keep
+//!   their own predicate lists;
+//! * **capped**: a slot keeps one set of at most
+//!   [`mgrts_obs::recycle::MAX_RECYCLED_BYTES`] (32 MiB) of capacity,
+//!   shared with `rt_sat`'s slots; a larger set is freed on drop. The
+//!   largest Table I solver set (CSP1 over 21 000 variables at H = 420)
+//!   takes about 9 MB;
+//! * **thread-local**: engines are shared across the portfolio's and the
+//!   campaign's worker threads, so a per-thread slot needs no lock, never
+//!   hands one thread's buffers to another mid-solve, and is freed when
+//!   its thread exits.
+//!
+//! Recycling changes no search: every buffer is emptied or refilled on
+//! construction, which the recycling tests check by solving a sequence of
+//! models on one thread and each on a fresh one.
 //!
 //! ## Example
 //!
@@ -70,7 +112,7 @@ pub mod store;
 pub use constraints::{Constraint, Watched};
 pub use model::Model;
 pub use nogood::{Nogood, Pred, PredOp};
-pub use propagators::{PropKind, Propagator};
+pub use propagators::PropKind;
 pub use solver::{
     Budget, LearnConfig, LimitReason, Outcome, RestartSchedule, Solver, SolverConfig, ValOrder,
     VarOrder,

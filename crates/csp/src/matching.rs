@@ -39,67 +39,88 @@ const FREE: i64 = -1;
 /// A maximum matching between the variables of one `AllDifferent` scope and
 /// their dense value universe `[lo, lo + num_values)`, stored in trailed
 /// state cells so it survives (and rewinds across) backtracking.
-#[derive(Debug)]
+///
+/// The matching is a handful of handles: the scope itself is passed to
+/// [`Matching::repair`] by its owner, and the untrailed search scratch is a
+/// [`MatchScratch`] that every matching of a solver shares (one repair
+/// runs at a time), so a propagator owns no heap memory.
+#[derive(Debug, Clone, Copy)]
 pub struct Matching {
-    /// The (deduplicated) variable scope.
-    vars: Vec<VarId>,
+    /// Number of (deduplicated) scope variables.
+    n_vars: usize,
     /// Lowest value of the dense universe.
     lo: Val,
     /// Universe width: values are indexed `0..num_values` as `val - lo`.
     num_values: usize,
     /// Dense index of the unlimited-capacity value, if any.
     except: Option<usize>,
-    /// Per variable position: dense index of its matched value, or `FREE`.
-    matched: Vec<StateId>,
-    /// Per real value index: position of the owning variable, or `FREE`.
-    /// Unused (stays `FREE`) for the except value.
-    owner: Vec<StateId>,
+    /// First of the per-position cells: dense index of the matched value,
+    /// or `FREE`.
+    matched: StateId,
+    /// First of the per-real-value cells: position of the owning
+    /// variable, or `FREE`. Unused (stays `FREE`) for the except value.
+    owner: StateId,
     /// Number of variables currently matched to the except value (trailed;
     /// meaningful only when `except` is set).
     except_uses: StateId,
+}
+
+/// Untrailed scratch of [`Matching::repair`], shared by every matching of
+/// one solver.
+#[derive(Debug, Default)]
+pub struct MatchScratch {
     /// Kuhn DFS visit stamps per value index, versioned so clearing between
     /// augmentation phases is O(1).
     visited: Vec<u64>,
     visit_stamp: u64,
-    /// Scratch list of variable positions needing augmentation.
+    /// Variable positions needing augmentation.
     pending: Vec<usize>,
 }
 
+impl MatchScratch {
+    /// Forget every visit, keeping the buffers' capacity.
+    pub fn reset(&mut self) {
+        self.visited.clear();
+        self.visit_stamp = 0;
+        self.pending.clear();
+    }
+
+    /// Bytes of capacity held.
+    pub(crate) fn bytes(&self) -> usize {
+        mgrts_obs::recycle::bytes(&self.visited) + mgrts_obs::recycle::bytes(&self.pending)
+    }
+}
+
 impl Matching {
-    /// Allocate the trailed cells for a scope over the universe
-    /// `[lo, lo + num_values)`. `except` is the unlimited-capacity value
+    /// Allocate the trailed cells for a scope of `n_vars` variables over
+    /// the universe `[lo, lo + num_values)`, and make `scratch` wide
+    /// enough for it. `except` is the unlimited-capacity value
     /// (dense-indexed), if the constraint has one. Must be called at the
     /// root level, before search starts.
     pub fn new(
         store: &mut Store,
-        vars: Vec<VarId>,
+        scratch: &mut MatchScratch,
+        n_vars: usize,
         lo: Val,
         num_values: usize,
         except: Option<usize>,
     ) -> Self {
-        let matched = vars.iter().map(|_| store.new_state_cell(FREE)).collect();
-        let owner = (0..num_values)
-            .map(|_| store.new_state_cell(FREE))
-            .collect();
-        let except_uses = store.new_state_cell(0);
+        let matched = store.new_state_cells(n_vars, FREE);
+        let owner = store.new_state_cells(num_values, FREE);
+        let except_uses = store.new_state_cells(1, 0);
+        if scratch.visited.len() < num_values {
+            // Zero is below every stamp an augmentation phase uses.
+            scratch.visited.resize(num_values, 0);
+        }
         Matching {
-            vars,
+            n_vars,
             lo,
             num_values,
             except,
             matched,
             owner,
             except_uses,
-            visited: vec![0; num_values],
-            visit_stamp: 0,
-            pending: Vec::new(),
         }
-    }
-
-    /// The deduplicated scope.
-    #[must_use]
-    pub fn vars(&self) -> &[VarId] {
-        &self.vars
     }
 
     /// Lowest value of the universe.
@@ -120,12 +141,12 @@ impl Matching {
         self.except
     }
 
-    /// Dense index of the value `vars[pos]` is matched to (`None` if the
-    /// matching is stale for that variable — call [`Matching::repair`]
-    /// first).
+    /// Dense index of the value the variable at `pos` is matched to
+    /// (`None` if the matching is stale for that variable — call
+    /// [`Matching::repair`] first).
     #[must_use]
     pub fn matched_index(&self, store: &Store, pos: usize) -> Option<usize> {
-        let m = store.state(self.matched[pos]);
+        let m = store.state(self.matched.offset(pos));
         usize::try_from(m).ok()
     }
 
@@ -140,23 +161,30 @@ impl Matching {
     /// [`Matching::except_uses`] instead).
     #[must_use]
     pub fn owner_pos(&self, store: &Store, vi: usize) -> Option<usize> {
-        usize::try_from(store.state(self.owner[vi])).ok()
+        usize::try_from(store.state(self.owner.offset(vi))).ok()
     }
 
-    /// Restore the matching to a maximum one under the current domains:
-    /// revalidate every pair, then re-augment freed variables. Returns the
-    /// variable that cannot be matched if the constraint is unsatisfiable.
-    pub fn repair(&mut self, store: &mut Store) -> Result<(), EmptyDomain> {
-        self.pending.clear();
-        for pos in 0..self.vars.len() {
-            let cell = self.matched[pos];
+    /// Restore the matching of the scope `vars` (the one it was built
+    /// for) to a maximum one under the current domains: revalidate every
+    /// pair, then re-augment freed variables. Returns the variable that
+    /// cannot be matched if the constraint is unsatisfiable.
+    pub fn repair(
+        &self,
+        vars: &[VarId],
+        scratch: &mut MatchScratch,
+        store: &mut Store,
+    ) -> Result<(), EmptyDomain> {
+        debug_assert_eq!(vars.len(), self.n_vars);
+        scratch.pending.clear();
+        for (pos, &var) in vars.iter().enumerate() {
+            let cell = self.matched.offset(pos);
             let m = store.state(cell);
             if m == FREE {
-                self.pending.push(pos);
+                scratch.pending.push(pos);
                 continue;
             }
             let vi = m as usize;
-            if store.contains(self.vars[pos], self.lo + vi as Val) {
+            if store.contains(var, self.lo + vi as Val) {
                 continue;
             }
             // Matched value fell out of the domain: unmatch.
@@ -165,21 +193,21 @@ impl Matching {
                 let uses = store.state(self.except_uses);
                 store.set_state(self.except_uses, uses - 1);
             } else {
-                store.set_state(self.owner[vi], FREE);
+                store.set_state(self.owner.offset(vi), FREE);
             }
-            self.pending.push(pos);
+            scratch.pending.push(pos);
         }
-        if !self.pending.is_empty() {
+        if !scratch.pending.is_empty() {
             store.note_gac_rebuild();
         }
-        for i in 0..self.pending.len() {
-            let pos = self.pending[i];
-            if store.state(self.matched[pos]) != FREE {
+        for i in 0..scratch.pending.len() {
+            let pos = scratch.pending[i];
+            if store.state(self.matched.offset(pos)) != FREE {
                 continue; // displaced and re-placed by an earlier augmentation
             }
-            self.visit_stamp += 1;
-            if !self.augment(store, pos) {
-                return Err(EmptyDomain(self.vars[pos]));
+            scratch.visit_stamp += 1;
+            if !self.augment(vars, scratch, store, pos) {
+                return Err(EmptyDomain(vars[pos]));
             }
         }
         Ok(())
@@ -189,12 +217,18 @@ impl Matching {
     /// value, displacing current owners along an alternating path. The
     /// except value (always spare capacity for a free variable) is tried
     /// first because taking it never displaces anyone.
-    fn augment(&mut self, store: &mut Store, pos: usize) -> bool {
-        let var = self.vars[pos];
+    fn augment(
+        &self,
+        vars: &[VarId],
+        scratch: &mut MatchScratch,
+        store: &mut Store,
+        pos: usize,
+    ) -> bool {
+        let var = vars[pos];
         if let Some(e) = self.except {
             let ev = self.lo + e as Val;
             if store.contains(var, ev) {
-                store.set_state(self.matched[pos], e as i64);
+                store.set_state(self.matched.offset(pos), e as i64);
                 let uses = store.state(self.except_uses);
                 store.set_state(self.except_uses, uses + 1);
                 return true;
@@ -224,11 +258,11 @@ impl Matching {
                 let b = w.trailing_zeros() as usize;
                 w &= w - 1;
                 let vi = shift + wi * 64 + b;
-                if Some(vi) == self.except || self.visited[vi] == self.visit_stamp {
+                if Some(vi) == self.except || scratch.visited[vi] == scratch.visit_stamp {
                     continue;
                 }
-                self.visited[vi] = self.visit_stamp;
-                if self.try_take(store, pos, vi) {
+                scratch.visited[vi] = scratch.visit_stamp;
+                if self.try_take(vars, scratch, store, pos, vi) {
                     return true;
                 }
             }
@@ -236,14 +270,22 @@ impl Matching {
         false
     }
 
-    /// Claim value `vi` for `vars[pos]`, recursively displacing its current
-    /// owner if it has one and the owner can re-augment elsewhere.
-    fn try_take(&mut self, store: &mut Store, pos: usize, vi: usize) -> bool {
-        let owner_cell = self.owner[vi];
+    /// Claim value `vi` for the variable at `pos`, recursively displacing
+    /// its current owner if it has one and the owner can re-augment
+    /// elsewhere.
+    fn try_take(
+        &self,
+        vars: &[VarId],
+        scratch: &mut MatchScratch,
+        store: &mut Store,
+        pos: usize,
+        vi: usize,
+    ) -> bool {
+        let owner_cell = self.owner.offset(vi);
         let current = store.state(owner_cell);
-        if current == FREE || self.displace(store, current as usize) {
+        if current == FREE || self.displace(vars, scratch, store, current as usize) {
             store.set_state(owner_cell, pos as i64);
-            store.set_state(self.matched[pos], vi as i64);
+            store.set_state(self.matched.offset(pos), vi as i64);
             true
         } else {
             false
@@ -252,15 +294,22 @@ impl Matching {
 
     /// Re-augment a displaced variable (its value is being claimed by the
     /// caller; the displaced variable must find another one).
-    fn displace(&mut self, store: &mut Store, pos: usize) -> bool {
+    fn displace(
+        &self,
+        vars: &[VarId],
+        scratch: &mut MatchScratch,
+        store: &mut Store,
+        pos: usize,
+    ) -> bool {
         // Temporarily free it, then reuse the augment path. If it fails the
         // caller leaves the original assignment in place.
-        let prev = store.state(self.matched[pos]);
-        store.set_state(self.matched[pos], FREE);
-        if self.augment(store, pos) {
+        let cell = self.matched.offset(pos);
+        let prev = store.state(cell);
+        store.set_state(cell, FREE);
+        if self.augment(vars, scratch, store, pos) {
             true
         } else {
-            store.set_state(self.matched[pos], prev);
+            store.set_state(cell, prev);
             false
         }
     }

@@ -4,8 +4,10 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+use mgrts_obs::recycle;
+
 use crate::constraints::Constraint;
-use crate::solver::{raised, Solver, SolverConfig};
+use crate::solver::{raised, Solver, SolverConfig, SOLVER_BUFFERS};
 use crate::store::{Store, Val, VarId};
 
 /// A CSP under construction.
@@ -107,16 +109,28 @@ impl Model {
     /// into a fresh store. The boolean is true when a removal already
     /// wiped a domain out.
     pub(crate) fn build_store(&self) -> (Store, bool) {
-        self.build_store_polled(None)
-            .expect("an absent interrupt flag is never raised")
+        let mut store = Store::new();
+        let inconsistent = self
+            .fill_store(&mut store, None)
+            .expect("an absent interrupt flag is never raised");
+        (store, inconsistent)
     }
 
-    /// [`Model::build_store`], polling `interrupt` every 1024 variables:
-    /// `None` once it is raised.
-    fn build_store_polled(&self, interrupt: Option<&AtomicBool>) -> Option<(Store, bool)> {
-        let mut store = Store::new();
+    /// Empty `store` and materialize the declared domains into it, sized
+    /// up front, polling `interrupt` every 1024 variables: `None` (and an
+    /// empty store) once it is raised, else whether a removal already
+    /// wiped a domain out.
+    fn fill_store(&self, store: &mut Store, interrupt: Option<&AtomicBool>) -> Option<bool> {
+        store.reset();
+        let words = self
+            .domains
+            .iter()
+            .map(|&(lb, ub)| ((ub - lb) as u64 + 1).div_ceil(64) as usize)
+            .sum();
+        store.reserve(self.domains.len(), words);
         for (k, &(lb, ub)) in self.domains.iter().enumerate() {
             if k % 1024 == 0 && raised(interrupt) {
+                store.reset();
                 return None;
             }
             store.new_var(lb, ub);
@@ -127,15 +141,25 @@ impl Model {
                 initially_inconsistent = true;
             }
         }
-        Some((store, initially_inconsistent))
+        Some(initially_inconsistent)
     }
 
     /// Freeze the model into a solver (see [`Model::set_interrupt`] for
-    /// how an interrupt flag reaches it).
+    /// how an interrupt flag reaches it). The solver is built in the
+    /// buffers the last solver dropped on this thread left behind, when
+    /// there are any.
     #[must_use]
     pub fn into_solver(self, config: SolverConfig) -> Solver {
-        let built = self.build_store_polled(self.interrupt.as_deref());
-        Solver::from_parts(built, self.constraints, config, self.interrupt)
+        let mut bufs = recycle::take(&SOLVER_BUFFERS).unwrap_or_default();
+        let built = self.fill_store(&mut bufs.store, self.interrupt.as_deref());
+        Solver::from_parts(
+            bufs,
+            built.is_some(),
+            built == Some(true),
+            self.constraints,
+            config,
+            self.interrupt,
+        )
     }
 }
 

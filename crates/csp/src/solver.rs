@@ -4,7 +4,7 @@
 //! The search core is event-driven: the store records *which* variables
 //! changed and *how* ([`crate::EventMask`]), the solver wakes only the
 //! propagators subscribed to those event kinds and hands each one its
-//! changed variables, and the propagators ([`crate::Propagator`]) keep
+//! changed variables, and the propagators ([`crate::propagators`]) keep
 //! trailed incremental state (running sums, counters) instead of rescanning
 //! their whole scope on every wake. Variable selection never rescans fixed
 //! variables (the store maintains an unfixed sparse set) and dom/wdeg
@@ -12,18 +12,21 @@
 //! Wall-clock budget checks are amortized: `Instant::now()` is consulted
 //! every ~1024 search steps rather than on every node and failure.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::mem::take;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mgrts_obs::recycle::{self, bytes, refill};
 use mgrts_obs::{KindStats, SearchStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::constraints::Constraint;
 use crate::nogood::{luby, ConflictInfo, LogEntry, Nogood, Pred, PredOp, Reason};
-use crate::propagators::{build, PropKind, Propagator};
+use crate::propagators::{build, state_cells, Prop, PropKind, Tables};
 use crate::store::{EventMask, StateId, Store, Val, VarId};
 
 /// Variable-ordering heuristics (Section III-B: "ordering the variables to
@@ -305,19 +308,24 @@ pub struct Solver {
     /// checking ([`Constraint::is_satisfied`]).
     constraints: Vec<Constraint>,
     /// Runtime propagators, index-aligned with `constraints`.
-    props: Vec<Box<dyn Propagator>>,
+    props: Vec<Prop>,
+    /// The propagators' derived tables and shared scratch.
+    tables: Tables,
     /// Watched vars per propagator (with multiplicity) for wdeg bumps,
     /// in CSR layout: propagator `ci` watches
     /// `prop_var_entries[prop_var_starts[ci]..prop_var_starts[ci + 1]]`.
     prop_var_starts: Vec<u32>,
     prop_var_entries: Vec<VarId>,
-    /// Trailed per-propagator stale flags: non-zero forces a full
-    /// re-propagation on the next run (see `abort_fixpoint`).
-    stale: Vec<StateId>,
+    /// First of the trailed per-propagator stale flags (one consecutive
+    /// block): non-zero forces a full re-propagation on the next run (see
+    /// `abort_fixpoint`).
+    stale: StateId,
     /// Trailed per-propagator entailment flags (where supported): while
     /// raised, events do not wake the propagator at all.
     entailed: Vec<Option<StateId>>,
-    /// Per-propagator changed-variable queues consumed on each run.
+    /// Per-propagator changed-variable lists consumed on each run. They
+    /// are recycled with their capacity (a flat arena and a flat
+    /// per-edge layout were both measured slower on the search path).
     pending: Vec<Vec<VarId>>,
     /// Per-propagator: does it consume `pending` at all? Propagators that
     /// re-derive from the domains skip the pending bookkeeping on dispatch.
@@ -382,6 +390,10 @@ pub struct Solver {
     scratch: AnalysisScratch,
     /// `reduce_db` marks: nogood ids locked as implication reasons.
     ng_locked: Vec<bool>,
+    /// Construction scratch, kept only to be recycled with the rest.
+    wake_masks: Vec<EventMask>,
+    edge_masks: Vec<EventMask>,
+    cursor: Vec<u32>,
 }
 
 /// Conflict-analysis scratch, indexed by implication-log position and
@@ -413,6 +425,44 @@ struct AnalysisScratch {
 }
 
 impl AnalysisScratch {
+    /// This scratch as a fresh solver's, keeping its capacity.
+    fn reset_all(mut self) -> Self {
+        let AnalysisScratch {
+            gen,
+            live,
+            mapped,
+            item,
+            touched,
+            n_live,
+            n_cur,
+            expl,
+            anchors,
+            levels,
+        } = &mut self;
+        *gen = 0;
+        live.clear();
+        mapped.clear();
+        item.clear();
+        touched.clear();
+        *n_live = 0;
+        *n_cur = 0;
+        expl.clear();
+        anchors.clear();
+        levels.clear();
+        self
+    }
+
+    /// Bytes of capacity held.
+    fn bytes(&self) -> usize {
+        bytes(&self.live)
+            + bytes(&self.mapped)
+            + bytes(&self.item)
+            + bytes(&self.touched)
+            + bytes(&self.expl)
+            + bytes(&self.anchors)
+            + bytes(&self.levels)
+    }
+
     /// Empty the item set and make room for `log_len` positions.
     fn reset(&mut self, log_len: usize) {
         self.gen = self.gen.wrapping_add(1);
@@ -484,28 +534,179 @@ enum Analysis {
     RootUnsat,
 }
 
+/// Everything a [`Solver`] allocates, parked in [`SOLVER_BUFFERS`] when it
+/// is dropped and taken back by the next [`crate::Model::into_solver`] on
+/// the same thread (see "Construction and buffer reuse" in the crate
+/// docs). Every buffer is emptied or refilled on construction.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    pub(crate) store: Store,
+    props: Vec<Prop>,
+    tables: Tables,
+    prop_var_starts: Vec<u32>,
+    prop_var_entries: Vec<VarId>,
+    entailed: Vec<Option<StateId>>,
+    pending: Vec<Vec<VarId>>,
+    wants_pending: Vec<bool>,
+    kind_of: Vec<u8>,
+    watch_starts: Vec<u32>,
+    watch_entries: Vec<(u32, EventMask)>,
+    weights: Vec<u64>,
+    var_weight: Vec<u64>,
+    queue: VecDeque<u32>,
+    in_queue: Vec<bool>,
+    decisions: Vec<(VarId, Val)>,
+    dirty_buf: Vec<(VarId, EventMask)>,
+    nogoods: Vec<Option<Nogood>>,
+    ng_watches: Vec<Vec<(u32, u8)>>,
+    ng_dirty: Vec<VarId>,
+    saved_phase: Vec<Option<Val>>,
+    scratch: AnalysisScratch,
+    ng_locked: Vec<bool>,
+    /// Construction scratch: per-variable wake-mask unions, per-edge
+    /// event filters, CSR fill cursors.
+    wake_masks: Vec<EventMask>,
+    edge_masks: Vec<EventMask>,
+    cursor: Vec<u32>,
+}
+
+impl Buffers {
+    /// Bytes of capacity held.
+    fn bytes(&self) -> usize {
+        self.store.bytes()
+            + self.tables.bytes()
+            + bytes(&self.props)
+            + bytes(&self.prop_var_starts)
+            + bytes(&self.prop_var_entries)
+            + bytes(&self.entailed)
+            + bytes(&self.pending)
+            + self.pending.iter().map(bytes).sum::<usize>()
+            + bytes(&self.wants_pending)
+            + bytes(&self.kind_of)
+            + bytes(&self.watch_starts)
+            + bytes(&self.watch_entries)
+            + bytes(&self.weights)
+            + bytes(&self.var_weight)
+            + self.queue.capacity() * std::mem::size_of::<u32>()
+            + bytes(&self.in_queue)
+            + bytes(&self.decisions)
+            + bytes(&self.dirty_buf)
+            + bytes(&self.nogoods)
+            + bytes(&self.ng_watches)
+            + self.ng_watches.iter().map(bytes).sum::<usize>()
+            + bytes(&self.ng_dirty)
+            + bytes(&self.saved_phase)
+            + self.scratch.bytes()
+            + bytes(&self.ng_locked)
+            + bytes(&self.wake_masks)
+            + bytes(&self.edge_masks)
+            + bytes(&self.cursor)
+    }
+}
+
+thread_local! {
+    /// This thread's parked solver buffers.
+    pub(crate) static SOLVER_BUFFERS: Cell<Option<Buffers>> = const { Cell::new(None) };
+}
+
+impl Drop for Solver {
+    /// Park the solver's buffers for the next model built on this thread.
+    fn drop(&mut self) {
+        // Learned nogoods own their predicates; they go now, the list's
+        // capacity stays.
+        self.nogoods.clear();
+        let set = Buffers {
+            store: take(&mut self.store),
+            props: take(&mut self.props),
+            tables: take(&mut self.tables),
+            prop_var_starts: take(&mut self.prop_var_starts),
+            prop_var_entries: take(&mut self.prop_var_entries),
+            entailed: take(&mut self.entailed),
+            pending: take(&mut self.pending),
+            wants_pending: take(&mut self.wants_pending),
+            kind_of: take(&mut self.kind_of),
+            watch_starts: take(&mut self.watch_starts),
+            watch_entries: take(&mut self.watch_entries),
+            weights: take(&mut self.weights),
+            var_weight: take(&mut self.var_weight),
+            queue: take(&mut self.queue),
+            in_queue: take(&mut self.in_queue),
+            decisions: take(&mut self.decisions),
+            dirty_buf: take(&mut self.dirty_buf),
+            nogoods: take(&mut self.nogoods),
+            ng_watches: take(&mut self.ng_watches),
+            ng_dirty: take(&mut self.ng_dirty),
+            saved_phase: take(&mut self.saved_phase),
+            scratch: take(&mut self.scratch),
+            ng_locked: take(&mut self.ng_locked),
+            wake_masks: take(&mut self.wake_masks),
+            edge_masks: take(&mut self.edge_masks),
+            cursor: take(&mut self.cursor),
+        };
+        let size = set.bytes();
+        recycle::put(&SOLVER_BUFFERS, set, size);
+    }
+}
+
 impl Solver {
-    /// Build a solver from the model's store and constraints. `built` is
-    /// the store with its initial-inconsistency mark, or `None` when the
-    /// interrupt stopped the store's construction.
+    /// Build a solver from the model's constraints over `bufs`, whose
+    /// store holds the model's variables. `store_built` is false when the
+    /// interrupt stopped the store's construction (the store is then
+    /// empty); `initially_inconsistent` marks a store whose initial
+    /// removals already wiped a domain out.
     pub(crate) fn from_parts(
-        built: Option<(Store, bool)>,
+        bufs: Buffers,
+        store_built: bool,
+        initially_inconsistent: bool,
         mut constraints: Vec<Constraint>,
         config: SolverConfig,
         interrupt: Option<Arc<AtomicBool>>,
     ) -> Self {
-        let store_built = built.is_some();
-        let (mut store, initially_inconsistent) = built.unwrap_or_else(|| (Store::new(), false));
+        // Destructured field by field: a buffer added to the set fails to
+        // compile here until its refill is decided.
+        let Buffers {
+            mut store,
+            mut props,
+            mut tables,
+            mut prop_var_starts,
+            mut prop_var_entries,
+            mut entailed,
+            mut pending,
+            mut wants_pending,
+            mut kind_of,
+            mut watch_starts,
+            mut watch_entries,
+            mut weights,
+            mut var_weight,
+            mut queue,
+            mut in_queue,
+            mut decisions,
+            mut dirty_buf,
+            mut nogoods,
+            mut ng_watches,
+            mut ng_dirty,
+            mut saved_phase,
+            scratch,
+            mut ng_locked,
+            mut wake_masks,
+            mut edge_masks,
+            mut cursor,
+        } = bufs;
         // Model-building removals precede propagator construction; their
         // events are subsumed by the initial full propagation of every
         // propagator (all start stale).
         store.clear_dirty();
-        let mut props: Vec<Box<dyn Propagator>> = Vec::with_capacity(constraints.len());
+        tables.reset();
+        props.clear();
+        props.reserve(constraints.len());
+        store.reserve_state(
+            constraints.iter().map(state_cells).sum::<usize>() + constraints.len() + 1,
+        );
         for c in &constraints {
             if !store_built || raised(interrupt.as_deref()) {
                 break;
             }
-            props.push(build(c, &mut store));
+            props.push(build(c, &mut store, &mut tables));
         }
         // An interrupted build keeps no constraints: the rest of the
         // construction is then trivial, and `loaded` bars the search.
@@ -514,23 +715,31 @@ impl Solver {
             props.clear();
             constraints.clear();
         }
-        let stale: Vec<StateId> = props.iter().map(|_| store.new_state_cell(1)).collect();
-        let entailed: Vec<Option<StateId>> = props.iter().map(|p| p.entailed_flag()).collect();
+        let n_props = props.len();
+        let stale = store.new_state_cells(n_props, 1);
+        entailed.clear();
+        entailed.extend(props.iter().map(Prop::entailed_flag));
         let input_cursor = store.new_state_cell(0);
         let n_vars = store.num_vars();
-        let mut wake_masks = vec![EventMask::NONE; n_vars];
-        let mut counts = vec![0u32; n_vars];
-        let mut prop_var_starts = Vec::with_capacity(props.len() + 1);
-        let mut prop_var_entries: Vec<VarId> = Vec::new();
-        let mut edge_masks: Vec<EventMask> = Vec::new();
+        // Per variable: the union of its watchers' event filters, and how
+        // many watch edges it has (dom/wdeg starts every edge at weight 1).
+        refill(&mut wake_masks, n_vars, EventMask::NONE);
+        refill(&mut var_weight, n_vars, 0);
+        let n_edges: usize = constraints.iter().map(|c| c.watched().len()).sum();
+        prop_var_starts.clear();
+        prop_var_starts.reserve(n_props + 1);
         prop_var_starts.push(0u32);
-        for p in &props {
-            for (v, mask) in p.watches() {
-                counts[v] += 1;
+        prop_var_entries.clear();
+        prop_var_entries.reserve(n_edges);
+        edge_masks.clear();
+        edge_masks.reserve(n_edges);
+        for (p, c) in props.iter().zip(&constraints) {
+            p.watches(c, &tables, |v, mask| {
+                var_weight[v] += 1;
                 wake_masks[v] |= mask;
                 prop_var_entries.push(v);
                 edge_masks.push(mask);
-            }
+            });
             prop_var_starts.push(prop_var_entries.len() as u32);
         }
         // Counting sort of the (var, prop) watch edges into CSR form: a
@@ -540,16 +749,22 @@ impl Solver {
         // `Vec` per variable instead costs thousands of scattered
         // reallocations on paper-scale models and dominated solver
         // construction time.
-        let mut watch_starts = Vec::with_capacity(n_vars + 1);
+        watch_starts.clear();
+        watch_starts.reserve(n_vars + 1);
         let mut acc = 0u32;
         watch_starts.push(0u32);
-        for &c in &counts {
-            acc += c;
+        for &c in &var_weight {
+            acc += c as u32;
             watch_starts.push(acc);
         }
-        let mut cursor: Vec<u32> = watch_starts[..n_vars].to_vec();
-        let mut watch_entries = vec![(0u32, EventMask::NONE); prop_var_entries.len()];
-        for ci in 0..props.len() {
+        cursor.clear();
+        cursor.extend_from_slice(&watch_starts[..n_vars]);
+        refill(
+            &mut watch_entries,
+            prop_var_entries.len(),
+            (0u32, EventMask::NONE),
+        );
+        for ci in 0..n_props {
             let (s, e) = (
                 prop_var_starts[ci] as usize,
                 prop_var_starts[ci + 1] as usize,
@@ -564,36 +779,55 @@ impl Solver {
         // Events no propagator subscribed to are dropped inside the store —
         // they never reach the dirty queue, so the backtracking-heavy hot
         // path skips their bookkeeping entirely. Learning needs every
-        // event: nogood watches can sit on any variable and the semantic
-        // log must see every change.
+        // event (the store's default): nogood watches can sit on any
+        // variable and the semantic log must see every change.
         if config.learn.enabled {
-            store.set_wake_masks(&vec![EventMask::ANY; n_vars]);
             store.set_learning(true);
         } else {
             store.set_wake_masks(&wake_masks);
         }
-        let wants_pending = props.iter().map(|p| p.wants_pending()).collect();
-        let kind_of = props.iter().map(|p| p.kind().index() as u8).collect();
-        let var_weight = counts.iter().map(|&c| u64::from(c)).collect();
-        let n_constraints = constraints.len();
+        wants_pending.clear();
+        wants_pending.extend(props.iter().map(Prop::wants_pending));
+        kind_of.clear();
+        kind_of.extend(props.iter().map(|p| p.kind().index() as u8));
+        pending.truncate(n_props);
+        for p in &mut pending {
+            p.clear();
+        }
+        pending.resize_with(n_props, Vec::new);
+        refill(&mut weights, n_props, 1);
+        queue.clear();
+        refill(&mut in_queue, n_props, false);
+        decisions.clear();
+        dirty_buf.clear();
+        nogoods.clear();
+        ng_watches.truncate(n_vars);
+        for w in &mut ng_watches {
+            w.clear();
+        }
+        ng_watches.resize_with(n_vars, Vec::new);
+        ng_dirty.clear();
+        refill(&mut saved_phase, n_vars, None);
+        ng_locked.clear();
         Solver {
             store,
             constraints,
             props,
+            tables,
             prop_var_starts,
             prop_var_entries,
             stale,
             entailed,
-            pending: vec![Vec::new(); n_constraints],
+            pending,
             wants_pending,
             kind_of,
             watch_starts,
             watch_entries,
-            weights: vec![1; n_constraints],
+            weights,
             var_weight,
-            queue: VecDeque::new(),
-            in_queue: vec![false; n_constraints],
-            decisions: Vec::new(),
+            queue,
+            in_queue,
+            decisions,
             rng: SmallRng::seed_from_u64(config.seed),
             config,
             stats: SearchStats::default(),
@@ -604,15 +838,18 @@ impl Solver {
             budget_ticks: 0,
             gac_base: 0,
             abort_pending: false,
-            dirty_buf: Vec::new(),
+            dirty_buf,
             input_cursor,
-            nogoods: Vec::new(),
+            nogoods,
             ng_live: 0,
-            ng_watches: vec![Vec::new(); n_vars],
-            ng_dirty: Vec::new(),
-            saved_phase: vec![None; n_vars],
-            scratch: AnalysisScratch::default(),
-            ng_locked: Vec::new(),
+            ng_watches,
+            ng_dirty,
+            saved_phase,
+            scratch: scratch.reset_all(),
+            ng_locked,
+            wake_masks,
+            edge_masks,
+            cursor,
         }
     }
 
@@ -1023,7 +1260,7 @@ impl Solver {
         while let Some(ci) = self.queue.pop_front() {
             let ci = ci as usize;
             self.in_queue[ci] = false;
-            self.store.set_state(self.stale[ci], 1);
+            self.store.set_state(self.stale.offset(ci), 1);
             self.pending[ci].clear();
         }
         let mut buf = std::mem::take(&mut self.dirty_buf);
@@ -1036,9 +1273,8 @@ impl Solver {
             );
             for &(ci, filter) in &self.watch_entries[ws..we] {
                 if mask.intersects(filter) {
-                    let ci = ci as usize;
-                    self.store.set_state(self.stale[ci], 1);
-                    self.pending[ci].clear();
+                    // Not queued, so nothing is pending for it.
+                    self.store.set_state(self.stale.offset(ci as usize), 1);
                 }
             }
         }
@@ -1079,6 +1315,7 @@ impl Solver {
                 return false;
             }
             let Some(ci) = self.queue.pop_front() else {
+                // Every pending list is empty once the queue is.
                 return true;
             };
             let ci_us = ci as usize;
@@ -1093,7 +1330,7 @@ impl Solver {
                 // limit at its next budget check. The popped propagator
                 // never ran, so its pending events would otherwise survive
                 // into deeper levels — stale-mark it like the queue rest.
-                self.store.set_state(self.stale[ci_us], 1);
+                self.store.set_state(self.stale.offset(ci_us), 1);
                 self.pending[ci_us].clear();
                 self.abort_fixpoint();
                 self.abort_pending = true;
@@ -1109,16 +1346,22 @@ impl Solver {
             }
             let ki = usize::from(self.kind_of[ci_us]);
             let prunes_before = self.store.prune_count();
-            let result = if self.store.state(self.stale[ci_us]) != 0 {
-                self.store.set_state(self.stale[ci_us], 0);
+            let c = &self.constraints[ci_us];
+            let stale = self.stale.offset(ci_us);
+            let result = if self.store.state(stale) != 0 {
+                self.store.set_state(stale, 0);
                 self.pending[ci_us].clear();
-                self.props[ci_us].propagate_full(&mut self.store)
+                self.props[ci_us].propagate_full(c, &mut self.tables, &mut self.store)
             } else {
-                let pend = std::mem::take(&mut self.pending[ci_us]);
-                let r = self.props[ci_us].propagate_incremental(&mut self.store, &pend);
-                let mut pend = pend;
-                pend.clear();
-                self.pending[ci_us] = pend; // keep the allocation
+                let mut run = take(&mut self.pending[ci_us]);
+                let r = self.props[ci_us].propagate_incremental(
+                    c,
+                    &mut self.tables,
+                    &mut self.store,
+                    &run,
+                );
+                run.clear();
+                self.pending[ci_us] = run;
                 r
             };
             let kc = &mut self.kinds[ki];
@@ -1138,7 +1381,7 @@ impl Solver {
                         // permanent) and the solver stays usable afterwards
                         // (`root_fixpoint`, repeated `solve`), so dropped
                         // events must be compensated by stale marks here.
-                        self.store.set_state(self.stale[ci_us], 1);
+                        self.store.set_state(self.stale.offset(ci_us), 1);
                         self.abort_fixpoint();
                     } else {
                         self.abort_fixpoint_on_conflict();
@@ -1605,7 +1848,7 @@ impl Solver {
             Reason::Prop { ci, run_start } => {
                 let ci_us = ci as usize;
                 let before = out.len();
-                if self.props[ci_us].explain(&self.store, req, out) {
+                if self.props[ci_us].explain(&self.constraints[ci_us], &self.store, req, out) {
                     return true;
                 }
                 out.truncate(before);
@@ -2243,5 +2486,277 @@ mod tests {
         cfg.learn.db_max = 4;
         let mut s = pigeonhole_pairwise(8).into_solver(cfg);
         assert!(s.solve().is_unsat());
+    }
+}
+
+#[cfg(test)]
+mod recycling_tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use mgrts_obs::recycle::{parked, put, MAX_RECYCLED_BYTES};
+    use mgrts_obs::SearchStats;
+
+    use super::*;
+    use crate::model::Model;
+
+    /// One model of the sequence.
+    #[derive(Debug, Clone, Copy)]
+    enum Case {
+        /// Every constraint kind over `size` variables per family, under a
+        /// decision budget.
+        Zoo { size: usize, seed: u64, learn: bool },
+        /// A model whose interrupt is raised before construction.
+        Interrupted,
+        /// A model whose interrupt another thread raises while it is built:
+        /// where the build stops varies, the solve it leaves does not.
+        CutMidBuild,
+        /// A removal wipes a domain out before any propagator runs.
+        RootInconsistent,
+        /// Pairwise-not-equal pigeonhole: conflict-dense, for learning.
+        Pigeonhole { holes: i32, learn: bool },
+    }
+
+    /// Larger, smaller, larger again, the interrupted builds, a
+    /// root-inconsistent model, learning on then off, each followed by a
+    /// solve that must not see what it left behind.
+    const SEQUENCE: [Case; 12] = [
+        Case::Zoo {
+            size: 24,
+            seed: 1,
+            learn: false,
+        },
+        Case::Zoo {
+            size: 10,
+            seed: 2,
+            learn: false,
+        },
+        Case::Zoo {
+            size: 32,
+            seed: 3,
+            learn: false,
+        },
+        Case::Interrupted,
+        Case::Zoo {
+            size: 20,
+            seed: 4,
+            learn: true,
+        },
+        Case::CutMidBuild,
+        Case::Zoo {
+            size: 28,
+            seed: 5,
+            learn: false,
+        },
+        Case::RootInconsistent,
+        Case::Pigeonhole {
+            holes: 6,
+            learn: true,
+        },
+        Case::Pigeonhole {
+            holes: 6,
+            learn: false,
+        },
+        Case::Zoo {
+            size: 16,
+            seed: 6,
+            learn: true,
+        },
+        Case::Zoo {
+            size: 24,
+            seed: 1,
+            learn: false,
+        },
+    ];
+
+    /// A model posting every constraint kind (both all-different
+    /// implementations, non-contiguous and duplicated scopes included),
+    /// drawn from `seed`; `size` is at least 10.
+    fn zoo(size: usize, mut seed: u64) -> Model {
+        let mut next = move |bound: usize| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) as usize % bound
+        };
+        let mut m = Model::new();
+        let ints = m.new_vars(size, 0, 9);
+        let bools = m.new_vars(size, 0, 1);
+        let tight = m.new_vars(5, 0, 5);
+        m.remove_value(ints[0], 4);
+        let pick = |next: &mut dyn FnMut(usize) -> usize, from: &[VarId], k: usize| {
+            (0..k).map(|_| from[next(from.len())]).collect::<Vec<_>>()
+        };
+        for _ in 0..size / 6 {
+            let vars = pick(&mut next, &ints, 3);
+            m.post(Constraint::linear_leq(vars, vec![1, -2, 3], 20));
+            let vars = pick(&mut next, &ints, 2);
+            m.post(Constraint::linear_leq(vars, vec![1, 2], 20));
+            m.post(Constraint::AtMostOneTrue {
+                vars: pick(&mut next, &bools, 4),
+            });
+            m.post(Constraint::BoolSumEq {
+                vars: pick(&mut next, &bools, 3),
+                rhs: 1,
+            });
+            m.post(Constraint::CountEq {
+                vars: pick(&mut next, &ints, 4),
+                value: next(10) as Val,
+                rhs: 1,
+            });
+            let (a, b) = (ints[next(size)], ints[next(size)]);
+            m.post(Constraint::NotEqualUnless { a, b, except: 0 });
+            let (a, b) = (bools[next(size)], ints[next(size)]);
+            m.post(Constraint::ReifiedLeq { b: a, x: b, c: 5 });
+            m.post(Constraint::Or {
+                lits: vec![(bools[next(size)], true), (bools[next(size)], false)],
+            });
+        }
+        m.post(Constraint::AllDifferent {
+            vars: tight.clone(),
+        });
+        m.post(Constraint::AllDifferentExcept {
+            vars: ints[..4].to_vec(),
+            except: 0,
+        });
+        m.post(Constraint::LeqVar {
+            a: ints[1],
+            b: ints[2],
+        });
+        m.post(Constraint::Element {
+            index: tight[0],
+            array: vec![3, 1, 4, 1, 5, 9],
+            value: ints[3],
+        });
+        m.post(Constraint::Table {
+            vars: vec![tight[1], ints[5], tight[1]],
+            rows: vec![vec![0, 2, 0], vec![1, 3, 1], vec![2, 2, 3], vec![4, 7, 4]],
+        });
+        m.post(Constraint::NotEqual {
+            a: ints[6],
+            b: ints[7],
+        });
+        m.post(Constraint::linear_eq(vec![ints[8], ints[9]], vec![1, 1], 9));
+        m
+    }
+
+    fn pigeonhole(holes: i32) -> Model {
+        let mut m = Model::new();
+        let v = m.new_vars(holes as usize + 1, 0, holes - 1);
+        for i in 0..v.len() {
+            for j in (i + 1)..v.len() {
+                m.post(Constraint::NotEqual { a: v[i], b: v[j] });
+            }
+        }
+        m
+    }
+
+    fn config(learn: bool) -> SolverConfig {
+        let cfg = if learn {
+            SolverConfig::chronological_learning()
+        } else {
+            SolverConfig::generic_randomized(9)
+        };
+        cfg.with_budget(Budget {
+            time: None,
+            max_decisions: Some(2_000),
+        })
+    }
+
+    /// The outcome and counters of one solve.
+    type Run = (Outcome, SearchStats);
+
+    fn solve(m: Model, learn: bool) -> Run {
+        let mut s = m.into_solver(config(learn));
+        (s.solve(), s.stats())
+    }
+
+    fn run(case: Case) -> Run {
+        match case {
+            Case::Zoo { size, seed, learn } => solve(zoo(size, seed), learn),
+            Case::Interrupted => {
+                let mut m = zoo(12, 7);
+                m.set_interrupt(Arc::new(AtomicBool::new(true)));
+                solve(m, false)
+            }
+            Case::CutMidBuild => {
+                let mut m = zoo(400, 8);
+                let flag = Arc::new(AtomicBool::new(false));
+                m.set_interrupt(flag.clone());
+                let raiser = std::thread::spawn(move || flag.store(true, Ordering::Relaxed));
+                let mut s = m.into_solver(config(false));
+                raiser.join().unwrap();
+                (s.solve(), s.stats())
+            }
+            Case::RootInconsistent => {
+                let mut m = zoo(10, 9);
+                let x = m.new_var(2, 2);
+                m.remove_value(x, 2);
+                solve(m, false)
+            }
+            Case::Pigeonhole { holes, learn } => solve(pigeonhole(holes), learn),
+        }
+    }
+
+    /// Each model of [`SEQUENCE`] once on a thread of its own, whose slot
+    /// is empty, and once on one thread in sequence, where every build
+    /// after the first starts from the buffers the previous solver left:
+    /// outcomes, solutions and counters (per propagator kind included)
+    /// agree.
+    #[test]
+    fn recycled_buffers_solve_like_fresh_ones() {
+        let fresh: Vec<Run> = SEQUENCE
+            .iter()
+            .map(|&case| {
+                std::thread::spawn(move || {
+                    assert!(!parked(&SOLVER_BUFFERS));
+                    run(case)
+                })
+                .join()
+                .unwrap()
+            })
+            .collect();
+        let recycled: Vec<Run> = std::thread::spawn(|| {
+            let mut runs = Vec::new();
+            for (k, &case) in SEQUENCE.iter().enumerate() {
+                if k > 0 {
+                    assert!(parked(&SOLVER_BUFFERS));
+                }
+                runs.push(run(case));
+            }
+            runs
+        })
+        .join()
+        .unwrap();
+
+        for ((case, a), b) in SEQUENCE.iter().zip(&fresh).zip(&recycled) {
+            assert_eq!(a, b, "{case:?} solved differently on recycled buffers");
+        }
+        let outcome = |k: usize| &fresh[k].0;
+        assert!(fresh.iter().any(|r| r.0.is_sat()));
+        assert!(fresh.iter().any(|r| r.1.kinds.len() == PropKind::COUNT));
+        assert_eq!(*outcome(3), Outcome::Unknown(LimitReason::Interrupted));
+        assert_eq!(*outcome(5), Outcome::Unknown(LimitReason::Interrupted));
+        assert_eq!(*outcome(7), Outcome::Unsat);
+        assert_eq!(*outcome(8), Outcome::Unsat);
+        assert!(fresh[8].1.learnt_clauses > 0);
+        assert_eq!(*outcome(9), Outcome::Unsat);
+        assert_eq!(fresh[11], fresh[0]);
+    }
+
+    /// A set above the cap is freed, not parked.
+    #[test]
+    fn sets_above_the_cap_are_not_kept() {
+        std::thread::spawn(|| {
+            put(&SOLVER_BUFFERS, Buffers::default(), MAX_RECYCLED_BYTES + 1);
+            assert!(!parked(&SOLVER_BUFFERS));
+            put(&SOLVER_BUFFERS, Buffers::default(), MAX_RECYCLED_BYTES);
+            assert!(parked(&SOLVER_BUFFERS));
+            // A solver's drop parks its set the same way.
+            drop(Model::new().into_solver(SolverConfig::default()));
+            assert!(parked(&SOLVER_BUFFERS));
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -89,6 +89,14 @@ impl std::ops::BitOrAssign for EventMask {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateId(u32);
 
+impl StateId {
+    /// The `k`-th cell of a block allocated by [`Store::new_state_cells`]
+    /// starting at `self`.
+    pub(crate) fn offset(self, k: usize) -> StateId {
+        StateId(self.0 + k as u32)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct VarMeta {
     /// First word of this domain in `words`.
@@ -237,6 +245,107 @@ impl Store {
             reason_ctx: Reason::Decision,
             conflict: None,
         }
+    }
+
+    /// Empty the store back to [`Store::new`]'s state, keeping every
+    /// buffer's capacity (the solver recycles stores across models).
+    pub(crate) fn reset(&mut self) {
+        // Destructured field by field: a field added to the store fails
+        // to compile here until its reset is decided.
+        let Store {
+            words,
+            word_stamp,
+            vars,
+            var_stamp,
+            trail,
+            level_marks,
+            stamp,
+            dirty,
+            dirty_mask,
+            state,
+            state_stamp,
+            unfixed,
+            unfixed_pos,
+            unfixed_len,
+            unfixed_stamp,
+            version,
+            wake_mask,
+            prunes,
+            gac_rebuilds,
+            learn,
+            llog,
+            lmarks,
+            var_head,
+            reason_ctx,
+            conflict,
+        } = self;
+        words.clear();
+        word_stamp.clear();
+        vars.clear();
+        var_stamp.clear();
+        trail.clear();
+        level_marks.clear();
+        dirty.clear();
+        dirty_mask.clear();
+        state.clear();
+        state_stamp.clear();
+        unfixed.clear();
+        unfixed_pos.clear();
+        wake_mask.clear();
+        llog.clear();
+        lmarks.clear();
+        var_head.clear();
+        *stamp = 1;
+        *unfixed_len = 0;
+        *unfixed_stamp = 0;
+        *version = 0;
+        *prunes = 0;
+        *gac_rebuilds = 0;
+        *learn = false;
+        *reason_ctx = Reason::Decision;
+        *conflict = None;
+    }
+
+    /// Make room for `vars` more variables spanning `words` more domain
+    /// words, so that creating them allocates nothing.
+    pub(crate) fn reserve(&mut self, vars: usize, words: usize) {
+        self.words.reserve(words);
+        self.word_stamp.reserve(words);
+        self.vars.reserve(vars);
+        self.var_stamp.reserve(vars);
+        self.dirty_mask.reserve(vars);
+        self.wake_mask.reserve(vars);
+        self.var_head.reserve(vars);
+        self.unfixed.reserve(vars);
+        self.unfixed_pos.reserve(vars);
+        self.dirty.reserve(vars);
+    }
+
+    /// Make room for `cells` more state cells.
+    pub(crate) fn reserve_state(&mut self, cells: usize) {
+        self.state.reserve(cells);
+        self.state_stamp.reserve(cells);
+    }
+
+    /// Bytes of capacity held by the store's buffers.
+    pub(crate) fn bytes(&self) -> usize {
+        use mgrts_obs::recycle::bytes;
+        bytes(&self.words)
+            + bytes(&self.word_stamp)
+            + bytes(&self.vars)
+            + bytes(&self.var_stamp)
+            + bytes(&self.trail)
+            + bytes(&self.level_marks)
+            + bytes(&self.dirty)
+            + bytes(&self.dirty_mask)
+            + bytes(&self.state)
+            + bytes(&self.state_stamp)
+            + bytes(&self.unfixed)
+            + bytes(&self.unfixed_pos)
+            + bytes(&self.wake_mask)
+            + bytes(&self.llog)
+            + bytes(&self.lmarks)
+            + bytes(&self.var_head)
     }
 
     /// Create a variable with domain `[lb, ub]` (inclusive). Panics if
@@ -439,6 +548,15 @@ impl Store {
         self.state.push(init);
         self.state_stamp.push(0);
         StateId((self.state.len() - 1) as u32)
+    }
+
+    /// Allocate `n` consecutive trailed state cells holding `init`; the
+    /// first is returned, the `k`-th is its [`StateId::offset`]`(k)`.
+    pub(crate) fn new_state_cells(&mut self, n: usize, init: i64) -> StateId {
+        let first = StateId(self.state.len() as u32);
+        self.state.resize(self.state.len() + n, init);
+        self.state_stamp.resize(self.state_stamp.len() + n, 0);
+        first
     }
 
     /// Current value of a state cell.

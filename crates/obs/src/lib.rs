@@ -16,12 +16,17 @@
 //!   latency histograms rendered in the Prometheus text exposition
 //!   format (the serve layer's `{"type":"metrics"}` response).
 //!
+//! Beside them, [`recycle`] holds the per-thread buffer slots the solver
+//! crates (`rt_sat`, `csp_engine`) park their buffers in between solves:
+//! this crate is the one dependency those two share.
+//!
 //! The crate is hand-rolled against the vendored `serde` shim — no
 //! `tracing`, `prometheus` or `metrics` dependencies — mirroring how the
 //! workspace vendored its other infrastructure.
 
 pub mod flight;
 pub mod metrics;
+pub mod recycle;
 pub mod stats;
 
 pub use flight::{FlightRecorder, ThreadRing};

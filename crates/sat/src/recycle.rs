@@ -6,58 +6,19 @@
 //! [`crate::Cnf`] and a [`crate::SatSolver`] hand their buffers to a slot
 //! of the current thread when they are dropped, and the next construction
 //! on that thread takes them back: a thread that solves one formula after
-//! another allocates only when a formula outgrows every earlier one.
-//!
-//! Each slot holds at most one set of buffers, and only a set of at most
-//! [`MAX_RECYCLED_BYTES`]; a larger set is freed on drop. The
-//! slots are thread-local because engines are shared across worker
-//! threads: a slot needs no lock, and a thread that exits frees its own.
+//! another allocates only when a formula outgrows every earlier one. The
+//! slot helpers and the cap, [`MAX_RECYCLED_BYTES`], are
+//! [`mgrts_obs::recycle`]'s, shared with `csp_engine`.
 
-use std::cell::Cell;
-use std::thread::LocalKey;
-
-/// The largest set of buffers one slot keeps, in bytes of capacity. An
-/// average Table I formula and its solver take about 8 MB together; the
-/// largest of the first 120 instances of seed 2009 leaves a 4 MB formula
-/// set and a 16 MB solver set behind. The cap keeps both, while a formula
-/// of hundreds of MB (which the CSP1 size guard admits) is never retained
-/// by a worker.
-pub const MAX_RECYCLED_BYTES: usize = 32 << 20;
-
-/// A thread's slot for one kind of buffer set.
-pub(crate) type Slot<T> = LocalKey<Cell<Option<T>>>;
-
-/// Take the set parked in `slot` on this thread, if any.
-pub(crate) fn take<T: 'static>(slot: &'static Slot<T>) -> Option<T> {
-    slot.try_with(Cell::take).ok().flatten()
-}
-
-/// Park `set` in `slot` when it holds at most [`MAX_RECYCLED_BYTES`],
-/// replacing (and freeing) a set parked there before; free it otherwise,
-/// or when the thread is already tearing its slots down.
-pub(crate) fn put<T: 'static>(slot: &'static Slot<T>, set: T, bytes: usize) {
-    if bytes <= MAX_RECYCLED_BYTES {
-        let _ = slot.try_with(|s| s.set(Some(set)));
-    }
-}
-
-/// Bytes of capacity held by `v`.
-pub(crate) fn bytes<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
-}
-
-/// Empty `v` and refill it with `n` copies of `value`, reusing its
-/// capacity.
-pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
-    v.clear();
-    v.resize(n, value);
-}
+pub use mgrts_obs::recycle::MAX_RECYCLED_BYTES;
+pub(crate) use mgrts_obs::recycle::{bytes, put, refill, take};
 
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
+    use mgrts_obs::recycle::parked;
     use mgrts_obs::SearchStats;
 
     use super::*;
@@ -228,16 +189,6 @@ mod tests {
                 (s.solve(), s.stats(), clauses(&cnf))
             }
         }
-    }
-
-    /// Whether this thread's `slot` holds a set, leaving it in place.
-    fn parked<T: 'static>(slot: &'static Slot<T>) -> bool {
-        slot.with(|s| {
-            let set = s.take();
-            let held = set.is_some();
-            s.set(set);
-            held
-        })
     }
 
     /// Each solve of [`SEQUENCE`] once on a thread of its own, whose
